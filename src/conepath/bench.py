@@ -11,7 +11,6 @@ import logging
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -238,21 +237,6 @@ def run_sequence(seq, settings=None):
     return report
 
 
-def _thread_count():
-    try:
-        return max(1, int(os.environ.get("WSC_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map(fn, items):
-    workers = _thread_count()
-    if workers <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def perturbation_study(delta_grid, seeds, dims=(4, 2), horizon=10, base_seed=0,
                        x0=None, settings=None, targets=("b", "q", "A")):
     """Warm-vs-cold ratio as a function of perturbation size.
@@ -278,16 +262,13 @@ def perturbation_study(delta_grid, seeds, dims=(4, 2), horizon=10, base_seed=0,
         raise Unsupported("base instance did not solve to Optimal")
     prev = base_rep.solution
 
-    def one(task):
-        delta, seed = task
-        pid = f"mpc-d{delta:g}-s{seed}"
-        problem = perturb(base, PerturbationSpec(delta, targets=targets, seed=seed))
-        cold_rec, _ = _cold_record(problem, pid, "mpc", delta, settings)
-        warm_rec, _ = _warm_record(problem, pid, "mpc", delta, prev, settings)
-        return [cold_rec, warm_rec]
-
-    tasks = [(d, s) for d in deltas for s in seed_list]
-    records = [rec for pair in _map(one, tasks) for rec in pair]
+    records = []
+    for delta in deltas:
+        for seed in seed_list:
+            pid = f"mpc-d{delta:g}-s{seed}"
+            problem = perturb(base, PerturbationSpec(delta, targets=targets, seed=seed))
+            records.append(_cold_record(problem, pid, "mpc", delta, settings)[0])
+            records.append(_warm_record(problem, pid, "mpc", delta, prev, settings)[0])
 
     report = BenchReport(family="mpc", records=records)
     report.r_iter, report.r_t, report.ratios, report.excluded = reduction_metrics(records)

@@ -157,27 +157,6 @@ def smat(v):
     return S
 
 
-@dataclass(frozen=True)
-class TrianglePacking:
-    """Convenience handle fixing the packing convention for one order."""
-
-    order: int
-
-    @property
-    def dim(self):
-        return packed_dim(self.order)
-
-    def svec(self, S):
-        if S.shape != (self.order, self.order):
-            raise Unsupported(f"expected a {self.order}x{self.order} matrix")
-        return svec(S)
-
-    def smat(self, v):
-        if v.shape != (self.dim,):
-            raise Unsupported(f"expected a packed vector of length {self.dim}")
-        return smat(v)
-
-
 def _sym_kron(M):
     """Packed representation of V -> M V M for symmetric M."""
     order = M.shape[0]
@@ -577,21 +556,13 @@ def conjugate_gradient(spec, y, hint=None):
     kind = spec.kind
     if kind is ConeKind.ZERO:
         raise Unsupported("zero cones carry no conjugate barrier")
+    if kind in (ConeKind.NONNEGATIVE, ConeKind.SECOND_ORDER, ConeKind.PSD_TRIANGLE):
+        # self-dual with f*(y) = f(y) + const, so the gradients agree
+        return barrier_gradient(spec, y)
     if not is_interior_dual(spec, y, 0.0):
         raise BoundaryOrExterior(
             f"point is not strictly interior to the dual of {spec.kind.value}"
         )
-    if kind is ConeKind.NONNEGATIVE:
-        return -1.0 / y
-    if kind is ConeKind.SECOND_ORDER:
-        t = y[0] ** 2 - float(y[1:] @ y[1:])
-        g = np.empty_like(y)
-        g[0] = -y[0] / t
-        g[1:] = y[1:] / t
-        return g
-    if kind is ConeKind.PSD_TRIANGLE:
-        d, U = _eigh(smat(y))
-        return -svec((U / d) @ U.T)
     # exponential / power: minimize <y, s> + f(s) over int K
     if hint is not None and is_interior(spec, hint, 0.0):
         s0 = np.asarray(hint, dtype=float)

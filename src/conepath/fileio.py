@@ -20,52 +20,23 @@ from .ipm import ConicProblem
 _MAGIC = "conepath-problem 1"
 _SOL_MAGIC = "conepath-solution 1"
 
-_KIND_ARITY = {
-    ConeKind.ZERO: "zero",
-    ConeKind.NONNEGATIVE: "nonneg",
-    ConeKind.SECOND_ORDER: "soc",
-    ConeKind.PSD_TRIANGLE: "psd",
-    ConeKind.EXPONENTIAL: "exp",
-    ConeKind.POWER: "pow",
-}
-
 
 def _cone_line(spec):
     if spec.kind is ConeKind.POWER:
         return f"cone pow {spec.dim} {float(spec.alpha)!r}"
-    return f"cone {_KIND_ARITY[spec.kind]} {spec.dim}"
+    return f"cone {spec.kind.value} {spec.dim}"
 
 
 def _parse_cone(parts, lineno):
-    if len(parts) < 3:
-        raise ParseError("cone line needs a kind and a dimension", line=lineno)
-    kind, dim_s = parts[1], parts[2]
+    """'cone <kind> <dim> [alpha]' as a ConeSpec; its own checks become ParseErrors."""
+    _expect(len(parts) >= 3, "cone line needs a kind and a dimension", lineno)
     try:
-        dim = int(dim_s)
-    except ValueError:
-        raise ParseError(f"bad cone dimension {dim_s!r}", line=lineno)
-    try:
-        if kind == "zero":
-            return ConeSpec.zero(dim)
-        if kind == "nonneg":
-            return ConeSpec.nonnegative(dim)
-        if kind == "soc":
-            return ConeSpec.second_order(dim)
-        if kind == "psd":
-            return ConeSpec.psd_triangle(order_of_packed(dim))
-        if kind == "exp":
-            if dim != 3:
-                raise Unsupported("exponential cone blocks have dimension 3")
-            return ConeSpec.exponential()
-        if kind == "pow":
-            if len(parts) < 4:
-                raise ParseError("power cone line needs an exponent", line=lineno)
-            if dim != 3:
-                raise Unsupported("power cone blocks have dimension 3")
-            return ConeSpec.power(float(parts[3]))
+        kind, dim = ConeKind(parts[1]), int(parts[2])
+        alpha = float(parts[3]) if len(parts) > 3 else None
+        order = order_of_packed(dim) if kind is ConeKind.PSD_TRIANGLE else None
+        return ConeSpec(kind, dim, alpha=alpha, order=order)
     except (Unsupported, ValueError) as exc:
-        raise ParseError(str(exc), line=lineno)
-    raise ParseError(f"unknown cone kind {kind!r}", line=lineno)
+        raise ParseError(f"bad cone line: {exc}", line=lineno)
 
 
 def problem_text(problem):
@@ -138,24 +109,34 @@ def read_problem(path):
         specs.append(_parse_cone(parts, ln))
 
     def triplets(tag, shape, mirror):
+        # checks raise directly, so no message is formatted on valid lines
         nnz = scalar(tag)
-        M = np.zeros(shape)
+        entries = {}  # (i, j) -> value
         for _ in range(nnz):
             text, ln = next_line()
             parts = text.split()
-            _expect(len(parts) == 3, f"expected 'i j value' in {tag} block", ln)
+            if len(parts) != 3:
+                raise ParseError(f"expected 'i j value' in {tag} block", line=ln)
             try:
                 i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
             except ValueError:
                 raise ParseError(f"bad triplet {text!r}", line=ln)
-            _expect(0 <= i < shape[0] and 0 <= j < shape[1],
-                    f"triplet ({i},{j}) outside {shape}", ln)
-            if mirror:
-                _expect(i <= j, "P triplets must be upper-triangular", ln)
-            M[i, j] = v
-            if mirror and i != j:
-                M[j, i] = v
-        return sp.csc_matrix(M)
+            if not (0 <= i < shape[0] and 0 <= j < shape[1]):
+                raise ParseError(f"triplet ({i},{j}) outside {shape}", line=ln)
+            if mirror and i > j:
+                # upper-triangular only, so a mirrored repeat is caught here
+                raise ParseError("P triplets must be upper-triangular", line=ln)
+            if (i, j) in entries:
+                raise ParseError(f"repeated triplet ({i},{j}) in {tag} block", line=ln)
+            entries[i, j] = v
+        ij = np.array(list(entries), dtype=int).reshape(-1, 2)
+        vals = np.array(list(entries.values()))
+        keep = vals != 0.0  # stored zeros are dropped
+        rows, cols, vals = ij[keep, 0], ij[keep, 1], vals[keep]
+        if mirror:
+            off = rows != cols
+            rows, cols, vals = np.r_[rows, cols[off]], np.r_[cols, rows[off]], np.r_[vals, vals[off]]
+        return sp.csc_matrix((vals, (rows, cols)), shape=shape, dtype=float)
 
     P = triplets("P", (n, n), mirror=True)
     A = triplets("A", (m, n), mirror=False)

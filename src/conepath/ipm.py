@@ -158,18 +158,23 @@ def warm_start(problem, ws):
     )
 
 
+# Step-rule and certificate constants.  None is a user setting: each
+# shapes every iterate, so changing one is a solver change.
+BETA = 0.1  # the neighborhood warmstart.proximity certifies by default
+MARGIN = 1e-12  # absolute floor on s and z in step acceptance, not scaled by mu
+ALPHA_FLOOR = 1e-7  # shorter steps make no progress: the solve stops as stalled
+MAX_ALPHA = 0.99  # fraction to the boundary; a full step may land on it
+REGULARIZATION = 1e-8  # lets K factor when P is singular; refinement removes its bias
+EPS_IA = 1e-8  # infeasibility certificates need |b'z| or |q'x| above this
+EPS_IR = 1e-8  # relative residual an infeasibility certificate may leave
+
+
 @dataclass
 class Settings:
+    """Optimality tolerance and iteration cap; the step rule uses the constants above."""
+
     eps: float = 1e-8
-    eps_ia: float = 1e-8
-    eps_ir: float = 1e-8
     max_iters: int = 200
-    beta: float = 0.1
-    margin: float = 1e-12
-    alpha_floor: float = 1e-7
-    max_alpha: float = 0.99
-    regularization: float = 1e-8
-    time_limit: float | None = None
 
 
 @dataclass
@@ -201,7 +206,7 @@ class SolveReport:
         return self.x / self.tau, self.s / self.tau, self.z / self.tau
 
 
-def check_termination(problem, v, eps=1e-8, eps_ia=1e-8, eps_ir=1e-8):
+def check_termination(problem, v, eps=1e-8):
     """Optimality at the tau-scaled point, else raw infeasibility tests.
 
     Returns a SolveStatus or None.  The infeasibility inequalities are
@@ -226,17 +231,17 @@ def check_termination(problem, v, eps=1e-8, eps_ia=1e-8, eps_ir=1e-8):
     x, z, s = v.x, v.z, v.s
     btz = float(problem.b @ z)
     nx = float(np.linalg.norm(x))
-    if btz < -eps_ia and float(np.linalg.norm(problem.A.T @ z)) < -eps_ir * max(
+    if btz < -EPS_IA and float(np.linalg.norm(problem.A.T @ z)) < -EPS_IR * max(
         1.0, nx + float(np.linalg.norm(z))
     ) * btz:
         return SolveStatus.PRIMAL_INFEASIBLE
 
     qtx = float(problem.q @ x)
     if (
-        qtx < -eps_ia
-        and float(np.linalg.norm(problem.P @ x)) < -eps_ir * max(1.0, nx) * btz
+        qtx < -EPS_IA
+        and float(np.linalg.norm(problem.P @ x)) < -EPS_IR * max(1.0, nx) * btz
         and float(np.linalg.norm(problem.A @ x + s))
-        < -eps_ir * max(1.0, nx + float(np.linalg.norm(s))) * qtx
+        < -EPS_IR * max(1.0, nx + float(np.linalg.norm(s))) * qtx
     ):
         return SolveStatus.DUAL_INFEASIBLE
     return None
@@ -336,13 +341,9 @@ def solve(problem, start, settings=None):
         )
 
     for _ in range(cfg.max_iters):
-        status = check_termination(
-            problem, current((x, z, s, tau, kappa)), cfg.eps, cfg.eps_ia, cfg.eps_ir
-        )
+        status = check_termination(problem, current((x, z, s, tau, kappa)), cfg.eps)
         if status is not None:
             return report(status)
-        if cfg.time_limit is not None and time.perf_counter() - t0 > cfg.time_limit:
-            return report(SolveStatus.MAX_ITERS)
 
         mu = _embedding_mu(problem, s, z, tau, kappa)
         Px = problem.P @ x
@@ -361,8 +362,8 @@ def solve(problem, start, settings=None):
 
         K = sp.bmat(
             [
-                [problem.P + cfg.regularization * eye_n, problem.A.T],
-                [problem.A, -(Hinv + cfg.regularization * eye_m)],
+                [problem.P + REGULARIZATION * eye_n, problem.A.T],
+                [problem.A, -(Hinv + REGULARIZATION * eye_m)],
             ],
             format="csc",
         )
@@ -420,9 +421,9 @@ def solve(problem, start, settings=None):
             return report(SolveStatus.NUMERICAL_ERROR)
         dx, dz, ds, dtau, dkappa = comb
 
-        alpha = cfg.max_alpha
+        alpha = MAX_ALPHA
         accepted = False
-        while alpha >= cfg.alpha_floor:
+        while alpha >= ALPHA_FLOOR:
             s_new = s + alpha * ds
             z_new = z + alpha * dz
             tau_new = tau + alpha * dtau
@@ -430,12 +431,12 @@ def solve(problem, start, settings=None):
             if (
                 tau_new > 0.0
                 and kappa_new > 0.0
-                and _interior_point(cones, s_new, z_new, cfg.margin)
+                and _interior_point(cones, s_new, z_new, MARGIN)
             ):
                 mu_new = _embedding_mu(problem, s_new, z_new, tau_new, kappa_new)
-                if mu_new > 0.0 and tau_new * kappa_new >= cfg.beta * mu_new:
+                if mu_new > 0.0 and tau_new * kappa_new >= BETA * mu_new:
                     ok, hints = _proximity_pass(
-                        cones, s_new, z_new, mu_new, cfg.beta, hints
+                        cones, s_new, z_new, mu_new, BETA, hints
                     )
                     if ok:
                         accepted = True
@@ -468,7 +469,5 @@ def solve(problem, start, settings=None):
         rp, rd, _ = scaled_norms()
         trace.append(TraceRow(mu, rp, rd, alpha))
 
-    status = check_termination(
-        problem, current((x, z, s, tau, kappa)), cfg.eps, cfg.eps_ia, cfg.eps_ir
-    )
+    status = check_termination(problem, current((x, z, s, tau, kappa)), cfg.eps)
     return report(status if status is not None else SolveStatus.MAX_ITERS)

@@ -57,11 +57,6 @@ def _nn_kernel(c, mu):
     return out
 
 
-def smooth_nonnegative(c, mu):
-    _check_mu(mu)
-    return _nn_kernel(c, mu)
-
-
 def _soc_kernel(c, mu):
     """Second-order smoothing; returns (s, t_s) with t_s = s0^2 - ||s1||^2.
 
@@ -102,24 +97,12 @@ def _soc_kernel(c, mu):
     return s, mu * rho
 
 
-def smooth_second_order(c, mu):
-    _check_mu(mu)
-    s, _ = _soc_kernel(c, mu)
-    return s
-
-
 def _psd_kernel(c, mu):
     """Eigenvalue smoothing; returns (s, eigenvalues of S, eigenvalues of C)."""
     d, U = _c._eigh(smat(np.asarray(c, dtype=float)))
     e = _nn_kernel(d, mu)
     S = (U * e) @ U.T
     return svec(S), e, d
-
-
-def smooth_psd(c, mu):
-    _check_mu(mu)
-    s, _, _ = _psd_kernel(c, mu)
-    return s
 
 
 def _sc_newton(c, mu, value, grad, hess, inside, s0, collect_trace):

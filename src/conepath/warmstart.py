@@ -15,9 +15,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import cones as _c
 from .cones import ConeKind, barrier_gradient, conjugate_gradient, is_interior, is_interior_dual, smat, unit_point
 from .errors import NoConvergence, NotApplicable, Unsupported
+from .ipm import residual_map
 from .smoothing import smooth
 
 MU0_FLOOR = 1e-12
@@ -70,24 +70,13 @@ def _clamp_mu0(value):
     return float(min(max(value, MU0_FLOOR), MU0_CEIL))
 
 
-def _select_lambda(spec, s_star_block, z_star_block):
-    """Scaling ratio and rule label for one block; no residual needed."""
-    kind = spec.kind
-    if kind is ConeKind.ZERO:
-        return 1.0, "zero"
-    if kind is ConeKind.NONNEGATIVE:
-        return 1.0, "nn"
-    if kind is ConeKind.PSD_TRIANGLE:
-        return 1.0, "psd"
-    if kind in (ConeKind.EXPONENTIAL, ConeKind.POWER):
-        return 1.0, "nonsymmetric-heuristic"
-    s0 = float(s_star_block[0])
-    z0 = float(z_star_block[0])
-    if z0 <= SOC_DEGENERACY_TOL * max(1.0, s0) or s0 <= SOC_DEGENERACY_TOL * max(
-        1.0, z0
-    ):
-        return 1.0, "soc-degenerate"
-    return s0 / z0, "soc"
+_RULES = {
+    ConeKind.ZERO: "zero",
+    ConeKind.NONNEGATIVE: "nn",
+    ConeKind.PSD_TRIANGLE: "psd",
+    ConeKind.EXPONENTIAL: "nonsymmetric-heuristic",
+    ConeKind.POWER: "nonsymmetric-heuristic",
+}
 
 
 def select_parameters(spec, s_star_block, z_star_block, r_inf):
@@ -100,16 +89,21 @@ def select_parameters(spec, s_star_block, z_star_block, r_inf):
     """
     if not (math.isfinite(r_inf) and r_inf >= 0.0):
         raise Unsupported(f"residual norm must be finite and >= 0, got {r_inf}")
-    lam, rule = _select_lambda(spec, s_star_block, z_star_block)
-    mu0 = _clamp_mu0(lam * r_inf if rule == "soc" else r_inf)
-    return SelectedParameters(lam, mu0, rule)
+    lam, rule = 1.0, _RULES.get(spec.kind)
+    if spec.kind is ConeKind.SECOND_ORDER:
+        s0 = float(s_star_block[0])
+        z0 = float(z_star_block[0])
+        if z0 <= SOC_DEGENERACY_TOL * max(1.0, s0) or s0 <= SOC_DEGENERACY_TOL * max(1.0, z0):
+            rule = "soc-degenerate"
+        else:
+            lam, rule = s0 / z0, "soc"
+    return SelectedParameters(lam, _clamp_mu0(lam * r_inf), rule)
 
 
 def residual_infinity(problem, x, s, z):
-    """||R(x,s,z)||_inf with R = (Px + A^T z + q, -Ax + b - s)."""
-    r_d = problem.P @ x + problem.A.T @ z + problem.q
-    r_p = -(problem.A @ x) + problem.b - s
-    return float(max(np.max(np.abs(r_d)), np.max(np.abs(r_p))))
+    """||R(x,s,z)||_inf with R = (r_d, r_p) of ipm.residual_map."""
+    res = residual_map(problem, x, s, z)
+    return float(max(np.max(np.abs(res.r_d)), np.max(np.abs(res.r_p))))
 
 
 def warmstart(prev, cones, overrides=None):
@@ -121,9 +115,11 @@ def warmstart(prev, cones, overrides=None):
     of the difference keeps complementarity exact at small mu0.  Zero
     blocks pass (0, z*) through.  x0 = x*.
 
-    overrides maps block index -> {"lambda": ..., "mu0": ...} (either
-    key optional).  Blocks whose Newton smoothing fails fall back to the
-    cold unit point and are listed in fallback_blocks.
+    Each block starts from select_parameters.  overrides maps block
+    index -> {"lambda": ..., "mu0": ...} (either key optional) and
+    replaces those values; a lambda-only override keeps mu0 at the
+    clamped residual norm.  Blocks whose Newton smoothing fails fall
+    back to the cold unit point and are listed in fallback_blocks.
     """
     x_star = np.asarray(prev.x_star, dtype=float)
     s_star = np.asarray(prev.s_star, dtype=float)
@@ -152,22 +148,16 @@ def warmstart(prev, cones, overrides=None):
     for k, (spec, sl) in enumerate(zip(cones.blocks, slices)):
         sb = s_star[sl]
         zb = z_star[sl]
+        lam, mu0, rule = select_parameters(spec, sb, zb, r_inf)
         if spec.kind is ConeKind.ZERO:
             z0[sl] = zb
-            per_block.append(
-                BlockParameters(1.0, _clamp_mu0(r_inf), 0, 0.0, "zero")
-            )
+            per_block.append(BlockParameters(lam, mu0, 0, 0.0, rule))
             continue
         ov = overrides.get(k, {})
-        lam, rule = _select_lambda(spec, sb, zb)
         if "lambda" in ov:
-            lam = float(ov["lambda"])
-            rule = "override"
+            lam, mu0, rule = float(ov["lambda"]), _clamp_mu0(r_inf), "override"
         if "mu0" in ov:
-            mu0 = float(ov["mu0"])
-            rule = "override"
-        else:
-            mu0 = _clamp_mu0(lam * r_inf if rule == "soc" else r_inf)
+            mu0, rule = float(ov["mu0"]), "override"
         if not (lam > 0.0 and mu0 > 0.0):
             raise Unsupported(f"block {k}: lambda and mu0 must be positive")
         c = sb - lam * zb
@@ -289,14 +279,6 @@ class BoundReport:
         )
 
 
-def _row_sum_norm(A):
-    """||A||_inf as the max absolute row sum."""
-    A = np.asarray(A.todense() if hasattr(A, "todense") else A, dtype=float)
-    if A.size == 0:
-        return 0.0
-    return float(np.max(np.sum(np.abs(A), axis=1)))
-
-
 def _not_applicable(family, reason):
     return BoundReport(family, False, reason)
 
@@ -345,7 +327,7 @@ def residual_bound_check(prev, result, problem):
             family, "mu0 was not sized from the previous residual norm"
         )
 
-    A_inf = _row_sum_norm(problem.A)
+    A_inf = float(abs(problem.A).sum(axis=1).max())  # max absolute row sum
     kind = live[0][1].kind
 
     if kind is ConeKind.NONNEGATIVE:
@@ -402,30 +384,25 @@ def residual_bound_check(prev, result, problem):
         if dmin <= 0.0:
             return _not_applicable(family, "previous difference matrix is singular")
         # A columns reinterpreted as symmetric matrices over the block rows
-        A = problem.A.todense() if hasattr(problem.A, "todense") else problem.A
-        A = np.asarray(A, dtype=float)
+        A_blk = problem.A[sl].toarray()
         tr_max = 0.0
-        for j in range(A.shape[1]):
-            Aj = smat(A[sl, j])
+        for j in range(A_blk.shape[1]):
+            Aj = smat(A_blk[:, j])
             tr_max = max(tr_max, float(np.sum(np.abs(np.linalg.eigvalsh(Aj)))))
         ds = _matrix_max(result.s0[sl] - s_star[sl])
         ds_bound = min(mu0 / dmin, math.sqrt(mu0))
         bound = (1.0 + (tr_max + 1.0) / dmin) * mu0
 
     # actual residual with PSD slack rows measured in matrix entries
-    r_d = problem.P @ result.x0 + problem.A.T @ result.z0 + problem.q
-    r_p = -(problem.A @ result.x0) + problem.b - result.s0
-    if kind is ConeKind.PSD_TRIANGLE:
-        parts = [float(np.max(np.abs(r_d)))] if r_d.size else [0.0]
-        for spec, sl in zip(problem.cones.blocks, problem.cones.slices()):
-            block = r_p[sl]
-            if spec.kind is ConeKind.PSD_TRIANGLE:
-                parts.append(_matrix_max(block))
-            elif block.size:
-                parts.append(float(np.max(np.abs(block))))
-        actual = max(parts)
-    else:
-        actual = float(max(np.max(np.abs(r_d)), np.max(np.abs(r_p))))
+    res = residual_map(problem, result.x0, result.s0, result.z0)
+    parts = [float(np.max(np.abs(res.r_d)))] if res.r_d.size else [0.0]
+    for spec, sl in zip(problem.cones.blocks, problem.cones.slices()):
+        block = res.r_p[sl]
+        parts.append(
+            _matrix_max(block) if spec.kind is ConeKind.PSD_TRIANGLE
+            else float(np.max(np.abs(block)))
+        )
+    actual = max(parts)
 
     return BoundReport(
         family,

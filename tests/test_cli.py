@@ -110,11 +110,25 @@ class TestProblemFiles:
         path = tmp_path / "p.prob"
         fileio.write_problem(lp_problem(), path)
         lines = path.read_text().splitlines()
-        lines[4] = "cone mystery 3"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ParseError, match="line 5") as info:
-            fileio.read_problem(path)
-        assert info.value.line == 5
+        for bad in ("cone mystery 3", "cone pow 3", "cone exp 4", "cone psd 5",
+                    "cone nonneg 2.5"):
+            lines[4] = bad
+            path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(ParseError, match="line 5") as info:
+                fileio.read_problem(path)
+            assert info.value.line == 5, bad
+
+    def test_repeated_triplet_rejected(self, tmp_path):
+        path = tmp_path / "p.prob"
+        fileio.write_problem(all_kinds_problem(), path)
+        lines = path.read_text().splitlines()
+        for tag in ("P", "A"):
+            at = next(k for k, line in enumerate(lines) if line.startswith(tag + " "))
+            bad = lines[: at + 2] + [lines[at + 1]] + lines[at + 3 :]
+            path.write_text("\n".join(bad) + "\n")
+            with pytest.raises(ParseError, match="repeated triplet") as info:
+                fileio.read_problem(path)
+            assert info.value.line == at + 3, tag
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "p.prob"

@@ -20,9 +20,7 @@ from conepath.smoothing import (
     project_dual,
     smooth,
     smooth_newton,
-    smooth_nonnegative,
     smooth_product,
-    smooth_second_order,
 )
 
 from support import ALL_KINDS, make_spec
@@ -46,7 +44,7 @@ class TestNonnegative:
 
     def test_stable_for_large_negative_entries(self):
         c = np.array([-1e8, -1.0, 0.0, 1.0, 1e8])
-        s = smooth_nonnegative(c, 1e-6)
+        s = smooth(ConeSpec.nonnegative(5), c, 1e-6).s
         assert np.all(s > 0)
         assert np.all(np.isfinite(s))
         # s*(s - c) = mu wherever the offset mu/c is representable at
@@ -86,9 +84,6 @@ class TestSecondOrder:
         s0 = res.s[0]
         # stationarity on the axis: s0 - 2 - mu * (-1/s0) has the 2-root form
         assert math.isclose(s0 * (s0 - 2.0), 1.0, rel_tol=1e-12)
-        assert np.allclose(
-            smooth_second_order(np.array([2.0, 0.0, 0.0]), 1.0), res.s
-        )
 
     def test_matches_newton_oracle(self):
         rng = np.random.default_rng(2)

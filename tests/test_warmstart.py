@@ -83,6 +83,63 @@ class TestSelectParameters:
             select_parameters(spec, np.ones(1), np.ones(1), -1.0)
 
 
+class TestWarmstartUsesSelectedParameters:
+    """warmstart() sizes every block with select_parameters, then overrides."""
+
+    def make(self):
+        cones = ConeProduct(
+            (
+                ConeSpec.zero(2),
+                ConeSpec.nonnegative(3),
+                ConeSpec.second_order(3),  # healthy leading entries
+                ConeSpec.second_order(3),  # degenerate leading entry
+                ConeSpec.power(0.4),
+            )
+        )
+        s_star = np.array(
+            [0.0, 0.0, 2.0, 1e-7, 0.5, 2.0, 1.0, 0.5, 1e-12, 0.0, 0.0, 1.2, 0.8, 0.3]
+        )
+        z_star = np.array(
+            [1.5, -0.5, 1e-7, 3.0, 0.2, 1.0, -0.5, 0.2, 1.0, 0.0, 0.0, 1.5, 1.6, -0.4]
+        )
+        x_star = np.array([0.3, -0.7])
+        rng = np.random.default_rng(21)
+        A = rng.standard_normal((cones.dim, 2))
+        # data a residual of about 1e-4 away from the previous triple
+        prob = ConicProblem(
+            P=sp.csc_matrix((2, 2)),
+            A=sp.csc_matrix(A),
+            q=-(A.T @ z_star) + 1e-4 * rng.uniform(-1.0, 1.0, 2),
+            b=A @ x_star + s_star + 1e-4 * rng.uniform(-1.0, 1.0, cones.dim),
+            cones=cones,
+        )
+        prev = PreviousSolution(x_star, s_star, z_star, problem=prob)
+        r_inf = residual_infinity(prob, x_star, s_star, z_star)
+        return prob, prev, r_inf
+
+    def test_every_kind_matches(self):
+        prob, prev, r_inf = self.make()
+        assert 1e-6 < r_inf < 1e-3
+        res = warmstart(prev, prob.cones)
+        rules = []
+        for k, (spec, sl) in enumerate(zip(prob.cones.blocks, prob.cones.slices())):
+            sel = select_parameters(spec, prev.s_star[sl], prev.z_star[sl], r_inf)
+            blk = res.per_block[k]
+            assert (blk.lam, blk.mu0, blk.rule) == tuple(sel), k
+            rules.append(blk.rule)
+        assert rules == ["zero", "nn", "soc", "soc-degenerate", "nonsymmetric-heuristic"]
+        assert res.per_block[2].mu0 == min(max(2.0 * r_inf, 1e-12), 1.0)
+
+    def test_soc_lambda_override_keeps_residual_mu0(self):
+        # a lambda-only override does not rescale mu0 by lambda: mu0 stays
+        # the clamped residual norm, not the "soc" rule's lambda*r_inf
+        prob, prev, r_inf = self.make()
+        res = warmstart(prev, prob.cones, overrides={2: {"lambda": 0.5}})
+        blk = res.per_block[2]
+        assert (blk.lam, blk.mu0, blk.rule) == (0.5, min(max(r_inf, 1e-12), 1.0), "override")
+        assert res.per_block[3].rule == "soc-degenerate"
+
+
 class TestResidualInfinity:
     def test_exact_solution_is_zero(self):
         prob = nn_problem([1.0, 1.0], [-1.0, -1.0])
