@@ -130,8 +130,7 @@ def reduction_metrics(records):
 def _objective(problem, report):
     if report.status is not SolveStatus.OPTIMAL:
         return float("nan")
-    x, _, _ = report.solution
-    return float(0.5 * x @ (problem.P @ x) + problem.q @ x)
+    return residual_map(problem, *report.solution).g_p
 
 
 def _schedule_labels(seq, count):

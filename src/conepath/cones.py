@@ -14,6 +14,7 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import BoundaryOrExterior, EigenFailure, NoConvergence, Unsupported
 
@@ -371,12 +372,16 @@ def barrier_hessian(spec, s):
 
 
 def barrier_hessian_inverse(spec, s):
-    """Inverse Hessian; closed forms where available."""
+    """Inverse Hessian; closed forms where available.
+
+    Nonnegative blocks give a sparse CSC diagonal, which stores dim
+    entries; every other kind gives a dense (dim, dim) array.
+    """
     s = np.asarray(s, dtype=float)
     _require_interior(spec, s)
     kind = spec.kind
     if kind is ConeKind.NONNEGATIVE:
-        return np.diag(s**2)
+        return sp.diags(s**2, format="csc")
     if kind is ConeKind.SECOND_ORDER:
         t = s[0] ** 2 - float(s[1:] @ s[1:])
         J = np.diag(np.r_[1.0, -np.ones(spec.dim - 1)])

@@ -239,7 +239,7 @@ def check_termination(problem, v, eps=1e-8):
     qtx = float(problem.q @ x)
     if (
         qtx < -EPS_IA
-        and float(np.linalg.norm(problem.P @ x)) < -EPS_IR * max(1.0, nx) * btz
+        and float(np.linalg.norm(problem.P @ x)) < -EPS_IR * max(1.0, nx) * qtx
         and float(np.linalg.norm(problem.A @ x + s))
         < -EPS_IR * max(1.0, nx + float(np.linalg.norm(s))) * qtx
     ):
@@ -247,36 +247,27 @@ def check_termination(problem, v, eps=1e-8):
     return None
 
 
-def _hessian_inverse_blocks(cones, s, mu):
-    """(1/mu) * H(s)^-1 blockwise; Zero blocks contribute zeros."""
-    blocks = []
-    for spec, sl in zip(cones.blocks, cones.slices()):
-        if spec.kind is ConeKind.ZERO:
-            blocks.append(np.zeros((spec.dim, spec.dim)))
-        else:
-            blocks.append(barrier_hessian_inverse(spec, s[sl]) / mu)
-    return sp.block_diag(blocks, format="csc") if blocks else sp.csc_matrix((0, 0))
-
-
 def _interior_point(cones, s, z, margin):
     return cones.is_interior(s, margin) and cones.is_interior_dual(z, margin)
 
 
-def _proximity_pass(cones, s, z, mu_plus, beta, hints):
-    """Blockwise rho_i >= beta*mu_plus; returns (ok, refreshed hints)."""
-    new_hints = list(hints)
+def block_proximity(cones, s, z, hints=None):
+    """Per-block proximity rho_i = nu_i / <grad f(s_i), grad f*(z_i)>.
+
+    Returns (rho, points): rho is NaN on Zero blocks, and points[i] =
+    -grad f*(z_i) (None on Zero blocks), the starting point hints[i]
+    takes for the next call.  rho_i equals the local path parameter mu_i
+    exactly on the central path and is strictly smaller off it.
+    """
+    rho = np.full(len(cones.blocks), np.nan)
+    points = [None] * len(cones.blocks)
     for k, (spec, sl) in enumerate(zip(cones.blocks, cones.slices())):
         if spec.kind is ConeKind.ZERO:
             continue
-        try:
-            gz = conjugate_gradient(spec, z[sl], hint=hints[k])
-        except (BoundaryOrExterior, NoConvergence):
-            return False, hints
-        rho = spec.degree / float(barrier_gradient(spec, s[sl]) @ gz)
-        if not rho >= beta * mu_plus:
-            return False, hints
-        new_hints[k] = -gz
-    return True, new_hints
+        gz = conjugate_gradient(spec, z[sl], hint=None if hints is None else hints[k])
+        rho[k] = spec.degree / float(barrier_gradient(spec, s[sl]) @ gz)
+        points[k] = -gz
+    return rho, points
 
 
 def solve(problem, start, settings=None):
@@ -302,9 +293,9 @@ def solve(problem, start, settings=None):
         for k, (spec, sl) in enumerate(zip(cones.blocks, slices))
         if spec.kind is not ConeKind.ZERO
     ]
+    barrier = [k for k, _, _ in live]
     hints = [None] * len(cones.blocks)
-    eye_n = sp.identity(n, format="csc")
-    eye_m = sp.identity(m, format="csc")
+    reg = sp.diags(np.r_[np.full(n, REGULARIZATION), np.full(m, -REGULARIZATION)], format="csc")
 
     def current(v_tuple):
         xx, zz, ss, tt, kk = v_tuple
@@ -356,20 +347,21 @@ def solve(problem, start, settings=None):
         for k, spec, sl in live:
             grad[sl] = barrier_gradient(spec, s[sl])
         try:
-            Hinv = _hessian_inverse_blocks(cones, s, mu)
+            blocks = [
+                sp.csc_matrix((spec.dim, spec.dim)) if spec.kind is ConeKind.ZERO
+                else barrier_hessian_inverse(spec, s[sl])
+                for spec, sl in zip(cones.blocks, slices)
+            ]
         except (BoundaryOrExterior, np.linalg.LinAlgError):
             return report(SolveStatus.NUMERICAL_ERROR)
+        Hinv = sp.block_diag(blocks, format="csc") if blocks else sp.csc_matrix((0, 0))
+        # an in-place divide, not Hinv / mu: sparse division by a scalar
+        # multiplies by 1/mu, which moves the last bit of every iterate
+        Hinv.data /= mu
 
-        K = sp.bmat(
-            [
-                [problem.P + REGULARIZATION * eye_n, problem.A.T],
-                [problem.A, -(Hinv + REGULARIZATION * eye_m)],
-            ],
-            format="csc",
-        )
         K_exact = sp.bmat([[problem.P, problem.A.T], [problem.A, -Hinv]], format="csc")
         try:
-            lu = splu(K)
+            lu = splu(K_exact + reg)
         except RuntimeError:
             return report(SolveStatus.NUMERICAL_ERROR)
 
@@ -384,9 +376,7 @@ def solve(problem, start, settings=None):
         denom_base = -float(qp @ u2) - float(problem.b @ w2) + xPx / tau**2 + kappa / tau
 
         def direction(eta, sigma):
-            r_s = np.zeros(m)
-            for k, spec, sl in live:
-                r_s[sl] = z[sl] + sigma * mu * grad[sl]
+            r_s = z + sigma * mu * grad  # read only through Hinv: no Zero-block column
             r_tk = tau * kappa - sigma * mu
             u1, w1 = kkt_solve(-eta * rx, eta * rz + Hinv @ r_s)
             num = -eta * rtau + float(qp @ u1) + float(problem.b @ w1) - r_tk / tau
@@ -435,12 +425,16 @@ def solve(problem, start, settings=None):
             ):
                 mu_new = _embedding_mu(problem, s_new, z_new, tau_new, kappa_new)
                 if mu_new > 0.0 and tau_new * kappa_new >= BETA * mu_new:
-                    ok, hints = _proximity_pass(
-                        cones, s_new, z_new, mu_new, BETA, hints
-                    )
-                    if ok:
-                        accepted = True
-                        break
+                    try:
+                        rho, points = block_proximity(cones, s_new, z_new, hints)
+                    except (BoundaryOrExterior, NoConvergence):
+                        pass
+                    else:
+                        # a NaN rho fails the comparison, so it rejects the trial
+                        if np.all(rho[barrier] >= BETA * mu_new):
+                            hints = points
+                            accepted = True
+                            break
             alpha *= 0.8
         if not accepted:
             return report(SolveStatus.NUMERICAL_ERROR)

@@ -15,9 +15,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cones import ConeKind, barrier_gradient, conjugate_gradient, is_interior, is_interior_dual, smat, unit_point
+from .cones import ConeKind, barrier_gradient, is_interior, is_interior_dual, smat, unit_point
 from .errors import NoConvergence, NotApplicable, Unsupported
-from .ipm import residual_map
+from .ipm import block_proximity, residual_map
 from .smoothing import smooth
 
 MU0_FLOOR = 1e-12
@@ -418,25 +418,8 @@ def residual_bound_check(prev, result, problem):
 
 
 # ---------------------------------------------------------------------------
-# proximity to the central path
-
-
-def block_proximity(cones, s, z, hints=None):
-    """nu_i / <grad f(s_i), grad f*(z_i)> per block; NaN on Zero blocks.
-
-    Equals the local path parameter mu_i exactly on the central path and
-    is strictly smaller off it.  hints optionally carries per-block
-    starting points (-grad f*(z_i) guesses) for nonsymmetric blocks.
-    """
-    rho = np.full(len(cones.blocks), np.nan)
-    for k, (spec, sl) in enumerate(zip(cones.blocks, cones.slices())):
-        if spec.kind is ConeKind.ZERO:
-            continue
-        gs = barrier_gradient(spec, s[sl])
-        hint = None if hints is None else hints[k]
-        gz = conjugate_gradient(spec, z[sl], hint=hint)
-        rho[k] = spec.degree / float(gs @ gz)
-    return rho
+# proximity to the central path: ipm.block_proximity, the measure the
+# solver's step rule also applies
 
 
 @dataclass
@@ -462,7 +445,7 @@ def proximity(result, cones, beta=0.1):
     if cones.degree == 0:
         raise NotApplicable("proximity is undefined for all-Zero compositions")
     mu = float(result.s0 @ result.z0) / cones.degree
-    rho = block_proximity(cones, result.s0, result.z0)
+    rho, _ = block_proximity(cones, result.s0, result.z0)
     ok = np.array(
         [
             np.isnan(r) or r >= beta * mu * (1.0 - 1e-9)

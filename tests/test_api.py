@@ -1,6 +1,8 @@
-"""The public surface: exported names, solver settings, no hidden inputs."""
+"""The public surface: exported names, solver settings, no hidden inputs,
+and the names the benchmark tracer wraps."""
 
 import dataclasses
+import importlib.util
 from pathlib import Path
 
 import conepath
@@ -16,3 +18,15 @@ def test_public_surface():
     for path in sorted(Path(conepath.__file__).parent.glob("*.py")):
         text = path.read_text(encoding="utf-8")
         assert "environ" not in text and "getenv" not in text, path.name
+
+
+def test_benchmark_tracer_finds_every_target():
+    # the benchmark wraps names it looks up in conepath's modules; a
+    # refactor that moves one away would silently zero a per-layer metric
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer_mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_mod)
+    with tracer_mod.Tracer() as tracer:
+        tracer_mod.install_layers(tracer)
+        assert tracer.absent == []

@@ -219,6 +219,10 @@ class TestBarrierIdentities:
                 s = random_interior(spec, rng)
                 H = barrier_hessian(spec, s)
                 Hinv = barrier_hessian_inverse(spec, s)
+                if kind == "nonneg":
+                    # a sparse diagonal: dim stored entries, no structural zero
+                    assert Hinv.nnz == spec.dim
+                    Hinv = Hinv.toarray()
                 assert np.allclose(H @ Hinv, np.eye(spec.dim), rtol=1e-8, atol=1e-8)
 
     def test_boundary_point_raises(self):

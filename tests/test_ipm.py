@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conepath.cones import ConeProduct, ConeSpec, svec
+from conepath import ipm
+from conepath.cones import ConeKind, ConeProduct, ConeSpec, svec
 from conepath.errors import RejectedWarmStart, Unsupported
 from conepath.ipm import (
     ConicProblem,
@@ -20,6 +21,7 @@ from conepath.ipm import (
     solve,
     warm_start,
 )
+from conepath.problems import gen_portfolio, synth_returns
 from conepath.warmstart import PreviousSolution, warmstart
 
 
@@ -125,6 +127,28 @@ def dual_infeasible_lp():
         A=sp.csc_matrix(-np.eye(2)),
         b=np.array([-1.0, -1.0]),
         cones=ConeProduct((ConeSpec.nonnegative(2),)),
+    )
+
+
+def unbounded_lp_zero_b():
+    # min -x1 over x >= 0: unbounded below, and b'z = 0 for every z
+    return ConicProblem(
+        P=sp.csc_matrix((2, 2)),
+        q=np.array([-1.0, 0.0]),
+        A=sp.csc_matrix(-np.eye(2)),
+        b=np.zeros(2),
+        cones=ConeProduct((ConeSpec.nonnegative(2),)),
+    )
+
+
+def unbounded_lp_positive_b():
+    # the same with the redundant row x1 >= -1, so b'z > 0 on the path
+    return ConicProblem(
+        P=sp.csc_matrix((2, 2)),
+        q=np.array([-1.0, 0.0]),
+        A=sp.csc_matrix(np.array([[-1.0, 0.0], [0.0, -1.0], [-1.0, 0.0]])),
+        b=np.array([0.0, 0.0, 1.0]),
+        cones=ConeProduct((ConeSpec.nonnegative(3),)),
     )
 
 
@@ -308,14 +332,16 @@ class TestInfeasibility:
         )
 
     def test_dual_certificate(self):
-        prob = dual_infeasible_lp()
-        report = solve(prob, cold_start(prob))
-        assert report.status is SolveStatus.DUAL_INFEASIBLE
-        # unbounded ray: q'x < 0, Ax + s ~ 0, Px ~ 0
-        assert float(prob.q @ report.x) < 0
-        assert np.linalg.norm(prob.A @ report.x + report.s) <= 1e-6 * max(
-            1.0, np.linalg.norm(report.x)
-        )
+        # b'z of every sign: the certificate must not depend on it
+        for make in (dual_infeasible_lp, unbounded_lp_zero_b, unbounded_lp_positive_b):
+            prob = make()
+            report = solve(prob, cold_start(prob))
+            assert report.status is SolveStatus.DUAL_INFEASIBLE, make.__name__
+            # unbounded ray: q'x < 0, Ax + s ~ 0, Px ~ 0
+            assert float(prob.q @ report.x) < 0
+            assert np.linalg.norm(prob.A @ report.x + report.s) <= 1e-6 * max(
+                1.0, np.linalg.norm(report.x)
+            )
 
 
 class TestTermination:
@@ -387,6 +413,38 @@ class TestSolverMechanics:
         prob, _ = lp_box()
         report = solve(prob, cold_start(prob))
         assert report.solve_time > 0.0
+
+
+class TestKKTStructure:
+    def test_one_assembly_per_factorization_and_no_structural_zero(self, monkeypatch):
+        prob = gen_portfolio(synth_returns(6, 30, 0), 5e-4)
+        kinds = {spec.kind for spec in prob.cones.blocks}
+        assert {ConeKind.ZERO, ConeKind.NONNEGATIVE, ConeKind.SECOND_ORDER} <= kinds
+        # a nonneg scaling block is diagonal; the other barrier kinds are dense
+        scaling_nnz = sum(
+            spec.dim if spec.kind is ConeKind.NONNEGATIVE else spec.dim**2
+            for spec in prob.cones.blocks
+            if spec.kind is not ConeKind.ZERO
+        )
+        expected = prob.P.nnz + 2 * prob.A.nnz + scaling_nnz
+        assembled, factored = [], []
+        bmat, splu = ipm.sp.bmat, ipm.splu
+
+        def counting_bmat(*args, **kwargs):
+            K = bmat(*args, **kwargs)
+            assembled.append(K.nnz)
+            return K
+
+        def counting_splu(K):
+            factored.append(K.shape)
+            return splu(K)
+
+        monkeypatch.setattr(ipm.sp, "bmat", counting_bmat)
+        monkeypatch.setattr(ipm, "splu", counting_splu)
+        report = solve(prob, cold_start(prob))
+        assert report.status is SolveStatus.OPTIMAL
+        assert len(factored) > 0
+        assert assembled == [expected] * len(factored)
 
 
 class TestWarmVsCold:
