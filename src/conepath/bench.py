@@ -17,7 +17,9 @@ import numpy as np
 from scipy.stats import spearmanr
 
 from .errors import ConepathError, EmptyInput, Unsupported
-from .ipm import Settings, SolveStatus, cold_start, residual_map, solve, warm_start
+from .ipm import (
+    Settings, SolveStatus, cold_start, optimal_objective, residual_map, solve, warm_start,
+)
 from .problems import (
     Family,
     PerturbationSpec,
@@ -127,12 +129,6 @@ def reduction_metrics(records):
     return r_iter, r_t, ratios, excluded
 
 
-def _objective(problem, report):
-    if report.status is not SolveStatus.OPTIMAL:
-        return float("nan")
-    return residual_map(problem, *report.solution).g_p
-
-
 def _schedule_labels(seq, count):
     if isinstance(seq, SequenceSpec):
         labels = list(seq.schedule)
@@ -143,20 +139,21 @@ def _schedule_labels(seq, count):
     return list(range(count))
 
 
-def _cold_record(problem, pid, family, param, settings):
-    v0 = cold_start(problem)
+def _record(problem, pid, family, param, mode, v0, settings, ws_time=0.0):
+    """Solve from v0; the record's solve_time adds ws_time, the warmstart construction time."""
     phi0 = phi(problem, v0)
     rep = solve(problem, v0, settings)
     rec = RunRecord(
         problem_id=pid,
         family=family,
         param=param,
-        mode="cold",
+        mode=mode,
         status=rep.status.value,
         iterations=rep.iterations,
-        solve_time=rep.solve_time,
+        solve_time=ws_time + rep.solve_time,
         phi0=phi0,
-        objective=_objective(problem, rep),
+        objective=optimal_objective(problem, rep),
+        ws_time=ws_time,
     )
     return rec, rep
 
@@ -165,11 +162,7 @@ def _warm_record(problem, pid, family, param, prev, settings):
     """Warm solve from a previous optimum; failures become records."""
     t0 = time.perf_counter()
     try:
-        ws = warmstart(
-            PreviousSolution(x_star=prev[0], s_star=prev[1], z_star=prev[2],
-                             problem=problem),
-            problem.cones,
-        )
+        ws = warmstart(PreviousSolution(*prev, problem=problem), problem.cones)
         v0 = warm_start(problem, ws)
     except ConepathError as exc:
         log.warning("warmstart of %s failed: %s", pid, exc)
@@ -180,21 +173,7 @@ def _warm_record(problem, pid, family, param, prev, settings):
         )
         return rec, None
     ws_time = time.perf_counter() - t0
-    phi0 = phi(problem, v0)
-    rep = solve(problem, v0, settings)
-    rec = RunRecord(
-        problem_id=pid,
-        family=family,
-        param=param,
-        mode="warm",
-        status=rep.status.value,
-        iterations=rep.iterations,
-        solve_time=ws_time + rep.solve_time,
-        phi0=phi0,
-        objective=_objective(problem, rep),
-        ws_time=ws_time,
-    )
-    return rec, rep
+    return _record(problem, pid, family, param, "warm", v0, settings, ws_time)
 
 
 def run_sequence(seq, settings=None):
@@ -210,7 +189,8 @@ def run_sequence(seq, settings=None):
     prev = None  # chained (x, s, z) for the next warm start
     for k, problem in enumerate(problems):
         pid = f"{family}-{k:03d}"
-        cold_rec, cold_rep = _cold_record(problem, pid, family, labels[k], settings)
+        v0 = cold_start(problem)
+        cold_rec, cold_rep = _record(problem, pid, family, labels[k], "cold", v0, settings)
         records.append(cold_rec)
         warm_rep = None
         if k > 0 and prev is not None:
@@ -266,7 +246,8 @@ def perturbation_study(delta_grid, seeds, dims=(4, 2), horizon=10, base_seed=0,
         for seed in seed_list:
             pid = f"mpc-d{delta:g}-s{seed}"
             problem = perturb(base, PerturbationSpec(delta, targets=targets, seed=seed))
-            records.append(_cold_record(problem, pid, "mpc", delta, settings)[0])
+            v0 = cold_start(problem)
+            records.append(_record(problem, pid, "mpc", delta, "cold", v0, settings)[0])
             records.append(_warm_record(problem, pid, "mpc", delta, prev, settings)[0])
 
     report = BenchReport(family="mpc", records=records)

@@ -15,7 +15,7 @@ import numpy as np
 from . import bench as bench_mod
 from . import fileio
 from .errors import ConepathError, ParseError
-from .ipm import Settings, SolveStatus, cold_start, residual_map, solve, warm_start
+from .ipm import Settings, SolveStatus, cold_start, optimal_objective, solve, warm_start
 from .problems import Family, SequenceSpec
 from .warmstart import PreviousSolution, warmstart
 
@@ -142,7 +142,7 @@ def _cmd_solve(args):
         print(f"error: {exc}", file=sys.stderr)
         return 6
 
-    objective = residual_map(problem, *report.solution).g_p
+    objective = optimal_objective(problem, report)
     out_path = args.out or args.problem + ".sol.json"
     fileio.write_solution(out_path, problem, report, objective, warm=warm)
     if args.trace:

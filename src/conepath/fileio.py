@@ -9,6 +9,7 @@ for provenance plus the dimensions for hard validation.
 
 import hashlib
 import json
+import math
 
 import numpy as np
 import scipy.sparse as sp
@@ -177,7 +178,7 @@ def write_solution(path, problem, report, objective, warm=None):
         "n": problem.n,
         "m": problem.m,
         "status": report.status.value,
-        "objective": objective,
+        "objective": objective if math.isfinite(objective) else None,  # no NaN in JSON
         "iterations": report.iterations,
         "scaled": scaled,
         "x": list(map(float, x)),

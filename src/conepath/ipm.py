@@ -18,7 +18,6 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .cones import (
-    ConeKind,
     barrier_gradient,
     barrier_hessian_inverse,
     conjugate_gradient,
@@ -142,8 +141,8 @@ def warm_start(problem, ws):
         return cold_start(problem)
     s0 = np.asarray(ws.s0, dtype=float)
     z0 = np.asarray(ws.z0, dtype=float)
-    for k, (spec, sl) in enumerate(zip(cones.blocks, cones.slices())):
-        if spec.kind is ConeKind.ZERO or k in ws.fallback_blocks:
+    for k, spec, sl in cones.barrier_blocks:
+        if k in ws.fallback_blocks:
             continue
         if not (is_interior(spec, s0[sl], 0.0) and is_interior_dual(spec, z0[sl], 0.0)):
             raise RejectedWarmStart(f"warmstart block {k} is not strictly interior")
@@ -206,6 +205,14 @@ class SolveReport:
         return self.x / self.tau, self.s / self.tau, self.z / self.tau
 
 
+def optimal_objective(problem, report):
+    """0.5*x'Px + q'x at the tau-scaled solution of an Optimal report, else NaN:
+    a certificate ray or a stalled iterate has no meaningful objective."""
+    if report.status is not SolveStatus.OPTIMAL:
+        return float("nan")
+    return residual_map(problem, *report.solution).g_p
+
+
 def check_termination(problem, v, eps=1e-8):
     """Optimality at the tau-scaled point, else raw infeasibility tests.
 
@@ -261,9 +268,7 @@ def block_proximity(cones, s, z, hints=None):
     """
     rho = np.full(len(cones.blocks), np.nan)
     points = [None] * len(cones.blocks)
-    for k, (spec, sl) in enumerate(zip(cones.blocks, cones.slices())):
-        if spec.kind is ConeKind.ZERO:
-            continue
+    for k, spec, sl in cones.barrier_blocks:
         gz = conjugate_gradient(spec, z[sl], hint=None if hints is None else hints[k])
         rho[k] = spec.degree / float(barrier_gradient(spec, s[sl]) @ gz)
         points[k] = -gz
@@ -287,14 +292,9 @@ def solve(problem, start, settings=None):
     if not _interior_point(cones, s, z, 0.0):
         raise RejectedWarmStart("start iterate is not strictly interior")
 
-    slices = cones.slices()
-    live = [
-        (k, spec, sl)
-        for k, (spec, sl) in enumerate(zip(cones.blocks, slices))
-        if spec.kind is not ConeKind.ZERO
-    ]
-    barrier = [k for k, _, _ in live]
     hints = [None] * len(cones.blocks)
+    # Zero blocks of H^-1 store nothing; the barrier blocks replace theirs
+    empty_blocks = [sp.csc_matrix((spec.dim, spec.dim)) for spec in cones.blocks]
     reg = sp.diags(np.r_[np.full(n, REGULARIZATION), np.full(m, -REGULARIZATION)], format="csc")
 
     def current(v_tuple):
@@ -344,14 +344,11 @@ def solve(problem, start, settings=None):
         rtau = -float(problem.q @ x) - float(problem.b @ z) - xPx / tau - kappa
 
         grad = np.zeros(m)
-        for k, spec, sl in live:
-            grad[sl] = barrier_gradient(spec, s[sl])
+        blocks = list(empty_blocks)
         try:
-            blocks = [
-                sp.csc_matrix((spec.dim, spec.dim)) if spec.kind is ConeKind.ZERO
-                else barrier_hessian_inverse(spec, s[sl])
-                for spec, sl in zip(cones.blocks, slices)
-            ]
+            for k, spec, sl in cones.barrier_blocks:
+                grad[sl] = barrier_gradient(spec, s[sl])
+                blocks[k] = barrier_hessian_inverse(spec, s[sl])
         except (BoundaryOrExterior, np.linalg.LinAlgError):
             return report(SolveStatus.NUMERICAL_ERROR)
         Hinv = sp.block_diag(blocks, format="csc") if blocks else sp.csc_matrix((0, 0))
@@ -431,7 +428,7 @@ def solve(problem, start, settings=None):
                         pass
                     else:
                         # a NaN rho fails the comparison, so it rejects the trial
-                        if np.all(rho[barrier] >= BETA * mu_new):
+                        if all(rho[k] >= BETA * mu_new for k, _, _ in cones.barrier_blocks):
                             hints = points
                             accepted = True
                             break

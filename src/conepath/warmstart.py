@@ -17,7 +17,7 @@ import numpy as np
 
 from .cones import ConeKind, barrier_gradient, is_interior, is_interior_dual, smat, unit_point
 from .errors import NoConvergence, NotApplicable, Unsupported
-from .ipm import block_proximity, residual_map
+from .ipm import BETA, block_proximity, residual_map
 from .smoothing import smooth
 
 MU0_FLOOR = 1e-12
@@ -128,11 +128,7 @@ def warmstart(prev, cones, overrides=None):
         raise Unsupported("previous solution does not match the cone product size")
     overrides = overrides or {}
 
-    slices = cones.slices()
-    need_r = any(
-        spec.kind is not ConeKind.ZERO and "mu0" not in overrides.get(k, {})
-        for k, spec in enumerate(cones.blocks)
-    )
+    need_r = any("mu0" not in overrides.get(k, {}) for k, _, _ in cones.barrier_blocks)
     r_inf = 0.0
     if need_r:
         if prev.problem is None:
@@ -141,18 +137,18 @@ def warmstart(prev, cones, overrides=None):
             )
         r_inf = residual_infinity(prev.problem, x_star, s_star, z_star)
 
+    params = [
+        select_parameters(spec, s_star[sl], z_star[sl], r_inf)
+        for spec, sl in zip(cones.blocks, cones.slices())
+    ]
+    # Zero blocks keep these entries and pass z* through; the rest are replaced
+    per_block = [BlockParameters(lam, mu0, 0, 0.0, rule) for lam, mu0, rule in params]
     s0 = np.zeros(cones.dim)
-    z0 = np.zeros(cones.dim)
-    per_block = []
+    z0 = z_star.copy()
     fallback = []
-    for k, (spec, sl) in enumerate(zip(cones.blocks, slices)):
-        sb = s_star[sl]
-        zb = z_star[sl]
-        lam, mu0, rule = select_parameters(spec, sb, zb, r_inf)
-        if spec.kind is ConeKind.ZERO:
-            z0[sl] = zb
-            per_block.append(BlockParameters(lam, mu0, 0, 0.0, rule))
-            continue
+    for k, spec, sl in cones.barrier_blocks:
+        sb, zb = s_star[sl], z_star[sl]
+        lam, mu0, rule = params[k]
         ov = overrides.get(k, {})
         if "lambda" in ov:
             lam, mu0, rule = float(ov["lambda"]), _clamp_mu0(r_inf), "override"
@@ -169,16 +165,14 @@ def warmstart(prev, cones, overrides=None):
             s0[sl] = e_s
             z0[sl] = e_z
             fallback.append(k)
-            per_block.append(
-                BlockParameters(1.0, 1.0, spec.degree, float(e_s @ e_z), "fallback")
+            per_block[k] = BlockParameters(
+                1.0, 1.0, spec.degree, float(e_s @ e_z), "fallback"
             )
             continue
         z_blk = -(mu0 / lam) * barrier_gradient(spec, s_blk)
         s0[sl] = s_blk
         z0[sl] = z_blk
-        per_block.append(
-            BlockParameters(lam, mu0, spec.degree, float(s_blk @ z_blk), rule)
-        )
+        per_block[k] = BlockParameters(lam, mu0, spec.degree, float(s_blk @ z_blk), rule)
     return WarmStartResult(x_star.copy(), s0, z0, per_block, fallback)
 
 
@@ -218,14 +212,10 @@ def certify_central_path(result, cones, grad_tol=1e-8, comp_tol=1e-10):
     (c) s0 strictly interior to K and z0 to K*.
     Zero blocks are reported as not applicable.
     """
-    blocks = []
-    for k, (spec, sl) in enumerate(zip(cones.blocks, cones.slices())):
-        if spec.kind is ConeKind.ZERO:
-            blocks.append(BlockCertificate(k, applicable=False))
-            continue
+    blocks = [BlockCertificate(k, applicable=False) for k in range(len(cones))]
+    for k, spec, sl in cones.barrier_blocks:
         p = result.per_block[k]
-        sb = result.s0[sl]
-        zb = result.z0[sl]
+        sb, zb = result.s0[sl], result.z0[sl]
         interior_ok = bool(
             is_interior(spec, sb, 0.0) and is_interior_dual(spec, zb, 0.0)
         )
@@ -239,16 +229,14 @@ def certify_central_path(result, cones, grad_tol=1e-8, comp_tol=1e-10):
         # a dot product cannot resolve below eps times its cancellation
         # mass, so near-boundary blocks at tiny mu0 get that much slack
         float_floor = 16.0 * np.finfo(float).eps * float(np.abs(sb) @ np.abs(zb))
-        blocks.append(
-            BlockCertificate(
-                k,
-                applicable=True,
-                gradient_ok=resid <= grad_tol * scale,
-                complementarity_ok=comp_abs <= comp_tol * target + float_floor,
-                interior_ok=interior_ok,
-                gradient_residual=resid,
-                complementarity_error=comp_abs / target,
-            )
+        blocks[k] = BlockCertificate(
+            k,
+            applicable=True,
+            gradient_ok=resid <= grad_tol * scale,
+            complementarity_ok=comp_abs <= comp_tol * target + float_floor,
+            interior_ok=interior_ok,
+            gradient_residual=resid,
+            complementarity_error=comp_abs / target,
         )
     return CertReport(blocks)
 
@@ -299,15 +287,11 @@ def residual_bound_check(prev, result, problem):
     or previous solutions outside the covered assumptions come back
     not-applicable rather than failing.
     """
-    kinds = {b.kind for b in problem.cones.blocks if b.kind is not ConeKind.ZERO}
+    live = problem.cones.barrier_blocks
+    kinds = {spec.kind for _, spec, _ in live}
     if len(kinds) != 1:
         return _not_applicable("mixed", "needs exactly one non-Zero cone family")
     family = next(iter(kinds)).value
-    live = [
-        (k, spec, sl)
-        for k, (spec, sl) in enumerate(zip(problem.cones.blocks, problem.cones.slices()))
-        if spec.kind is not ConeKind.ZERO
-    ]
     if result.fallback_blocks:
         return _not_applicable(family, "cold-start fallback occurred")
 
@@ -331,20 +315,10 @@ def residual_bound_check(prev, result, problem):
     kind = live[0][1].kind
 
     if kind is ConeKind.NONNEGATIVE:
-        cmin = math.inf
-        for k, spec, sl in live:
-            c = s_star[sl] - z_star[sl]
-            cmin = min(cmin, float(np.min(np.abs(c))))
+        cmin = min(float(np.min(np.abs(s_star[sl] - z_star[sl]))) for _, _, sl in live)
         if cmin <= 0.0:
-            return _not_applicable(
-                family, "previous block has s* = z* = 0 in some coordinate"
-            )
-        ds = float(
-            max(
-                np.max(np.abs(result.s0[sl] - s_star[sl]))
-                for _, _, sl in live
-            )
-        )
+            return _not_applicable(family, "previous block has s* = z* = 0 in some coordinate")
+        ds = float(max(np.max(np.abs(result.s0[sl] - s_star[sl])) for _, _, sl in live))
         ds_bound = min(mu0 / cmin, math.sqrt(mu0))
         bound = (1.0 + (A_inf + 1.0) / cmin) * mu0
     elif kind is ConeKind.SECOND_ORDER:
@@ -434,7 +408,7 @@ class ProximityReport:
         return bool(np.all(self.ok))
 
 
-def proximity(result, cones, beta=0.1):
+def proximity(result, cones, beta=BETA):
     """Neighborhood test rho_i >= beta*mu for a warmstart output.
 
     mu is the aggregate <s0, z0>/nu; each non-Zero block must keep its

@@ -6,7 +6,9 @@ import importlib.util
 from pathlib import Path
 
 import conepath
-from conepath import Settings
+from conepath import Settings, ipm
+from conepath.problems import gen_hmcr, gen_portfolio, synth_returns
+from conepath.warmstart import PreviousSolution, warmstart
 
 
 def test_public_surface():
@@ -30,3 +32,18 @@ def test_benchmark_tracer_finds_every_target():
     with tracer_mod.Tracer() as tracer:
         tracer_mod.install_layers(tracer)
         assert tracer.absent == []
+        # the per-kind span names are read from the ConeSpec a traced call
+        # receives, so they only show whether the kernels get one at run time
+        for problem in (
+            gen_hmcr(synth_returns(4, 8, 0), 5e-4, 3.0, 0.9),
+            gen_portfolio(synth_returns(6, 30, 0), 5e-4),
+        ):
+            report = ipm.solve(problem, ipm.cold_start(problem))
+            ws = warmstart(PreviousSolution(*report.solution, problem=problem), problem.cones)
+            ipm.solve(problem, ipm.warm_start(problem, ws))
+        names = set(tracer.calls)
+    for kind in ("nonneg", "soc", "pow"):
+        for label in ("gradient", "hessian_inverse", "conjugate_gradient"):
+            assert f"cones.{kind}.{label}" in names
+        assert f"smoothing.{kind}.smooth" in names
+    assert not any(name.startswith("cones.zero.") for name in names)

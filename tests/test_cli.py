@@ -39,6 +39,17 @@ def infeasible_problem():
     )
 
 
+def unbounded_problem():
+    # min -x1 over x >= 0 with b = 0: dual infeasible
+    return ConicProblem(
+        P=sp.csc_matrix((2, 2)),
+        q=np.array([-1.0, 0.0]),
+        A=sp.csc_matrix(-np.eye(2)),
+        b=np.zeros(2),
+        cones=ConeProduct((ConeSpec.nonnegative(2),)),
+    )
+
+
 def all_kinds_problem():
     cones = ConeProduct(
         (
@@ -176,13 +187,20 @@ class TestSolveCommand:
         assert "error:" in capsys.readouterr().err
 
     def test_infeasible_exit_code(self, tmp_path, capsys):
-        path = tmp_path / "inf.prob"
-        fileio.write_problem(infeasible_problem(), path)
-        code = main(["solve", str(path)])
-        out = capsys.readouterr().out
-        assert code == 3
-        assert "status: PrimalInfeasible" in out
-        assert "objective:" not in out
+        cases = (
+            ("inf", infeasible_problem(), 3, "PrimalInfeasible"),
+            ("unbounded", unbounded_problem(), 4, "DualInfeasible"),
+        )
+        for name, problem, exit_code, status in cases:
+            path = tmp_path / f"{name}.prob"
+            fileio.write_problem(problem, path)
+            code = main(["solve", str(path)])
+            out = capsys.readouterr().out
+            assert code == exit_code, name
+            assert f"status: {status}" in out
+            assert "objective:" not in out
+            # a certificate ray has no objective value; JSON stores null
+            assert fileio.read_solution(str(path) + ".sol.json")["objective"] is None
 
     def test_max_iters_exit_code(self, tmp_path, capsys):
         path = tmp_path / "p.prob"

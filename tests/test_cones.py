@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conepath import cones
 from conepath.cones import (
     ConeProduct,
     ConeSpec,
@@ -294,6 +295,28 @@ class TestConjugates:
     def test_exterior_rejected(self):
         with pytest.raises(BoundaryOrExterior):
             conjugate_gradient(ConeSpec.nonnegative(2), np.array([1.0, -1.0]))
+
+
+class TestInteriorTests:
+    def test_one_interior_test_per_newton_point(self, monkeypatch):
+        # the Newton loop tests each trial point once; value, gradient and
+        # Hessian must not test the points it has already accepted again
+        tested = []
+        inner = cones.is_interior
+
+        def recording(spec, s, margin=0.0):
+            tested.append(np.asarray(s, dtype=float).tobytes())
+            return inner(spec, s, margin)
+
+        monkeypatch.setattr(cones, "is_interior", recording)
+        rng = np.random.default_rng(21)
+        for spec in (ConeSpec.exponential(), ConeSpec.power(0.3)):
+            for _ in range(10):
+                y = -barrier_gradient(spec, random_interior(spec, rng))
+                tested.clear()
+                conjugate_gradient(spec, y)
+                assert tested
+                assert len(tested) - len(set(tested)) == 0, "points tested twice"
 
 
 class TestDampedNewton:
