@@ -20,14 +20,7 @@ from .errors import ConepathError, EmptyInput, Unsupported
 from .ipm import (
     Settings, SolveStatus, cold_start, optimal_objective, residual_map, solve, warm_start,
 )
-from .problems import (
-    Family,
-    PerturbationSpec,
-    SequenceSpec,
-    build_sequence,
-    gen_mpc,
-    perturb,
-)
+from .problems import Family, SequenceSpec, build_sequence
 from .warmstart import PreviousSolution, warmstart
 
 log = logging.getLogger(__name__)
@@ -232,20 +225,23 @@ def perturbation_study(delta_grid, seeds, dims=(4, 2), horizon=10, base_seed=0,
         raise EmptyInput("empty delta grid or seed list")
     settings = settings or Settings()
 
-    nx = dims[0]
-    if x0 is None:
-        x0 = np.random.default_rng(base_seed + 1).uniform(-1.0, 1.0, nx)
-    base = gen_mpc(dims, horizon, seed=base_seed, x0=x0)
+    params = {"dims": dims, "horizon": horizon, "seed": base_seed, "x0": x0, "targets": targets}
+    chains = [
+        build_sequence(
+            SequenceSpec(Family.MPC_PERTURB, tuple(seed_list), params={**params, "delta": delta})
+        )
+        for delta in deltas
+    ]
+    base = chains[0][0]
     base_rep = solve(base, cold_start(base), settings)
     if base_rep.status is not SolveStatus.OPTIMAL:
         raise Unsupported("base instance did not solve to Optimal")
     prev = base_rep.solution
 
     records = []
-    for delta in deltas:
-        for seed in seed_list:
+    for delta, (_, *perturbed) in zip(deltas, chains):
+        for seed, problem in zip(seed_list, perturbed):
             pid = f"mpc-d{delta:g}-s{seed}"
-            problem = perturb(base, PerturbationSpec(delta, targets=targets, seed=seed))
             v0 = cold_start(problem)
             records.append(_record(problem, pid, "mpc", delta, "cold", v0, settings)[0])
             records.append(_warm_record(problem, pid, "mpc", delta, prev, settings)[0])

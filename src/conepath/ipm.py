@@ -297,10 +297,6 @@ def solve(problem, start, settings=None):
     empty_blocks = [sp.csc_matrix((spec.dim, spec.dim)) for spec in cones.blocks]
     reg = sp.diags(np.r_[np.full(n, REGULARIZATION), np.full(m, -REGULARIZATION)], format="csc")
 
-    def current(v_tuple):
-        xx, zz, ss, tt, kk = v_tuple
-        return Iterate(xx, zz, ss, tt, kk, _embedding_mu(problem, ss, zz, tt, kk))
-
     def scaled_norms():
         res = residual_map(problem, x / tau, s / tau, z / tau)
         return (
@@ -332,11 +328,10 @@ def solve(problem, start, settings=None):
         )
 
     for _ in range(cfg.max_iters):
-        status = check_termination(problem, current((x, z, s, tau, kappa)), cfg.eps)
+        status = check_termination(problem, Iterate(x, z, s, tau, kappa, mu), cfg.eps)
         if status is not None:
             return report(status)
 
-        mu = _embedding_mu(problem, s, z, tau, kappa)
         Px = problem.P @ x
         xPx = float(x @ Px)
         rx = Px + problem.A.T @ z + problem.q * tau
@@ -460,5 +455,5 @@ def solve(problem, start, settings=None):
         rp, rd, _ = scaled_norms()
         trace.append(TraceRow(mu, rp, rd, alpha))
 
-    status = check_termination(problem, current((x, z, s, tau, kappa)), cfg.eps)
+    status = check_termination(problem, Iterate(x, z, s, tau, kappa, mu), cfg.eps)
     return report(status if status is not None else SolveStatus.MAX_ITERS)

@@ -129,6 +129,12 @@ def load_returns_csv(path):
     return ReturnsData(R=np.array(rows))
 
 
+def _eye(k):
+    """Identity as COO: sp.bmat converts every block to COO, and from the
+    default DIA format that conversion dominates a small build."""
+    return sp.eye(k, format="coo")
+
+
 def _svm_common(data, lam):
     if lam <= 0:
         raise Unsupported("regularization weight must be positive")
@@ -145,23 +151,18 @@ def gen_svm_l1(data, lam):
     """
     X, y, m, d = _svm_common(data, lam)
     n = 2 * d + 1 + m
-    rows = []
-    # margin rows: s_i = y_i(x_i'w + b) - 1 + xi_i >= 0
-    margins = np.hstack(
+    yX, I_d, I_m = y[:, None] * X, _eye(d), _eye(m)
+    # column groups (w+, w-, bias, xi); rows: margins
+    # s_i = y_i(x_i'w + b) - 1 + xi_i >= 0, then the signs of w+, w-, xi
+    A = sp.bmat(
         [
-            -(y[:, None] * X),
-            y[:, None] * X,
-            -y[:, None],
-            -np.eye(m),
-        ]
+            [-yX, yX, -y[:, None], -I_m],
+            [-I_d, None, None, None],
+            [None, -I_d, None, None],
+            [None, None, None, -I_m],
+        ],
+        format="csc",
     )
-    rows.append(margins)
-    # sign constraints on w+, w-, xi (bias free)
-    signs = np.zeros((2 * d + m, n))
-    signs[: 2 * d, : 2 * d] = -np.eye(2 * d)
-    signs[2 * d :, 2 * d + 1 :] = -np.eye(m)
-    rows.append(signs)
-    A = sp.csc_matrix(np.vstack(rows))
     b = np.concatenate([-np.ones(m), np.zeros(2 * d + m)])
     q = np.concatenate([lam * np.ones(2 * d), [0.0], np.ones(m) / m])
     cones = ConeProduct((ConeSpec.nonnegative(2 * m + 2 * d),))
@@ -171,14 +172,19 @@ def gen_svm_l1(data, lam):
 def gen_svm_l2(data, lam):
     """Soft-margin SVM with an L2 penalty via epigraph t >= |w|_2 (bias free)."""
     X, y, m, d = _svm_common(data, lam)
-    n = d + 1 + 1 + m  # (w, bias, t, xi)
-    margins = np.hstack([-(y[:, None] * X), -y[:, None], np.zeros((m, 1)), -np.eye(m)])
-    xi_rows = np.zeros((m, n))
-    xi_rows[:, d + 2 :] = -np.eye(m)
-    soc_rows = np.zeros((d + 1, n))
-    soc_rows[0, d + 1] = -1.0  # s_0 = t
-    soc_rows[1:, :d] = -np.eye(d)  # s_1.. = w
-    A = sp.csc_matrix(np.vstack([margins, xi_rows, soc_rows]))
+    n = d + 1 + 1 + m
+    I_m = _eye(m)
+    # column groups (w, bias, t, xi); rows: margins, xi >= 0, then the
+    # second-order block (t, w)
+    A = sp.bmat(
+        [
+            [-(y[:, None] * X), -y[:, None], None, -I_m],
+            [None, None, None, -I_m],
+            [None, None, -np.ones((1, 1)), None],
+            [-_eye(d), None, None, None],
+        ],
+        format="csc",
+    )
     b = np.concatenate([-np.ones(m), np.zeros(m + d + 1)])
     q = np.concatenate([np.zeros(d + 1), [lam], np.ones(m) / m])
     cones = ConeProduct((ConeSpec.nonnegative(2 * m), ConeSpec.second_order(d + 1)))
@@ -212,16 +218,17 @@ def gen_portfolio(returns, r0):
         )
     U = _covariance_factor(returns)
     na = returns.assets
-    n = na + 1  # (x, t)
-    budget = np.zeros((1, n))
-    budget[0, :na] = 1.0
-    ret_row = np.zeros((1, n))
-    ret_row[0, :na] = -rbar
-    sign_rows = np.hstack([-np.eye(na), np.zeros((na, 1))])
-    soc_rows = np.zeros((na + 1, n))
-    soc_rows[0, na] = -1.0
-    soc_rows[1:, :na] = -U
-    A = sp.csc_matrix(np.vstack([budget, ret_row, sign_rows, soc_rows]))
+    n = na + 1
+    # column groups (x, t); rows: e'x = 1, rbar'x >= r0, x >= 0, then the
+    # second-order block (t, Ux).  Triplets, not sp.bmat: this generator
+    # runs once per rebalance step, and bmat's overhead doubles its time
+    iu, ju = np.nonzero(U)
+    cols = np.arange(na)
+    row = np.concatenate([np.zeros(na, int), np.ones(na, int), cols + 2, [na + 2], iu + na + 3])
+    col = np.concatenate([cols, cols, cols, [na], ju])
+    val = np.concatenate([np.ones(na), -rbar, -np.ones(na), [-1.0], -U[iu, ju]])
+    A = sp.csc_matrix((val, (row, col)), shape=(2 * na + 3, n))
+    A.eliminate_zeros()  # a zero mean return stores nothing
     b = np.concatenate([[1.0, -r0], np.zeros(na), np.zeros(na + 1)])
     q = np.zeros(n)
     q[na] = 1.0
@@ -257,48 +264,40 @@ def gen_hmcr(returns, r0, p, alpha, formulation="power"):
     R = returns.R
     d, na = returns.days, returns.assets
     use_r = formulation == "power"
-    # variable stack: x (na), eta, t, w (d), then r (d) for the power form
     n = na + 2 + d + (d if use_r else 0)
-    ix_eta, ix_t, ix_w = na, na + 1, na + 2
-    ix_r = na + 2 + d
-
-    zero_rows = np.zeros((2 if use_r else 1, n))
-    zero_rows[0, :na] = 1.0  # e'x = 1
+    one, ones_d, I_d = np.ones((1, 1)), np.ones((d, 1)), _eye(d)
+    e = np.eye(3)[:, :, None]  # e[j]: unit column j of a 3-row power block
+    # column groups (x, eta, t, w, r); r exists in the power form only.
+    # rows: e'x = 1 and sum(r) = t (Zero), rbar'x >= r0, w + Rx + eta >= 0,
+    # x >= 0, w >= 0 (nonneg), then the power blocks (r_i, t, w_i) or the
+    # second-order block (t, w)
+    rows = [
+        [np.ones((1, na)), None, None, None, None],
+        [None, None, -one, None, np.ones((1, d))] if use_r else None,
+        [-rbar[None, :], None, None, None, None],
+        [-R, -ones_d, None, -I_d, None],
+        [-_eye(na), None, None, None, None],
+        [None, None, None, -I_d, None],
+    ]
     if use_r:
-        zero_rows[1, ix_r:] = 1.0  # sum(r) = t
-        zero_rows[1, ix_t] = -1.0
-    zero_b = np.array([1.0, 0.0]) if use_r else np.array([1.0])
-
-    nn = np.zeros((1 + d + na + d, n))
-    nn[0, :na] = -rbar  # rbar'x >= r0
-    nn[1 : 1 + d, :na] = -R  # w + Rx + eta >= 0
-    nn[1 : 1 + d, ix_eta] = -1.0
-    nn[1 : 1 + d, ix_w : ix_w + d] = -np.eye(d)
-    nn[1 + d : 1 + d + na, :na] = -np.eye(na)  # x >= 0
-    nn[1 + d + na :, ix_w : ix_w + d] = -np.eye(d)  # w >= 0
-    nn_b = np.concatenate([[-r0], np.zeros(2 * d + na)])
-
-    if use_r:
-        cone_rows = np.zeros((3 * d, n))
-        for i in range(d):
-            cone_rows[3 * i, ix_r + i] = -1.0
-            cone_rows[3 * i + 1, ix_t] = -1.0
-            cone_rows[3 * i + 2, ix_w + i] = -1.0
+        rows.append(
+            [None, None, sp.kron(ones_d, -e[1], format="coo"),
+             sp.kron(I_d, -e[2], format="coo"), sp.kron(I_d, -e[0], format="coo")]
+        )
         tail = tuple(ConeSpec.power(1.0 / p) for _ in range(d))
     else:
-        cone_rows = np.zeros((1 + d, n))
-        cone_rows[0, ix_t] = -1.0
-        cone_rows[1:, ix_w : ix_w + d] = -np.eye(d)
+        rows += [[None, None, -one, None], [None, None, None, -I_d]]
         tail = (ConeSpec.second_order(1 + d),)
-    cone_b = np.zeros(cone_rows.shape[0])
-
-    A = sp.csc_matrix(np.vstack([zero_rows, nn, cone_rows]))
-    b = np.concatenate([zero_b, nn_b, cone_b])
+    groups = 5 if use_r else 4
+    A = sp.bmat([row[:groups] for row in rows if row is not None], format="csc")
+    n_zero = 2 if use_r else 1
+    b = np.zeros(A.shape[0])
+    b[0], b[n_zero] = 1.0, -r0
     q = np.zeros(n)
-    q[ix_eta] = 1.0
-    q[ix_t] = 1.0 / ((1.0 - alpha) * d ** (1.0 / p))
+    q[na] = 1.0
+    q[na + 1] = 1.0 / ((1.0 - alpha) * d ** (1.0 / p))
     cones = ConeProduct(
-        (ConeSpec.zero(zero_rows.shape[0]), ConeSpec.nonnegative(nn.shape[0])) + tail
+        (ConeSpec.zero(n_zero), ConeSpec.nonnegative(1 + 2 * d + na)) + tail
     )
     return ConicProblem(P=sp.csc_matrix((n, n)), q=q, A=A, b=b, cones=cones)
 
@@ -353,29 +352,31 @@ def gen_mpc(dims, horizon, seed=0, x0=None, x_ref=None, u_ref=None, bound=4.0,
     u_ref = np.zeros(nu) if u_ref is None else np.asarray(u_ref, dtype=float)
 
     n = N * nx + N * nu
-    xoff = lambda k: (k - 1) * nx  # x_k block, k = 1..N
-    uoff = lambda k: N * nx + k * nu  # u_k block, k = 0..N-1
+    I_x, I_u = _eye(N * nx), _eye(N * nu)
+    # column groups (x_1..x_N, u_0..u_{N-1}); rows: the dynamics
+    # x_{k+1} - A x_k - B u_k = f (x_0 known), then the doubled interval
+    # rows bound - v >= 0 and v + bound >= 0 per group.  Every kron takes
+    # the COO path: its default BSR path would store the zeros of A and B
+    A = sp.bmat(
+        [
+            [I_x + sp.kron(sp.eye(N, k=-1), -Ad, format="coo"),
+             sp.kron(_eye(N), -Bd, format="coo")],
+            [I_x, None],
+            [None, I_u],
+            [-I_x, None],
+            [None, -I_u],
+        ],
+        format="csc",
+    )
+    dyn_b = np.tile(f, N)
+    dyn_b[:nx] = Ad @ x0 + f
+    b = np.concatenate([dyn_b, np.full(2 * n, float(bound))])
 
-    dyn = np.zeros((N * nx, n))
-    dyn_b = np.zeros(N * nx)
-    for k in range(N):
-        rowsl = slice(k * nx, (k + 1) * nx)
-        dyn[rowsl, xoff(k + 1) : xoff(k + 1) + nx] = np.eye(nx)
-        dyn[rowsl, uoff(k) : uoff(k) + nu] = -Bd
-        if k == 0:
-            dyn_b[rowsl] = Ad @ x0 + f
-        else:
-            dyn[rowsl, xoff(k) : xoff(k) + nx] = -Ad
-            dyn_b[rowsl] = f
-
-    # doubled interval rows: bound - v >= 0 and v + bound >= 0
-    box = np.vstack([np.eye(n), -np.eye(n)])
-    box_b = np.full(2 * n, float(bound))
-    A = sp.csc_matrix(np.vstack([dyn, box]))
-    b = np.concatenate([dyn_b, box_b])
-
-    blocks = [2.0 * Q] * (N - 1) + [2.0 * Pf] + [2.0 * Rc] * N
-    P = sp.block_diag([sp.csc_matrix(Bk) for Bk in blocks], format="csc")
+    P = sp.block_diag(
+        [sp.kron(_eye(N - 1), 2.0 * Q, format="coo"), 2.0 * Pf,
+         sp.kron(_eye(N), 2.0 * Rc, format="coo")],
+        format="csc",
+    )
     q = np.concatenate(
         [np.tile(-2.0 * (Q @ x_ref), N - 1), -2.0 * (Pf @ x_ref),
          np.tile(-2.0 * (Rc @ u_ref), N)]
@@ -402,14 +403,32 @@ class PerturbationSpec:
             raise Unsupported(f"unknown perturbation targets {sorted(bad)}")
 
 
-def _perturb_vector(v, delta, rng, fraction, cap):
-    out = v.copy()
-    k = min(math.ceil(fraction * out.size), cap)
-    idx = rng.choice(out.size, size=k, replace=False)
-    r = rng.uniform(-1.0, 1.0, size=k)
-    tiny = np.abs(out[idx]) <= 1e-6
-    out[idx] = np.where(tiny, delta * r, (1.0 + delta * r) * out[idx])
-    return out
+def _draw(size, rng, pspec):
+    """min(fraction*size, cap) distinct positions among `size` entries, and
+    one r uniform on [-1, 1] for each."""
+    k = min(math.ceil(pspec.fraction * size), pspec.cap)
+    return rng.choice(size, size=k, replace=False), rng.uniform(-1.0, 1.0, size=k)
+
+
+def _entry_rule(old, r, delta):
+    return np.where(np.abs(old) <= 1e-6, delta * r, (1.0 + delta * r) * old)
+
+
+def _perturb_sparse(A, rng, pspec):
+    """A with the entry rule applied at positions drawn over all m*n
+    entries in row-major order, structural zeros included; stores no zero."""
+    m, n = A.shape
+    idx, r = _draw(m * n, rng, pspec)
+    i, j = np.divmod(idx, n)
+    new = _entry_rule(np.asarray(A[i, j]).ravel(), r, pspec.delta)
+    coo = A.tocoo()
+    keep = ~np.isin(coo.row * np.int64(n) + coo.col, idx)
+    A = sp.csc_matrix(
+        (np.r_[coo.data[keep], new], (np.r_[coo.row[keep], i], np.r_[coo.col[keep], j])),
+        shape=(m, n),
+    )
+    A.eliminate_zeros()
+    return A
 
 
 def perturb(problem, pspec):
@@ -423,15 +442,12 @@ def perturb(problem, pspec):
     if pspec.delta > 0:
         rng = np.random.default_rng(pspec.seed)
         for target in pspec.targets:
-            if target == "b":
-                b = _perturb_vector(b, pspec.delta, rng, pspec.fraction, pspec.cap)
-            elif target == "q":
-                q = _perturb_vector(q, pspec.delta, rng, pspec.fraction, pspec.cap)
+            if target == "A":
+                A = _perturb_sparse(A, rng, pspec)
             else:
-                flat = _perturb_vector(
-                    A.toarray().ravel(), pspec.delta, rng, pspec.fraction, pspec.cap
-                )
-                A = sp.csc_matrix(flat.reshape(A.shape))
+                v = b if target == "b" else q
+                idx, r = _draw(v.size, rng, pspec)
+                v[idx] = _entry_rule(v[idx], r, pspec.delta)
     return ConicProblem(P=problem.P.copy(), q=q, A=A, b=b, cones=problem.cones)
 
 
@@ -464,61 +480,44 @@ class SequenceSpec:
             raise Unsupported("schedule must be non-empty")
 
 
-def _seq_param(spec, key, default):
-    return spec.params.get(key, default)
-
-
 def build_sequence(spec):
     """Materialize the problem list for a SequenceSpec."""
-    fam = spec.family
+    fam, params = spec.family, spec.params
     if fam in (Family.SVM_L1, Family.SVM_L2):
         data = spec.data or synth_samples(
-            _seq_param(spec, "samples", 60),
-            _seq_param(spec, "features", 6),
-            _seq_param(spec, "seed", 0),
+            params.get("samples", 60), params.get("features", 6), params.get("seed", 0)
         )
         gen = gen_svm_l1 if fam is Family.SVM_L1 else gen_svm_l2
         return [gen(data, lam) for lam in spec.schedule]
     if fam is Family.EFFICIENT_FRONTIER:
         returns = spec.data or synth_returns(
-            _seq_param(spec, "assets", 20),
-            _seq_param(spec, "days", 60),
-            _seq_param(spec, "seed", 0),
+            params.get("assets", 20), params.get("days", 60), params.get("seed", 0)
         )
         return [gen_portfolio(returns, r0) for r0 in spec.schedule]
     if fam in (Family.PORTFOLIO_REBALANCE, Family.HMCR):
-        window = _seq_param(spec, "window", 40)
+        window = params.get("window", 40)
         need = max(int(k) for k in spec.schedule) + window
         returns = spec.data or synth_returns(
-            _seq_param(spec, "assets", 20), need, _seq_param(spec, "seed", 0)
+            params.get("assets", 20), need, params.get("seed", 0)
         )
-        r0 = _seq_param(spec, "r0", 5e-4)
+        r0 = params.get("r0", 5e-4)
         if fam is Family.PORTFOLIO_REBALANCE:
             return [
                 gen_portfolio(returns.window(int(k), window), r0)
                 for k in spec.schedule
             ]
-        p = _seq_param(spec, "p", 3.0)
-        alpha = _seq_param(spec, "alpha", 0.9)
+        p, alpha = params.get("p", 3.0), params.get("alpha", 0.9)
         return [
             gen_hmcr(returns.window(int(k), window), r0, p, alpha)
             for k in spec.schedule
         ]
     if fam is Family.MPC_PERTURB:
-        dims = _seq_param(spec, "dims", (4, 2))
-        seed = _seq_param(spec, "seed", 0)
-        x0 = _seq_param(spec, "x0", None)
+        dims, seed, x0 = params.get("dims", (4, 2)), params.get("seed", 0), params.get("x0")
         if x0 is None:
             # a nonzero start keeps the tracking problem off the trivial optimum
             x0 = np.random.default_rng(seed + 1).uniform(-1.0, 1.0, dims[0])
-        base = gen_mpc(
-            dims,
-            _seq_param(spec, "horizon", 10),
-            seed=seed,
-            x0=x0,
-        )
-        delta = _seq_param(spec, "delta", 1e-3)
-        targets = _seq_param(spec, "targets", ("b", "q", "A"))
+        base = gen_mpc(dims, params.get("horizon", 10), seed=seed, x0=x0)
+        delta, targets = params.get("delta", 1e-3), params.get("targets", ("b", "q", "A"))
         return [base] + [
             perturb(base, PerturbationSpec(delta, targets, seed=int(sd)))
             for sd in spec.schedule
