@@ -5,23 +5,40 @@ f(t*s) = f(s) - nu*log(t) on the interior.  Each ConeKind has one class
 below, found through CONES, that holds every formula of its kind:
 validation, degree, interior test, barrier derivatives, unit point,
 conjugate gradient, and the smoothing and projection operators that
-smoothing.py exposes.  The module functions (is_interior,
-barrier_gradient, ...) are the checked entry points: they test
-interiority once and look the class up; class methods assume a tested
-point, so the Newton loops call them directly.  Symmetric matrix blocks
-travel in packed triangle form with sqrt(2) scaling so that packed
-inner products equal trace inner products.
+smoothing.py exposes.
+
+The formulas work on stacks.  A stack is a (k, dim) array whose rows
+are k points of one cone; formulas give one result per row: (k,) values
+and interior tests, (k, dim) gradients, (k, dim, dim) Hessians.  A
+ConeProduct groups each run of consecutive blocks with an equal ConeSpec
+into one batch, and a batch's slice of s or z, reshaped to (k, dim), is
+such a stack, so one call covers the whole batch.  The Newton solves of
+the nonsymmetric kinds run one masked damped Newton over the rows of a
+stack (_newton.py): each row keeps its own step, tests and exit, and a
+row that fails does not stop the others.
+
+The module functions (is_interior, barrier_gradient, ...) are the
+checked entry points.  They take one point (dim,) or a stack (k, dim)
+-- one point is the k = 1 case of the same code -- test interiority once
+and look the class up; class methods assume tested rows, so the Newton
+loops call them directly.  Symmetric matrix blocks travel in packed
+triangle form with sqrt(2) scaling so that packed inner products equal
+trace inner products.
 """
 
 import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, groupby
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
+from ._newton import damped_newton_minimize  # noqa: F401  (re-exported)
+from ._newton import newton_rows, project_path, smoothing_newton
+from ._newton import norms as _norms
 from .errors import BoundaryOrExterior, EigenFailure, NoConvergence, Unsupported
 
 SQRT2 = math.sqrt(2.0)
@@ -110,38 +127,35 @@ def order_of_packed(dim):
 
 
 def svec(S):
-    """Pack a symmetric matrix, scaling off-diagonals by sqrt(2)."""
+    """Pack a symmetric matrix, or a stack of them, scaling off-diagonals by sqrt(2)."""
     S = np.asarray(S, dtype=float)
-    order = S.shape[0]
-    ii, jj = _triangle_indices(order)
-    v = S[ii, jj].copy()
-    v[ii != jj] *= SQRT2
+    ii, jj = _triangle_indices(S.shape[-1])
+    v = S[..., ii, jj]
+    v[..., ii != jj] *= SQRT2
     return v
 
 
 def smat(v):
     """Inverse of svec."""
     v = np.asarray(v, dtype=float)
-    order = order_of_packed(v.shape[0])
+    order = order_of_packed(v.shape[-1])
     ii, jj = _triangle_indices(order)
-    S = np.zeros((order, order))
-    off = ii != jj
+    S = np.zeros(v.shape[:-1] + (order, order))
     w = v.copy()
-    w[off] /= SQRT2
-    S[ii, jj] = w
-    S[jj, ii] = w
+    w[..., ii != jj] /= SQRT2
+    S[..., ii, jj] = w
+    S[..., jj, ii] = w
     return S
 
 
 def _sym_kron(M):
-    """Packed representation of V -> M V M for symmetric M."""
-    order = M.shape[0]
-    ii, jj = _triangle_indices(order)
+    """Packed representation of V -> M V M for symmetric M, per matrix of a stack."""
+    ii, jj = _triangle_indices(M.shape[-1])
     w = np.where(ii == jj, 1.0, SQRT2)
-    Mik = M[np.ix_(ii, ii)]
-    Mjl = M[np.ix_(jj, jj)]
-    Mil = M[np.ix_(ii, jj)]
-    Mjk = M[np.ix_(jj, ii)]
+    Mik = M[..., ii[:, None], ii[None, :]]
+    Mjl = M[..., jj[:, None], jj[None, :]]
+    Mil = M[..., ii[:, None], jj[None, :]]
+    Mjk = M[..., jj[:, None], ii[None, :]]
     H = 0.5 * (Mik * Mjl + Mil * Mjk)
     return H * np.outer(w, w)
 
@@ -154,40 +168,78 @@ def _eigh(S):
     return d, U
 
 
+def _t(M):
+    """Transpose of every matrix of a stack."""
+    return M.transpose(0, 2, 1)
+
+
 # ---------------------------------------------------------------------------
 # checked entry points: one interior test, then the kind's class
+
+
+def _interior_rows(test, spec, S, margin):
+    """test on the rows of a stack; a row with a non-finite entry is not interior."""
+    if np.isfinite(S).all():
+        return test(spec, S, margin)
+    ok = np.isfinite(S).all(axis=1)
+    if ok.any():
+        ok[ok] = test(spec, S[ok], margin)
+    return ok
+
+
+def _membership(test, spec, s, margin):
+    """_interior_rows for a point (dim,), which gets a bool, or a stack (k, dim).
+
+    A wrong shape is not interior.
+    """
+    s = np.asarray(s, dtype=float)
+    if s.ndim not in (1, 2) or s.shape[-1] != spec.dim:
+        return False
+    ok = _interior_rows(test, spec, s.reshape(-1, spec.dim), margin)
+    return bool(ok[0]) if s.ndim == 1 else ok
 
 
 def is_interior(spec, s, margin=0.0):
     """Strict membership in int(K) with all defining inequalities > margin.
 
     Zero cones have empty interior; membership means s == 0 exactly.
+    A stack gets one answer per row.
     """
-    s = np.asarray(s, dtype=float)
-    if s.shape != (spec.dim,) or not np.all(np.isfinite(s)):
-        return False
-    return CONES[spec.kind].interior(spec, s, margin)
+    return _membership(CONES[spec.kind].interior, spec, s, margin)
 
 
 def dual_coords(spec, y):
-    """Map a dual-cone point into primal-cone coordinates."""
-    return CONES[spec.kind].dual_coords(spec, y)
+    """Map a dual-cone point, or each row of a stack, into primal-cone coordinates."""
+    return CONES[spec.kind].dual_coords(spec, np.asarray(y, dtype=float))
 
 
 def is_interior_dual(spec, y, margin=0.0):
     """Strict membership in int(K*); symmetric kinds are self-dual."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (spec.dim,) or not np.all(np.isfinite(y)):
-        return False
-    return CONES[spec.kind].interior_dual(spec, y, margin)
+    return _membership(CONES[spec.kind].interior_dual, spec, y, margin)
+
+
+def _tested_stack(spec, s, dual=False):
+    """s as a (k, dim) stack once every row has passed the interior test of K, or of K*."""
+    ok = s.ndim in (1, 2) and s.shape[-1] == spec.dim
+    if ok:
+        S = s.reshape(-1, spec.dim)
+        cone = CONES[spec.kind]
+        ok = _interior_rows(cone.interior_dual if dual else cone.interior, spec, S, 0.0).all()
+    if not ok:
+        where = f"the dual of {spec.kind.value}" if dual else f"{spec.kind.value}({spec.dim})"
+        raise BoundaryOrExterior(f"point is not strictly interior to {where}")
+    return S
 
 
 def _checked(formula, spec, s):
-    """The kind's formula at s, once s has passed the interior test."""
+    """The kind's formula on every row of a tested point or stack.
+
+    One point gets its row of the result; a nonnegative Hessian inverse
+    is one sparse matrix either way.
+    """
     s = np.asarray(s, dtype=float)
-    if not is_interior(spec, s, 0.0):
-        raise BoundaryOrExterior(f"point is not strictly interior to {spec.kind.value}({spec.dim})")
-    return getattr(CONES[spec.kind], formula)(spec, s)
+    out = getattr(CONES[spec.kind], formula)(spec, _tested_stack(spec, s))
+    return out[0] if s.ndim == 1 and not sp.issparse(out) else out
 
 
 def barrier_value(spec, s):
@@ -207,8 +259,9 @@ def barrier_hessian(spec, s):
 def barrier_hessian_inverse(spec, s):
     """Inverse Hessian; closed forms where available.
 
-    Nonnegative blocks give a sparse CSC diagonal, which stores dim
-    entries; every other kind gives a dense (dim, dim) array.
+    Nonnegative blocks give one sparse CSC diagonal over all k*dim
+    coordinates of a stack (dim entries for one point); every other
+    kind gives a dense (dim, dim) array per row.
     """
     return _checked("hessian_inverse", spec, s)
 
@@ -223,202 +276,43 @@ def conjugate_gradient(spec, y, hint=None):
 
     Satisfies grad f(-grad f*(y)) = -y and lies in -int(K).  hint, if
     interior, seeds the Newton solve on nonsymmetric cones (pass the
-    previous -grad f*(y) when tracking a path).
+    previous -grad f*(y) when tracking a path); for a stack, hint is a
+    stack too and each interior row seeds its own row.  Raises
+    NoConvergence if any row's Newton solve fails.
     """
     y = np.asarray(y, dtype=float)
-    if not is_interior_dual(spec, y, 0.0):
-        raise BoundaryOrExterior(f"point is not strictly interior to the dual of {spec.kind.value}")
-    return CONES[spec.kind].conjugate_gradient(spec, y, hint)
+    out = CONES[spec.kind].conjugate_gradient(spec, _tested_stack(spec, y, dual=True), hint)
+    return out[0] if y.ndim == 1 else out
 
 
 def conjugate_value(spec, y):
     """f*(y) = sup_s { -<y,s> - f(s) }."""
     sbar = -conjugate_gradient(spec, y)
-    return float(-(y @ sbar) - barrier_value(spec, sbar))
+    return -np.vecdot(y, sbar) - barrier_value(spec, sbar)
 
 
 # ---------------------------------------------------------------------------
-# Newton solves: conjugate barrier, smoothing and projection homotopies
-
-_LAMBDA_STAR = 2.0 - math.sqrt(3.0)
-
-
-def _omega(t):
-    return t - math.log1p(t)
-
-
-def damped_newton_minimize(
-    value,
-    grad,
-    hess,
-    inside,
-    s0,
-    *,
-    decrement_tol=1e-12,
-    grad_tol=None,
-    max_iters=100,
-    collect_trace=False,
-):
-    """Damped Newton descent for a standard self-concordant objective.
-
-    Steps of size 1/(1+lambda) are provably safe; a backtracking search
-    first tries longer steps subject to the same omega(lambda) decrease
-    guarantee and strict domain membership.  Returns (s, iters, trace)
-    where trace rows are (decrement, objective, step) sampled before
-    each step.
-
-    The decrement criterion is authoritative.  grad_tol is a best-effort
-    polish target: near a stiff boundary one ulp of the iterate can move
-    the gradient by more than grad_tol, so once the decrement criterion
-    holds the search gets two extra iterations to meet grad_tol and then
-    accepts the point as float64-stationary.  Inside the quadratic tail
-    (lambda <= 2 - sqrt(3)) exact arithmetic at least halves lambda per
-    full step, so a run of steps without halving means the iterate sits
-    on the float64 lattice floor and is likewise accepted.
-    """
-    s = np.asarray(s0, dtype=float).copy()
-    if not inside(s):
-        raise BoundaryOrExterior("newton start point is outside the domain")
-    trace = []
-    fs = value(s)
-    if not math.isfinite(fs):
-        raise NoConvergence("objective overflows at the start point")
-    polish = 0
-    best_lam = math.inf
-    tail_stall = 0
-    for it in range(max_iters):
-        g = grad(s)
-        H = hess(s)
-        if not (np.all(np.isfinite(g)) and np.all(np.isfinite(H))):
-            raise NoConvergence("derivatives overflow; no descent direction")
-        try:
-            d = np.linalg.solve(H, g)
-        except np.linalg.LinAlgError:
-            d = np.linalg.lstsq(H, g, rcond=None)[0]
-        lam2 = float(g @ d)
-        if not math.isfinite(lam2):
-            raise NoConvergence("newton decrement overflows")
-        lam = math.sqrt(max(lam2, 0.0))
-        if lam <= decrement_tol:
-            done = (
-                grad_tol is None
-                or np.linalg.norm(g) <= grad_tol
-                or polish >= 2
-            )
-            if done:
-                if collect_trace:
-                    trace.append((lam, fs, 0.0))
-                return s, it, trace
-            polish += 1
-        else:
-            polish = 0
-        if lam <= _LAMBDA_STAR:
-            tail_stall = 0 if lam <= 0.5 * best_lam else tail_stall + 1
-            if tail_stall >= 8:
-                if collect_trace:
-                    trace.append((lam, fs, 0.0))
-                return s, it, trace
-        best_lam = min(best_lam, lam)
-        slack = 1e-12 * max(1.0, abs(fs))
-        need = _omega(lam)
-        alpha = None
-        if lam <= _LAMBDA_STAR:
-            # the full step keeps quadratic contraction, but its worst-case
-            # decrease falls short of omega(lambda) by ~lambda^4/2 near the
-            # phase boundary; gating on the decrease means the damped
-            # fallback restores the guarantee whenever that bites
-            trial = s - d
-            if inside(trial) and value(trial) <= fs - need + slack:
-                alpha, s_new = 1.0, trial
-        if alpha is None:
-            a = 1.0
-            floor = 1.0 / (1.0 + lam)
-            while a > floor:
-                trial = s - a * d
-                if inside(trial) and value(trial) <= fs - need + slack:
-                    alpha, s_new = a, trial
-                    break
-                a *= 0.8
-            if alpha is None:
-                a = floor
-                while a > 1e-14:
-                    trial = s - a * d
-                    if inside(trial):
-                        ft = value(trial)
-                        if ft <= fs - need + slack or ft < fs:
-                            alpha, s_new = a, trial
-                            break
-                    a *= 0.8
-            if alpha is None:
-                if lam <= decrement_tol:
-                    # converged in decrement; no float64 step can improve
-                    if collect_trace:
-                        trace.append((lam, fs, 0.0))
-                    return s, it, trace
-                raise NoConvergence("newton line search stalled")
-        if collect_trace:
-            trace.append((lam, fs, alpha))
-        s = s_new
-        fs = value(s)
-    raise NoConvergence(f"newton did not converge in {max_iters} iterations")
+# smoothing results
 
 
 @dataclass
 class SmoothingResult:
-    """Output of one smoothing solve.
+    """Output of one smoothing solve, or of one per row of a stack.
 
     optimality_residual is ||s - c + mu*grad f(s)|| evaluated with the
     stable per-cone kernel; newton_iters is zero on analytic paths.
     trace rows (decrement, objective, step) are kept only on request,
     with the objective normalized by min(mu, 1) so that the standard
-    damped-Newton decrease inequality applies for every mu.
+    damped-Newton decrease inequality applies for every mu.  For a
+    stack, s is (k, dim), newton_iters and optimality_residual hold one
+    entry per row and trace one list per row; a row whose Newton solve
+    failed holds NaN in s and optimality_residual.
     """
 
     s: np.ndarray
     newton_iters: int
     optimality_residual: float
     trace: list | None = None
-
-
-def _smoothing_newton(c, mu, oracles, s0, collect_trace):
-    """Damped Newton on (0.5||s-c||^2 + mu*f(s)) / min(mu, 1).
-
-    For mu >= 1 the objective itself is standard self-concordant; for
-    mu < 1 only the normalized version is, so decrements and the
-    omega-decrease rule are taken on that scaling.
-    """
-    value, grad, hess, inside = oracles
-    mt = min(mu, 1.0)
-    norm_c = max(1.0, float(np.linalg.norm(c)))
-
-    def phi(s):
-        d = s - c
-        return (0.5 * float(d @ d) + mu * value(s)) / mt
-
-    def phi_grad(s):
-        return (s - c + mu * grad(s)) / mt
-
-    def phi_hess(s):
-        H = mu * hess(s)
-        H[np.diag_indices_from(H)] += 1.0
-        return H / mt
-
-    return damped_newton_minimize(
-        phi, phi_grad, phi_hess, inside, s0,
-        decrement_tol=1e-10 / math.sqrt(mt), grad_tol=1e-9 * norm_c / mt,
-        max_iters=100, collect_trace=collect_trace,
-    )
-
-
-_PATH_MUS = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14)
-
-
-def _project_path(c, oracles, s0):
-    """Interior-point homotopy: follow smooth(c, mu) as mu -> 0."""
-    s = np.asarray(s0, dtype=float)
-    for mu in _PATH_MUS:
-        s, _, _ = _smoothing_newton(c, mu, oracles, s, False)
-    return s
 
 
 # ---------------------------------------------------------------------------
@@ -428,9 +322,11 @@ def _project_path(c, oracles, s0):
 class Cone:
     """The formulas of one cone kind; every method takes the block's ConeSpec.
 
-    Apart from validate, degree, the interior tests and the operators
-    on arbitrary targets (smooth*, project*), methods assume a point
-    strictly inside the cone, or inside its dual for conjugate_gradient.
+    Points arrive as stacks (k, dim), one point per row.  Apart from
+    validate, degree, the interior tests and the operators on arbitrary
+    targets (smooth*, project*), methods assume rows strictly inside the
+    cone, or inside its dual for conjugate_gradient.  unit_point and
+    project* take and give single points.
     """
 
     takes_alpha = takes_order = False
@@ -444,45 +340,75 @@ class Cone:
     def dual_coords(self, spec, y):
         return y
 
-    def interior_dual(self, spec, y, margin):
-        return is_interior(spec, self.dual_coords(spec, y), margin)
+    def interior_dual(self, spec, Y, margin):
+        return _interior_rows(self.interior, spec, self.dual_coords(spec, Y), margin)
 
     def oracles(self, spec):
-        """(value, gradient, Hessian, interior test) for damped_newton_minimize,
-        which calls the first three only on points the interior test passed."""
+        """(value, gradient, Hessian, interior test) on stacks, for the Newton
+        solves, which call the first three only on rows the interior test passed."""
         return (
-            lambda s: self.value(spec, s),
-            lambda s: self.gradient(spec, s),
-            lambda s: self.hessian(spec, s),
-            lambda s: is_interior(spec, s, 0.0),
+            lambda S: self.value(spec, S),
+            lambda S: self.gradient(spec, S),
+            lambda S: self.hessian(spec, S),
+            lambda S: is_interior(spec, S, 0.0),
         )
 
-    def smooth_newton(self, spec, c, mu, hint=None, collect_trace=False):
-        """Newton route of prox_{mu f}(c); see smoothing.smooth_newton."""
-        if float(np.max(np.abs(c))) > 1e100:
-            raise NoConvergence("smoothing target exceeds the float64 working range")
+    def smooth_newton(self, spec, C, mu, hint=None, collect_trace=False):
+        """Newton route of prox_{mu f}(c) for every row of C; see smoothing.smooth_newton.
+
+        mu holds one weight per row and hint, if given, one candidate
+        start per row.  Returns (SmoothingResult, errors): errors[i] is
+        None or the NoConvergence message of row i, whose s is NaN.
+        """
+        k = len(C)
         oracles = self.oracles(spec)
-        s, iters = None, 0
-        if hint is not None and is_interior(spec, hint, 0.0):
-            try:
-                s, iters, trace = _smoothing_newton(c, mu, oracles, hint, collect_trace)
-            except NoConvergence:
-                pass  # retried along the continuation below
-        if s is None:
-            s, _ = self.unit_point(spec)
+        S = np.full(C.shape, np.nan)
+        iters = np.zeros(k, dtype=int)
+        traces = [None] * k
+        errors = [None] * k
+        todo = ~(np.max(np.abs(C), axis=1) > 1e100)
+        for i in np.flatnonzero(~todo):
+            errors[i] = "smoothing target exceeds the float64 working range"
+
+        def solve(rows, weights, start, trace):
+            """One Newton solve per row; records each row's outcome, returns the converged mask."""
+            out, its, trs, errs = smoothing_newton(C[rows], weights, oracles, start, trace)
+            ok = np.array([e is None for e in errs], dtype=bool)
+            S[rows[ok]] = out[ok]
+            iters[rows[ok]] += its[ok]
+            for j, i in enumerate(rows):
+                errors[i] = errs[j]
+                if trace and ok[j]:
+                    traces[i] = trs[j]
+            return ok
+
+        if hint is not None:
+            r = np.flatnonzero(todo)
+            r = r[is_interior(spec, hint[r], 0.0)]
+            if r.size:
+                # a row whose hint solve fails is retried along the continuation
+                todo[r[solve(r, mu[r], hint[r], collect_trace)]] = False
+        r = np.flatnonzero(todo)
+        if r.size:
             # the damped phase shrinks the normalized objective by a fixed
             # amount per step, so the start must keep the initial gap O(1):
             # at mu ~ ||c||^2 the barrier term dominates and the unit point
             # qualifies, then each factor-10 rung stays in the Newton basin
-            lead = min(max(1e-2, float(c @ c)), MU_MAX)
-            while lead > mu:
-                s, k, _ = _smoothing_newton(c, lead, oracles, s, False)
-                iters += k
-                lead *= 0.1
-            s, k, trace = _smoothing_newton(c, mu, oracles, s, collect_trace)
-            iters += k
-        resid = float(np.linalg.norm(s - c + mu * self.gradient(spec, s)))
-        return SmoothingResult(s, iters, resid, trace if collect_trace else None)
+            S[r] = self.unit_point(spec)[0]
+            lead = np.minimum(np.maximum(1e-2, np.vecdot(C[r], C[r])), MU_MAX)
+            alive = np.ones(r.size, dtype=bool)
+            while (rung := alive & (lead > mu[r])).any():
+                alive[rung] = solve(r[rung], lead[rung], S[r[rung]], False)
+                lead[rung] *= 0.1
+            if alive.any():
+                solve(r[alive], mu[r[alive]], S[r[alive]], collect_trace)
+        failed = np.array([e is not None for e in errors], dtype=bool)
+        S[failed] = np.nan
+        resid = np.full(k, np.nan)
+        if not failed.all():
+            R = S[~failed] - C[~failed] + mu[~failed, None] * self.gradient(spec, S[~failed])
+            resid[~failed] = _norms(R)
+        return SmoothingResult(S, iters, resid, traces if collect_trace else None), errors
 
     smooth = smooth_newton  # kinds with a closed form override smooth
 
@@ -493,11 +419,11 @@ class ZeroCone(Cone):
     def degree(self, spec):
         return 0
 
-    def interior(self, spec, s, margin):
-        return bool(np.all(s == 0.0))
+    def interior(self, spec, S, margin):
+        return np.all(S == 0.0, axis=1)
 
-    def interior_dual(self, spec, y, margin):
-        return True
+    def interior_dual(self, spec, Y, margin):
+        return np.ones(len(Y), dtype=bool)
 
     def no_barrier(self, spec, *args, **kwargs):
         raise Unsupported("zero cones carry no barrier")
@@ -515,8 +441,11 @@ class ZeroCone(Cone):
 class SelfDualCone(Cone):
     """Nonnegative, second-order and PSD cones: K* = K and f*(y) = f(y) + const."""
 
-    def conjugate_gradient(self, spec, y, hint=None):
-        return self.gradient(spec, y)
+    def interior_dual(self, spec, Y, margin):
+        return self.interior(spec, Y, margin)
+
+    def conjugate_gradient(self, spec, Y, hint=None):
+        return self.gradient(spec, Y)
 
     def project_dual(self, spec, c):
         return self.project(spec, c)
@@ -529,36 +458,44 @@ def _nn_root(c, mu):
     neg = c < 0.0
     if np.any(neg):
         # rationalized form; r - c cannot cancel when c < 0
-        out[neg] = 2.0 * mu / (r[neg] - c[neg])
+        out[neg] = (2.0 * np.broadcast_to(mu, c.shape))[neg] / (r[neg] - c[neg])
     return out
+
+
+def _closed_form(S, resid):
+    """A closed-form smoothing result: no Newton steps and no row that fails."""
+    return SmoothingResult(S, np.zeros(len(S), dtype=int), resid), [None] * len(S)
 
 
 class NonnegativeCone(SelfDualCone):
     def degree(self, spec):
         return spec.dim
 
-    def interior(self, spec, s, margin):
-        return bool(np.min(s) > margin)
+    def interior(self, spec, S, margin):
+        return np.min(S, axis=1) > margin
 
-    def value(self, spec, s):
-        return float(-np.sum(np.log(s)))
+    def value(self, spec, S):
+        return -np.sum(np.log(S), axis=1)
 
-    def gradient(self, spec, s):
-        return -1.0 / s
+    def gradient(self, spec, S):
+        return -1.0 / S
 
-    def hessian(self, spec, s):
-        return np.diag(1.0 / s**2)
+    def hessian(self, spec, S):
+        H = np.zeros((len(S), spec.dim, spec.dim))
+        i = np.arange(spec.dim)
+        H[:, i, i] = 1.0 / S**2
+        return H
 
-    def hessian_inverse(self, spec, s):
-        return sp.diags(s**2, format="csc")
+    def hessian_inverse(self, spec, S):
+        return sp.diags(S.ravel() ** 2, format="csc")
 
     def unit_point(self, spec):
         e = np.ones(spec.dim)
         return e, e.copy()
 
-    def smooth(self, spec, c, mu, hint=None):
-        s = _nn_root(c, mu)
-        return SmoothingResult(s, 0, float(np.linalg.norm(s - c - mu / s)))
+    def smooth(self, spec, C, mu, hint=None):
+        S = _nn_root(C, mu[:, None])
+        return _closed_form(S, _norms(S - C - mu[:, None] / S))
 
     def project(self, spec, c):
         return np.maximum(c, 0.0)
@@ -577,72 +514,90 @@ class SecondOrderCone(SelfDualCone):
     def degree(self, spec):
         return 1
 
-    def interior(self, spec, s, margin):
-        return bool(s[0] - np.linalg.norm(s[1:]) > margin)
+    def _gap(self, S):
+        """s0^2 - ||s1||^2 per row.
 
-    def value(self, spec, s):
-        t = s[0] ** 2 - float(s[1:] @ s[1:])
-        return float(-0.5 * math.log(t))
+        np.float_power squares through pow, as the per-point formula
+        s[0] ** 2 does on a float64 scalar; numpy's array square (s0 * s0)
+        can round the last bit differently.
+        """
+        return np.float_power(S[:, 0], 2) - np.vecdot(S[:, 1:], S[:, 1:])
 
-    def gradient(self, spec, s):
-        g = s / (s[0] ** 2 - float(s[1:] @ s[1:]))
-        g[0] = -g[0]
-        return g
+    def _signs(self, spec):
+        """The diagonal of J = diag(1, -1, ..., -1)."""
+        j = -np.ones(spec.dim)
+        j[0] = 1.0
+        return j
 
-    def hessian(self, spec, s):
-        t = s[0] ** 2 - float(s[1:] @ s[1:])
-        J = np.diag(np.r_[1.0, -np.ones(spec.dim - 1)])
-        Js = J @ s
-        return -J / t + 2.0 * np.outer(Js, Js) / t**2
+    def interior(self, spec, S, margin):
+        return S[:, 0] - _norms(S[:, 1:]) > margin
 
-    def hessian_inverse(self, spec, s):
-        t = s[0] ** 2 - float(s[1:] @ s[1:])
-        J = np.diag(np.r_[1.0, -np.ones(spec.dim - 1)])
-        return 2.0 * np.outer(s, s) - t * J
+    def value(self, spec, S):
+        return -0.5 * np.log(self._gap(S))
+
+    def gradient(self, spec, S):
+        G = S / self._gap(S)[:, None]
+        G[:, 0] = -G[:, 0]
+        return G
+
+    def hessian(self, spec, S):
+        """-J/t + 2 (Js)(Js)'/t^2, with J's diagonal added in place."""
+        t = self._gap(S)[:, None]
+        j = self._signs(spec)
+        JS = S * j
+        H = 2.0 * (JS[:, :, None] * JS[:, None, :]) / (t**2)[:, :, None]
+        i = np.arange(spec.dim)
+        H[:, i, i] += -j / t
+        return H
+
+    def hessian_inverse(self, spec, S):
+        """2 ss' - t J, with J's diagonal subtracted in place."""
+        t = self._gap(S)[:, None]
+        H = 2.0 * (S[:, :, None] * S[:, None, :])
+        i = np.arange(spec.dim)
+        H[:, i, i] -= t * self._signs(spec)
+        return H
 
     def unit_point(self, spec):
         e = np.zeros(spec.dim)
         e[0] = 1.0
         return e, e.copy()
 
-    def smooth(self, spec, c, mu, hint=None):
-        """Closed form; ts = s0^2 - ||s1||^2 enters the residual.
+    def smooth(self, spec, C, mu, hint=None):
+        """Closed form per row; ts = s0^2 - ||s1||^2 enters the residual.
 
         The solution satisfies s0 = rho/(rho-1) c0 and s1 = rho/(rho+1) c1
         where gamma = rho + 1/rho solves gamma^2 - beta*gamma - delta = 0,
         beta = (c0^2-||c1||^2)/mu, delta = 2(c0^2+||c1||^2)/mu + 4.  We
         recover eps = gamma - 2 from eps^2 + (4-beta)*eps - 4 c0^2/mu = 0,
         whose constant term is exact, so no catastrophic cancellation
-        occurs for small c0.
+        occurs for small c0.  Rows with c0 ~ 0 take the boundary-active
+        form s = (sqrt(mu + ||c1||^2/4), c1/2).
         """
-        c0, c1 = float(c[0]), c[1:]
-        nc1 = float(np.linalg.norm(c1))
-        s = np.empty_like(c)
-        if abs(c0) <= self.C0_TINY * max(1.0, nc1):
-            s[1:] = 0.5 * c1
-            s[0] = math.sqrt(mu + 0.25 * nc1 * nc1)
-            ts = mu
-        else:
+        c0, c1 = C[:, 0], C[:, 1:]
+        nc1 = _norms(c1)
+        on_axis = np.abs(c0) <= self.C0_TINY * np.maximum(1.0, nc1)
+        pos = c0 > 0.0
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             beta = (c0 - nc1) * (c0 + nc1) / mu
             q = 4.0 - beta
             w = 16.0 * c0 * c0 / mu
-            rad = math.sqrt(q * q + w)
-            eps = w / (2.0 * (q + rad)) if q >= 0.0 else 0.5 * (rad - q)
+            rad = np.sqrt(q * q + w)
+            eps = np.where(q >= 0.0, w / (2.0 * (q + rad)), 0.5 * (rad - q))
             gamma = 2.0 + eps
-            sq = math.sqrt(eps * (4.0 + eps))
-            if c0 > 0.0:
-                rho = 0.5 * (gamma + sq)
-                s[0] = (gamma + sq) / (eps + sq) * c0
-                s[1:] = (gamma + sq) / (gamma + sq + 2.0) * c1
-            else:
-                rho = 2.0 / (gamma + sq)
-                s[0] = -2.0 * c0 / (eps + sq)
-                s[1:] = 2.0 / (gamma + sq + 2.0) * c1
-            ts = mu * rho
-        r = np.empty_like(s)
-        r[0] = s[0] - c[0] - mu * s[0] / ts
-        r[1:] = s[1:] - c[1:] + mu * s[1:] / ts
-        return SmoothingResult(s, 0, float(np.linalg.norm(r)))
+            sq = np.sqrt(eps * (4.0 + eps))
+            rho = np.where(pos, 0.5 * (gamma + sq), 2.0 / (gamma + sq))
+            s0 = np.where(pos, (gamma + sq) / (eps + sq) * c0, -2.0 * c0 / (eps + sq))
+            f1 = np.where(pos, (gamma + sq) / (gamma + sq + 2.0), 2.0 / (gamma + sq + 2.0))
+        S = np.empty_like(C)
+        S[:, 0] = np.where(on_axis, np.sqrt(mu + 0.25 * nc1 * nc1), s0)
+        S[:, 1:] = np.where(on_axis, 0.5, f1)[:, None] * c1
+        ts = np.where(on_axis, mu, mu * rho)
+        M = mu[:, None] * S / ts[:, None]
+        R = S - C
+        R[:, 0] -= M[:, 0]
+        R[:, 1:] += M[:, 1:]
+        return _closed_form(S, _norms(R))
 
     def project(self, spec, c):
         c0, c1 = c[0], c[1:]
@@ -671,35 +626,38 @@ class PsdTriangleCone(SelfDualCone):
     def degree(self, spec):
         return spec.order
 
-    def interior(self, spec, s, margin):
-        d, _ = _eigh(smat(s))
-        return bool(d[0] > margin)
+    def _inverse(self, S):
+        """X^-1 of every packed row, from its eigendecomposition."""
+        d, U = _eigh(smat(S))
+        return (U / d[:, None, :]) @ _t(U)
 
-    def value(self, spec, s):
-        d, _ = _eigh(smat(s))
-        return float(-np.sum(np.log(d)))
+    def interior(self, spec, S, margin):
+        d, _ = _eigh(smat(S))
+        return d[:, 0] > margin
 
-    def gradient(self, spec, s):
-        d, U = _eigh(smat(s))
-        return -svec((U / d) @ U.T)
+    def value(self, spec, S):
+        d, _ = _eigh(smat(S))
+        return -np.sum(np.log(d), axis=1)
 
-    def hessian(self, spec, s):
-        d, U = _eigh(smat(s))
-        return _sym_kron((U / d) @ U.T)
+    def gradient(self, spec, S):
+        return -svec(self._inverse(S))
 
-    def hessian_inverse(self, spec, s):
-        return _sym_kron(smat(s))
+    def hessian(self, spec, S):
+        return _sym_kron(self._inverse(S))
+
+    def hessian_inverse(self, spec, S):
+        return _sym_kron(smat(S))
 
     def unit_point(self, spec):
         e = svec(np.eye(spec.order))
         return e, e.copy()
 
-    def smooth(self, spec, c, mu, hint=None):
-        """Eigenvalue smoothing: the nonnegative root on the spectrum of C."""
-        d, U = _eigh(smat(c))
-        e = _nn_root(d, mu)
-        s = svec((U * e) @ U.T)
-        return SmoothingResult(s, 0, float(np.linalg.norm(e - d - mu / e)))
+    def smooth(self, spec, C, mu, hint=None):
+        """Eigenvalue smoothing: the nonnegative root on the spectrum of each C."""
+        d, U = _eigh(smat(C))
+        e = _nn_root(d, mu[:, None])
+        S = svec((U * e[:, None, :]) @ _t(U))
+        return _closed_form(S, _norms(e - d - mu[:, None] / e))
 
     def project(self, spec, c):
         d, U = _eigh(smat(c))
@@ -724,60 +682,73 @@ class NonsymmetricCone(Cone):
     def degree(self, spec):
         return 3
 
-    def interior(self, spec, s, margin):
+    def interior(self, spec, S, margin):
         # x1, x2 > 0 first: the slack takes their logarithm or power
-        return bool(s[0] > margin and s[1] > margin and self.slack(spec, s) > margin)
+        ok = (S[:, 0] > margin) & (S[:, 1] > margin)
+        if ok.any():
+            ok[ok] = self.slack(spec, S[ok]) > margin
+        return ok
 
     def dual_coords(self, spec, y):
-        return self.dual_map(spec) @ y
+        return y @ self.dual_map(spec).T
 
-    def value(self, spec, s):
-        x1, x2, _ = s
+    def value(self, spec, S):
         c1, c2 = self.weights(spec)
-        return float(-math.log(self.u(spec, s)) - c1 * math.log(x1) - c2 * math.log(x2))
+        return -np.log(self.u(spec, S)) - c1 * np.log(S[:, 0]) - c2 * np.log(S[:, 1])
 
-    def gradient(self, spec, s):
-        x1, x2, _ = s
+    def gradient(self, spec, S):
         c1, c2 = self.weights(spec)
-        u, du = self.u(spec, s, order=1)
-        g = -du / u
-        g[0] -= c1 / x1
-        g[1] -= c2 / x2
-        return g
+        u, du = self.u(spec, S, order=1)
+        G = -du / u[:, None]
+        G[:, 0] -= c1 / S[:, 0]
+        G[:, 1] -= c2 / S[:, 1]
+        return G
 
-    def hessian(self, spec, s):
-        x1, x2, _ = s
+    def hessian(self, spec, S):
         c1, c2 = self.weights(spec)
-        u, du, d2u = self.u(spec, s, order=2)
-        H = np.outer(du, du) / u**2 - d2u / u
-        H[0, 0] += c1 / x1**2
-        H[1, 1] += c2 / x2**2
+        u, du, d2u = self.u(spec, S, order=2)
+        u = u[:, None, None]
+        H = (du[:, :, None] * du[:, None, :]) / u**2 - d2u / u
+        H[:, 0, 0] += c1 / S[:, 0] ** 2
+        H[:, 1, 1] += c2 / S[:, 1] ** 2
         return H
 
-    def hessian_inverse(self, spec, s):
-        w, U = np.linalg.eigh(self.hessian(spec, s))
+    def hessian_inverse(self, spec, S):
+        w, U = np.linalg.eigh(self.hessian(spec, S))
         # the exact Hessian is positive definite, so eigenvalues at rounding
         # scale are noise; flooring them keeps the inverse finite when the
         # point rides the boundary and plain inversion would break down
-        w = np.maximum(w, float(w[-1]) * 1e-14)
-        return (U / w) @ U.T
+        w = np.maximum(w, w[:, -1:] * 1e-14)
+        return (U / w[:, None, :]) @ _t(U)
 
-    def conjugate_gradient(self, spec, y, hint=None):
-        # minimize <y, s> + f(s) over int K
-        if hint is not None and is_interior(spec, hint, 0.0):
-            s0 = hint
-        else:
-            e_s, _ = self.unit_point(spec)
-            s0 = e_s * (spec.degree / float(y @ e_s))
+    def conjugate_gradient(self, spec, Y, hint=None):
+        # minimize <y, s> + f(s) over int K, one row per y; a row starts
+        # at its hint if that is interior, else at the unit point scaled
+        # so that <y, s0> = nu, and every start is tested once
+        e_s, _ = self.unit_point(spec)
+        S0 = np.empty_like(Y)
+        cold = np.ones(len(Y), dtype=bool)
+        if hint is not None:
+            hint = np.asarray(hint, dtype=float).reshape(Y.shape)
+            cold = ~is_interior(spec, hint, 0.0)
+            S0[~cold] = hint[~cold]
+        S0[cold] = e_s * (spec.degree / np.vecdot(Y[cold], e_s))[:, None]
+        if cold.any() and not np.all(is_interior(spec, S0[cold], 0.0)):
+            raise BoundaryOrExterior("newton start point is outside the domain")
         value, grad, hess, inside = self.oracles(spec)
-        sbar, _, _ = damped_newton_minimize(
-            lambda s: float(y @ s) + value(s), lambda s: y + grad(s), hess, inside, s0,
-            decrement_tol=1e-12, grad_tol=1e-10 * max(1.0, float(np.linalg.norm(y))),
+        S, _, _, errors = newton_rows(
+            lambda T, r: np.vecdot(Y[r], T) + value(T), lambda T, r: Y[r] + grad(T),
+            lambda T, r: hess(T), inside, S0,
+            decrement_tol=1e-12, grad_tol=1e-10 * np.maximum(1.0, _norms(Y)),
+            max_iters=100, collect_trace=False,
         )
-        return -sbar
+        for e in errors:
+            if e is not None:
+                raise NoConvergence(e)
+        return -S
 
     def project(self, spec, c):
-        return _project_path(c, self.oracles(spec), self.unit_point(spec)[0])
+        return project_path(c, self.oracles(spec), self.unit_point(spec)[0])
 
     def project_dual(self, spec, c):
         # the dual cone is M^-1 K, so the same homotopy runs on the
@@ -785,12 +756,12 @@ class NonsymmetricCone(Cone):
         M = self.dual_map(spec)
         _, e_z = self.unit_point(spec)
         oracles = (
-            lambda y: self.value(spec, M @ y),
-            lambda y: M.T @ self.gradient(spec, M @ y),
-            lambda y: M.T @ self.hessian(spec, M @ y) @ M,
-            lambda y: is_interior(spec, M @ y, 0.0),
+            lambda Y: self.value(spec, Y @ M.T),
+            lambda Y: self.gradient(spec, Y @ M.T) @ M,
+            lambda Y: M.T @ self.hessian(spec, Y @ M.T) @ M,
+            lambda Y: is_interior(spec, Y @ M.T, 0.0),
         )
-        return _project_path(c, oracles, e_z)
+        return project_path(c, oracles, e_z)
 
 
 # Interior point of the exponential cone mapped (approximately) onto
@@ -805,25 +776,26 @@ class ExponentialCone(NonsymmetricCone):
     def weights(self, spec):
         return 1.0, 1.0
 
-    def u(self, spec, s, order=0):
-        x1, x2, x3 = s
-        L = math.log(x1 / x2)
+    def u(self, spec, S, order=0):
+        x1, x2, x3 = S.T
+        L = np.log(x1 / x2)
         u = x2 * L - x3
         if order == 0:
             return u
-        du = np.array([x2 / x1, L - 1.0, -1.0])
+        du = np.stack([x2 / x1, L - 1.0, np.full_like(x1, -1.0)], axis=1)
         if order == 1:
             return u, du
-        d2u = np.array(
-            [[-x2 / x1**2, 1.0 / x1, 0.0], [1.0 / x1, -1.0 / x2, 0.0], [0.0, 0.0, 0.0]]
-        )
+        d2u = np.zeros((len(S), 3, 3))
+        d2u[:, 0, 0] = -x2 / x1**2
+        d2u[:, 0, 1] = d2u[:, 1, 0] = 1.0 / x1
+        d2u[:, 1, 1] = -1.0 / x2
         return u, du, d2u
 
     slack = u
 
     def unit_point(self, spec):
         e_s = np.array(_EXP_UNIT)
-        return e_s, -self.gradient(spec, e_s)
+        return e_s, -self.gradient(spec, e_s[None])[0]
 
     def dual_map(self, spec):
         return _EXP_DUAL_MAP
@@ -842,39 +814,37 @@ class PowerCone(NonsymmetricCone):
     def weights(self, spec):
         return 1 - spec.alpha, spec.alpha
 
-    def slack(self, spec, s):
-        x1, x2, x3 = s
+    def slack(self, spec, S):
+        x1, x2, x3 = S.T
         a = spec.alpha
-        return x1**a * x2 ** (1.0 - a) - abs(x3)
+        return x1**a * x2 ** (1.0 - a) - np.abs(x3)
 
-    def u(self, spec, s, order=0):
-        x1, x2, x3 = s
+    def u(self, spec, S, order=0):
+        x1, x2, x3 = S.T
         a = spec.alpha
         # factored through v = x1^a x2^(1-a), the same primitive the
         # membership test uses, so interior points never see u <= 0
         v = x1**a * x2 ** (1.0 - a)
-        u = (v - abs(x3)) * (v + abs(x3))
+        u = (v - np.abs(x3)) * (v + np.abs(x3))
         if order == 0:
-            if u <= 0.0:
+            if np.any(u <= 0.0):
                 raise BoundaryOrExterior("power cone point is too close to the boundary")
             return u
         A = v * v
-        du = np.array([2 * a * A / x1, 2 * (1 - a) * A / x2, -2 * x3])
+        du = np.stack([2 * a * A / x1, 2 * (1 - a) * A / x2, -2 * x3], axis=1)
         if order == 1:
             return u, du
-        d2u = np.array(
-            [
-                [2 * a * (2 * a - 1) * A / x1**2, 4 * a * (1 - a) * A / (x1 * x2), 0.0],
-                [4 * a * (1 - a) * A / (x1 * x2), 2 * (1 - a) * (1 - 2 * a) * A / x2**2, 0.0],
-                [0.0, 0.0, -2.0],
-            ]
-        )
+        d2u = np.zeros((len(S), 3, 3))
+        d2u[:, 0, 0] = 2 * a * (2 * a - 1) * A / x1**2
+        d2u[:, 0, 1] = d2u[:, 1, 0] = 4 * a * (1 - a) * A / (x1 * x2)
+        d2u[:, 1, 1] = 2 * (1 - a) * (1 - 2 * a) * A / x2**2
+        d2u[:, 2, 2] = -2.0
         return u, du, d2u
 
     def unit_point(self, spec):
         a = spec.alpha
         e_s = np.array([math.sqrt(1.0 + a), math.sqrt(2.0 - a), 0.0])
-        return e_s, -self.gradient(spec, e_s)
+        return e_s, -self.gradient(spec, e_s[None])[0]
 
     def dual_map(self, spec):
         return np.diag([1.0 / spec.alpha, 1.0 / (1.0 - spec.alpha), 1.0])
@@ -894,10 +864,29 @@ CONES = {
 # products
 
 
+class _Batch(NamedTuple):
+    """A run of consecutive blocks with an equal ConeSpec.
+
+    sl covers the run's coordinates in the product and blocks its
+    indices in ConeProduct.blocks.
+    """
+
+    spec: ConeSpec
+    sl: slice
+    blocks: range
+
+    def rows(self, v):
+        """The run's part of v as a (k, spec.dim) stack; a view of v."""
+        return v[self.sl].reshape(len(self.blocks), self.spec.dim)
+
+
 class ConeProduct:
     """Ordered product of cone blocks with slice bookkeeping.
 
-    barrier_blocks lists (k, spec, slice) of every block but the Zero ones.
+    barrier_blocks lists (k, spec, slice) of every block but the Zero
+    ones.  batches groups each run of consecutive equal blocks into one
+    _Batch, whose rows(v) is the stack the cone formulas take;
+    barrier_batches lists the batches of every kind but Zero.
     """
 
     def __init__(self, blocks):
@@ -911,6 +900,12 @@ class ConeProduct:
             for k, (spec, sl) in enumerate(zip(self.blocks, self._slices))
             if spec.degree
         )
+        runs = [list(run) for _, run in groupby(range(len(self.blocks)), self.blocks.__getitem__)]
+        self.batches = tuple(
+            _Batch(self.blocks[r[0]], slice(offs[r[0]], offs[r[-1] + 1]), range(r[0], r[-1] + 1))
+            for r in runs
+        )
+        self.barrier_batches = tuple(b for b in self.batches if b.spec.degree)
 
     def __iter__(self):
         return iter(self.blocks)
@@ -937,22 +932,22 @@ class ConeProduct:
         return [v[sl] for sl in self._slices]
 
     def is_interior(self, s, margin=0.0):
-        """Blockwise strict interiority; Zero blocks require exact zeros."""
-        return all(
-            is_interior(spec, s[sl], margin)
-            for spec, sl in zip(self.blocks, self._slices)
-        )
+        """Blockwise strict interiority, one test per batch; Zero blocks require exact zeros."""
+        return self._all_rows("interior", s, margin)
 
     def is_interior_dual(self, z, margin=0.0):
-        return all(
-            is_interior_dual(spec, z[sl], margin)
-            for spec, sl in zip(self.blocks, self._slices)
-        )
+        return self._all_rows("interior_dual", z, margin)
+
+    def _all_rows(self, test, v, margin):
+        for b in self.batches:
+            if not _interior_rows(getattr(CONES[b.spec.kind], test), b.spec, b.rows(v), margin).all():
+                return False
+        return True
 
     def unit_points(self):
         """Concatenated (e_s, e_z); Zero blocks contribute zeros."""
         e_s = np.zeros(self.dim)
         e_z = np.zeros(self.dim)
-        for _, spec, sl in self.barrier_blocks:
-            e_s[sl], e_z[sl] = unit_point(spec)
+        for b in self.barrier_batches:
+            b.rows(e_s)[:], b.rows(e_z)[:] = unit_point(b.spec)
         return e_s, e_z

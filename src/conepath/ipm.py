@@ -50,7 +50,7 @@ class ConicProblem:
         self.b = np.asarray(self.b, dtype=float).ravel()
         n = self.q.shape[0]
         m = self.b.shape[0]
-        P = sp.csc_matrix(self.P, dtype=float, shape=(n, n) if np.isscalar(self.P) else None)
+        P = sp.csc_matrix(self.P, dtype=float)
         if P.shape != (n, n):
             raise Unsupported(f"P must be {n}x{n}, got {P.shape}")
         self.P = ((P + P.T) * 0.5).tocsc()
@@ -141,11 +141,11 @@ def warm_start(problem, ws):
         return cold_start(problem)
     s0 = np.asarray(ws.s0, dtype=float)
     z0 = np.asarray(ws.z0, dtype=float)
-    for k, spec, sl in cones.barrier_blocks:
-        if k in ws.fallback_blocks:
-            continue
-        if not (is_interior(spec, s0[sl], 0.0) and is_interior_dual(spec, z0[sl], 0.0)):
-            raise RejectedWarmStart(f"warmstart block {k} is not strictly interior")
+    for b in cones.barrier_batches:
+        ok = is_interior(b.spec, b.rows(s0), 0.0) & is_interior_dual(b.spec, b.rows(z0), 0.0)
+        for k in np.asarray(b.blocks)[~ok]:
+            if k not in ws.fallback_blocks:
+                raise RejectedWarmStart(f"warmstart block {k} is not strictly interior")
     mu = float(s0 @ z0) / cones.degree
     return Iterate(
         x=np.asarray(ws.x0, dtype=float).copy(),
@@ -261,18 +261,38 @@ def _interior_point(cones, s, z, margin):
 def block_proximity(cones, s, z, hints=None):
     """Per-block proximity rho_i = nu_i / <grad f(s_i), grad f*(z_i)>.
 
-    Returns (rho, points): rho is NaN on Zero blocks, and points[i] =
-    -grad f*(z_i) (None on Zero blocks), the starting point hints[i]
-    takes for the next call.  rho_i equals the local path parameter mu_i
-    exactly on the central path and is strictly smaller off it.
+    One kernel call covers each batch of cones.batches.  Returns (rho,
+    points): rho is NaN on Zero blocks, and points[j] holds -grad f*(z_i)
+    for the rows of batch j (None on Zero batches), the starting points
+    hints[j] takes for the next call.  rho_i equals the local path
+    parameter mu_i exactly on the central path and is strictly smaller
+    off it.
     """
     rho = np.full(len(cones.blocks), np.nan)
-    points = [None] * len(cones.blocks)
-    for k, spec, sl in cones.barrier_blocks:
-        gz = conjugate_gradient(spec, z[sl], hint=None if hints is None else hints[k])
-        rho[k] = spec.degree / float(barrier_gradient(spec, s[sl]) @ gz)
-        points[k] = -gz
+    points = [None] * len(cones.batches)
+    for j, b in enumerate(cones.batches):
+        if b.spec.degree:
+            gz = conjugate_gradient(b.spec, b.rows(z), hint=None if hints is None else hints[j])
+            gs = barrier_gradient(b.spec, b.rows(s))
+            rho[b.blocks.start : b.blocks.stop] = b.spec.degree / np.vecdot(gs, gz)
+            points[j] = -gz
     return rho, points
+
+
+def _block_diagonal(H):
+    """A batch's H^-1 as sp.block_diag takes it.
+
+    A sparse matrix stays as it is.  A dense stack of one block enters
+    as that (d, d) array, which block_diag reads without building a
+    sparse object; a longer (k, d, d) stack enters as one BSR matrix,
+    cheaper than k dense blocks.
+    """
+    if sp.issparse(H):
+        return H
+    if len(H) == 1:
+        return H[0]
+    k, d, _ = H.shape
+    return sp.bsr_matrix((H, np.arange(k), np.arange(k + 1)), shape=(k * d, k * d))
 
 
 def solve(problem, start, settings=None):
@@ -292,9 +312,10 @@ def solve(problem, start, settings=None):
     if not _interior_point(cones, s, z, 0.0):
         raise RejectedWarmStart("start iterate is not strictly interior")
 
-    hints = [None] * len(cones.blocks)
-    # Zero blocks of H^-1 store nothing; the barrier blocks replace theirs
-    empty_blocks = [sp.csc_matrix((spec.dim, spec.dim)) for spec in cones.blocks]
+    hints = None
+    barrier = np.array([k for k, _, _ in cones.barrier_blocks], dtype=np.intp)
+    # Zero batches of H^-1 store nothing; the barrier batches replace theirs
+    empty_parts = [sp.csc_matrix((b.sl.stop - b.sl.start,) * 2) for b in cones.batches]
     reg = sp.diags(np.r_[np.full(n, REGULARIZATION), np.full(m, -REGULARIZATION)], format="csc")
 
     def scaled_norms():
@@ -339,14 +360,16 @@ def solve(problem, start, settings=None):
         rtau = -float(problem.q @ x) - float(problem.b @ z) - xPx / tau - kappa
 
         grad = np.zeros(m)
-        blocks = list(empty_blocks)
+        parts = list(empty_parts)
         try:
-            for k, spec, sl in cones.barrier_blocks:
-                grad[sl] = barrier_gradient(spec, s[sl])
-                blocks[k] = barrier_hessian_inverse(spec, s[sl])
+            for j, b in enumerate(cones.batches):
+                if b.spec.degree:
+                    S = b.rows(s)
+                    grad[b.sl] = barrier_gradient(b.spec, S).ravel()
+                    parts[j] = _block_diagonal(barrier_hessian_inverse(b.spec, S))
         except (BoundaryOrExterior, np.linalg.LinAlgError):
             return report(SolveStatus.NUMERICAL_ERROR)
-        Hinv = sp.block_diag(blocks, format="csc") if blocks else sp.csc_matrix((0, 0))
+        Hinv = sp.block_diag(parts, format="csc") if parts else sp.csc_matrix((0, 0))
         # an in-place divide, not Hinv / mu: sparse division by a scalar
         # multiplies by 1/mu, which moves the last bit of every iterate
         Hinv.data /= mu
@@ -423,7 +446,7 @@ def solve(problem, start, settings=None):
                         pass
                     else:
                         # a NaN rho fails the comparison, so it rejects the trial
-                        if all(rho[k] >= BETA * mu_new for k, _, _ in cones.barrier_blocks):
+                        if (rho[barrier] >= BETA * mu_new).all():
                             hints = points
                             accepted = True
                             break

@@ -7,19 +7,48 @@ formulas live with each kind's class in cones.py.  Nonnegative,
 second-order and PSD cones have closed forms; exponential and power
 cones run a safeguarded damped Newton method on the (self-concordance
 normalized) objective, and project by following it as mu -> 0.
-"""
 
-import math
+smooth and smooth_newton take one target c (dim,) or a stack (k, dim)
+of targets of the same cone, with one mu or one per row: a stack is
+smoothed in one call, its Newton rows in one masked Newton.  A stack
+row whose Newton solve fails comes back as NaN and leaves the other
+rows alone; for one target the failure raises NoConvergence.
+smooth_product smooths each batch of a ConeProduct as one stack.
+"""
 
 import numpy as np
 
-from .cones import CONES, MU_MAX, SmoothingResult  # noqa: F401  (SmoothingResult re-exported)
-from .errors import Unsupported
+from .cones import CONES, MU_MAX, SmoothingResult
+from .errors import NoConvergence, Unsupported
 
 
-def _check_mu(mu):
-    if not (0.0 < mu <= MU_MAX) or not math.isfinite(mu):
-        raise Unsupported(f"smoothing weight must lie in (0, {MU_MAX:g}], got {mu}")
+def _smooth_rows(route, spec, c, mu, hint, *args):
+    """Checked stack call of a kind's smoothing route: (c as given, result, errors)."""
+    c = np.asarray(c, dtype=float)
+    mus = np.asarray(mu, dtype=float)
+    bad = ~((mus > 0.0) & (mus <= MU_MAX))
+    if bad.any():
+        raise Unsupported(f"smoothing weight must lie in (0, {MU_MAX:g}], got {mus[bad].flat[0]}")
+    if c.ndim not in (1, 2) or c.shape[-1] != spec.dim or not np.all(np.isfinite(c)):
+        raise Unsupported(f"target must be a finite vector of length {spec.dim}")
+    C = c.reshape(-1, spec.dim)
+    if hint is not None:
+        hint = np.asarray(hint, dtype=float).reshape(-1, spec.dim)
+    mus = np.broadcast_to(mus, (len(C),))
+    result, errors = getattr(CONES[spec.kind], route)(spec, C, mus, hint, *args)
+    return c, result, errors
+
+
+def _as_given(c, result, errors):
+    """One target's result, or its NoConvergence; a stack's result as it is."""
+    if c.ndim == 2:
+        return result
+    if errors[0] is not None:
+        raise NoConvergence(errors[0])
+    trace = None if result.trace is None else result.trace[0]
+    return SmoothingResult(
+        result.s[0], int(result.newton_iters[0]), float(result.optimality_residual[0]), trace
+    )
 
 
 def smooth_newton(spec, c, mu, hint=None, collect_trace=False):
@@ -32,36 +61,45 @@ def smooth_newton(spec, c, mu, hint=None, collect_trace=False):
     stall the damped phase, so a failed hint solve is retried along the
     continuation.  newton_iters counts all Newton steps including the
     continuation; the trace covers only the final solve at the
-    requested mu.
+    requested mu.  For a stack, each row takes its own path and hint
+    row; a NaN hint row means no hint.
     """
-    _check_mu(mu)
-    c = np.asarray(c, dtype=float)
-    return CONES[spec.kind].smooth_newton(spec, c, mu, hint, collect_trace)
+    return _as_given(*_smooth_rows("smooth_newton", spec, c, mu, hint, collect_trace))
 
 
 def smooth(spec, c, mu, hint=None):
     """The kind's closed form where one exists, Newton otherwise."""
-    _check_mu(mu)
-    c = np.asarray(c, dtype=float)
-    if c.shape != (spec.dim,) or not np.all(np.isfinite(c)):
-        raise Unsupported(f"target must be a finite vector of length {spec.dim}")
-    return CONES[spec.kind].smooth(spec, c, mu, hint)
+    return _as_given(*_smooth_rows("smooth", spec, c, mu, hint))
 
 
 def smooth_product(product, c, mu, hints=None):
-    """Blockwise smoothing over a ConeProduct.
+    """Batchwise smoothing over a ConeProduct.
 
-    mu may be a scalar or one value per block.  Zero blocks pass through
-    unchanged (their members are fixed points of the operator's limit).
-    Returns (s, per-block SmoothingResult-or-None list).
+    mu may be a scalar or one value per block; hints, if given, holds
+    one start (or None) per block.  Zero blocks pass through unchanged
+    (their members are fixed points of the operator's limit).  Returns
+    (s, per-block SmoothingResult-or-None list); a block whose Newton
+    solve fails raises NoConvergence.
     """
     c = np.asarray(c, dtype=float)
     mus = np.broadcast_to(np.asarray(mu, dtype=float), (len(product),))
     s = c.copy()
     results = [None] * len(product)
-    for k, spec, sl in product.barrier_blocks:
-        results[k] = smooth(spec, c[sl], float(mus[k]), hint=None if hints is None else hints[k])
-        s[sl] = results[k].s
+    for b in product.barrier_batches:
+        hint = None
+        if hints is not None:
+            hint = np.full((len(b.blocks), b.spec.dim), np.nan)
+            for row, k in enumerate(b.blocks):
+                if hints[k] is not None:
+                    hint[row] = hints[k]
+        _, res, errors = _smooth_rows("smooth", b.spec, b.rows(c), mus[b.blocks], hint)
+        for row, k in enumerate(b.blocks):
+            if errors[row] is not None:
+                raise NoConvergence(f"block {k}: {errors[row]}")
+            results[k] = SmoothingResult(
+                res.s[row], int(res.newton_iters[row]), float(res.optimality_residual[row])
+            )
+        b.rows(s)[:] = res.s
     return s, results
 
 

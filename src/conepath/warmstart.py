@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cones import ConeKind, barrier_gradient, is_interior, is_interior_dual, smat, unit_point
-from .errors import NoConvergence, NotApplicable, Unsupported
+from .errors import NotApplicable, Unsupported
 from .ipm import BETA, block_proximity, residual_map
 from .smoothing import smooth
 
@@ -118,8 +118,9 @@ def warmstart(prev, cones, overrides=None):
     Each block starts from select_parameters.  overrides maps block
     index -> {"lambda": ..., "mu0": ...} (either key optional) and
     replaces those values; a lambda-only override keeps mu0 at the
-    clamped residual norm.  Blocks whose Newton smoothing fails fall
-    back to the cold unit point and are listed in fallback_blocks.
+    clamped residual norm.  Each batch of equal blocks is smoothed in
+    one call; a block whose Newton smoothing fails falls back alone to
+    the cold unit point and is listed in fallback_blocks.
     """
     x_star = np.asarray(prev.x_star, dtype=float)
     s_star = np.asarray(prev.s_star, dtype=float)
@@ -141,13 +142,7 @@ def warmstart(prev, cones, overrides=None):
         select_parameters(spec, s_star[sl], z_star[sl], r_inf)
         for spec, sl in zip(cones.blocks, cones.slices())
     ]
-    # Zero blocks keep these entries and pass z* through; the rest are replaced
-    per_block = [BlockParameters(lam, mu0, 0, 0.0, rule) for lam, mu0, rule in params]
-    s0 = np.zeros(cones.dim)
-    z0 = z_star.copy()
-    fallback = []
-    for k, spec, sl in cones.barrier_blocks:
-        sb, zb = s_star[sl], z_star[sl]
+    for k, _, _ in cones.barrier_blocks:
         lam, mu0, rule = params[k]
         ov = overrides.get(k, {})
         if "lambda" in ov:
@@ -156,23 +151,36 @@ def warmstart(prev, cones, overrides=None):
             mu0, rule = float(ov["mu0"]), "override"
         if not (lam > 0.0 and mu0 > 0.0):
             raise Unsupported(f"block {k}: lambda and mu0 must be positive")
-        c = sb - lam * zb
-        hint = sb if is_interior(spec, sb, 0.0) else None
-        try:
-            s_blk = smooth(spec, c, mu0, hint=hint).s
-        except NoConvergence:
-            e_s, e_z = unit_point(spec)
-            s0[sl] = e_s
-            z0[sl] = e_z
-            fallback.append(k)
+        params[k] = SelectedParameters(lam, mu0, rule)
+    # Zero blocks keep these entries and pass z* through; the rest are replaced
+    per_block = [BlockParameters(lam, mu0, 0, 0.0, rule) for lam, mu0, rule in params]
+    s0 = np.zeros(cones.dim)
+    z0 = z_star.copy()
+    fallback = []
+    for b in cones.barrier_batches:
+        spec = b.spec
+        lam = np.array([params[k].lam for k in b.blocks])
+        mu0 = np.array([params[k].mu0 for k in b.blocks])
+        sb = b.rows(s_star)
+        # a row whose Newton smoothing fails comes back NaN and falls back alone
+        s_blk = smooth(spec, sb - lam[:, None] * b.rows(z_star), mu0, hint=sb).s
+        failed = np.isnan(s_blk).any(axis=1)
+        z_blk = np.empty_like(s_blk)
+        if not failed.all():
+            z_blk[~failed] = -(mu0 / lam)[~failed, None] * barrier_gradient(spec, s_blk[~failed])
+        e_s, e_z = unit_point(spec)
+        s_blk[failed] = e_s
+        z_blk[failed] = e_z
+        b.rows(s0)[:] = s_blk
+        b.rows(z0)[:] = z_blk
+        comp = np.vecdot(s_blk, z_blk)
+        lam[failed] = mu0[failed] = 1.0
+        for row, k in enumerate(b.blocks):
+            rule = "fallback" if failed[row] else params[k].rule
             per_block[k] = BlockParameters(
-                1.0, 1.0, spec.degree, float(e_s @ e_z), "fallback"
+                float(lam[row]), float(mu0[row]), spec.degree, float(comp[row]), rule
             )
-            continue
-        z_blk = -(mu0 / lam) * barrier_gradient(spec, s_blk)
-        s0[sl] = s_blk
-        z0[sl] = z_blk
-        per_block[k] = BlockParameters(lam, mu0, spec.degree, float(s_blk @ z_blk), rule)
+        fallback += [k for k, f in zip(b.blocks, failed) if f]
     return WarmStartResult(x_star.copy(), s0, z0, per_block, fallback)
 
 
@@ -357,12 +365,17 @@ def residual_bound_check(prev, result, problem):
         dmin = float(np.min(np.abs(d)))
         if dmin <= 0.0:
             return _not_applicable(family, "previous difference matrix is singular")
-        # A columns reinterpreted as symmetric matrices over the block rows
-        A_blk = problem.A[sl].toarray()
+        # A columns reinterpreted as symmetric matrices over the block rows;
+        # a column with no stored entry is the zero matrix and adds nothing
+        A_blk = problem.A[sl].tocsc()
+        A_blk.sum_duplicates()
         tr_max = 0.0
-        for j in range(A_blk.shape[1]):
-            Aj = smat(A_blk[:, j])
-            tr_max = max(tr_max, float(np.sum(np.abs(np.linalg.eigvalsh(Aj)))))
+        for lo, hi in zip(A_blk.indptr[:-1], A_blk.indptr[1:]):
+            if lo == hi:
+                continue
+            col = np.zeros(spec.dim)
+            col[A_blk.indices[lo:hi]] = A_blk.data[lo:hi]
+            tr_max = max(tr_max, float(np.sum(np.abs(np.linalg.eigvalsh(smat(col))))))
         ds = _matrix_max(result.s0[sl] - s_star[sl])
         ds_bound = min(mu0 / dmin, math.sqrt(mu0))
         bound = (1.0 + (tr_max + 1.0) / dmin) * mu0

@@ -26,6 +26,7 @@ from conepath.cones import (
     unit_point,
 )
 from conepath.errors import BoundaryOrExterior, Unsupported
+from conepath.smoothing import smooth
 
 from support import (
     ALL_KINDS,
@@ -317,6 +318,95 @@ class TestInteriorTests:
                 conjugate_gradient(spec, y)
                 assert tested
                 assert len(tested) - len(set(tested)) == 0, "points tested twice"
+
+    def test_one_interior_test_per_row_point_in_a_stack(self, monkeypatch):
+        # a 40-row power stack runs one masked Newton; every row point it
+        # tests (hint, start or trial) is tested once
+        tested = []
+        inner = cones.is_interior
+
+        def recording(spec, s, margin=0.0):
+            tested.extend(row.tobytes() for row in np.atleast_2d(np.asarray(s, dtype=float)))
+            return inner(spec, s, margin)
+
+        monkeypatch.setattr(cones, "is_interior", recording)
+        rng = np.random.default_rng(22)
+        spec = ConeSpec.power(0.9)
+        S = np.array([random_interior(spec, rng) for _ in range(40)])
+        Y = -barrier_gradient(spec, S)
+        for hint in (None, S * np.exp(rng.uniform(-0.3, 0.3, (40, 1)))):
+            tested.clear()
+            conjugate_gradient(spec, Y, hint=hint)
+            assert len(tested) > 40
+            assert len(tested) - len(set(tested)) == 0, "row points tested twice"
+
+
+def _stack_cases(kind, rng, k):
+    spec = make_spec(kind, np.random.default_rng(5), dim=4, order=3)
+    S = np.array([random_interior(spec, rng) for _ in range(k)])
+    Y = np.array([-barrier_gradient(spec, random_interior(spec, rng)) for _ in range(k)])
+    return spec, S, Y
+
+
+class TestStackedKernels:
+    """A (k, dim) stack gives, row for row, what the 1-D kernels give."""
+
+    KERNELS = (barrier_value, barrier_gradient, barrier_hessian, barrier_hessian_inverse)
+
+    @staticmethod
+    def assert_rows_equal(stacked, rows, kind):
+        stacked = np.asarray(stacked)
+        assert stacked.shape == (len(rows), *np.shape(rows[0]))
+        for got, want in zip(stacked, rows):
+            if kind in ("exp", "pow"):
+                # numpy's vector log and power may differ from libm's in the last ulp
+                assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+            else:
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("k", [1, 5])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_kernels_match_rows(self, kind, k):
+        spec, S, Y = _stack_cases(kind, np.random.default_rng(30 + k), k)
+        for kernel in self.KERNELS:
+            stacked = kernel(spec, S)
+            rows = [kernel(spec, s) for s in S]
+            if kind == "nonneg" and kernel is barrier_hessian_inverse:
+                # nonneg batches keep one sparse diagonal over the stack
+                diagonals = np.concatenate([r.diagonal() for r in rows])
+                assert np.array_equal(stacked.diagonal(), diagonals)
+                assert stacked.nnz == S.size
+                continue
+            self.assert_rows_equal(stacked, rows, kind)
+        self.assert_rows_equal(
+            conjugate_gradient(spec, Y), [conjugate_gradient(spec, y) for y in Y], kind
+        )
+        assert np.array_equal(is_interior(spec, S), [is_interior(spec, s) for s in S])
+        assert np.array_equal(is_interior_dual(spec, Y), [is_interior_dual(spec, y) for y in Y])
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_smoothing_matches_rows(self, kind):
+        rng = np.random.default_rng(33)
+        spec, S, Y = _stack_cases(kind, rng, 5)
+        C = S - Y
+        mu = np.exp(rng.uniform(-6.0, 0.0, 5))
+        stacked = smooth(spec, C, mu, hint=S)
+        rows = [smooth(spec, c, m, hint=s) for c, m, s in zip(C, mu, S)]
+        self.assert_rows_equal(stacked.s, [r.s for r in rows], kind)
+        assert list(stacked.newton_iters) == [r.newton_iters for r in rows]
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_one_exterior_row_raises(self, kind):
+        spec, S, Y = _stack_cases(kind, np.random.default_rng(34), 5)
+        assert is_interior(spec, S).all()
+        S[2] = -S[2]
+        assert list(is_interior(spec, S)) == [True, True, False, True, True]
+        for kernel in self.KERNELS:
+            with pytest.raises(BoundaryOrExterior):
+                kernel(spec, S)
+        Y[3] = -Y[3]
+        with pytest.raises(BoundaryOrExterior):
+            conjugate_gradient(spec, Y)
 
 
 class TestDampedNewton:

@@ -206,6 +206,17 @@ class TestProblemValidation:
                 cones=cones,
             )
 
+    def test_scalar_p_rejected(self):
+        # a scalar P is read as a 1x1 matrix, which fits no n > 1
+        with pytest.raises(Unsupported, match="P must be 3x3"):
+            ConicProblem(
+                P=0,
+                q=np.ones(3),
+                A=sp.csc_matrix(-np.eye(3)),
+                b=np.zeros(3),
+                cones=ConeProduct((ConeSpec.nonnegative(3),)),
+            )
+
     def test_dims(self):
         prob, _ = mixed_simplex_qp()
         assert prob.n == 2

@@ -12,9 +12,11 @@ from conepath.cones import (
     barrier_gradient,
     is_interior,
     is_interior_dual,
+    svec,
 )
 from conepath.errors import NotApplicable, Unsupported
 from conepath.ipm import ConicProblem, residual_map
+from conepath.smoothing import smooth
 from conepath.warmstart import (
     PreviousSolution,
     SelectedParameters,
@@ -238,6 +240,29 @@ class TestOverridesAndFallback:
         with pytest.raises(Unsupported):
             warmstart(prev, cones)
 
+    def test_one_failed_row_falls_back_alone(self):
+        # 40 equal power blocks smooth as one stack; the block whose target
+        # leaves the float64 working range falls back, the others keep the
+        # smoothing they get one block at a time
+        spec = ConeSpec.power(0.3)
+        cones = ConeProduct((spec,) * 40)
+        rng = np.random.default_rng(41)
+        s_star = np.concatenate([random_interior(spec, rng) for _ in range(40)])
+        z_star = np.concatenate(
+            [-barrier_gradient(spec, random_interior(spec, rng)) for _ in range(40)]
+        )
+        s_star[3 * 17 : 3 * 18] = [2e100, 3e100, 1e100]
+        prev = PreviousSolution(np.zeros(1), s_star, z_star)
+        res = warmstart(prev, cones, overrides={k: {"mu0": 1e-3} for k in range(40)})
+        assert res.fallback_blocks == [17]
+        assert res.per_block[17].rule == "fallback"
+        for k, sl in enumerate(cones.slices()):
+            if k == 17:
+                continue
+            alone = smooth(spec, s_star[sl] - z_star[sl], 1e-3, hint=s_star[sl]).s
+            assert np.allclose(res.s0[sl], alone, rtol=1e-12, atol=0.0), k
+            assert res.per_block[k].rule == "override"
+
     def test_fallback_to_unit_points(self):
         # a previous point so extreme smoothing cannot converge is
         # replaced blockwise by the cold unit point at mu = 1
@@ -370,6 +395,40 @@ class TestResidualBounds:
         report = residual_bound_check(prev, res, prob)
         assert not report.applicable
         assert "one non-Zero cone family" in report.reason
+
+    def test_psd_bound_with_zero_column_pinned(self):
+        # A has an all-zero column and a column with structural zeros; the
+        # PSD bound reads A's stored columns, and the report keeps the
+        # values it had when the bound densified A's block rows
+        rng = np.random.default_rng(31)
+        cones = ConeProduct((ConeSpec.psd_triangle(3),))
+        Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        s = svec((Q * np.array([1.5, 0.7, 0.0])) @ Q.T)
+        z = svec((Q * np.array([0.0, 0.0, 2.0])) @ Q.T)
+        column = np.array([[0.5], [0.0], [-1.0], [0.25], [0.0], [2.0]])
+        A = sp.hstack([-sp.eye(6), sp.csc_matrix((6, 1)), sp.csc_matrix(column)]).tocsc()
+        x = np.linspace(-1.0, 1.0, 8)
+        prob = ConicProblem(
+            P=sp.csc_matrix((8, 8)),
+            q=-(A.T @ z),
+            A=A,
+            b=s + A @ x + 1e-3 * np.array([1.0, -1.0, 0.5, -0.5, 1.0, -1.0]),
+            cones=cones,
+        )
+        prev = PreviousSolution(x, s, z, problem=prob)
+        report = residual_bound_check(prev, warmstart(prev, cones), prob)
+        assert (report.family, report.applicable, report.reason) == ("psd", True, None)
+        pinned = {
+            "bound": 0.007428571428571433,
+            "actual": 0.002151758213718935,
+            "mu0": 0.0010000000000000009,
+            "r_star_inf": 0.0010000000000000009,
+            "delta_s_inf": 0.0011517582137190452,
+            "delta_s_bound": 0.0014285714285714292,
+        }
+        for name, value in pinned.items():
+            assert math.isclose(getattr(report, name), value, rel_tol=1e-12), name
+        assert report.satisfied
 
     def test_residuals_stay_small_after_warmstart(self):
         prob, prev = self.make_active_lp()
