@@ -11,8 +11,10 @@ normalized) objective, and project by following it as mu -> 0.
 smooth and smooth_newton take one target c (dim,) or a stack (k, dim)
 of targets of the same cone, with one mu or one per row: a stack is
 smoothed in one call, its Newton rows in one masked Newton.  A stack
-row whose Newton solve fails comes back as NaN and leaves the other
-rows alone; for one target the failure raises NoConvergence.
+row whose solve fails -- a Newton solve that does not converge, or a
+target whose solution leaves the float64 range, closed forms included --
+comes back as NaN and leaves the other rows alone; for one target the
+failure raises NoConvergence.
 smooth_product smooths each batch of a ConeProduct as one stack.
 """
 
@@ -78,8 +80,8 @@ def smooth_product(product, c, mu, hints=None):
     mu may be a scalar or one value per block; hints, if given, holds
     one start (or None) per block.  Zero blocks pass through unchanged
     (their members are fixed points of the operator's limit).  Returns
-    (s, per-block SmoothingResult-or-None list); a block whose Newton
-    solve fails raises NoConvergence.
+    (s, per-block SmoothingResult-or-None list); a block whose smoothing
+    fails raises NoConvergence.
     """
     c = np.asarray(c, dtype=float)
     mus = np.broadcast_to(np.asarray(mu, dtype=float), (len(product),))

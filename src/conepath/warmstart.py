@@ -119,8 +119,9 @@ def warmstart(prev, cones, overrides=None):
     index -> {"lambda": ..., "mu0": ...} (either key optional) and
     replaces those values; a lambda-only override keeps mu0 at the
     clamped residual norm.  Each batch of equal blocks is smoothed in
-    one call; a block whose Newton smoothing fails falls back alone to
-    the cold unit point and is listed in fallback_blocks.
+    one call; a block whose smoothing fails (a Newton solve that does
+    not converge, or a target out of the float64 range) falls back alone
+    to the cold unit point and is listed in fallback_blocks.
     """
     x_star = np.asarray(prev.x_star, dtype=float)
     s_star = np.asarray(prev.s_star, dtype=float)
@@ -162,7 +163,7 @@ def warmstart(prev, cones, overrides=None):
         lam = np.array([params[k].lam for k in b.blocks])
         mu0 = np.array([params[k].mu0 for k in b.blocks])
         sb = b.rows(s_star)
-        # a row whose Newton smoothing fails comes back NaN and falls back alone
+        # a row whose smoothing fails comes back NaN and falls back alone
         s_blk = smooth(spec, sb - lam[:, None] * b.rows(z_star), mu0, hint=sb).s
         failed = np.isnan(s_blk).any(axis=1)
         z_blk = np.empty_like(s_blk)

@@ -14,7 +14,7 @@ from conepath.cones import (
     smat,
     unit_point,
 )
-from conepath.errors import Unsupported
+from conepath.errors import NoConvergence, Unsupported
 from conepath.smoothing import (
     project,
     project_dual,
@@ -115,6 +115,18 @@ class TestSecondOrder:
             assert res.optimality_residual <= 1e-8 * scale
             if mu >= 1e-4:
                 assert moreau_residual(spec, c, mu, res.s) <= 1e-8 * scale
+
+    def test_overflowing_row_fails_alone(self):
+        # c0^2/mu overflows, so the closed form gives inf/inf: that row
+        # fails as a Newton row does, the other row is untouched
+        spec = ConeSpec.second_order(3)
+        big = np.array([1e200, 1.0, 0.0])
+        with pytest.raises(NoConvergence):
+            smooth(spec, big, 1e-3)
+        c = np.array([[1.0, 1.0, 0.0], big])
+        res = smooth(spec, c, 1e-3)
+        assert np.isnan(res.s[1]).all() and np.isnan(res.optimality_residual[1])
+        assert np.array_equal(res.s[0], smooth(spec, c[0], 1e-3).s)
 
 
 class TestPsd:

@@ -13,6 +13,7 @@ from conepath.cones import (
     is_interior,
     is_interior_dual,
     svec,
+    unit_point,
 )
 from conepath.errors import NotApplicable, Unsupported
 from conepath.ipm import ConicProblem, residual_map
@@ -262,6 +263,22 @@ class TestOverridesAndFallback:
             alone = smooth(spec, s_star[sl] - z_star[sl], 1e-3, hint=s_star[sl]).s
             assert np.allclose(res.s0[sl], alone, rtol=1e-12, atol=0.0), k
             assert res.per_block[k].rule == "override"
+
+    def test_overflowing_closed_form_falls_back_alone(self):
+        # an SOC target whose c0^2/mu overflows fails in the closed form
+        # and falls back like a failed Newton row; its neighbour does not
+        spec = ConeSpec.second_order(3)
+        cones = ConeProduct((spec, spec))
+        s_star = np.array([2.0, 1.0, 0.0, 1e200, 1.0, 0.0])
+        z_star = np.array([1.0, -0.5, 0.0, 1.0, 0.0, 0.0])
+        prev = PreviousSolution(np.zeros(1), s_star, z_star)
+        res = warmstart(prev, cones, overrides={k: {"lambda": 1.0, "mu0": 1e-3} for k in range(2)})
+        assert res.fallback_blocks == [1]
+        assert res.per_block[1].rule == "fallback"
+        assert np.array_equal(res.s0[3:], unit_point(spec)[0])
+        alone = smooth(spec, s_star[:3] - z_star[:3], 1e-3, hint=s_star[:3]).s
+        assert np.array_equal(res.s0[:3], alone)
+        assert res.per_block[0].rule == "override"
 
     def test_fallback_to_unit_points(self):
         # a previous point so extreme smoothing cannot converge is
