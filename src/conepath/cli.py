@@ -200,6 +200,16 @@ def _cmd_bench(args):
     return 0
 
 
+def _min_eigenvalue(P):
+    """Smallest eigenvalue of a symmetric CSC P with a stored entry, from its stored rows.
+
+    The other rows and columns are zero, so each adds an eigenvalue 0.
+    """
+    rows = np.unique(P.indices)
+    wmin = float(np.linalg.eigvalsh(P[rows][:, rows].toarray()).min())
+    return min(wmin, 0.0) if len(rows) < P.shape[0] else wmin
+
+
 def _cmd_check(args):
     lines = []
     ok = True
@@ -230,7 +240,7 @@ def _cmd_check(args):
         sym_gap = abs(problem.P - problem.P.T).max() if problem.P.nnz else 0.0
         item("P symmetric", sym_gap == 0.0)
         if problem.P.nnz and finite:
-            wmin = float(np.linalg.eigvalsh(problem.P.toarray()).min())
+            wmin = _min_eigenvalue(problem.P)
             item("P positive semidefinite", wmin >= -1e-8,
                  f"min eigenvalue {wmin:.3e}")
         else:

@@ -34,7 +34,6 @@ from itertools import accumulate, groupby
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from ._newton import damped_newton_minimize  # noqa: F401  (re-exported)
 from ._newton import newton_rows, project_path, smoothing_newton
@@ -230,14 +229,10 @@ def _tested_stack(spec, s, dual=False):
 
 
 def _checked(formula, spec, s):
-    """The kind's formula on every row of a tested point or stack.
-
-    One point gets its row of the result; a nonnegative Hessian inverse
-    is one sparse matrix either way.
-    """
+    """The kind's formula on every row of a tested point or stack; one point gets its row."""
     s = np.asarray(s, dtype=float)
     out = getattr(CONES[spec.kind], formula)(spec, _tested_stack(spec, s))
-    return out[0] if s.ndim == 1 and not sp.issparse(out) else out
+    return out[0] if s.ndim == 1 else out
 
 
 def barrier_value(spec, s):
@@ -257,9 +252,8 @@ def barrier_hessian(spec, s):
 def barrier_hessian_inverse(spec, s):
     """Inverse Hessian; closed forms where available.
 
-    Nonnegative blocks give one sparse CSC diagonal over all k*dim
-    coordinates of a stack (dim entries for one point); every other
-    kind gives a dense (dim, dim) array per row.
+    Nonnegative blocks give the diagonal s**2, a (dim,) array per row;
+    every other kind gives a dense (dim, dim) array per row.
     """
     return _checked("hessian_inverse", spec, s)
 
@@ -496,7 +490,7 @@ class NonnegativeCone(SelfDualCone):
         return H
 
     def hessian_inverse(self, spec, S):
-        return sp.diags(S.ravel() ** 2, format="csc")
+        return S**2
 
     def unit_point(self, spec):
         e = np.ones(spec.dim)

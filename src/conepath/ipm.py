@@ -7,6 +7,10 @@ mu*G(v0), z = -mu*grad f(s), tau*kappa = mu with a Mehrotra-style
 centering weight; steps are clipped to keep every block strictly
 interior and inside a proximity neighborhood of the path.  Termination
 and infeasibility tests follow the documented inequalities literally.
+
+A solve assembles its KKT matrix once, with a fixed pattern, and
+computes its fill-reducing ordering once; each iteration writes only
+the (2,2) block's values, in place (see _KKT).
 """
 
 import time
@@ -262,48 +266,159 @@ def block_proximity(cones, s, z, hints=None):
     """Per-block proximity rho_i = nu_i / <grad f(s_i), grad f*(z_i)>.
 
     One kernel call covers each batch of cones.batches.  Returns (rho,
-    points): rho is NaN on Zero blocks, and points[j] holds -grad f*(z_i)
-    for the rows of batch j (None on Zero batches), the starting points
-    hints[j] takes for the next call.  rho_i equals the local path
-    parameter mu_i exactly on the central path and is strictly smaller
-    off it.
+    points): rho is NaN on Zero blocks, and points[j] is the pair
+    (-grad f*(z_i), grad f(s_i)) for the rows of batch j (None on Zero
+    batches).  Passed back as hints, points seeds the next call's
+    conjugate-gradient Newton; the step rule reuses the gradient at the
+    trial it accepts.  rho_i equals the local path parameter mu_i
+    exactly on the central path and is strictly smaller off it.
     """
     rho = np.full(len(cones.blocks), np.nan)
     points = [None] * len(cones.batches)
     for j, b in enumerate(cones.batches):
         if b.spec.degree:
-            gz = conjugate_gradient(b.spec, b.rows(z), hint=None if hints is None else hints[j])
+            gz = conjugate_gradient(b.spec, b.rows(z), hint=None if hints is None else hints[j][0])
             gs = barrier_gradient(b.spec, b.rows(s))
             rho[b.blocks.start : b.blocks.stop] = b.spec.degree / np.vecdot(gs, gz)
-            points[j] = -gz
+            points[j] = (-gz, gs)
     return rho, points
 
 
-def _block_diagonal(H):
-    """A batch's H^-1 as sp.block_diag takes it.
+def _with_diagonal(M):
+    """M as CSC with its whole diagonal stored, an explicit 0 where M has none."""
+    M = M.tocoo()
+    i = np.arange(M.shape[0])
+    return sp.csc_matrix(
+        (np.r_[M.data, np.zeros(len(i))], (np.r_[M.row, i], np.r_[M.col, i])), shape=M.shape
+    )
 
-    A sparse matrix stays as it is.  A dense stack of one block enters
-    as its (d, d) array, which block_diag reads without building a
-    sparse object, the faster form for one block (it takes 5% off the
-    cold solves of rebalance-soc, whose 51-dim SOC block is alone in
-    its batch).  A longer (k, d, d) stack enters as one BSR matrix,
-    which block_diag reads faster than k arrays.  Both store the same
-    entries.
+
+def _positions(M, rows, cols):
+    """Indices into M.data of the entries (rows, cols) of a CSC M with sorted indices."""
+    keys = np.repeat(np.arange(M.shape[1]), np.diff(M.indptr)) * M.shape[0] + M.indices
+    return np.searchsorted(keys, cols * M.shape[0] + rows)
+
+
+class _KKT:
+    """K = [[P, A'], [A, -H^-1/mu]] + REGULARIZATION * diag(1_n, -1_m), built once per solve.
+
+    One bmat stores every entry an iteration can write: the full H^-1
+    pattern of each barrier batch (the diagonal where the kernel returns
+    only that, every d x d block otherwise) and the regularization
+    diagonal.  factor writes the (2,2) values in place with the float
+    operations of a fresh assembly: h/mu, its negation, then the
+    regularization on the diagonal.
+
+    The first splu of a K without an exact zero computes the ordering;
+    K is then stored with its columns in that order and factored as
+    NATURAL.  A default splu's perm_c already holds its etree postorder
+    and NATURAL adds none, so SuperLU pivots and rounds as a default
+    splu of K would: factors and solves are bit-identical.  Only an
+    exact tie for a column's largest magnitude could pick another, as
+    valid, pivot row, since SuperLU breaks such a tie towards the
+    diagonal and the permutation moves the diagonal.
+
+    Hinv holds H^-1/mu for the products of the step; Kx holds K without
+    the regularization, in the original column order, for the residual
+    of the refinement step.
     """
-    if sp.issparse(H):
-        return H
-    if len(H) == 1:
-        return H[0]
-    k, d, _ = H.shape
-    return sp.bsr_matrix((H, np.arange(k), np.arange(k + 1)), shape=(k * d, k * d))
+
+    def __init__(self, problem, stacks):
+        n, m = problem.n, problem.m
+        rows, cols = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+        for b, H in zip(problem.cones.barrier_batches, stacks):
+            if H.ndim == 2:  # the diagonal of each block
+                i = np.arange(b.sl.start, b.sl.stop)
+                rows.append(i)
+                cols.append(i)
+            else:
+                k, d, _ = H.shape
+                t, j, i = np.indices((k, d, d)).reshape(3, -1)
+                rows.append(b.sl.start + t * d + i)
+                cols.append(b.sl.start + t * d + j)
+        # block by block, column by column: the CSC order of H^-1
+        rows, cols = np.concatenate(rows), np.concatenate(cols)
+        self.Hinv = sp.csc_matrix(
+            (np.zeros(len(rows)), rows, np.searchsorted(cols, np.arange(m + 1))), shape=(m, m)
+        )
+        # a fresh assembly adds the regularization, which drops stored zeros
+        P, A = problem.P.copy(), problem.A.copy()
+        P.eliminate_zeros()
+        A.eliminate_zeros()
+        self.Kx = sp.bmat(
+            [[_with_diagonal(P), A.T], [A, _with_diagonal(self.Hinv)]], format="csc"
+        )
+        diag = np.arange(n + m)
+        self.xpos = _positions(self.Kx, n + rows, n + cols)
+        self.hreg = np.where(rows == cols, -REGULARIZATION, 0.0)
+        self.K = self.Kx.copy()
+        self.K.data[_positions(self.K, diag, diag)] += np.r_[
+            np.full(n, REGULARIZATION), np.full(m, -REGULARIZATION)
+        ]
+        self.kpos = self.xpos
+        self.qi = None  # the ordering: column j of the stored K is column qi[j] of K
+        self.perm = None  # qi once the last factor took the stored K as NATURAL
+        self.n = n
+
+    def factor(self, stacks, mu):
+        """Write H^-1/mu from the barrier batches' stacks and factor K.
+
+        Raises RuntimeError if K is singular.
+        """
+        values = ((H if H.ndim == 2 else H.transpose(0, 2, 1)).ravel() for H in stacks)
+        np.concatenate([np.zeros(0), *values], out=self.Hinv.data)
+        # an in-place divide, not Hinv / mu: sparse division by a scalar
+        # multiplies by 1/mu, which moves the last bit of every iterate
+        self.Hinv.data /= mu
+        neg = -self.Hinv.data
+        self.Kx.data[self.xpos] = neg
+        self.K.data[self.kpos] = neg + self.hreg
+        if not self.K.data.all():
+            # a fresh assembly drops an exact zero (there are some in H^-1
+            # at the unit point of an SOC or pow block, and an entry can
+            # underflow), so this K has a pattern of its own: factor it
+            # with a fresh ordering, as that assembly would be
+            K = self.K.copy() if self.qi is None else self.K[:, np.argsort(self.qi)]
+            K.eliminate_zeros()
+            self.lu, self.perm = splu(K), None
+        elif self.qi is None:
+            self.lu, self.perm = splu(self.K), None
+            self._permute(np.argsort(self.lu.perm_c))
+        else:
+            self.lu, self.perm = splu(self.K, permc_spec="NATURAL"), self.qi
+
+    def _permute(self, qi):
+        """Store K with its columns in the order qi, and move kpos along."""
+        K = self.K
+        counts = np.diff(K.indptr)[qi]
+        indptr = np.r_[0, np.cumsum(counts)]
+        src = np.repeat(K.indptr[qi] - indptr[:-1], counts) + np.arange(K.nnz)
+        self.K = sp.csc_matrix((K.data[src], K.indices[src], indptr), shape=K.shape)
+        moved = np.empty_like(src)
+        moved[src] = np.arange(K.nnz)
+        self.kpos = moved[self.kpos]
+        self.qi = qi
+
+    def _solve(self, rhs):
+        if self.perm is None:
+            return self.lu.solve(rhs)
+        sol = np.empty_like(rhs)
+        sol[self.perm] = self.lu.solve(rhs)
+        return sol
+
+    def solve(self, top, bottom):
+        """K^-1 [top; bottom] with one step of refinement against K without regularization."""
+        rhs = np.concatenate([top, bottom])
+        sol = self._solve(rhs)
+        sol += self._solve(rhs - self.Kx @ sol)
+        return sol[: self.n], sol[self.n :]
 
 
 def solve(problem, start, settings=None):
     """Predictor-corrector path following from a cold or warm iterate."""
     cfg = settings or Settings()
     cones = problem.cones
-    n, m = problem.n, problem.m
-    nu1 = cones.degree + 1
+    m = problem.m
     t0 = time.perf_counter()
 
     x = np.asarray(start.x, dtype=float).copy()
@@ -316,10 +431,9 @@ def solve(problem, start, settings=None):
         raise RejectedWarmStart("start iterate is not strictly interior")
 
     hints = None
+    reuse_grad = False  # the proximity test took the gradient at the accepted s
+    kkt = None
     barrier = np.array([k for k, _, _ in cones.barrier_blocks], dtype=np.intp)
-    # Zero batches of H^-1 store nothing; the barrier batches replace theirs
-    empty_parts = [sp.csc_matrix((b.sl.stop - b.sl.start,) * 2) for b in cones.batches]
-    reg = sp.diags(np.r_[np.full(n, REGULARIZATION), np.full(m, -REGULARIZATION)], format="csc")
 
     def scaled_norms():
         res = residual_map(problem, x / tau, s / tau, z / tau)
@@ -363,31 +477,23 @@ def solve(problem, start, settings=None):
         rtau = -float(problem.q @ x) - float(problem.b @ z) - xPx / tau - kappa
 
         grad = np.zeros(m)
-        parts = list(empty_parts)
+        stacks = []
         try:
             for j, b in enumerate(cones.batches):
                 if b.spec.degree:
                     S = b.rows(s)
-                    grad[b.sl] = barrier_gradient(b.spec, S).ravel()
-                    parts[j] = _block_diagonal(barrier_hessian_inverse(b.spec, S))
+                    G = hints[j][1] if reuse_grad else barrier_gradient(b.spec, S)
+                    grad[b.sl] = G.ravel()
+                    stacks.append(barrier_hessian_inverse(b.spec, S))
         except (BoundaryOrExterior, np.linalg.LinAlgError):
             return report(SolveStatus.NUMERICAL_ERROR)
-        Hinv = sp.block_diag(parts, format="csc") if parts else sp.csc_matrix((0, 0))
-        # an in-place divide, not Hinv / mu: sparse division by a scalar
-        # multiplies by 1/mu, which moves the last bit of every iterate
-        Hinv.data /= mu
-
-        K_exact = sp.bmat([[problem.P, problem.A.T], [problem.A, -Hinv]], format="csc")
+        if kkt is None:
+            kkt = _KKT(problem, stacks)
         try:
-            lu = splu(K_exact + reg)
+            kkt.factor(stacks, mu)
         except RuntimeError:
             return report(SolveStatus.NUMERICAL_ERROR)
-
-        def kkt_solve(top, bottom):
-            rhs = np.concatenate([top, bottom])
-            sol = lu.solve(rhs)
-            sol += lu.solve(rhs - K_exact @ sol)
-            return sol[:n], sol[n:]
+        Hinv, kkt_solve = kkt.Hinv, kkt.solve
 
         u2, w2 = kkt_solve(-problem.q, problem.b)
         qp = problem.q + (2.0 / tau) * Px
@@ -451,6 +557,7 @@ def solve(problem, start, settings=None):
                         # a NaN rho fails the comparison, so it rejects the trial
                         if (rho[barrier] >= BETA * mu_new).all():
                             hints = points
+                            reuse_grad = True
                             accepted = True
                             break
             alpha *= 0.8
@@ -477,6 +584,7 @@ def solve(problem, start, settings=None):
             kappa /= tau
             tau = 1.0
             mu = _embedding_mu(problem, s, z, tau, kappa)
+            reuse_grad = False
         steps += 1
         rp, rd, _ = scaled_norms()
         trace.append(TraceRow(mu, rp, rd, alpha))

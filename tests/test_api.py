@@ -47,3 +47,5 @@ def test_benchmark_tracer_finds_every_target():
             assert f"cones.{kind}.{label}" in names
         assert f"smoothing.{kind}.smooth" in names
     assert not any(name.startswith("cones.zero.") for name in names)
+    # the KKT layers: one assembly per solve, then every factorization and solve
+    assert {"ipm.kkt_assembly", "ipm.kkt_factor", "ipm.kkt_solve"} <= names

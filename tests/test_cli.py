@@ -10,7 +10,7 @@ import pytest
 import scipy.sparse as sp
 
 from conepath import fileio
-from conepath.cli import _arith_grid, _geom_grid, main
+from conepath.cli import _arith_grid, _geom_grid, _min_eigenvalue, main
 from conepath.cones import ConeProduct, ConeSpec
 from conepath.errors import ParseError
 from conepath.ipm import ConicProblem, cold_start, solve
@@ -328,6 +328,47 @@ class TestCheckCommand:
         assert code == 0
         assert "FAIL  P positive semidefinite" in out
         assert out.strip().endswith("RESULT: FAIL")
+
+    def large_p_problem(self, block):
+        # a 3000x3000 P whose only stored entries are one 3x3 block
+        n = 3000
+        P = sp.lil_matrix((n, n))
+        P[1000:1003, 1000:1003] = block
+        return ConicProblem(
+            P=P.tocsc(),
+            q=np.ones(n),
+            A=-sp.identity(n, format="csc"),
+            b=np.full(n, -1.0),
+            cones=ConeProduct((ConeSpec.nonnegative(n),)),
+        )
+
+    def test_large_indefinite_block_reported(self, tmp_path, capsys):
+        path = tmp_path / "p.prob"
+        block = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])  # eigenvalue -1
+        fileio.write_problem(self.large_p_problem(block), path)
+        assert main(["check", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "FAIL  P positive semidefinite: min eigenvalue -1.000e+00" in out
+        assert out.strip().endswith("RESULT: FAIL")
+
+    def test_large_psd_block_passes(self, tmp_path, capsys):
+        path = tmp_path / "p.prob"
+        block = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 1.0]])
+        fileio.write_problem(self.large_p_problem(block), path)
+        assert main(["check", str(path)]) == 0
+        out = capsys.readouterr().out
+        # the empty rows give eigenvalue 0, below the block's smallest (1)
+        assert "PASS  P positive semidefinite: min eigenvalue 0.000e+00" in out
+        assert out.strip().endswith("RESULT: PASS")
+
+    @pytest.mark.parametrize("psd", [False, True])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_min_eigenvalue_matches_dense(self, seed, psd):
+        # seeds 0, 2 and 3 leave rows of P empty; seed 1 stores every row
+        rng = np.random.default_rng(seed)
+        M = sp.random(12, 12, density=0.08, random_state=rng).toarray()
+        P = sp.csc_matrix(M @ M.T if psd else M + M.T)
+        assert _min_eigenvalue(P) == pytest.approx(np.linalg.eigvalsh(P.toarray()).min(), abs=1e-12)
 
 
 class TestBenchCommand:

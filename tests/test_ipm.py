@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from conepath import ipm
-from conepath.cones import ConeKind, ConeProduct, ConeSpec, svec
+from conepath.cones import ConeKind, ConeProduct, ConeSpec, barrier_hessian_inverse, svec
 from conepath.errors import RejectedWarmStart, Unsupported
 from conepath.ipm import (
     ConicProblem,
@@ -23,6 +24,8 @@ from conepath.ipm import (
 )
 from conepath.problems import gen_portfolio, synth_returns
 from conepath.warmstart import PreviousSolution, warmstart
+
+from support import random_interior
 
 
 def lp_box():
@@ -427,7 +430,7 @@ class TestSolverMechanics:
 
 
 class TestKKTStructure:
-    def test_one_assembly_per_factorization_and_no_structural_zero(self, monkeypatch):
+    def test_one_assembly_per_solve_and_ordering_computed_once(self, monkeypatch):
         prob = gen_portfolio(synth_returns(6, 30, 0), 5e-4)
         kinds = {spec.kind for spec in prob.cones.blocks}
         assert {ConeKind.ZERO, ConeKind.NONNEGATIVE, ConeKind.SECOND_ORDER} <= kinds
@@ -437,25 +440,115 @@ class TestKKTStructure:
             for spec in prob.cones.blocks
             if spec.kind is not ConeKind.ZERO
         )
-        expected = prob.P.nnz + 2 * prob.A.nnz + scaling_nnz
-        assembled, factored = [], []
-        bmat, splu = ipm.sp.bmat, ipm.splu
+        # the regularization diagonal is stored too: where P has no
+        # diagonal entry, and on the Zero blocks, which have no scaling
+        unscaled = sum(spec.dim for spec in prob.cones.blocks if spec.kind is ConeKind.ZERO)
+        missing = prob.n - np.count_nonzero(prob.P.diagonal())
+        expected = prob.P.nnz + 2 * prob.A.nnz + scaling_nnz + missing + unscaled
+        assembled, orderings = [], []
+        bmat = ipm.sp.bmat
 
         def counting_bmat(*args, **kwargs):
             K = bmat(*args, **kwargs)
             assembled.append(K.nnz)
             return K
 
-        def counting_splu(K):
-            factored.append(K.shape)
-            return splu(K)
+        def counting_splu(K, **kwargs):
+            orderings.append(kwargs.get("permc_spec") != "NATURAL")
+            return splu(K, **kwargs)
 
         monkeypatch.setattr(ipm.sp, "bmat", counting_bmat)
         monkeypatch.setattr(ipm, "splu", counting_splu)
-        report = solve(prob, cold_start(prob))
-        assert report.status is SolveStatus.OPTIMAL
-        assert len(factored) > 0
-        assert assembled == [expected] * len(factored)
+        cold = solve(prob, cold_start(prob))
+        assert cold.status is SolveStatus.OPTIMAL
+        assert assembled == [expected]
+        # one factorization per step, 19 as before; the unit point's exact
+        # zeros in the SOC block's H^-1 force a fresh ordering once
+        assert len(orderings) == cold.iterations == 19
+        assert sum(orderings) == 2
+        assembled.clear()
+        orderings.clear()
+        ws = warmstart(PreviousSolution(*cold.solution, problem=prob), prob.cones)
+        warm = solve(prob, warm_start(prob, ws))
+        assert warm.status is SolveStatus.OPTIMAL
+        assert assembled == [expected]
+        assert len(orderings) == warm.iterations == 9
+        assert sum(orderings) == 1
+
+    def product_problem(self, rng):
+        cones = ConeProduct(
+            (
+                ConeSpec.zero(2),
+                ConeSpec.nonnegative(3),
+                ConeSpec.second_order(4),
+                ConeSpec.power(0.3),
+                ConeSpec.power(0.3),
+                ConeSpec.psd_triangle(3),
+                ConeSpec.second_order(3),
+            )
+        )
+        n, m = 5, cones.dim
+        A = sp.random(m, n, density=0.4, random_state=rng) + sp.eye(m, n)
+        M = sp.random(n, n, density=0.3, random_state=rng)
+        return ConicProblem(
+            P=M @ M.T, q=rng.standard_normal(n), A=A, b=rng.standard_normal(m), cones=cones
+        )
+
+    def fresh(self, prob, stacks, mu):
+        """K, the exact K and H^-1/mu as a per-iteration assembly builds them."""
+        H = np.zeros((prob.m, prob.m))
+        for b, stack in zip(prob.cones.barrier_batches, stacks):
+            # a nonneg stack holds the diagonals; the other kinds, full blocks
+            full = np.diag(stack.ravel()) if stack.ndim == 2 else sp.block_diag(stack).toarray()
+            H[b.sl, b.sl] = full
+        Hinv = sp.csc_matrix(H)
+        Hinv.data /= mu
+        K_exact = sp.bmat([[prob.P, prob.A.T], [prob.A, -Hinv]], format="csc")
+        reg = np.r_[np.full(prob.n, ipm.REGULARIZATION), np.full(prob.m, -ipm.REGULARIZATION)]
+        K = K_exact + sp.diags(reg, format="csc")
+        K.eliminate_zeros()
+        return K, K_exact, Hinv
+
+    def test_in_place_kkt_equals_fresh_assembly_bitwise(self):
+        rng = np.random.default_rng(7)
+        prob = self.product_problem(rng)
+        cones = prob.cones
+        unit_soc = cones.batches[-1]
+        kkt = None
+        # zeros, the first K without one, two reused orderings, zeros again
+        for it in range(5):
+            s = np.zeros(prob.m)
+            for b in cones.barrier_batches:
+                s[b.sl] = np.concatenate([random_interior(b.spec, rng) for _ in b.blocks])
+            zeros = it in (0, 4)
+            if zeros:
+                # the unit point of an SOC block: exact zeros in its H^-1
+                s[unit_soc.sl] = cones.unit_points()[0][unit_soc.sl]
+            mu = float(np.exp(rng.uniform(-5.0, 1.0)))
+            stacks = [barrier_hessian_inverse(b.spec, b.rows(s)) for b in cones.barrier_batches]
+            if kkt is None:
+                kkt = ipm._KKT(prob, stacks)
+            kkt.factor(stacks, mu)
+            K, K_exact, Hinv = self.fresh(prob, stacks, mu)
+            assert zeros == (not kkt.K.data.all())
+            # the first K without a zero fixes the ordering
+            assert (kkt.qi is None) == (it == 0)
+            assert (kkt.perm is not None) == (it in (2, 3))  # factored as NATURAL
+            stored = kkt.K if kkt.qi is None else kkt.K[:, np.argsort(kkt.qi)]
+            stored = stored.copy()
+            stored.eliminate_zeros()
+            for attr in ("indptr", "indices", "data"):
+                assert getattr(stored, attr).tobytes() == getattr(K, attr).tobytes()
+            v = rng.standard_normal(prob.n + prob.m)
+            r = rng.standard_normal(prob.m)
+            assert (kkt.Kx @ v).tobytes() == (K_exact @ v).tobytes()
+            assert (kkt.Hinv @ r).tobytes() == (Hinv @ r).tobytes()
+            lu = splu(K)
+            assert kkt._solve(v).tobytes() == lu.solve(v).tobytes()
+            sol = lu.solve(v)
+            sol += lu.solve(v - K_exact @ sol)
+            top, bottom = kkt.solve(v[: prob.n], v[prob.n :])
+            assert np.r_[top, bottom].tobytes() == sol.tobytes()
 
 
 class TestWarmVsCold:
