@@ -4,14 +4,14 @@ The nonsymmetric cones' conjugate gradient, smoothing and projection
 minimize a self-concordant objective per point.  newton_rows runs one
 masked damped Newton over a (k, d) stack of such points: each row keeps
 its own step, tests and exit, and a row that fails does not stop the
-others.  damped_newton_minimize is its one-point form.
+others.  One point is the k = 1 stack.
 """
 
 import math
 
 import numpy as np
 
-from .errors import BoundaryOrExterior, NoConvergence
+from .errors import NoConvergence
 
 
 def norms(V):
@@ -20,56 +20,6 @@ def norms(V):
 
 
 _LAMBDA_STAR = 2.0 - math.sqrt(3.0)
-
-
-def damped_newton_minimize(
-    value,
-    grad,
-    hess,
-    inside,
-    s0,
-    *,
-    decrement_tol=1e-12,
-    grad_tol=None,
-    max_iters=100,
-    collect_trace=False,
-):
-    """Damped Newton descent for a standard self-concordant objective.
-
-    Steps of size 1/(1+lambda) are provably safe; a backtracking search
-    first tries longer steps subject to the same omega(lambda) decrease
-    guarantee and strict domain membership.  Returns (s, iters, trace)
-    where trace rows are (decrement, objective, step) sampled before
-    each step.
-
-    The decrement criterion is authoritative.  grad_tol is a best-effort
-    polish target: near a stiff boundary one ulp of the iterate can move
-    the gradient by more than grad_tol, so once the decrement criterion
-    holds the search gets two extra iterations to meet grad_tol and then
-    accepts the point as float64-stationary.  Inside the quadratic tail
-    (lambda <= 2 - sqrt(3)) exact arithmetic at least halves lambda per
-    full step, so a run of steps without halving means the iterate sits
-    on the float64 lattice floor and is likewise accepted.
-
-    The oracles take one point.  This is the k = 1 case of the masked
-    Newton over the rows of a stack that the cone kernels run.
-    """
-    s = np.asarray(s0, dtype=float)
-    if not inside(s):
-        raise BoundaryOrExterior("newton start point is outside the domain")
-
-    def per_row(f):
-        return lambda T, rows: np.array([f(t) for t in T])
-
-    S, iters, traces, errors = newton_rows(
-        per_row(value), per_row(grad), per_row(hess),
-        lambda T: np.array([bool(inside(t)) for t in T], dtype=bool), s[None],
-        decrement_tol=decrement_tol, grad_tol=grad_tol, max_iters=max_iters,
-        collect_trace=collect_trace,
-    )
-    if errors[0] is not None:
-        raise NoConvergence(errors[0])
-    return S[0], int(iters[0]), traces[0] if collect_trace else []
 
 
 def _newton_step(H, g):
@@ -131,19 +81,28 @@ def _line_search(value, inside, S, D, fs, lam, rows):
 
 
 def newton_rows(
-    value, grad, hess, inside, S0, *, decrement_tol, grad_tol, max_iters, collect_trace
+    value, derivatives, inside, S0, *, decrement_tol, grad_tol, max_iters, collect_trace
 ):
-    """damped_newton_minimize over the rows of a stack, one masked Newton.
+    """Damped Newton descent on a standard self-concordant objective, per row of S0.
 
-    value, grad and hess take (T, rows): a stack T of points and the
-    indices of their rows in S0, so that per-row data can follow; inside
-    takes a stack.  decrement_tol and grad_tol are scalars or one value
-    per row.  The rows of S0 must be strictly interior: callers test
-    their starts.  Each row keeps its own interior test of every trial,
-    decrease test, decrement tolerance, polish steps, tail-stall exit
-    and backtracking.  Returns (S, iters, traces, errors): errors[i] is
-    None or the message of row i's NoConvergence, and a failed row keeps
-    its last iterate.
+    Steps of size 1/(1+lambda) are provably safe; _line_search tries
+    longer ones first.  value and derivatives take (T, rows): a stack T
+    of points and the indices of their rows in S0, so that per-row data
+    can follow; derivatives returns (gradients, Hessians) from one call.
+    inside takes a stack.  decrement_tol and grad_tol are scalars or one
+    value per row.  The rows of S0 must be strictly interior: callers
+    test their starts.
+
+    The decrement criterion is authoritative.  grad_tol (or None) is a
+    polish target: near a stiff boundary one ulp of the iterate can move
+    the gradient by more than grad_tol, so a row that meets the decrement
+    gets two more steps to meet it and is then accepted.  In the
+    quadratic tail (lambda <= 2 - sqrt(3)) exact arithmetic at least
+    halves lambda per full step, so a run of steps that does not sits on
+    the float64 floor and is accepted too.  Returns (S, iters, traces,
+    errors): traces[i] lists row i's (decrement, objective, step) before
+    each step; errors[i] is None or row i's NoConvergence message, and a
+    failed row keeps its last iterate.
     """
     S = np.array(S0, dtype=float)
     k = len(S)
@@ -176,8 +135,7 @@ def newton_rows(
         r = np.flatnonzero(active)
         if not r.size:
             break
-        g = grad(S[r], r)
-        H = hess(S[r], r)
+        g, H = derivatives(S[r], r)
         good = np.isfinite(g).all(axis=1) & np.isfinite(H).all(axis=(1, 2))
         fail(r[~good], "derivatives overflow; no descent direction")
         r, g, H = r[good], g[good], H[good]
@@ -230,24 +188,22 @@ def smoothing_newton(C, mu, oracles, S0, collect_trace):
     omega-decrease rule are taken on that scaling.  mu holds one weight
     per row; returns what newton_rows returns.
     """
-    value, grad, hess, inside = oracles
+    value, derivatives, inside = oracles
     mt = np.minimum(mu, 1.0)
 
     def phi(T, r):
         D = T - C[r]
         return (0.5 * np.vecdot(D, D) + mu[r] * value(T)) / mt[r]
 
-    def phi_grad(T, r):
-        return (T - C[r] + mu[r, None] * grad(T)) / mt[r, None]
-
-    def phi_hess(T, r):
-        H = mu[r, None, None] * hess(T)
+    def phi_derivatives(T, r):
+        G, H = derivatives(T)
+        H = mu[r, None, None] * H
         i = np.arange(T.shape[1])
         H[:, i, i] += 1.0
-        return H / mt[r, None, None]
+        return (T - C[r] + mu[r, None] * G) / mt[r, None], H / mt[r, None, None]
 
     return newton_rows(
-        phi, phi_grad, phi_hess, inside, S0,
+        phi, phi_derivatives, inside, S0,
         decrement_tol=1e-10 / np.sqrt(mt), grad_tol=1e-9 * np.maximum(1.0, norms(C)) / mt,
         max_iters=100, collect_trace=collect_trace,
     )

@@ -13,12 +13,11 @@ import os
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
 from scipy.stats import spearmanr
 
 from .errors import ConepathError, EmptyInput, Unsupported
 from .ipm import (
-    Settings, SolveStatus, cold_start, optimal_objective, residual_map, solve, warm_start,
+    Settings, SolveStatus, check_termination, cold_start, optimal_objective, solve, warm_start,
 )
 from .problems import Family, SequenceSpec, build_sequence
 from .warmstart import PreviousSolution, warmstart
@@ -27,14 +26,9 @@ log = logging.getLogger(__name__)
 
 
 def phi(problem, iterate):
-    """Merit of an iterate: max of mu and the two residual norms."""
-    res = residual_map(problem, iterate.x / iterate.tau, iterate.s / iterate.tau,
-                       iterate.z / iterate.tau)
-    return max(
-        iterate.mu,
-        float(np.linalg.norm(res.r_p)),
-        float(np.linalg.norm(res.r_d)),
-    )
+    """Merit of an iterate: max of mu and the two residual norms check_termination takes."""
+    _, (r_p, r_d, _) = check_termination(problem, iterate)
+    return max(iterate.mu, r_p, r_d)
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,9 @@ ConeProduct groups each run of consecutive blocks with an equal ConeSpec
 into one batch, and a batch's slice of s or z, reshaped to (k, dim), is
 such a stack, so one call covers the whole batch.  The Newton solves of
 the nonsymmetric kinds run one masked damped Newton over the rows of a
-stack (_newton.py): each row keeps its own step, tests and exit, and a
-row that fails does not stop the others.
+stack (_newton.py), with one derivatives call per step for the gradient
+and Hessian together: each row keeps its own step, tests and exit, and
+a row that fails does not stop the others.
 
 The module functions (is_interior, barrier_gradient, ...) are the
 checked entry points.  They take one point (dim,) or a stack (k, dim)
@@ -35,7 +36,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._newton import damped_newton_minimize  # noqa: F401  (re-exported)
 from ._newton import newton_rows, project_path, smoothing_newton
 from ._newton import norms as _norms
 from .errors import BoundaryOrExterior, EigenFailure, NoConvergence, Unsupported
@@ -339,13 +339,16 @@ class Cone:
     def interior_dual(self, spec, Y, margin):
         return _interior_rows(self.interior, spec, self.dual_coords(spec, Y), margin)
 
+    def derivatives(self, spec, S):
+        """(gradients, Hessians) of the barrier on a stack."""
+        return self.gradient(spec, S), self.hessian(spec, S)
+
     def oracles(self, spec):
-        """(value, gradient, Hessian, interior test) on stacks, for the Newton
-        solves, which call the first three only on rows the interior test passed."""
+        """(value, derivatives, interior test) on stacks, for the Newton
+        solves, which call the first two only on rows the interior test passed."""
         return (
             lambda S: self.value(spec, S),
-            lambda S: self.gradient(spec, S),
-            lambda S: self.hessian(spec, S),
+            lambda S: self.derivatives(spec, S),
             lambda S: is_interior(spec, S, 0.0),
         )
 
@@ -671,7 +674,7 @@ class NonsymmetricCone(Cone):
     """Exponential and power cones in R^3.
 
     Both barriers are f = -log u - c1 log x1 - c2 log x2: each kind
-    supplies u with its derivatives up to an order, the weights
+    supplies u, alone or with its first and second derivatives, the weights
     (c1, c2), the slack its interior test bounds, a unit point and the
     linear map M with y in int(K*) iff M y in int(K).  Conjugate
     gradients, smoothing and projections run damped Newton on those.
@@ -699,22 +702,24 @@ class NonsymmetricCone(Cone):
         c1, c2 = self.weights(spec)
         return -np.log(self.u(spec, S)) - c1 * np.log(S[:, 0]) - c2 * np.log(S[:, 1])
 
-    def gradient(self, spec, S):
+    def derivatives(self, spec, S):
+        """(gradients, Hessians) from one evaluation of u and its derivatives."""
         c1, c2 = self.weights(spec)
-        u, du = self.u(spec, S, order=1)
+        u, du, d2u = self.u(spec, S, order=2)
         G = -du / u[:, None]
         G[:, 0] -= c1 / S[:, 0]
         G[:, 1] -= c2 / S[:, 1]
-        return G
-
-    def hessian(self, spec, S):
-        c1, c2 = self.weights(spec)
-        u, du, d2u = self.u(spec, S, order=2)
         u = u[:, None, None]
         H = (du[:, :, None] * du[:, None, :]) / u**2 - d2u / u
         H[:, 0, 0] += c1 / S[:, 0] ** 2
         H[:, 1, 1] += c2 / S[:, 1] ** 2
-        return H
+        return G, H
+
+    def gradient(self, spec, S):
+        return self.derivatives(spec, S)[0]
+
+    def hessian(self, spec, S):
+        return self.derivatives(spec, S)[1]
 
     def hessian_inverse(self, spec, S):
         w, U = np.linalg.eigh(self.hessian(spec, S))
@@ -738,10 +743,14 @@ class NonsymmetricCone(Cone):
         S0[cold] = e_s * (spec.degree / np.vecdot(Y[cold], e_s))[:, None]
         if cold.any() and not np.all(is_interior(spec, S0[cold], 0.0)):
             raise BoundaryOrExterior("newton start point is outside the domain")
-        value, grad, hess, inside = self.oracles(spec)
+        value, derivatives, inside = self.oracles(spec)
+
+        def shifted(T, r):
+            G, H = derivatives(T)
+            return Y[r] + G, H
+
         S, _, _, errors = newton_rows(
-            lambda T, r: np.vecdot(Y[r], T) + value(T), lambda T, r: Y[r] + grad(T),
-            lambda T, r: hess(T), inside, S0,
+            lambda T, r: np.vecdot(Y[r], T) + value(T), shifted, inside, S0,
             decrement_tol=1e-12, grad_tol=1e-10 * np.maximum(1.0, _norms(Y)),
             max_iters=100, collect_trace=False,
         )
@@ -758,10 +767,14 @@ class NonsymmetricCone(Cone):
         # pulled-back barrier y -> f(M y), independent of project()
         M = self.dual_map(spec)
         _, e_z = self.unit_point(spec)
+
+        def derivatives(Y):
+            G, H = self.derivatives(spec, Y @ M.T)
+            return G @ M, M.T @ H @ M
+
         oracles = (
             lambda Y: self.value(spec, Y @ M.T),
-            lambda Y: self.gradient(spec, Y @ M.T) @ M,
-            lambda Y: M.T @ self.hessian(spec, Y @ M.T) @ M,
+            derivatives,
             lambda Y: is_interior(spec, Y @ M.T, 0.0),
         )
         return project_path(c, oracles, e_z)
@@ -786,8 +799,6 @@ class ExponentialCone(NonsymmetricCone):
         if order == 0:
             return u
         du = np.stack([x2 / x1, L - 1.0, np.full_like(x1, -1.0)], axis=1)
-        if order == 1:
-            return u, du
         d2u = np.zeros((len(S), 3, 3))
         d2u[:, 0, 0] = -x2 / x1**2
         d2u[:, 0, 1] = d2u[:, 1, 0] = 1.0 / x1
@@ -835,8 +846,6 @@ class PowerCone(NonsymmetricCone):
             return u
         A = v * v
         du = np.stack([2 * a * A / x1, 2 * (1 - a) * A / x2, -2 * x3], axis=1)
-        if order == 1:
-            return u, du
         d2u = np.zeros((len(S), 3, 3))
         d2u[:, 0, 0] = 2 * a * (2 * a - 1) * A / x1**2
         d2u[:, 0, 1] = d2u[:, 1, 0] = 4 * a * (1 - a) * A / (x1 * x2)

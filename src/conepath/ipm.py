@@ -61,6 +61,7 @@ class ConicProblem:
         self.A = sp.csc_matrix(self.A, dtype=float)
         if self.A.shape != (m, n):
             raise Unsupported(f"A must be {m}x{n}, got {self.A.shape}")
+        self.AT = self.A.T  # a CSR view of A's arrays, built once
         if self.cones.dim != m:
             raise Unsupported(
                 f"cone product dim {self.cones.dim} does not match b length {m}"
@@ -88,9 +89,10 @@ def residual_map(problem, x, s, z):
     x = np.asarray(x, dtype=float)
     s = np.asarray(s, dtype=float)
     z = np.asarray(z, dtype=float)
-    xPx = float(x @ (problem.P @ x))
+    Px = problem.P @ x
+    xPx = float(x @ Px)
     return Residuals(
-        r_d=problem.P @ x + problem.A.T @ z + problem.q,
+        r_d=Px + problem.AT @ z + problem.q,
         r_p=-(problem.A @ x) + problem.b - s,
         g_p=0.5 * xPx + float(problem.q @ x),
         g_d=-0.5 * xPx - float(problem.b @ z),
@@ -110,9 +112,10 @@ class Iterate:
 def homogeneous_map(problem, v):
     """G(v) of the embedding, stacked as (n + m + 1)-vector."""
     x, z, tau = v.x, v.z, v.tau
-    top = problem.P @ x + problem.A.T @ z + problem.q * tau
+    Px = problem.P @ x
+    top = Px + problem.AT @ z + problem.q * tau
     mid = -(problem.A @ x) + problem.b * tau - v.s
-    xPx = float(x @ (problem.P @ x))
+    xPx = float(x @ Px)
     bot = -float(problem.q @ x) - float(problem.b @ z) - xPx / tau - v.kappa
     return np.concatenate([top, mid, [bot]])
 
@@ -138,7 +141,8 @@ def warm_start(problem, ws):
     """Embed a warmstart: tau = 1, kappa = <s0,z0>/nu so tau*kappa = mu.
 
     All-Zero compositions carry no barrier blocks and fall back to the
-    cold start.  Non-fallback blocks must be strictly interior.
+    cold start.  Every barrier block must be strictly interior; a
+    fallback block holds the unit point, which is.
     """
     cones = problem.cones
     if cones.degree == 0:
@@ -147,9 +151,9 @@ def warm_start(problem, ws):
     z0 = np.asarray(ws.z0, dtype=float)
     for b in cones.barrier_batches:
         ok = is_interior(b.spec, b.rows(s0), 0.0) & is_interior_dual(b.spec, b.rows(z0), 0.0)
-        for k in np.asarray(b.blocks)[~ok]:
-            if k not in ws.fallback_blocks:
-                raise RejectedWarmStart(f"warmstart block {k} is not strictly interior")
+        if not ok.all():
+            k = np.asarray(b.blocks)[~ok][0]
+            raise RejectedWarmStart(f"warmstart block {k} is not strictly interior")
     mu = float(s0 @ z0) / cones.degree
     return Iterate(
         x=np.asarray(ws.x0, dtype=float).copy(),
@@ -220,32 +224,35 @@ def optimal_objective(problem, report):
 def check_termination(problem, v, eps=1e-8):
     """Optimality at the tau-scaled point, else raw infeasibility tests.
 
-    Returns a SolveStatus or None.  The infeasibility inequalities are
-    evaluated exactly as documented: right sides carry the factor
-    -(b'z) resp. -(q'x), positive only when those products are negative.
+    Returns (status, (||r_p||, ||r_d||, |g_p - g_d|)): a SolveStatus or
+    None, and the norms of residual_map at the tau-scaled point, which
+    the solver reports.  The infeasibility inequalities are evaluated
+    exactly as documented: right sides carry the factor -(b'z) resp.
+    -(q'x), positive only when those products are negative.
     """
     xs = v.x / v.tau
     ss = v.s / v.tau
     zs = v.z / v.tau
     res = residual_map(problem, xs, ss, zs)
+    rp, rd = float(np.linalg.norm(res.r_p)), float(np.linalg.norm(res.r_d))
+    gap = abs(res.g_p - res.g_d)
     nb = float(np.max(np.abs(problem.b))) if problem.b.size else 0.0
     nq = float(np.max(np.abs(problem.q))) if problem.q.size else 0.0
     nxs = float(np.linalg.norm(xs))
     if (
-        float(np.linalg.norm(res.r_p)) < eps * max(1.0, nb + nxs + float(np.linalg.norm(ss)))
-        and float(np.linalg.norm(res.r_d))
-        < eps * max(1.0, nq + nxs + float(np.linalg.norm(zs)))
-        and abs(res.g_p - res.g_d) < eps * max(1.0, min(abs(res.g_p), abs(res.g_d)))
+        rp < eps * max(1.0, nb + nxs + float(np.linalg.norm(ss)))
+        and rd < eps * max(1.0, nq + nxs + float(np.linalg.norm(zs)))
+        and gap < eps * max(1.0, min(abs(res.g_p), abs(res.g_d)))
     ):
-        return SolveStatus.OPTIMAL
+        return SolveStatus.OPTIMAL, (rp, rd, gap)
 
     x, z, s = v.x, v.z, v.s
     btz = float(problem.b @ z)
     nx = float(np.linalg.norm(x))
-    if btz < -EPS_IA and float(np.linalg.norm(problem.A.T @ z)) < -EPS_IR * max(
+    if btz < -EPS_IA and float(np.linalg.norm(problem.AT @ z)) < -EPS_IR * max(
         1.0, nx + float(np.linalg.norm(z))
     ) * btz:
-        return SolveStatus.PRIMAL_INFEASIBLE
+        return SolveStatus.PRIMAL_INFEASIBLE, (rp, rd, gap)
 
     qtx = float(problem.q @ x)
     if (
@@ -254,8 +261,8 @@ def check_termination(problem, v, eps=1e-8):
         and float(np.linalg.norm(problem.A @ x + s))
         < -EPS_IR * max(1.0, nx + float(np.linalg.norm(s))) * qtx
     ):
-        return SolveStatus.DUAL_INFEASIBLE
-    return None
+        return SolveStatus.DUAL_INFEASIBLE, (rp, rd, gap)
+    return None, (rp, rd, gap)
 
 
 def _interior_point(cones, s, z, margin):
@@ -435,21 +442,11 @@ def solve(problem, start, settings=None):
     kkt = None
     barrier = np.array([k for k, _, _ in cones.barrier_blocks], dtype=np.intp)
 
-    def scaled_norms():
-        res = residual_map(problem, x / tau, s / tau, z / tau)
-        return (
-            float(np.linalg.norm(res.r_p)),
-            float(np.linalg.norm(res.r_d)),
-            abs(res.g_p - res.g_d),
-        )
-
     mu = _embedding_mu(problem, s, z, tau, kappa)
-    rp0, rd0, gap0 = scaled_norms()
-    trace = [TraceRow(mu, rp0, rd0, 0.0)]
-    steps = 0
+    trace = []
+    alpha = 0.0  # the step that reached the iterate, in its trace row
 
     def report(status):
-        rp, rd, gap = scaled_norms()
         return SolveReport(
             status=status,
             iterations=max(steps, 1),
@@ -465,14 +462,19 @@ def solve(problem, start, settings=None):
             kappa=kappa,
         )
 
-    for _ in range(cfg.max_iters):
-        status = check_termination(problem, Iterate(x, z, s, tau, kappa, mu), cfg.eps)
+    for steps in range(max(cfg.max_iters, 0) + 1):
+        status, (rp, rd, gap) = check_termination(
+            problem, Iterate(x, z, s, tau, kappa, mu), cfg.eps
+        )
+        trace.append(TraceRow(mu, rp, rd, alpha))
+        if status is None and steps >= cfg.max_iters:
+            status = SolveStatus.MAX_ITERS
         if status is not None:
             return report(status)
 
         Px = problem.P @ x
         xPx = float(x @ Px)
-        rx = Px + problem.A.T @ z + problem.q * tau
+        rx = Px + problem.AT @ z + problem.q * tau
         rz = -(problem.A @ x) + problem.b * tau - s
         rtau = -float(problem.q @ x) - float(problem.b @ z) - xPx / tau - kappa
 
@@ -585,9 +587,3 @@ def solve(problem, start, settings=None):
             tau = 1.0
             mu = _embedding_mu(problem, s, z, tau, kappa)
             reuse_grad = False
-        steps += 1
-        rp, rd, _ = scaled_norms()
-        trace.append(TraceRow(mu, rp, rd, alpha))
-
-    status = check_termination(problem, Iterate(x, z, s, tau, kappa, mu), cfg.eps)
-    return report(status if status is not None else SolveStatus.MAX_ITERS)

@@ -27,6 +27,10 @@ MU0_CEIL = 1.0
 # values count as degenerate and the scale-free rule applies.
 SOC_DEGENERACY_TOL = 1e-10
 
+# certify_central_path's tolerances; z0 comes from grad f(s0), so only rounding is left
+_GRAD_TOL = 1e-8  # (a), scaled by the block: grad f(s0) grows large near the boundary
+_COMP_TOL = 1e-10  # (b), relative: <s0, z0> = nu*mu0/lambda is one rounded dot product
+
 
 @dataclass
 class PreviousSolution:
@@ -213,11 +217,11 @@ class CertReport:
         )
 
 
-def certify_central_path(result, cones, grad_tol=1e-8, comp_tol=1e-10):
+def certify_central_path(result, cones):
     """Check the path-membership identities block by block.
 
-    (a) lambda*z0 + mu0*grad f(s0) = 0 within grad_tol (scaled),
-    (b) <s0, z0> = nu*mu0/lambda within comp_tol relative,
+    (a) lambda*z0 + mu0*grad f(s0) = 0 within _GRAD_TOL (scaled),
+    (b) <s0, z0> = nu*mu0/lambda within _COMP_TOL relative,
     (c) s0 strictly interior to K and z0 to K*.
     Zero blocks are reported as not applicable.
     """
@@ -241,8 +245,8 @@ def certify_central_path(result, cones, grad_tol=1e-8, comp_tol=1e-10):
         blocks[k] = BlockCertificate(
             k,
             applicable=True,
-            gradient_ok=resid <= grad_tol * scale,
-            complementarity_ok=comp_abs <= comp_tol * target + float_floor,
+            gradient_ok=resid <= _GRAD_TOL * scale,
+            complementarity_ok=comp_abs <= _COMP_TOL * target + float_floor,
             interior_ok=interior_ok,
             gradient_residual=resid,
             complementarity_error=comp_abs / target,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conepath import cones
+from conepath._newton import newton_rows
 from conepath.cones import (
     ConeProduct,
     ConeSpec,
@@ -15,7 +16,6 @@ from conepath.cones import (
     barrier_value,
     conjugate_gradient,
     conjugate_value,
-    damped_newton_minimize,
     dual_coords,
     is_interior,
     is_interior_dual,
@@ -403,6 +403,19 @@ class TestStackedKernels:
             conjugate_gradient(spec, Y)
 
 
+def newton_one_point(value, grad, hess, inside, s0):
+    """newton_rows on the k = 1 stack of s0, with per-point oracles."""
+    S, iters, traces, errors = newton_rows(
+        lambda T, r: np.array([value(t) for t in T]),
+        lambda T, r: (np.array([grad(t) for t in T]), np.array([hess(t) for t in T])),
+        lambda T: np.array([inside(t) for t in T], dtype=bool),
+        np.asarray(s0, dtype=float)[None],
+        decrement_tol=1e-12, grad_tol=None, max_iters=100, collect_trace=True,
+    )
+    assert errors == [None]
+    return S[0], int(iters[0]), traces[0]
+
+
 class TestDampedNewton:
     def test_minimizes_smoothing_objective(self):
         # quadratic-plus-barrier model with a known stationarity condition
@@ -412,14 +425,13 @@ class TestDampedNewton:
             c = rng.standard_normal(3) * 2.0
             mu = 0.1
             s0, _ = unit_point(spec)
-            s, iters, trace = damped_newton_minimize(
+            s, iters, trace = newton_one_point(
                 value=lambda v: 0.5 * float((v - c) @ (v - c))
                 + mu * barrier_value(spec, v),
                 grad=lambda v: (v - c) + mu * barrier_gradient(spec, v),
                 hess=lambda v: np.eye(3) + mu * barrier_hessian(spec, v),
                 inside=lambda v: is_interior(spec, v, 0.0),
                 s0=s0,
-                collect_trace=True,
             )
             resid = np.linalg.norm(s - c + mu * barrier_gradient(spec, s))
             assert resid <= 1e-7 * max(1.0, np.linalg.norm(c))
@@ -432,17 +444,32 @@ class TestDampedNewton:
         c = rng.standard_normal(3)
         mu = 1.0
         s0, _ = unit_point(spec)
-        _, _, trace = damped_newton_minimize(
+        _, _, trace = newton_one_point(
             value=lambda v: 0.5 * float((v - c) @ (v - c))
             + mu * barrier_value(spec, v),
             grad=lambda v: (v - c) + mu * barrier_gradient(spec, v),
             hess=lambda v: np.eye(3) + mu * barrier_hessian(spec, v),
             inside=lambda v: is_interior(spec, v, 0.0),
             s0=s0,
-            collect_trace=True,
         )
         values = [row[1] for row in trace]
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
+
+    def test_one_derivative_evaluation_per_newton_step(self, monkeypatch):
+        # a conjugate-gradient Newton step takes gradient and Hessian from
+        # one evaluation of u and its first two derivatives
+        spec, _, Y = _stack_cases("pow", np.random.default_rng(17), 10)
+        orders = []
+        u = cones.PowerCone.u
+
+        def recorded(self, spec, S, order=0):
+            orders.append(order)
+            return u(self, spec, S, order)
+
+        monkeypatch.setattr(cones.PowerCone, "u", recorded)
+        conjugate_gradient(spec, Y)
+        assert 2 in orders
+        assert 1 not in orders
 
 
 class TestConeProduct:

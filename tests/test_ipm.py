@@ -22,8 +22,8 @@ from conepath.ipm import (
     solve,
     warm_start,
 )
-from conepath.problems import gen_portfolio, synth_returns
-from conepath.warmstart import PreviousSolution, warmstart
+from conepath.problems import gen_hmcr, gen_portfolio, synth_returns
+from conepath.warmstart import PreviousSolution, WarmStartResult, warmstart
 
 from support import random_interior
 
@@ -294,6 +294,16 @@ class TestStarts:
         with pytest.raises(RejectedWarmStart):
             warm_start(prob, ws)
 
+    def test_exterior_fallback_block_is_rejected_by_name(self):
+        # a fallback block of warmstart() holds the unit point; a hand-built
+        # result that lists an exterior block as fallback is still exterior
+        prob, _ = mixed_simplex_qp()
+        e_s, e_z = prob.cones.unit_points()
+        ws = WarmStartResult(np.zeros(prob.n), e_s, e_z, per_block=[], fallback_blocks=[1])
+        ws.z0[prob.cones.slices()[1]][0] = -1.0
+        with pytest.raises(RejectedWarmStart, match="block 1 "):
+            warm_start(prob, ws)
+
 
 class TestFixtureLibrary:
     @pytest.mark.parametrize("name", sorted(FIXTURES))
@@ -369,11 +379,13 @@ class TestTermination:
             kappa=0.0,
             mu=0.0,
         )
-        assert check_termination(prob, v) is SolveStatus.OPTIMAL
+        status, _ = check_termination(prob, v)
+        assert status is SolveStatus.OPTIMAL
 
     def test_cold_start_is_undecided(self):
         prob, _ = lp_box()
-        assert check_termination(prob, cold_start(prob)) is None
+        status, _ = check_termination(prob, cold_start(prob))
+        assert status is None
 
 
 class TestSolverMechanics:
@@ -422,6 +434,27 @@ class TestSolverMechanics:
         assert loose.status is SolveStatus.OPTIMAL
         assert tight.status is SolveStatus.OPTIMAL
         assert loose.iterations <= tight.iterations
+
+    def test_one_residual_evaluation_per_iterate(self, monkeypatch):
+        # the trace row, the termination test and the report of an iterate
+        # all come from one residual_map call, cold and warm
+        prob = gen_hmcr(synth_returns(4, 8, 0), 5e-4, 3.0, 0.9)
+        calls = []
+        residual = ipm.residual_map
+
+        def counted(*args):
+            calls.append(1)
+            return residual(*args)
+
+        monkeypatch.setattr(ipm, "residual_map", counted)
+        cold = solve(prob, cold_start(prob))
+        assert cold.status is SolveStatus.OPTIMAL
+        assert len(calls) == len(cold.trace)
+        ws = warmstart(PreviousSolution(*cold.solution, problem=prob), prob.cones)
+        calls.clear()
+        warm = solve(prob, warm_start(prob, ws))
+        assert len(calls) == len(warm.trace)
+        assert (warm.r_p, warm.r_d) == (warm.trace[-1].r_p, warm.trace[-1].r_d)
 
     def test_solve_time_recorded(self):
         prob, _ = lp_box()
