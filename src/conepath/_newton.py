@@ -1,10 +1,14 @@
-"""Damped Newton over the rows of a stack.
+"""Newton solves over the rows of a stack.
 
-The nonsymmetric cones' conjugate gradient, smoothing and projection
-minimize a self-concordant objective per point.  newton_rows runs one
-masked damped Newton over a (k, d) stack of such points: each row keeps
-its own step, tests and exit, and a row that fails does not stop the
-others.  One point is the k = 1 stack.
+The nonsymmetric cones' smoothing and projection minimize a
+self-concordant objective per point.  newton_rows runs one masked damped
+Newton over a (k, d) stack of such points: each row keeps its own step,
+tests and exit, and a row that fails does not stop the others.  One
+point is the k = 1 stack.
+
+Their conjugate gradients need no minimization: grad f(s) = -y leaves
+one unknown per row, the root of an increasing scalar equation, and
+bracketed_root finds the roots of all rows with one vectorized Newton.
 """
 
 import math
@@ -178,6 +182,38 @@ def newton_rows(
         fs[r] = f_new[found]
     fail(np.flatnonzero(active), f"newton did not converge in {max_iters} iterations")
     return S, iters, traces, errors
+
+
+def bracketed_root(equation, lo, hi, x0):
+    """Root of an increasing scalar equation per row, by Newton inside a bracket.
+
+    equation takes (x, rows), points and the indices of their rows, and
+    returns (values, slopes) from one call.  Row i's root lies in
+    [lo[i], hi[i]] and its Newton starts at x0[i].  Each evaluation moves
+    one end of the row's bracket to the point, by the sign of the value,
+    and a step that leaves the bracket (or is not a number) is replaced
+    by the bracket's midpoint.  A row stops once its step is at most
+    1e-12 or its value is exactly 0; a row with an empty bracket, lo == hi,
+    has its root already.  Raises NoConvergence if a row has not stopped
+    after 50 evaluations.
+    """
+    x = np.array(x0, dtype=float)
+    r = np.flatnonzero(lo < hi)
+    xr, lo, hi = x[r], lo[r], hi[r]  # the rows still running
+    for _ in range(50):
+        if not r.size:
+            return x
+        f, df = equation(xr, r)
+        lo = np.where(f <= 0.0, xr, lo)
+        hi = np.where(f >= 0.0, xr, hi)
+        new = xr - f / df
+        new = np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
+        x[r] = new
+        run = ~((np.abs(new - xr) <= 1e-12) | (f == 0.0))
+        r, xr, lo, hi = r[run], new[run], lo[run], hi[run]
+    if r.size:
+        raise NoConvergence("scalar root did not converge in 50 steps")
+    return x
 
 
 def smoothing_newton(C, mu, oracles, S0, collect_trace):

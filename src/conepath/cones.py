@@ -12,11 +12,13 @@ are k points of one cone; formulas give one result per row: (k,) values
 and interior tests, (k, dim) gradients, (k, dim, dim) Hessians.  A
 ConeProduct groups each run of consecutive blocks with an equal ConeSpec
 into one batch, and a batch's slice of s or z, reshaped to (k, dim), is
-such a stack, so one call covers the whole batch.  The Newton solves of
-the nonsymmetric kinds run one masked damped Newton over the rows of a
-stack (_newton.py), with one derivatives call per step for the gradient
-and Hessian together: each row keeps its own step, tests and exit, and
-a row that fails does not stop the others.
+such a stack, so one call covers the whole batch.  The smoothing and
+projection of the nonsymmetric kinds run one masked damped Newton over
+the rows of a stack (_newton.py), with one derivatives call per step for
+the gradient and Hessian together: each row keeps its own step, tests
+and exit, and a row that fails does not stop the others.  Their
+conjugate gradients solve one increasing scalar equation per row, all
+rows in one bracketed Newton.
 
 The module functions (is_interior, barrier_gradient, ...) are the
 checked entry points.  They take one point (dim,) or a stack (k, dim)
@@ -36,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._newton import newton_rows, project_path, smoothing_newton
+from ._newton import bracketed_root, project_path, smoothing_newton
 from ._newton import norms as _norms
 from .errors import BoundaryOrExterior, EigenFailure, NoConvergence, Unsupported
 
@@ -263,17 +265,18 @@ def unit_point(spec):
     return CONES[spec.kind].unit_point(spec)
 
 
-def conjugate_gradient(spec, y, hint=None):
+def conjugate_gradient(spec, y):
     """Gradient of the conjugate barrier, grad f*(y), for y in int(K*).
 
-    Satisfies grad f(-grad f*(y)) = -y and lies in -int(K).  hint, if
-    interior, seeds the Newton solve on nonsymmetric cones (pass the
-    previous -grad f*(y) when tracking a path); for a stack, hint is a
-    stack too and each interior row seeds its own row.  Raises
-    NoConvergence if any row's Newton solve fails.
+    Satisfies grad f(-grad f*(y)) = -y and lies in -int(K).  Self-dual
+    kinds have it in closed form; exponential and power cones solve one
+    scalar equation per row.  Raises BoundaryOrExterior if a row is not
+    strictly inside K*, and NoConvergence if a row's point -grad f*(y)
+    leaves the float64 range (its u overflows or underflows, as for
+    |y| ~ 1e300 on a power cone).
     """
     y = np.asarray(y, dtype=float)
-    out = CONES[spec.kind].conjugate_gradient(spec, _tested_stack(spec, y, dual=True), hint)
+    out = CONES[spec.kind].conjugate_gradient(spec, _tested_stack(spec, y, dual=True))
     return out[0] if y.ndim == 1 else out
 
 
@@ -443,7 +446,7 @@ class SelfDualCone(Cone):
     def interior_dual(self, spec, Y, margin):
         return self.interior(spec, Y, margin)
 
-    def conjugate_gradient(self, spec, Y, hint=None):
+    def conjugate_gradient(self, spec, Y):
         return self.gradient(spec, Y)
 
     def project_dual(self, spec, c):
@@ -674,10 +677,12 @@ class NonsymmetricCone(Cone):
     """Exponential and power cones in R^3.
 
     Both barriers are f = -log u - c1 log x1 - c2 log x2: each kind
-    supplies u, alone or with its first and second derivatives, the weights
-    (c1, c2), the slack its interior test bounds, a unit point and the
-    linear map M with y in int(K*) iff M y in int(K).  Conjugate
-    gradients, smoothing and projections run damped Newton on those.
+    supplies u, alone or with its first (and second) derivatives, the
+    weights (c1, c2), the slack its interior test bounds, a unit point
+    and the linear map M with y in int(K*) iff M y in int(K).  Smoothing
+    and projections run damped Newton on those.  For the conjugate
+    gradient each kind reduces grad f(s) = -y to one increasing scalar
+    equation per row (conjugate_root), solved by one bracketed Newton.
     """
 
     def validate(self, spec):
@@ -702,24 +707,31 @@ class NonsymmetricCone(Cone):
         c1, c2 = self.weights(spec)
         return -np.log(self.u(spec, S)) - c1 * np.log(S[:, 0]) - c2 * np.log(S[:, 1])
 
-    def derivatives(self, spec, S):
-        """(gradients, Hessians) from one evaluation of u and its derivatives."""
+    def _gradient(self, spec, S, u, du):
         c1, c2 = self.weights(spec)
-        u, du, d2u = self.u(spec, S, order=2)
         G = -du / u[:, None]
         G[:, 0] -= c1 / S[:, 0]
         G[:, 1] -= c2 / S[:, 1]
+        return G
+
+    def _hessian(self, spec, S, u, du, d2u):
+        c1, c2 = self.weights(spec)
         u = u[:, None, None]
         H = (du[:, :, None] * du[:, None, :]) / u**2 - d2u / u
         H[:, 0, 0] += c1 / S[:, 0] ** 2
         H[:, 1, 1] += c2 / S[:, 1] ** 2
-        return G, H
+        return H
+
+    def derivatives(self, spec, S):
+        """(gradients, Hessians) from one evaluation of u and its derivatives."""
+        u, du, d2u = self.u(spec, S, order=2)
+        return self._gradient(spec, S, u, du), self._hessian(spec, S, u, du, d2u)
 
     def gradient(self, spec, S):
-        return self.derivatives(spec, S)[0]
+        return self._gradient(spec, S, *self.u(spec, S, order=1))
 
     def hessian(self, spec, S):
-        return self.derivatives(spec, S)[1]
+        return self._hessian(spec, S, *self.u(spec, S, order=2))
 
     def hessian_inverse(self, spec, S):
         w, U = np.linalg.eigh(self.hessian(spec, S))
@@ -729,34 +741,14 @@ class NonsymmetricCone(Cone):
         w = np.maximum(w, w[:, -1:] * 1e-14)
         return (U / w[:, None, :]) @ _t(U)
 
-    def conjugate_gradient(self, spec, Y, hint=None):
-        # minimize <y, s> + f(s) over int K, one row per y; a row starts
-        # at its hint if that is interior, else at the unit point scaled
-        # so that <y, s0> = nu, and every start is tested once
-        e_s, _ = self.unit_point(spec)
-        S0 = np.empty_like(Y)
-        cold = np.ones(len(Y), dtype=bool)
-        if hint is not None:
-            hint = np.asarray(hint, dtype=float).reshape(Y.shape)
-            cold = ~is_interior(spec, hint, 0.0)
-            S0[~cold] = hint[~cold]
-        S0[cold] = e_s * (spec.degree / np.vecdot(Y[cold], e_s))[:, None]
-        if cold.any() and not np.all(is_interior(spec, S0[cold], 0.0)):
-            raise BoundaryOrExterior("newton start point is outside the domain")
-        value, derivatives, inside = self.oracles(spec)
-
-        def shifted(T, r):
-            G, H = derivatives(T)
-            return Y[r] + G, H
-
-        S, _, _, errors = newton_rows(
-            lambda T, r: np.vecdot(Y[r], T) + value(T), shifted, inside, S0,
-            decrement_tol=1e-12, grad_tol=1e-10 * np.maximum(1.0, _norms(Y)),
-            max_iters=100, collect_trace=False,
-        )
-        for e in errors:
-            if e is not None:
-                raise NoConvergence(e)
+    def conjugate_gradient(self, spec, Y):
+        # the check below catches what float64 cannot hold: a bracket end,
+        # a step or a point that overflows, underflows or is not a number
+        with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
+            equation, lo, hi, x0, point = self.conjugate_root(spec, Y)
+            S, u = point(bracketed_root(equation, lo, hi, x0))
+        if not (np.isfinite(S).all() and np.all((u >= np.finfo(float).tiny) & np.isfinite(u))):
+            raise NoConvergence("conjugate point leaves the float64 range")
         return -S
 
     def project(self, spec, c):
@@ -799,6 +791,8 @@ class ExponentialCone(NonsymmetricCone):
         if order == 0:
             return u
         du = np.stack([x2 / x1, L - 1.0, np.full_like(x1, -1.0)], axis=1)
+        if order == 1:
+            return u, du
         d2u = np.zeros((len(S), 3, 3))
         d2u[:, 0, 0] = -x2 / x1**2
         d2u[:, 0, 1] = d2u[:, 1, 0] = 1.0 / x1
@@ -806,6 +800,32 @@ class ExponentialCone(NonsymmetricCone):
         return u, du, d2u
 
     slack = u
+
+    def conjugate_root(self, spec, Y):
+        """grad f(s) = -y as one increasing equation per row in l = -log s2.
+
+        With p = -y3 > 0 and w = s2, s1 = (1 + p w)/y1 and
+        s3 = w log(s1/w) - 1/p, so that u = 1/p; q = 1/w = e^l solves
+        q + p log(1 + q/p) = v, where v > 0 is the dual slack of y, the
+        slack of M y.  The left side lies between q and 2q, so the root
+        lies in [v/2, v]; it is convex in l, so Newton from the upper
+        end descends without overshoot.
+        """
+        y1, p = Y[:, 0], -Y[:, 2]
+        v = self.slack(spec, self.dual_coords(spec, Y))
+        hi = np.log(v)
+
+        def equation(l, rows):
+            q = np.exp(l)
+            pk = p[rows]
+            return q + pk * np.log1p(q / pk) - v[rows], q * (1.0 + pk / (pk + q))
+
+        def point(l):
+            w = np.exp(-l)
+            s1 = (1.0 + p * w) / y1
+            return np.stack([s1, w, w * np.log(s1 / w) - 1.0 / p], axis=1), 1.0 / p
+
+        return equation, hi - math.log(2.0), hi, hi, point
 
     def unit_point(self, spec):
         e_s = np.array(_EXP_UNIT)
@@ -846,12 +866,48 @@ class PowerCone(NonsymmetricCone):
             return u
         A = v * v
         du = np.stack([2 * a * A / x1, 2 * (1 - a) * A / x2, -2 * x3], axis=1)
+        if order == 1:
+            return u, du
         d2u = np.zeros((len(S), 3, 3))
         d2u[:, 0, 0] = 2 * a * (2 * a - 1) * A / x1**2
         d2u[:, 0, 1] = d2u[:, 1, 0] = 4 * a * (1 - a) * A / (x1 * x2)
         d2u[:, 1, 1] = 2 * (1 - a) * (1 - 2 * a) * A / x2**2
         d2u[:, 2, 2] = -2.0
         return u, du, d2u
+
+    def conjugate_root(self, spec, Y):
+        """grad f(s) = -y as one increasing equation per row in l = log t, t = s3^2/u.
+
+        With r = 1 + t, s1 = (2ar + 1 - a)/y1, s2 = (2(1-a)r + a)/y2 and
+        s3 = -y3 phi/(2r), phi = (s1^a s2^(1-a))^2, so that u = phi/r; t
+        solves h = 2 log(m/|y3|) - D(1/t) = 0, where m - |y3| > 0 is the
+        dual slack of y (the slack of M y) and
+        D(x) = 2a log(1 + Ax) + 2(1-a) log(1 + Bx) - log(1 + x),
+        A = (1+a)/(2a), B = (2-a)/(2(1-a)).  h increases and is concave
+        in l, so Newton from the lower end climbs without overshoot.
+        log(1 + x) <= D(x) <= 3x and D(x) >= log x + 2a log A + 2(1-a) log B
+        bracket the root.  y3 = 0 gives t = 0: an empty bracket at -inf.
+        """
+        a = spec.alpha
+        c = np.array([math.log((1 + a) / (2 * a)), math.log((2 - a) / (2 * (1 - a))), 0.0])
+        w = np.array([2 * a, 2 * (1 - a), -1.0])
+        y1, y2, y3 = Y.T
+        h_inf = 2.0 * np.log1p(self.slack(spec, self.dual_coords(spec, Y)) / np.abs(y3))
+        lo = np.maximum(-np.log(np.expm1(h_inf)), w[:2] @ c[:2] - h_inf)
+
+        def equation(l, rows):
+            z = c[:, None] - l
+            P = np.logaddexp(0.0, z)  # log(1 + e^z), one row per term of D
+            return h_inf[rows] - w @ P, w @ np.exp(z - P)
+
+        def point(l):
+            t = np.exp(l)
+            s1 = (2 * a * t + 1 + a) / y1
+            s2 = (2 * (1 - a) * t + 2 - a) / y2
+            phi = (s1**a * s2 ** (1 - a)) ** 2
+            return np.stack([s1, s2, -y3 * phi / (2 * (1 + t))], axis=1), phi / (1 + t)
+
+        return equation, lo, math.log(3.0) - np.log(h_inf), lo, point
 
     def unit_point(self, spec):
         a = spec.alpha

@@ -269,26 +269,25 @@ def _interior_point(cones, s, z, margin):
     return cones.is_interior(s, margin) and cones.is_interior_dual(z, margin)
 
 
-def block_proximity(cones, s, z, hints=None):
+def block_proximity(cones, s, z):
     """Per-block proximity rho_i = nu_i / <grad f(s_i), grad f*(z_i)>.
 
     One kernel call covers each batch of cones.batches.  Returns (rho,
-    points): rho is NaN on Zero blocks, and points[j] is the pair
-    (-grad f*(z_i), grad f(s_i)) for the rows of batch j (None on Zero
-    batches).  Passed back as hints, points seeds the next call's
-    conjugate-gradient Newton; the step rule reuses the gradient at the
-    trial it accepts.  rho_i equals the local path parameter mu_i
+    gradients): rho is NaN on Zero blocks, and gradients[j] is grad f(s)
+    on the rows of batch j (None on Zero batches), which the step rule
+    reuses at the trial it accepts.  Raises what conjugate_gradient and
+    barrier_gradient raise.  rho_i equals the local path parameter mu_i
     exactly on the central path and is strictly smaller off it.
     """
     rho = np.full(len(cones.blocks), np.nan)
-    points = [None] * len(cones.batches)
+    gradients = [None] * len(cones.batches)
     for j, b in enumerate(cones.batches):
         if b.spec.degree:
-            gz = conjugate_gradient(b.spec, b.rows(z), hint=None if hints is None else hints[j][0])
+            gz = conjugate_gradient(b.spec, b.rows(z))
             gs = barrier_gradient(b.spec, b.rows(s))
             rho[b.blocks.start : b.blocks.stop] = b.spec.degree / np.vecdot(gs, gz)
-            points[j] = (-gz, gs)
-    return rho, points
+            gradients[j] = gs
+    return rho, gradients
 
 
 def _with_diagonal(M):
@@ -437,8 +436,7 @@ def solve(problem, start, settings=None):
     if not _interior_point(cones, s, z, 0.0):
         raise RejectedWarmStart("start iterate is not strictly interior")
 
-    hints = None
-    reuse_grad = False  # the proximity test took the gradient at the accepted s
+    gradients = None  # grad f at s per batch, from the proximity test that accepted s
     kkt = None
     barrier = np.array([k for k, _, _ in cones.barrier_blocks], dtype=np.intp)
 
@@ -484,7 +482,7 @@ def solve(problem, start, settings=None):
             for j, b in enumerate(cones.batches):
                 if b.spec.degree:
                     S = b.rows(s)
-                    G = hints[j][1] if reuse_grad else barrier_gradient(b.spec, S)
+                    G = barrier_gradient(b.spec, S) if gradients is None else gradients[j]
                     grad[b.sl] = G.ravel()
                     stacks.append(barrier_hessian_inverse(b.spec, S))
         except (BoundaryOrExterior, np.linalg.LinAlgError):
@@ -552,14 +550,13 @@ def solve(problem, start, settings=None):
                 mu_new = _embedding_mu(problem, s_new, z_new, tau_new, kappa_new)
                 if mu_new > 0.0 and tau_new * kappa_new >= BETA * mu_new:
                     try:
-                        rho, points = block_proximity(cones, s_new, z_new, hints)
+                        rho, trial_gradients = block_proximity(cones, s_new, z_new)
                     except (BoundaryOrExterior, NoConvergence):
                         pass
                     else:
                         # a NaN rho fails the comparison, so it rejects the trial
                         if (rho[barrier] >= BETA * mu_new).all():
-                            hints = points
-                            reuse_grad = True
+                            gradients = trial_gradients
                             accepted = True
                             break
             alpha *= 0.8
@@ -586,4 +583,4 @@ def solve(problem, start, settings=None):
             kappa /= tau
             tau = 1.0
             mu = _embedding_mu(problem, s, z, tau, kappa)
-            reuse_grad = False
+            gradients = None

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conepath import cones
+from conepath import _newton, cones
 from conepath._newton import newton_rows
 from conepath.cones import (
     ConeProduct,
@@ -25,8 +25,8 @@ from conepath.cones import (
     svec,
     unit_point,
 )
-from conepath.errors import BoundaryOrExterior, Unsupported
-from conepath.smoothing import smooth
+from conepath.errors import BoundaryOrExterior, NoConvergence, Unsupported
+from conepath.smoothing import smooth, smooth_newton
 
 from support import (
     ALL_KINDS,
@@ -299,6 +299,9 @@ class TestConjugates:
 
 
 class TestInteriorTests:
+    # the smoothing Newton, with the targets s - y and mu = 1 whose
+    # solution is s (s - c + mu grad f(s) = y + grad f(s) = 0)
+
     def test_one_interior_test_per_newton_point(self, monkeypatch):
         # the Newton loop tests each trial point once; value, gradient and
         # Hessian must not test the points it has already accepted again
@@ -313,15 +316,16 @@ class TestInteriorTests:
         rng = np.random.default_rng(21)
         for spec in (ConeSpec.exponential(), ConeSpec.power(0.3)):
             for _ in range(10):
-                y = -barrier_gradient(spec, random_interior(spec, rng))
+                s = random_interior(spec, rng)
+                y = -barrier_gradient(spec, s)
                 tested.clear()
-                conjugate_gradient(spec, y)
+                smooth_newton(spec, s - y, 1.0)
                 assert tested
                 assert len(tested) - len(set(tested)) == 0, "points tested twice"
 
     def test_one_interior_test_per_row_point_in_a_stack(self, monkeypatch):
         # a 40-row power stack runs one masked Newton; every row point it
-        # tests (hint, start or trial) is tested once
+        # tests (hint or trial) is tested once
         tested = []
         inner = cones.is_interior
 
@@ -336,7 +340,7 @@ class TestInteriorTests:
         Y = -barrier_gradient(spec, S)
         for hint in (None, S * np.exp(rng.uniform(-0.3, 0.3, (40, 1)))):
             tested.clear()
-            conjugate_gradient(spec, Y, hint=hint)
+            smooth_newton(spec, S - Y, 1.0, hint=hint)
             assert len(tested) > 40
             assert len(tested) - len(set(tested)) == 0, "row points tested twice"
 
@@ -456,9 +460,11 @@ class TestDampedNewton:
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
     def test_one_derivative_evaluation_per_newton_step(self, monkeypatch):
-        # a conjugate-gradient Newton step takes gradient and Hessian from
-        # one evaluation of u and its first two derivatives
-        spec, _, Y = _stack_cases("pow", np.random.default_rng(17), 10)
+        # a smoothing Newton step takes gradient and Hessian from one
+        # evaluation of u and its first two derivatives; the one gradient
+        # alone is the optimality residual of the result (the hint skips
+        # the continuation's unit point, whose e_z is a gradient too)
+        spec, S, Y = _stack_cases("pow", np.random.default_rng(17), 10)
         orders = []
         u = cones.PowerCone.u
 
@@ -467,9 +473,140 @@ class TestDampedNewton:
             return u(self, spec, S, order)
 
         monkeypatch.setattr(cones.PowerCone, "u", recorded)
-        conjugate_gradient(spec, Y)
+        result = smooth_newton(spec, S - Y, 0.1, hint=S)
+        assert result.newton_iters.min() > 1
         assert 2 in orders
-        assert 1 not in orders
+        assert 1 not in orders[:-1]
+        assert orders[-1] == 1
+
+    def test_gradient_evaluates_no_second_derivatives(self, monkeypatch):
+        # the barrier gradient needs u and du only
+        spec, S, _ = _stack_cases("pow", np.random.default_rng(18), 40)
+        orders = []
+        u = cones.PowerCone.u
+
+        def recorded(self, spec, S, order=0):
+            orders.append(order)
+            return u(self, spec, S, order)
+
+        monkeypatch.setattr(cones.PowerCone, "u", recorded)
+        barrier_gradient(spec, S)
+        assert orders == [1]
+
+
+NONSYMMETRIC = (ConeSpec.power(0.1), ConeSpec.power(0.5), ConeSpec.power(0.9), ConeSpec.exponential())
+
+
+def _dual_rows(spec, X):
+    """The points y of int K* with M y = x, one per row of X in int K."""
+    return np.linalg.solve(cones.CONES[spec.kind].dual_map(spec), X.T).T
+
+
+def _dual_stack(spec, seed):
+    """Seeded rows of int K*: 40 at scales 1e-6 to 1e6, 8 within 1e-10
+    of a flat face of K*'s boundary, and on power cones 8 with y3 = 0."""
+    rng = np.random.default_rng(seed)
+    X = np.array([random_interior(spec, rng) for _ in range(56)])
+    if spec.kind.value == "pow":
+        X[40:48, 0] = 1e-10 / spec.alpha  # y1 = 1e-10
+        lim = X[40:48, 0] ** spec.alpha * X[40:48, 1] ** (1 - spec.alpha)
+        X[40:48, 2] = rng.uniform(-0.85, 0.85, 8) * lim
+        X[48:, 2] = 0.0
+    else:
+        X[40:48, 1] = 1e-10  # y3 = -1e-10
+        X[40:48, 2] = 1e-10 * np.log(X[40:48, 0] / 1e-10) - np.exp(rng.uniform(-1, 1, 8))
+        X = X[:48]
+    X[:40] *= 10.0 ** rng.uniform(-6.0, 6.0, (40, 1))
+    return _dual_rows(spec, X)
+
+
+def _identity_error(spec, Y):
+    """||grad f(-grad f*(y)) + y|| / ||y|| per row."""
+    G = barrier_gradient(spec, -conjugate_gradient(spec, Y))
+    return np.linalg.norm(G + Y, axis=1) / np.linalg.norm(Y, axis=1)
+
+
+def _newton_reference(spec, Y):
+    """argmin <y, s> + f(s) per row by the damped Newton of the smoothing routes."""
+    value, derivatives, inside = cones.CONES[spec.kind].oracles(spec)
+    e_s, _ = unit_point(spec)
+    S0 = e_s * (spec.degree / (Y @ e_s))[:, None]
+
+    def shifted(T, r):
+        G, H = derivatives(T)
+        return Y[r] + G, H
+
+    S, _, _, errors = newton_rows(
+        lambda T, r: np.vecdot(Y[r], T) + value(T), shifted, inside, S0,
+        decrement_tol=1e-12, grad_tol=1e-10 * np.maximum(1.0, np.linalg.norm(Y, axis=1)),
+        max_iters=100, collect_trace=False,
+    )
+    assert errors == [None] * len(Y)
+    return S
+
+
+class TestConjugateRoots:
+    """The exp and pow conjugate gradients, one scalar root per row."""
+
+    @pytest.mark.parametrize("spec", NONSYMMETRIC, ids=str)
+    def test_gradient_identity(self, spec):
+        assert _identity_error(spec, _dual_stack(spec, 41)).max() <= 1e-12
+
+    @pytest.mark.parametrize("spec", NONSYMMETRIC, ids=str)
+    def test_near_the_curved_boundary(self, spec):
+        # at relative dual slack 1e-10, u(s) is ~1e-10 of the terms it is
+        # the difference of, so one ulp of any float64 s moves grad f(s)
+        # by ~1e-16 times that ratio: the identity holds to that scale
+        rng = np.random.default_rng(42)
+        X = np.array([random_interior(spec, rng) for _ in range(20)])
+        x1, x2 = X[:, 0], X[:, 1]
+        if spec.kind.value == "pow":
+            X[:, 2] = np.sign(X[:, 2]) * (1 - 1e-10) * x1**spec.alpha * x2 ** (1 - spec.alpha)
+        else:
+            X[:, 2] = x2 * np.log(x1 / x2) - 1e-10 * x2
+        Y = _dual_rows(spec, X)
+        S = -conjugate_gradient(spec, Y)
+        x1, x2, x3 = S.T
+        if spec.kind.value == "pow":
+            terms = (x1**spec.alpha * x2 ** (1 - spec.alpha)) ** 2 + x3**2
+        else:
+            terms = np.abs(x2 * np.log(x1 / x2)) + np.abs(x3)
+        ratio = terms / cones.CONES[spec.kind].u(spec, S)
+        assert ratio.min() > 1e8
+        assert (_identity_error(spec, Y) <= 1e-14 * ratio).all()
+
+    @pytest.mark.parametrize("spec", NONSYMMETRIC, ids=str)
+    def test_agrees_with_newton_reference(self, spec):
+        Y = _dual_stack(spec, 43)
+        S = -conjugate_gradient(spec, Y)
+        R = _newton_reference(spec, Y)
+        assert (np.abs(S - R).max(axis=1) <= 1e-10 * np.abs(R).max(axis=1)).all()
+
+    def test_does_not_run_the_damped_newton(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("newton_rows called")
+
+        monkeypatch.setattr(_newton, "newton_rows", refuse)
+        # a module that imported it by name holds its own reference
+        monkeypatch.setattr(cones, "newton_rows", refuse, raising=False)
+        for spec in NONSYMMETRIC:
+            assert np.isfinite(conjugate_gradient(spec, _dual_stack(spec, 44))).all()
+
+    @pytest.mark.parametrize("spec", NONSYMMETRIC, ids=str)
+    def test_rows_float64_cannot_carry_raise(self, spec):
+        # at |y| ~ 1e300 a power cone's u(s) underflows, at 1e-300 it
+        # overflows; an exp row's s leaves the range past 1e308 and 1e-308
+        Y = _dual_stack(spec, 45)[:5]
+        Y /= np.linalg.norm(Y, axis=1)[:, None]
+        big = 1e300 if spec.kind.value == "pow" else 1e308
+        for scale in (big, 1.0 / big):
+            Z = Y.copy()
+            Z[2] *= scale
+            assert is_interior_dual(spec, Z).all()
+            with pytest.raises(NoConvergence):
+                conjugate_gradient(spec, Z)
+            with pytest.raises(NoConvergence):
+                conjugate_gradient(spec, Z[2])
 
 
 class TestConeProduct:
