@@ -194,8 +194,8 @@ def bracketed_root(equation, lo, hi, x0):
     and a step that leaves the bracket (or is not a number) is replaced
     by the bracket's midpoint.  A row stops once its step is at most
     1e-12 or its value is exactly 0; a row with an empty bracket, lo == hi,
-    has its root already.  Raises NoConvergence if a row has not stopped
-    after 50 evaluations.
+    has its root already.  A row that has not stopped after 50 evaluations
+    comes back as NaN, and the other rows keep their roots.
     """
     x = np.array(x0, dtype=float)
     r = np.flatnonzero(lo < hi)
@@ -211,8 +211,7 @@ def bracketed_root(equation, lo, hi, x0):
         x[r] = new
         run = ~((np.abs(new - xr) <= 1e-12) | (f == 0.0))
         r, xr, lo, hi = r[run], new[run], lo[run], hi[run]
-    if r.size:
-        raise NoConvergence("scalar root did not converge in 50 steps")
+    x[r] = np.nan
     return x
 
 

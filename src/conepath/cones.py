@@ -12,13 +12,14 @@ are k points of one cone; formulas give one result per row: (k,) values
 and interior tests, (k, dim) gradients, (k, dim, dim) Hessians.  A
 ConeProduct groups each run of consecutive blocks with an equal ConeSpec
 into one batch, and a batch's slice of s or z, reshaped to (k, dim), is
-such a stack, so one call covers the whole batch.  The smoothing and
-projection of the nonsymmetric kinds run one masked damped Newton over
-the rows of a stack (_newton.py), with one derivatives call per step for
-the gradient and Hessian together: each row keeps its own step, tests
-and exit, and a row that fails does not stop the others.  Their
-conjugate gradients solve one increasing scalar equation per row, all
-rows in one bracketed Newton.
+such a stack, so one call covers the whole batch.  The projections of
+the nonsymmetric kinds, the exponential cone's smoothing and
+smooth_newton run one masked damped Newton over the rows of a stack
+(_newton.py), with one derivatives call per step for the gradient and
+Hessian together: each row keeps its own step, tests and exit, and a
+row that fails does not stop the others.  The nonsymmetric conjugate
+gradients and the power cone's smoothing solve one increasing scalar
+equation per row, all rows in one bracketed Newton.
 
 The module functions (is_interior, barrier_gradient, ...) are the
 checked entry points.  They take one point (dim,) or a stack (k, dim)
@@ -221,19 +222,19 @@ def is_interior_dual(spec, y, margin=0.0):
     return _membership(CONES[spec.kind].interior_dual, spec, y, margin)
 
 
-def _tested_stack(spec, s, dual=False):
-    """s as a (k, dim) stack once every row has passed the interior test of K, or of K*."""
-    cone = CONES[spec.kind]
-    if not np.all(_membership(cone.interior_dual if dual else cone.interior, spec, s, 0.0)):
+def _require_interior(ok, spec, dual=False):
+    """Raise BoundaryOrExterior unless every row passed the interior test of K, or of K*."""
+    if not np.all(ok):
         where = f"the dual of {spec.kind.value}" if dual else f"{spec.kind.value}({spec.dim})"
         raise BoundaryOrExterior(f"point is not strictly interior to {where}")
-    return s.reshape(-1, spec.dim)
 
 
 def _checked(formula, spec, s):
-    """The kind's formula on every row of a tested point or stack; one point gets its row."""
+    """The kind's formula on every row of a point or stack once each row has
+    passed the interior test of K; one point gets its row."""
     s = np.asarray(s, dtype=float)
-    out = getattr(CONES[spec.kind], formula)(spec, _tested_stack(spec, s))
+    _require_interior(_membership(CONES[spec.kind].interior, spec, s, 0.0), spec)
+    out = getattr(CONES[spec.kind], formula)(spec, s.reshape(-1, spec.dim))
     return out[0] if s.ndim == 1 else out
 
 
@@ -273,10 +274,14 @@ def conjugate_gradient(spec, y):
     scalar equation per row.  Raises BoundaryOrExterior if a row is not
     strictly inside K*, and NoConvergence if a row's point -grad f*(y)
     leaves the float64 range (its u overflows or underflows, as for
-    |y| ~ 1e300 on a power cone).
+    |y| ~ 1e300 on a power cone).  Each kind runs the interior test of
+    K* itself, so that the nonsymmetric kinds compute the dual slack
+    once, for the test and for the equation.
     """
     y = np.asarray(y, dtype=float)
-    out = CONES[spec.kind].conjugate_gradient(spec, _tested_stack(spec, y, dual=True))
+    if y.ndim not in (1, 2) or y.shape[-1] != spec.dim:
+        _require_interior(False, spec, dual=True)
+    out = CONES[spec.kind].conjugate_gradient(spec, y.reshape(-1, spec.dim))
     return out[0] if y.ndim == 1 else out
 
 
@@ -291,6 +296,12 @@ def conjugate_value(spec, y):
 
 
 _OUT_OF_RANGE = "smoothing target exceeds the float64 working range"
+
+
+def _working_rows(C):
+    """The mask of rows of C inside the float64 working range, and errors naming the others."""
+    todo = ~(np.max(np.abs(C), axis=1) > 1e100)
+    return todo, [None if ok else _OUT_OF_RANGE for ok in todo]
 
 
 @dataclass
@@ -322,10 +333,10 @@ class Cone:
     """The formulas of one cone kind; every method takes the block's ConeSpec.
 
     Points arrive as stacks (k, dim), one point per row.  Apart from
-    validate, degree, the interior tests and the operators on arbitrary
-    targets (smooth*, project*), methods assume rows strictly inside the
-    cone, or inside its dual for conjugate_gradient.  unit_point and
-    project* take and give single points.
+    validate, degree, the interior tests, conjugate_gradient (which
+    tests its rows against K*) and the operators on arbitrary targets
+    (smooth*, project*), methods assume rows strictly inside the cone.
+    unit_s, unit_point and project* take and give single points.
     """
 
     takes_alpha = takes_order = False
@@ -367,10 +378,7 @@ class Cone:
         S = np.full(C.shape, np.nan)
         iters = np.zeros(k, dtype=int)
         traces = [None] * k
-        errors = [None] * k
-        todo = ~(np.max(np.abs(C), axis=1) > 1e100)
-        for i in np.flatnonzero(~todo):
-            errors[i] = _OUT_OF_RANGE
+        todo, errors = _working_rows(C)
 
         def solve(rows, weights, start, trace):
             """One Newton solve per row; records each row's outcome, returns the converged mask."""
@@ -396,7 +404,7 @@ class Cone:
             # amount per step, so the start must keep the initial gap O(1):
             # at mu ~ ||c||^2 the barrier term dominates and the unit point
             # qualifies, then each factor-10 rung stays in the Newton basin
-            S[r] = self.unit_point(spec)[0]
+            S[r] = self.unit_s(spec)
             lead = np.minimum(np.maximum(1e-2, np.vecdot(C[r], C[r])), MU_MAX)
             alive = np.ones(r.size, dtype=bool)
             while (rung := alive & (lead > mu[r])).any():
@@ -404,15 +412,20 @@ class Cone:
                 lead[rung] *= 0.1
             if alive.any():
                 solve(r[alive], mu[r[alive]], S[r[alive]], collect_trace)
+        traces = traces if collect_trace else None
+        return self._smoothing_result(spec, C, mu, S, iters, errors, traces)
+
+    def _smoothing_result(self, spec, C, mu, S, iters, errors, traces=None):
+        """(SmoothingResult, errors): NaN in failed rows, ||s - c + mu*grad f(s)|| in the others."""
         failed = np.array([e is not None for e in errors], dtype=bool)
         S[failed] = np.nan
-        resid = np.full(k, np.nan)
+        resid = np.full(len(S), np.nan)
         if not failed.all():
             R = S[~failed] - C[~failed] + mu[~failed, None] * self.gradient(spec, S[~failed])
             resid[~failed] = _norms(R)
-        return SmoothingResult(S, iters, resid, traces if collect_trace else None), errors
+        return SmoothingResult(S, iters, resid, traces), errors
 
-    smooth = smooth_newton  # kinds with a closed form override smooth
+    smooth = smooth_newton  # the exponential cone; the other kinds override smooth
 
 
 class ZeroCone(Cone):
@@ -431,7 +444,7 @@ class ZeroCone(Cone):
         raise Unsupported("zero cones carry no barrier")
 
     value = gradient = hessian = hessian_inverse = no_barrier
-    unit_point = conjugate_gradient = smooth = smooth_newton = no_barrier
+    unit_s = unit_point = conjugate_gradient = smooth = smooth_newton = no_barrier
 
     def project(self, spec, c):
         return np.zeros_like(c)
@@ -446,7 +459,12 @@ class SelfDualCone(Cone):
     def interior_dual(self, spec, Y, margin):
         return self.interior(spec, Y, margin)
 
+    def unit_point(self, spec):
+        e = self.unit_s(spec)
+        return e, e.copy()
+
     def conjugate_gradient(self, spec, Y):
+        _require_interior(_interior_rows(self.interior, spec, Y, 0.0), spec, dual=True)
         return self.gradient(spec, Y)
 
     def project_dual(self, spec, c):
@@ -454,14 +472,13 @@ class SelfDualCone(Cone):
 
 
 def _nn_root(c, mu):
-    """Componentwise root s = (c + sqrt(c^2 + 4 mu)) / 2, cancellation free."""
-    r = np.sqrt(c * c + 4.0 * mu)
-    out = 0.5 * (c + r)
-    neg = c < 0.0
-    if np.any(neg):
-        # rationalized form; r - c cannot cancel when c < 0
-        out[neg] = (2.0 * np.broadcast_to(mu, c.shape))[neg] / (r[neg] - c[neg])
-    return out
+    """Componentwise root s = (c + sqrt(c^2 + 4 mu)) / 2, cancellation free.
+
+    With q = |c| + sqrt(c^2 + 4 mu), a sum of nonnegative terms, s = q/2
+    for c >= 0 and, rationalized, s = 2 mu/q for c < 0: neither cancels.
+    """
+    q = np.abs(c) + np.sqrt(c * c + 4.0 * mu)
+    return np.where(c < 0.0, 2.0 * mu / q, 0.5 * q)
 
 
 def _closed_form(S, resid):
@@ -498,9 +515,8 @@ class NonnegativeCone(SelfDualCone):
     def hessian_inverse(self, spec, S):
         return S**2
 
-    def unit_point(self, spec):
-        e = np.ones(spec.dim)
-        return e, e.copy()
+    def unit_s(self, spec):
+        return np.ones(spec.dim)
 
     def smooth(self, spec, C, mu, hint=None):
         S = _nn_root(C, mu[:, None])
@@ -567,10 +583,10 @@ class SecondOrderCone(SelfDualCone):
         H[:, i, i] -= t * self._signs(spec)
         return H
 
-    def unit_point(self, spec):
+    def unit_s(self, spec):
         e = np.zeros(spec.dim)
         e[0] = 1.0
-        return e, e.copy()
+        return e
 
     def smooth(self, spec, C, mu, hint=None):
         """Closed form per row; ts = s0^2 - ||s1||^2 enters the residual.
@@ -657,9 +673,8 @@ class PsdTriangleCone(SelfDualCone):
     def hessian_inverse(self, spec, S):
         return _sym_kron(smat(S))
 
-    def unit_point(self, spec):
-        e = svec(np.eye(spec.order))
-        return e, e.copy()
+    def unit_s(self, spec):
+        return svec(np.eye(spec.order))
 
     def smooth(self, spec, C, mu, hint=None):
         """Eigenvalue smoothing: the nonnegative root on the spectrum of each C."""
@@ -679,10 +694,12 @@ class NonsymmetricCone(Cone):
     Both barriers are f = -log u - c1 log x1 - c2 log x2: each kind
     supplies u, alone or with its first (and second) derivatives, the
     weights (c1, c2), the slack its interior test bounds, a unit point
-    and the linear map M with y in int(K*) iff M y in int(K).  Smoothing
-    and projections run damped Newton on those.  For the conjugate
-    gradient each kind reduces grad f(s) = -y to one increasing scalar
-    equation per row (conjugate_root), solved by one bracketed Newton.
+    and the linear map M with y in int(K*) iff M y in int(K).  The
+    projections, smooth_newton and the exponential cone's smoothing run
+    damped Newton on those.  For the conjugate gradient each kind reduces
+    grad f(s) = -y to one increasing scalar equation per row
+    (conjugate_root), solved by one bracketed Newton; the power cone's
+    smoothing reduces the same way.
     """
 
     def validate(self, spec):
@@ -741,18 +758,28 @@ class NonsymmetricCone(Cone):
         w = np.maximum(w, w[:, -1:] * 1e-14)
         return (U / w[:, None, :]) @ _t(U)
 
+    def unit_point(self, spec):
+        e_s = self.unit_s(spec)
+        return e_s, -self.gradient(spec, e_s[None])[0]
+
     def conjugate_gradient(self, spec, Y):
-        # the check below catches what float64 cannot hold: a bracket end,
-        # a step or a point that overflows, underflows or is not a number
+        # the checks below catch what float64 cannot hold: a bracket end,
+        # a step or a point that overflows, underflows or is not a number.
+        # ok is the interior test of M y, and its slack v is kept for the
+        # equation; a row outside x1, x2 > 0 gets a meaningless v and fails
+        MY = self.dual_coords(spec, Y)
         with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
-            equation, lo, hi, x0, point = self.conjugate_root(spec, Y)
+            v = self.slack(spec, MY)
+            ok = np.isfinite(MY).all(axis=1) & (MY[:, 0] > 0.0) & (MY[:, 1] > 0.0) & (v > 0.0)
+            _require_interior(ok, spec, dual=True)
+            equation, lo, hi, x0, point = self.conjugate_root(spec, Y, v)
             S, u = point(bracketed_root(equation, lo, hi, x0))
         if not (np.isfinite(S).all() and np.all((u >= np.finfo(float).tiny) & np.isfinite(u))):
-            raise NoConvergence("conjugate point leaves the float64 range")
+            raise NoConvergence("no conjugate point within the float64 range")
         return -S
 
     def project(self, spec, c):
-        return project_path(c, self.oracles(spec), self.unit_point(spec)[0])
+        return project_path(c, self.oracles(spec), self.unit_s(spec))
 
     def project_dual(self, spec, c):
         # the dual cone is M^-1 K, so the same homotopy runs on the
@@ -801,7 +828,7 @@ class ExponentialCone(NonsymmetricCone):
 
     slack = u
 
-    def conjugate_root(self, spec, Y):
+    def conjugate_root(self, spec, Y, v):
         """grad f(s) = -y as one increasing equation per row in l = -log s2.
 
         With p = -y3 > 0 and w = s2, s1 = (1 + p w)/y1 and
@@ -812,7 +839,6 @@ class ExponentialCone(NonsymmetricCone):
         end descends without overshoot.
         """
         y1, p = Y[:, 0], -Y[:, 2]
-        v = self.slack(spec, self.dual_coords(spec, Y))
         hi = np.log(v)
 
         def equation(l, rows):
@@ -827,9 +853,8 @@ class ExponentialCone(NonsymmetricCone):
 
         return equation, hi - math.log(2.0), hi, hi, point
 
-    def unit_point(self, spec):
-        e_s = np.array(_EXP_UNIT)
-        return e_s, -self.gradient(spec, e_s[None])[0]
+    def unit_s(self, spec):
+        return np.array(_EXP_UNIT)
 
     def dual_map(self, spec):
         return _EXP_DUAL_MAP
@@ -875,7 +900,7 @@ class PowerCone(NonsymmetricCone):
         d2u[:, 2, 2] = -2.0
         return u, du, d2u
 
-    def conjugate_root(self, spec, Y):
+    def conjugate_root(self, spec, Y, v):
         """grad f(s) = -y as one increasing equation per row in l = log t, t = s3^2/u.
 
         With r = 1 + t, s1 = (2ar + 1 - a)/y1, s2 = (2(1-a)r + a)/y2 and
@@ -892,7 +917,7 @@ class PowerCone(NonsymmetricCone):
         c = np.array([math.log((1 + a) / (2 * a)), math.log((2 - a) / (2 * (1 - a))), 0.0])
         w = np.array([2 * a, 2 * (1 - a), -1.0])
         y1, y2, y3 = Y.T
-        h_inf = 2.0 * np.log1p(self.slack(spec, self.dual_coords(spec, Y)) / np.abs(y3))
+        h_inf = 2.0 * np.log1p(v / np.abs(y3))
         lo = np.maximum(-np.log(np.expm1(h_inf)), w[:2] @ c[:2] - h_inf)
 
         def equation(l, rows):
@@ -909,10 +934,73 @@ class PowerCone(NonsymmetricCone):
 
         return equation, lo, math.log(3.0) - np.log(h_inf), lo, point
 
-    def unit_point(self, spec):
+    def smooth(self, spec, C, mu, hint=None):
+        """prox_{mu f}(c) per row by one increasing equation in l = log t, t = s3^2/u.
+
+        With r = 1 + t and nn(c, m) the positive root of s^2 - c s - m
+        (_nn_root), the s1 and s2 rows of s - c + mu grad f(s) = 0 give
+        s1 = nn(c1, m1), m1 = mu(2ar + 1 - a), and s2 = nn(c2, m2),
+        m2 = mu(2(1-a)r + a).  Then A = (s1^a s2^(1-a))^2 = u r, and the
+        s3 row gives s3 = c3 A/(A + 2 mu r).  t = s3^2 r/A leaves
+        F(t) = c3^2 with F(t) = t (A + 2 mu r)^2/(A r), that is
+        h(l) = l - log r - log A + 2 log(A + 2 mu r) - 2 log|c3| = 0.
+        F(t) = t (A/r + 4 mu + 4 mu^2 r/A) increases: s1 and s2 grow with
+        r, each with an elasticity of at most 1 in r, so A grows with an
+        elasticity 0 <= e <= 2 in r, and the three terms of F have
+        elasticities 1 + (e - 1) t/r, 1 and 1 + (1 - e) t/r in t, all
+        >= 1/r.  The slope is h' = 1/r + (4 mu t - g (2 mu r - A))/(A + 2 mu r),
+        g = d log A/dl = 4 mu t (a^2/(s1^2 + m1) + (1-a)^2/(s2^2 + m2)).
+
+        F(t) >= 8 mu t (the geometric mean of A/r and 4 mu^2 r/A) gives
+        the upper end hi = log(c3^2/(8 mu)).  A root with t <= 1 has
+        F(t) <= t K, K = A(r=2) + 4 mu + 8 mu^2/A(r=1), so the lower end is
+        lo = min(0, log(c3^2/K), hi).  Newton starts from the small-t
+        root log(c3^2 A1/(A1 + 2 mu)^2), A1 = A(r=1), inside the bracket.
+        c3 = 0 gives t = 0: an empty bracket at -inf and s3 = 0 exactly.
+        A row outside the working range, or whose point is not finite and
+        strictly interior, fails alone.
+        """
+        w = np.array([spec.alpha, 1.0 - spec.alpha])  # A = s1^(2 w1) s2^(2 w2)
+        todo, errors = _working_rows(C)
+        S = np.full(C.shape, np.nan)
+        C12, c3, m = C[todo, :2], C[todo, 2], mu[todo]
+
+        def nn_roots(r, rows=slice(None)):
+            """((s1, s2), (m1, m2), A) at r = 1 + t on the given rows."""
+            M = m[rows, None] * (2.0 * w * r[:, None] + (1.0 - w))
+            X = _nn_root(C12[rows], M)
+            P = X ** (2.0 * w)
+            return X, M, P[:, 0] * P[:, 1]
+
+        def equation(l, rows):
+            t = np.exp(l)
+            r = 1.0 + t
+            X, M, A = nn_roots(r, rows)
+            mt = m[rows] * t
+            E = A + 2.0 * m[rows] * r
+            g = 4.0 * mt * np.sum(w * w / (X * X + M), axis=1)
+            h = l - np.log(r) - np.log(A) + 2.0 * np.log(E) - log_c3sq[rows]
+            return h, 1.0 / r + (4.0 * mt - g * (2.0 * m[rows] * r - A)) / E
+
+        # a non-finite bracket end, step or point is caught by the tests below
+        with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
+            log_c3sq = np.log(c3 * c3)  # -inf where c3 = 0
+            A1 = nn_roots(np.ones(len(m)))[2]
+            A2 = nn_roots(np.full(len(m), 2.0))[2]
+            hi = log_c3sq - np.log(8.0 * m)
+            lo = np.minimum(np.minimum(0.0, log_c3sq - np.log(A2 + 4.0 * m + 8.0 * m * m / A1)), hi)
+            x0 = np.clip(log_c3sq + np.log(A1) - 2.0 * np.log(A1 + 2.0 * m), lo, hi)
+            r = 1.0 + np.exp(bracketed_root(equation, lo, hi, x0))
+            X, _, A = nn_roots(r)
+            S[todo, :2] = X
+            S[todo, 2] = c3 * A / (A + 2.0 * m * r)
+        for i in np.flatnonzero(todo & ~_interior_rows(self.interior, spec, S, 0.0)):
+            errors[i] = "no strictly interior smoothing point found in float64"
+        return self._smoothing_result(spec, C, mu, S, np.zeros(len(S), dtype=int), errors)
+
+    def unit_s(self, spec):
         a = spec.alpha
-        e_s = np.array([math.sqrt(1.0 + a), math.sqrt(2.0 - a), 0.0])
-        return e_s, -self.gradient(spec, e_s[None])[0]
+        return np.array([math.sqrt(1.0 + a), math.sqrt(2.0 - a), 0.0])
 
     def dual_map(self, spec):
         return np.diag([1.0 / spec.alpha, 1.0 / (1.0 - spec.alpha), 1.0])

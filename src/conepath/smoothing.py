@@ -4,17 +4,21 @@ smooth(spec, c, mu) returns argmin_s 0.5*||s - c||^2 + mu*f(s), which is
 strictly interior for every c and converges to the Euclidean projection
 onto the cone as mu -> 0.  This module checks the arguments; the
 formulas live with each kind's class in cones.py.  Nonnegative,
-second-order and PSD cones have closed forms; exponential and power
-cones run a safeguarded damped Newton method on the (self-concordance
-normalized) objective, and project by following it as mu -> 0.
+second-order and PSD cones have closed forms.  The power cone reduces
+to one increasing scalar equation per row, all rows solved by one
+bracketed Newton.  The exponential cone, and smooth_newton for every
+kind, run a safeguarded damped Newton method on the (self-concordance
+normalized) objective; exponential and power cones project by
+following it as mu -> 0.
 
 smooth and smooth_newton take one target c (dim,) or a stack (k, dim)
 of targets of the same cone, with one mu or one per row: a stack is
 smoothed in one call, its Newton rows in one masked Newton.  A stack
-row whose solve fails -- a Newton solve that does not converge, or a
-target whose solution leaves the float64 range, closed forms included --
-comes back as NaN and leaves the other rows alone; for one target the
-failure raises NoConvergence.
+row whose solve fails -- a Newton solve or scalar root that does not
+converge, or a target whose solution leaves the float64 range or
+rounds onto the cone's boundary, closed forms included -- comes back as
+NaN and leaves the other rows alone; for one target the failure raises
+NoConvergence.
 smooth_product smooths each batch of a ConeProduct as one stack.
 """
 
@@ -70,7 +74,10 @@ def smooth_newton(spec, c, mu, hint=None, collect_trace=False):
 
 
 def smooth(spec, c, mu, hint=None):
-    """The kind's closed form where one exists, Newton otherwise."""
+    """The kind's closed form or scalar root where one exists, Newton otherwise.
+
+    hint serves the Newton route only; the other routes ignore it.
+    """
     return _as_given(*_smooth_rows("smooth", spec, c, mu, hint))
 
 

@@ -123,9 +123,10 @@ def warmstart(prev, cones, overrides=None):
     index -> {"lambda": ..., "mu0": ...} (either key optional) and
     replaces those values; a lambda-only override keeps mu0 at the
     clamped residual norm.  Each batch of equal blocks is smoothed in
-    one call; a block whose smoothing fails (a Newton solve that does
-    not converge, or a target out of the float64 range) falls back alone
-    to the cold unit point and is listed in fallback_blocks.
+    one call; a block whose smoothing fails (a Newton solve or scalar
+    root that does not converge, or a target out of the float64 range)
+    falls back alone to the cold unit point and is listed in
+    fallback_blocks.
     """
     x_star = np.asarray(prev.x_star, dtype=float)
     s_star = np.asarray(prev.s_star, dtype=float)

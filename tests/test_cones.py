@@ -478,6 +478,11 @@ class TestDampedNewton:
         assert 2 in orders
         assert 1 not in orders[:-1]
         assert orders[-1] == 1
+        # without a hint the continuation starts at e_s, which needs no gradient
+        orders.clear()
+        smooth_newton(spec, S - Y, 0.1)
+        assert 1 not in orders[: orders.index(2)]
+        assert 1 not in orders[:-1]
 
     def test_gradient_evaluates_no_second_derivatives(self, monkeypatch):
         # the barrier gradient needs u and du only
@@ -581,6 +586,20 @@ class TestConjugateRoots:
         S = -conjugate_gradient(spec, Y)
         R = _newton_reference(spec, Y)
         assert (np.abs(S - R).max(axis=1) <= 1e-10 * np.abs(R).max(axis=1)).all()
+
+    @pytest.mark.parametrize("spec", NONSYMMETRIC, ids=str)
+    def test_dual_slack_computed_once(self, spec, monkeypatch):
+        # the interior test of K* and the equation share one slack of M y
+        calls = []
+        slack = type(cones.CONES[spec.kind]).slack
+
+        def counted(self, spec, S):
+            calls.append(len(S))
+            return slack(self, spec, S)
+
+        monkeypatch.setattr(type(cones.CONES[spec.kind]), "slack", counted)
+        conjugate_gradient(spec, _dual_stack(spec, 46))
+        assert len(calls) == 1
 
     def test_does_not_run_the_damped_newton(self, monkeypatch):
         def refuse(*args, **kwargs):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conepath.cones import (
+    MU_MAX,
     ConeProduct,
     ConeSpec,
     barrier_gradient,
@@ -197,6 +198,131 @@ class TestNewtonKinds:
         again = smooth(spec, c, 1e-3, hint=first.s)
         assert again.newton_iters <= first.newton_iters
         assert np.allclose(again.s, first.s, rtol=1e-9)
+
+
+POW_ALPHAS = (0.01, 0.1, 0.5, 0.9, 0.99)
+
+
+def _scaled_targets(rng, k):
+    """k targets at scales 1e-6 to 1e6 with weights from 1e-10 to MU_MAX."""
+    C = rng.standard_normal((k, 3)) * 10.0 ** rng.uniform(-6.0, 6.0, (k, 1))
+    return C, 10.0 ** rng.uniform(-10.0, math.log10(MU_MAX), k)
+
+
+class TestPowerRoot:
+    """The power cone's smoothing by one scalar root per row."""
+
+    @pytest.mark.parametrize("alpha", POW_ALPHAS)
+    def test_agrees_with_newton(self, alpha):
+        # the smoothing objective is 1-strongly convex, so a Newton row that
+        # meets its residual to 1e-8 max(1, |c|) lies that close to the prox;
+        # the rows it does not converge on sit at mu/|c|^2 ~ 1e-17 and below
+        spec = ConeSpec.power(alpha)
+        C, mu = _scaled_targets(np.random.default_rng(71), 120)
+        ref = smooth_newton(spec, C, mu)
+        scale = np.maximum(1.0, np.linalg.norm(C, axis=1))
+        ok = ref.optimality_residual <= 1e-8 * scale
+        assert ok.sum() >= 90
+        got = smooth(spec, C[ok], mu[ok])
+        assert (got.newton_iters == 0).all()
+        assert (np.linalg.norm(got.s - ref.s[ok], axis=1) <= 1e-8 * scale[ok]).all()
+
+    @pytest.mark.parametrize("alpha", POW_ALPHAS)
+    def test_stationarity_residual(self, alpha):
+        spec = ConeSpec.power(alpha)
+        rng = np.random.default_rng(72)
+        C = rng.standard_normal((100, 3))
+        mu = 10.0 ** rng.uniform(-2.0, 2.0, 100)
+        res = smooth(spec, C, mu)
+        bound = 1e-12 * np.maximum(1.0, np.linalg.norm(C, axis=1))
+        assert is_interior(spec, res.s).all()
+        assert (res.optimality_residual <= bound).all()
+        R = res.s - C + mu[:, None] * barrier_gradient(spec, res.s)
+        assert (np.linalg.norm(R, axis=1) <= bound).all()
+
+    def test_zero_c3_gives_zero_s3(self):
+        spec = ConeSpec.power(0.3)
+        C, mu = _scaled_targets(np.random.default_rng(73), 30)
+        C[:, 2] = 0.0
+        C[::2, 2] = -0.0
+        res = smooth(spec, C, mu)
+        assert np.isfinite(res.s).all()
+        assert (res.s[:, 2] == 0.0).all()
+
+    def test_row_beyond_range_fails_alone(self):
+        spec = ConeSpec.power(0.7)
+        rng = np.random.default_rng(74)
+        C = rng.standard_normal((6, 3))
+        C[4] = [1.0, -2e100, 0.5]
+        with pytest.raises(NoConvergence):
+            smooth(spec, C[4], 1e-3)
+        res = smooth(spec, C, 1e-3)
+        assert np.isnan(res.s[4]).all() and np.isnan(res.optimality_residual[4])
+        rest = np.isfinite(res.s).all(axis=1)
+        assert list(rest) == [True, True, True, True, False, True]
+
+    def test_row_rounding_onto_the_boundary_fails_alone(self):
+        # far below mu/|c|^2 ~ 1e-12 the exact prox lies within float64
+        # rounding of the boundary; such a row fails, every row returned
+        # is strictly interior
+        spec = ConeSpec.power(0.5)
+        C, mu = _scaled_targets(np.random.default_rng(78), 200)
+        res = smooth(spec, C, mu)
+        failed = np.isnan(res.s).any(axis=1)
+        assert failed.any()
+        assert (mu[failed] < 1e-12 * np.vecdot(C[failed], C[failed])).all()
+        assert is_interior(spec, res.s[~failed]).all()
+
+    def test_stack_equals_rows(self):
+        spec = ConeSpec.power(0.45)
+        C, mu = _scaled_targets(np.random.default_rng(75), 40)
+        C[3, 2] = 0.0
+        C[7] = [3e100, 1.0, 1.0]
+        res = smooth(spec, C, mu)
+        for c, m, s, r in zip(C, mu, res.s, res.optimality_residual):
+            try:
+                alone = smooth(spec, c, m)
+            except NoConvergence:
+                assert np.isnan(s).all() and np.isnan(r)
+                continue
+            assert np.array_equal(s, alone.s)
+            assert r == alone.optimality_residual
+
+    def test_does_not_run_the_damped_newton(self, monkeypatch):
+        from conepath import _newton, cones
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("smoothing_newton called")
+
+        monkeypatch.setattr(_newton, "smoothing_newton", refuse)
+        # a module that imported it by name holds its own reference
+        monkeypatch.setattr(cones, "smoothing_newton", refuse)
+        C, mu = _scaled_targets(np.random.default_rng(76), 20)
+        for alpha in POW_ALPHAS:
+            smooth(ConeSpec.power(alpha), C, mu)
+
+    def test_bracket_holds(self, monkeypatch):
+        # h(lo) <= 0 <= h(hi) on every row with a bracket, checked on the
+        # equation the route hands to the root finder
+        from conepath import cones
+
+        rows_checked = []
+        root = cones.bracketed_root
+
+        def checked(equation, lo, hi, x0):
+            r = np.flatnonzero(lo < hi)
+            assert (equation(lo[r], r)[0] <= 0.0).all()
+            assert (equation(hi[r], r)[0] >= 0.0).all()
+            assert ((lo[r] <= x0[r]) & (x0[r] <= hi[r])).all()
+            rows_checked.append(r.size)
+            return root(equation, lo, hi, x0)
+
+        monkeypatch.setattr(cones, "bracketed_root", checked)
+        rng = np.random.default_rng(77)
+        for alpha in np.linspace(0.01, 0.99, 15):
+            C = rng.standard_normal((200, 3)) * 10.0 ** rng.uniform(-4.0, 4.0, (200, 3))
+            smooth(ConeSpec.power(alpha), C, 10.0 ** rng.uniform(-10.0, 3.0, 200))
+        assert sum(rows_checked) == 15 * 200
 
 
 class TestValidation:
