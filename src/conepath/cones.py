@@ -274,9 +274,8 @@ def conjugate_gradient(spec, y):
     scalar equation per row.  Raises BoundaryOrExterior if a row is not
     strictly inside K*, and NoConvergence if a row's point -grad f*(y)
     leaves the float64 range (its u overflows or underflows, as for
-    |y| ~ 1e300 on a power cone).  Each kind runs the interior test of
-    K* itself, so that the nonsymmetric kinds compute the dual slack
-    once, for the test and for the equation.
+    |y| ~ 1e300 on a power cone).  Each kind tests its rows against K*,
+    the nonsymmetric ones with the dual slack their equation reuses.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim not in (1, 2) or y.shape[-1] != spec.dim:

@@ -74,10 +74,7 @@ def smooth_newton(spec, c, mu, hint=None, collect_trace=False):
 
 
 def smooth(spec, c, mu, hint=None):
-    """The kind's closed form or scalar root where one exists, Newton otherwise.
-
-    hint serves the Newton route only; the other routes ignore it.
-    """
+    """The kind's closed form or scalar root where one exists, else Newton, which reads hint."""
     return _as_given(*_smooth_rows("smooth", spec, c, mu, hint))
 
 
