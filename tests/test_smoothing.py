@@ -216,7 +216,8 @@ class TestPowerRoot:
     def test_agrees_with_newton(self, alpha):
         # the smoothing objective is 1-strongly convex, so a Newton row that
         # meets its residual to 1e-8 max(1, |c|) lies that close to the prox;
-        # the rows it does not converge on sit at mu/|c|^2 ~ 1e-17 and below
+        # the others have |c| > 5 and mu/|c|^2 < 1e-7, where the residual
+        # sits near the float64 floor, or did not converge
         spec = ConeSpec.power(alpha)
         C, mu = _scaled_targets(np.random.default_rng(71), 120)
         ref = smooth_newton(spec, C, mu)
