@@ -154,6 +154,8 @@ def _cmd_solve(args):
                                  repr(row.step)])
 
     print(f"status: {report.status.value}")
+    if report.status is SolveStatus.NUMERICAL_ERROR:
+        print(f"reason: {report.reason}")
     print(f"iterations: {report.iterations}")
     if report.status is SolveStatus.OPTIMAL:
         print(f"objective: {objective!r}")

@@ -3,9 +3,9 @@
 Every supported cone carries a barrier f with degree nu, meaning
 f(t*s) = f(s) - nu*log(t) on the interior.  Each ConeKind has one class
 below, found through CONES, that holds every formula of its kind:
-validation, degree, interior test, barrier derivatives, unit point,
-conjugate gradient, and the smoothing and projection operators that
-smoothing.py exposes.
+validation, degree, interior test, step bound, barrier derivatives, unit
+point, conjugate gradient, and the smoothing and projection operators
+that smoothing.py exposes.
 
 The formulas work on stacks.  A stack is a (k, dim) array whose rows
 are k points of one cone; formulas give one result per row: (k,) values
@@ -335,6 +335,9 @@ class Cone:
     validate, degree, the interior tests, conjugate_gradient (which
     tests its rows against K*) and the operators on arbitrary targets
     (smooth*, project*), methods assume rows strictly inside the cone.
+    step_bound(spec, V, D) gives per row an upper bound on the alpha
+    with V + alpha*D strictly inside, inf when nothing binds; a row of
+    V outside the cone gets a bound that is still valid, or inf.
     unit_s, unit_point and project* take and give single points.
     """
 
@@ -480,6 +483,11 @@ def _nn_root(c, mu):
     return np.where(c < 0.0, 2.0 * mu / q, 0.5 * q)
 
 
+def _ratio_test(V, D):
+    """Per row, the largest alpha with every entry of V + alpha*D positive: min of V/-D over D < 0."""
+    return np.divide(V, -D, out=np.full(V.shape, np.inf), where=D < 0.0).min(axis=1)
+
+
 def _closed_form(S, resid):
     """A closed-form smoothing result, with no Newton steps.
 
@@ -498,6 +506,9 @@ class NonnegativeCone(SelfDualCone):
 
     def interior(self, spec, S, margin):
         return np.min(S, axis=1) > margin
+
+    def step_bound(self, spec, V, D):
+        return _ratio_test(V, D)
 
     def value(self, spec, S):
         return -np.sum(np.log(S), axis=1)
@@ -555,6 +566,31 @@ class SecondOrderCone(SelfDualCone):
 
     def interior(self, spec, S, margin):
         return S[:, 0] - _norms(S[:, 1:]) > margin
+
+    def step_bound(self, spec, V, D):
+        """The smaller positive root of q(alpha) = (v0 + alpha d0)^2 - ||v1 + alpha d1||^2.
+
+        q = gap + 2 b alpha + a alpha^2 is positive on the interior, so its
+        smallest positive root is where the ray leaves the cone.  With
+        r = sqrt(b^2 - a gap), that root is gap/(r - b) for b < 0 and
+        (b + r)/(-a) for b >= 0, a < 0: neither form cancels.  No real root
+        (r is NaN), or b >= 0 with a >= 0, leaves the ray inside: inf.
+        gap is (v0 - ||v1||)(v0 + ||v1||), whose first factor is the
+        interior test's own, so a row that passes the test has gap > 0;
+        a row that fails it gets inf.
+        """
+        v0 = V[:, 0]
+        nv1 = _norms(V[:, 1:])
+        inside = v0 - nv1
+        gap = inside * (v0 + nv1)
+        JD = -D
+        JD[:, 0] = D[:, 0]
+        a = np.vecdot(JD, D)
+        b = np.vecdot(JD, V)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = np.sqrt(b * b - a * gap)
+            alpha = np.where(b < 0.0, gap / (r - b), (b + r) / -a)
+        return np.where((alpha > 0.0) & (inside > 0.0), alpha, np.inf)
 
     def value(self, spec, S):
         return -0.5 * np.log(self._gap(S))
@@ -659,6 +695,22 @@ class PsdTriangleCone(SelfDualCone):
         d, _ = _eigh(smat(S))
         return d[:, 0] > margin
 
+    def step_bound(self, spec, V, D):
+        """-1/lambda_min of S^-1/2 dS S^-1/2 where lambda_min < 0, else inf.
+
+        S^-1/2 dS S^-1/2 has the spectrum of L^-1 dS L^-T, S = LL'; it is
+        taken from the eigendecomposition the interior test computes.  A
+        row that fails that test gets inf.  Non-finite entries of dS are
+        read as 0, which the eigensolver takes: such a direction passes
+        no trial, whatever its bound.
+        """
+        d, U = _eigh(smat(V))
+        W = U / np.sqrt(np.where(d > 0.0, d, 1.0))[:, None, :]
+        lam = _eigh(_t(W) @ smat(np.where(np.isfinite(D), D, 0.0)) @ W)[0][:, 0]
+        with np.errstate(divide="ignore"):
+            alpha = np.where(lam < 0.0, -1.0 / lam, np.inf)
+        return np.where(d[:, 0] > 0.0, alpha, np.inf)
+
     def value(self, spec, S):
         d, _ = _eigh(smat(S))
         return -np.sum(np.log(d), axis=1)
@@ -715,6 +767,14 @@ class NonsymmetricCone(Cone):
         if ok.any():
             ok[ok] = self.slack(spec, S[ok]) > margin
         return ok
+
+    def step_bound(self, spec, V, D):
+        """The ratio test on x1 and x2, which the interior test needs positive.
+
+        A valid bound, not the exact one: the ray can leave through the
+        slack first.
+        """
+        return _ratio_test(V[:, :2], D[:, :2])
 
     def dual_coords(self, spec, y):
         return y @ self.dual_map(spec).T
@@ -1092,6 +1152,24 @@ class ConeProduct:
 
     def is_interior_dual(self, z, margin=0.0):
         return self._all_rows("interior_dual", z, margin)
+
+    def step_bound(self, s, ds, z, dz):
+        """An upper bound on every alpha with s + alpha*ds in int K and z + alpha*dz in int K*.
+
+        One step_bound call per barrier batch takes the batch's rows of s
+        and, mapped into K by dual_coords (which is linear, so it maps dz
+        too), of z.  The bound is exact where the kind's is (nonneg, SOC,
+        PSD).  Zero blocks impose none, and with no bound the result is
+        inf.  A direction that is not finite passes no trial, whatever
+        the bound.
+        """
+        bound = np.inf
+        for b in self.barrier_batches:
+            cone = CONES[b.spec.kind]
+            V = np.concatenate([b.rows(s), cone.dual_coords(b.spec, b.rows(z))])
+            D = np.concatenate([b.rows(ds), cone.dual_coords(b.spec, b.rows(dz))])
+            bound = min(bound, cone.step_bound(b.spec, V, D).min())
+        return float(bound)
 
     def _all_rows(self, test, v, margin):
         for b in self.batches:

@@ -4,9 +4,13 @@ Solves  min 0.5*x'Px + q'x  s.t.  Ax + s = b,  s in K  (dual variable z
 in K*) through the self-dual embedding variable v = (x, z, s, tau,
 kappa).  Directions linearize the central-path conditions G(v) =
 mu*G(v0), z = -mu*grad f(s), tau*kappa = mu with a Mehrotra-style
-centering weight; steps are clipped to keep every block strictly
-interior and inside a proximity neighborhood of the path.  Termination
-and infeasibility tests follow the documented inequalities literally.
+centering weight.  A step is the first length of a fixed geometric grid
+that keeps every block strictly interior and, for the combined step,
+inside a proximity neighborhood of the path.  The search starts at the
+first grid value below the step to the cone boundary, which
+ConeProduct.step_bound gives in closed form, so it skips only lengths
+the interior test would reject.  Termination and infeasibility tests
+follow the documented inequalities literally.
 
 A solve assembles its KKT matrix once, with a fixed pattern, and
 computes its fill-reducing ordering once; each iteration writes only
@@ -14,8 +18,10 @@ the (2,2) block's values, in place (see _KKT).
 """
 
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import neg
 
 import numpy as np
 import scipy.sparse as sp
@@ -169,11 +175,34 @@ def warm_start(problem, ws):
 # shapes every iterate, so changing one is a solver change.
 BETA = 0.1  # the neighborhood warmstart.proximity certifies by default
 MARGIN = 1e-12  # absolute floor on s and z in step acceptance, not scaled by mu
-ALPHA_FLOOR = 1e-7  # shorter steps make no progress: the solve stops as stalled
-MAX_ALPHA = 0.99  # fraction to the boundary; a full step may land on it
+ALPHA_FLOOR = 1e-7  # both grids end here: shorter steps make no progress
+MAX_ALPHA = 0.99  # the combined grid's first step; a full step may land on the boundary
+STEP_SLACK = 1e-6  # relative room on the boundary step, so its rounding never skips a trial
 REGULARIZATION = 1e-8  # lets K factor when P is singular; refinement removes its bias
 EPS_IA = 1e-8  # infeasibility certificates need |b'z| or |q'x| above this
 EPS_IR = 1e-8  # relative residual an infeasibility certificate may leave
+
+
+def _grid(first):
+    """first, first*0.8, ... down to ALPHA_FLOOR, each by one more multiplication."""
+    grid = [first]
+    while grid[-1] * 0.8 >= ALPHA_FLOOR:
+        grid.append(grid[-1] * 0.8)
+    return tuple(grid)
+
+
+# The trial step lengths, in the order they are tried.  An affine step
+# of none of them counts as 0: any step below about 0.03 already puts
+# sigma at its 0.9 cap.
+AFFINE_GRID = _grid(1.0)
+COMBINED_GRID = _grid(MAX_ALPHA)
+
+# Why a solve ended NumericalError, in SolveReport.reason.
+KERNEL_RAISED = "barrier kernel raised at the iterate"
+FACTORIZATION_FAILED = "KKT factorization failed"
+ZERO_DENOMINATOR = "zero denominator in the tau direction"
+NO_STEP_INSIDE = "step stalled: no grid step inside the cones"
+PROXIMITY_REJECTED = "step stalled: proximity rejected every trial"
 
 
 @dataclass
@@ -206,6 +235,7 @@ class SolveReport:
     z: np.ndarray | None = None
     tau: float = 1.0
     kappa: float = 0.0
+    reason: str | None = None  # why the status is NumericalError; None for other statuses
 
     @property
     def solution(self):
@@ -267,6 +297,24 @@ def check_termination(problem, v, eps=1e-8):
 
 def _interior_point(cones, s, z, margin):
     return cones.is_interior(s, margin) and cones.is_interior_dual(z, margin)
+
+
+def _ratio(v, dv):
+    """The largest alpha with v + alpha*dv > 0 for a scalar v > 0; inf when dv >= 0."""
+    return v / -dv if dv < 0.0 else np.inf
+
+
+def _search(grid, trial, bound):
+    """The first non-None trial(alpha) over grid, from its first value <= bound*(1 + STEP_SLACK).
+
+    Values above that bound are left out: the interior test rejects
+    them.  A NaN bound leaves out none.  Returns None if no trial passes.
+    """
+    # grid descends, so its negation ascends for the bisection
+    for alpha in grid[bisect_left(grid, -bound * (1.0 + STEP_SLACK), key=neg) :]:
+        if (out := trial(alpha)) is not None:
+            return out
+    return None
 
 
 def block_proximity(cones, s, z):
@@ -444,7 +492,7 @@ def solve(problem, start, settings=None):
     trace = []
     alpha = 0.0  # the step that reached the iterate, in its trace row
 
-    def report(status):
+    def report(status, reason=None):
         return SolveReport(
             status=status,
             iterations=max(steps, 1),
@@ -458,6 +506,7 @@ def solve(problem, start, settings=None):
             z=z,
             tau=tau,
             kappa=kappa,
+            reason=reason,
         )
 
     for steps in range(max(cfg.max_iters, 0) + 1):
@@ -485,27 +534,27 @@ def solve(problem, start, settings=None):
                     G = barrier_gradient(b.spec, S) if gradients is None else gradients[j]
                     grad[b.sl] = G.ravel()
                     stacks.append(barrier_hessian_inverse(b.spec, S))
-        except (BoundaryOrExterior, np.linalg.LinAlgError):
-            return report(SolveStatus.NUMERICAL_ERROR)
+        except (BoundaryOrExterior, np.linalg.LinAlgError) as exc:
+            return report(SolveStatus.NUMERICAL_ERROR, f"{KERNEL_RAISED}: {exc}")
         if kkt is None:
             kkt = _KKT(problem, stacks)
         try:
             kkt.factor(stacks, mu)
         except RuntimeError:
-            return report(SolveStatus.NUMERICAL_ERROR)
+            return report(SolveStatus.NUMERICAL_ERROR, FACTORIZATION_FAILED)
         Hinv, kkt_solve = kkt.Hinv, kkt.solve
 
         u2, w2 = kkt_solve(-problem.q, problem.b)
         qp = problem.q + (2.0 / tau) * Px
         denom_base = -float(qp @ u2) - float(problem.b @ w2) + xPx / tau**2 + kappa / tau
+        if denom_base == 0.0:
+            return report(SolveStatus.NUMERICAL_ERROR, ZERO_DENOMINATOR)
 
         def direction(eta, sigma):
             r_s = z + sigma * mu * grad  # read only through Hinv: no Zero-block column
             r_tk = tau * kappa - sigma * mu
             u1, w1 = kkt_solve(-eta * rx, eta * rz + Hinv @ r_s)
             num = -eta * rtau + float(qp @ u1) + float(problem.b @ w1) - r_tk / tau
-            if denom_base == 0.0:
-                return None
             dtau = num / denom_base
             dx = u1 + dtau * u2
             dz = w1 + dtau * w2
@@ -513,62 +562,61 @@ def solve(problem, start, settings=None):
             dkappa = (-r_tk - kappa * dtau) / tau
             return dx, dz, ds, dtau, dkappa
 
-        aff = direction(1.0, 0.0)
-        if aff is None:
-            return report(SolveStatus.NUMERICAL_ERROR)
-        dx, dz, ds, dtau, dkappa = aff
-        alpha_aff = 1.0
-        for _ in range(80):
+        def boundary_step():
+            """The step to the boundary of the cones and of tau, kappa > 0."""
+            return min(cones.step_bound(s, ds, z, dz), _ratio(tau, dtau), _ratio(kappa, dkappa))
+
+        def affine_trial(a):
             if (
-                tau + alpha_aff * dtau > 0.0
-                and kappa + alpha_aff * dkappa > 0.0
-                and _interior_point(cones, s + alpha_aff * ds, z + alpha_aff * dz, 0.0)
+                tau + a * dtau > 0.0
+                and kappa + a * dkappa > 0.0
+                and _interior_point(cones, s + a * ds, z + a * dz, 0.0)
             ):
-                break
-            alpha_aff *= 0.8
-        else:
-            alpha_aff = 0.0
-        sigma = min(max((1.0 - alpha_aff) ** 3, 1e-3), 0.9)
+                return a
+            return None
 
-        comb = direction(1.0 - sigma, sigma)
-        if comb is None:
-            return report(SolveStatus.NUMERICAL_ERROR)
-        dx, dz, ds, dtau, dkappa = comb
-
-        alpha = MAX_ALPHA
-        accepted = False
-        while alpha >= ALPHA_FLOOR:
-            s_new = s + alpha * ds
-            z_new = z + alpha * dz
-            tau_new = tau + alpha * dtau
-            kappa_new = kappa + alpha * dkappa
-            if (
+        def combined_trial(a):
+            """(alpha, s, z, tau, kappa, mu, gradients) at step a, if it passes every test."""
+            nonlocal guard_passed
+            s_new = s + a * ds
+            z_new = z + a * dz
+            tau_new = tau + a * dtau
+            kappa_new = kappa + a * dkappa
+            if not (
                 tau_new > 0.0
                 and kappa_new > 0.0
                 and _interior_point(cones, s_new, z_new, MARGIN)
             ):
-                mu_new = _embedding_mu(problem, s_new, z_new, tau_new, kappa_new)
-                if mu_new > 0.0 and tau_new * kappa_new >= BETA * mu_new:
-                    try:
-                        rho, trial_gradients = block_proximity(cones, s_new, z_new)
-                    except (BoundaryOrExterior, NoConvergence):
-                        pass
-                    else:
-                        # a NaN rho fails the comparison, so it rejects the trial
-                        if (rho[barrier] >= BETA * mu_new).all():
-                            gradients = trial_gradients
-                            accepted = True
-                            break
-            alpha *= 0.8
-        if not accepted:
-            return report(SolveStatus.NUMERICAL_ERROR)
+                return None
+            guard_passed = True
+            mu_new = _embedding_mu(problem, s_new, z_new, tau_new, kappa_new)
+            if not (mu_new > 0.0 and tau_new * kappa_new >= BETA * mu_new):
+                return None
+            try:
+                rho, trial_gradients = block_proximity(cones, s_new, z_new)
+            except (BoundaryOrExterior, NoConvergence):
+                return None
+            # a NaN rho fails the comparison, so it rejects the trial
+            if not (rho[barrier] >= BETA * mu_new).all():
+                return None
+            return a, s_new, z_new, tau_new, kappa_new, mu_new, trial_gradients
 
+        dx, dz, ds, dtau, dkappa = direction(1.0, 0.0)
+        alpha_aff = _search(AFFINE_GRID, affine_trial, boundary_step()) or 0.0
+        sigma = min(max((1.0 - alpha_aff) ** 3, 1e-3), 0.9)
+
+        dx, dz, ds, dtau, dkappa = direction(1.0 - sigma, sigma)
+        guard_passed = False  # set once a trial passes the interior test
+        # warm solves often take the first trial, so the bound waits for its rejection
+        step = combined_trial(MAX_ALPHA) or _search(
+            COMBINED_GRID[1:], combined_trial, boundary_step()
+        )
+        if step is None:
+            return report(
+                SolveStatus.NUMERICAL_ERROR, PROXIMITY_REJECTED if guard_passed else NO_STEP_INSIDE
+            )
+        alpha, s, z, tau, kappa, mu, gradients = step
         x = x + alpha * dx
-        z = z_new
-        s = s_new
-        tau = tau_new
-        kappa = kappa_new
-        mu = mu_new
         if tau < 0.1 and kappa < tau:
             # G is positively homogeneous, so the iterate ray may be
             # renormalized freely; doing so keeps kappa, mu and the

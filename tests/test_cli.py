@@ -14,7 +14,7 @@ from conepath.cli import _arith_grid, _geom_grid, _min_eigenvalue, main
 from conepath.cones import ConeProduct, ConeSpec
 from conepath.errors import ParseError
 from conepath.ipm import ConicProblem, cold_start, solve
-from conepath.problems import PerturbationSpec, perturb
+from conepath.problems import PerturbationSpec, gen_svm_l1, perturb, synth_samples
 
 
 def lp_problem(n=3, shift=0.0):
@@ -208,6 +208,23 @@ class TestSolveCommand:
         code = main(["solve", str(path), "--max-iters", "1"])
         assert code == 5
         assert "status: MaxIters" in capsys.readouterr().out
+
+    def test_numerical_error_prints_its_reason(self, tmp_path, capsys):
+        path = tmp_path / "svm.prob"
+        fileio.write_problem(gen_svm_l1(synth_samples(480, 10, seed=0), 0.04), path)
+        code = main(["solve", str(path)])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 6
+        assert lines[:2] == [
+            "status: NumericalError",
+            "reason: step stalled: proximity rejected every trial",
+        ]
+
+    def test_reason_only_for_numerical_error(self, tmp_path, capsys):
+        path = tmp_path / "p.prob"
+        fileio.write_problem(lp_problem(), path)
+        main(["solve", str(path)])
+        assert "reason:" not in capsys.readouterr().out
 
     def test_trace_csv(self, tmp_path, capsys):
         path = tmp_path / "p.prob"

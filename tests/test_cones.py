@@ -659,3 +659,124 @@ class TestConeProduct:
         assert len(parts) == 2
         assert np.allclose(parts[0], [0.0, 1.0])
         assert np.allclose(parts[1], [2.0, 3.0, 4.0])
+
+
+def _one_block(spec):
+    return ConeProduct((spec,))
+
+
+def _side(product, v, d, dual):
+    """(bound, interior test) for v + alpha*d on one side of a one-block product.
+
+    The other side sits at its unit point with a zero direction, which
+    binds nothing.
+    """
+    e_s, e_z = product.unit_points()
+    zero = np.zeros(product.dim)
+    if dual:
+        return product.step_bound(e_s, zero, v, d), product.is_interior_dual
+    return product.step_bound(v, d, e_z, zero), product.is_interior
+
+
+def _side_point(spec, rng, dual):
+    """A seeded point of int K, or of int K* (minus a barrier gradient)."""
+    s = random_interior(spec, rng)
+    return -barrier_gradient(spec, s) if dual else s
+
+
+SIDES = [(kind, dual) for kind in ALL_KINDS for dual in (False, True)]
+
+
+class TestStepBound:
+    """ConeProduct.step_bound on K and K*: the kinds' closed forms and the ratio tests."""
+
+    EXACT = ("nonneg", "soc", "psd")
+
+    @pytest.mark.parametrize("kind,dual", SIDES)
+    def test_bound_is_the_boundary(self, kind, dual):
+        # just past the bound every kind fails the interior test; just
+        # before it the exact kinds pass, at points scaled 1e-6 to 1e6
+        rng = np.random.default_rng(11)
+        finite = 0
+        for scale in 10.0 ** np.arange(-6, 7, 2):
+            for _ in range(15):
+                spec = make_spec(kind, rng)
+                product = _one_block(spec)
+                v = scale * _side_point(spec, rng, dual)
+                d = scale * 10.0 ** rng.uniform(-2, 2) * rng.standard_normal(spec.dim)
+                bound, inside = _side(product, v, d, dual)
+                assert bound > 0.0
+                if math.isinf(bound):
+                    continue
+                finite += 1
+                assert not inside(v + bound * (1 + 1e-6) * d, 0.0)
+                if kind in self.EXACT:
+                    assert inside(v + bound * (1 - 1e-9) * d, 0.0)
+        assert finite >= 50
+
+    @pytest.mark.parametrize("kind,dual", SIDES)
+    def test_direction_with_no_negative_part_is_unbounded(self, kind, dual):
+        # the unit point of the side lies inside it: the ray never leaves
+        rng = np.random.default_rng(12)
+        spec = make_spec(kind, rng)
+        product = _one_block(spec)
+        e_s, e_z = unit_point(spec)
+        for scale in (1e-6, 1.0, 1e6):
+            v = scale * _side_point(spec, rng, dual)
+            bound, inside = _side(product, v, scale * (e_z if dual else e_s), dual)
+            assert bound == math.inf
+
+    def test_nonneg_ratio_test(self):
+        product = _one_block(ConeSpec.nonnegative(4))
+        v = np.array([1.0, 2.0, 3.0, 4.0])
+        assert _side(product, v, np.array([0.0, 1.0, 0.0, 5.0]), False)[0] == math.inf
+        assert _side(product, v, np.array([-4.0, 1.0, -1.0, 0.0]), False)[0] == 0.25
+
+    def test_soc_tangent_direction(self):
+        # d0 = ||d1||: the leading coefficient d0^2 - ||d1||^2 is exactly 0,
+        # so the quadratic degenerates to a line
+        rng = np.random.default_rng(13)
+        spec = ConeSpec.second_order(4)
+        product = _one_block(spec)
+        for _ in range(20):
+            v = random_interior(spec, rng)
+            # a power of two keeps every square exact
+            d = np.array([-5.0, 3.0, 0.0, 4.0]) * 2.0 ** rng.integers(-10, 11)
+            assert d[0] ** 2 - d[1:] @ d[1:] == 0.0
+            bound, inside = _side(product, v, d, False)
+            b = v[0] * d[0] - v[1:] @ d[1:]
+            gap = v[0] ** 2 - v[1:] @ v[1:]
+            assert math.isclose(bound, gap / (-2.0 * b), rel_tol=1e-12)
+            assert not inside(v + bound * (1 + 1e-6) * d, 0.0)
+            assert inside(v + bound * (1 - 1e-9) * d, 0.0)
+            # the opposite tangent stays inside for every alpha
+            assert _side(product, v, -d, False)[0] == math.inf
+
+    def test_soc_row_outside_the_cone_is_unbounded(self):
+        # a row that fails the interior test takes no bound from the quadratic
+        V = np.array([[1.0, 1.0, 0.0], [-2.0, 0.0, 0.0]])
+        D = np.array([[-1.0, 0.5, 0.0], [1.0, 0.0, 0.0]])
+        bound = cones.CONES[ConeSpec.second_order(3).kind].step_bound(None, V, D)
+        assert np.all(bound == math.inf)
+
+    def test_zero_block_imposes_no_bound(self):
+        rng = np.random.default_rng(14)
+        nonneg = ConeSpec.nonnegative(3)
+        product = ConeProduct((ConeSpec.zero(2), nonneg, ConeSpec.zero(1)))
+        v = random_interior(nonneg, rng)
+        d = rng.standard_normal(3) - 1.0
+        s = np.r_[0.0, 0.0, v, 0.0]
+        ds = np.r_[5.0, -7.0, d, -1.0]
+        z = np.r_[-3.0, 1.0, v, 2.0]
+        dz = np.r_[-1e9, 1e9, np.zeros(3), 1e9]
+        assert product.step_bound(s, ds, z, dz) == _side(_one_block(nonneg), v, d, False)[0]
+
+    def test_stack_gives_one_bound_per_row(self):
+        rng = np.random.default_rng(15)
+        for kind in ALL_KINDS:
+            spec = make_spec(kind, rng)
+            V = np.array([random_interior(spec, rng) for _ in range(6)])
+            D = rng.standard_normal(V.shape)
+            kernel = cones.CONES[spec.kind]
+            rows = [kernel.step_bound(spec, V[i : i + 1], D[i : i + 1])[0] for i in range(6)]
+            assert np.array_equal(kernel.step_bound(spec, V, D), rows), kind

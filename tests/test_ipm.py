@@ -22,10 +22,10 @@ from conepath.ipm import (
     solve,
     warm_start,
 )
-from conepath.problems import gen_hmcr, gen_portfolio, synth_returns
+from conepath.problems import gen_hmcr, gen_portfolio, gen_svm_l1, synth_returns, synth_samples
 from conepath.warmstart import PreviousSolution, WarmStartResult, warmstart
 
-from support import random_interior
+from support import make_spec, random_interior
 
 
 def lp_box():
@@ -624,3 +624,179 @@ class TestWarmVsCold:
             assert warm.status is SolveStatus.OPTIMAL
             iters.append(warm.iterations)
         assert iters[2] <= iters[1] <= iters[0]
+
+
+def _scan_affine(cones, s, ds, z, dz, tau, dtau, kappa, dkappa):
+    """The affine step as the solver chose it before the boundary step: 80 trials from 1."""
+    alpha_aff = 1.0
+    for _ in range(80):
+        if (
+            tau + alpha_aff * dtau > 0.0
+            and kappa + alpha_aff * dkappa > 0.0
+            and cones.is_interior(s + alpha_aff * ds, 0.0)
+            and cones.is_interior_dual(z + alpha_aff * dz, 0.0)
+        ):
+            break
+        alpha_aff *= 0.8
+    else:
+        alpha_aff = 0.0
+    return alpha_aff
+
+
+def _scan_combined(cones, s, ds, z, dz, tau, dtau, kappa, dkappa):
+    """The combined step's interior guard as scanned before the boundary step; None if no trial."""
+    alpha = ipm.MAX_ALPHA
+    while alpha >= ipm.ALPHA_FLOOR:
+        if (
+            tau + alpha * dtau > 0.0
+            and kappa + alpha * dkappa > 0.0
+            and cones.is_interior(s + alpha * ds, ipm.MARGIN)
+            and cones.is_interior_dual(z + alpha * dz, ipm.MARGIN)
+        ):
+            return alpha
+        alpha *= 0.8
+    return None
+
+
+def _sigma(alpha_aff):
+    return min(max((1.0 - alpha_aff) ** 3, 1e-3), 0.9)
+
+
+def _random_step(rng):
+    """A random mixed product with an interior (s, z, tau, kappa) and a direction."""
+    kinds = rng.choice(["zero", "nonneg", "soc", "psd", "exp", "pow"], size=rng.integers(1, 6))
+    blocks, s, z = [], [], []
+    for kind in kinds:
+        if kind == "zero":
+            spec = ConeSpec.zero(2)
+            s.append(np.zeros(2))
+            z.append(rng.standard_normal(2))
+        else:
+            spec = make_spec(kind, rng, dim=3, order=int(rng.integers(1, 4)))
+            s.append(random_interior(spec, rng))
+            z.append(-ipm.barrier_gradient(spec, random_interior(spec, rng)))
+        blocks.append(spec)
+    cones = ConeProduct(tuple(blocks))
+    s, z = np.concatenate(s), np.concatenate(z)
+    scale = 10.0 ** rng.uniform(-1, 7)  # boundary steps from about 1 to below ALPHA_FLOOR
+    ds, dz = scale * rng.standard_normal((2, cones.dim))
+    for spec, sl in zip(cones.blocks, cones.slices()):
+        if spec.degree == 0 and rng.uniform() < 0.8:
+            ds[sl] = 0.0  # a Zero block's direction is 0 in a solve, which keeps s there
+    tau, kappa = 10.0 ** rng.uniform(-1, 1, 2)
+    dtau, dkappa = scale * rng.standard_normal(2)
+    return cones, s, ds, z, dz, tau, dtau, kappa, dkappa
+
+
+class TestStepSearch:
+    """The grid search that starts below the boundary step accepts what the full scan accepted."""
+
+    def test_grids_are_the_scans_steps(self):
+        for grid, first in ((ipm.AFFINE_GRID, 1.0), (ipm.COMBINED_GRID, ipm.MAX_ALPHA)):
+            alpha, steps = first, []
+            while alpha >= ipm.ALPHA_FLOOR:
+                steps.append(alpha)
+                alpha *= 0.8
+            assert grid == tuple(steps)
+
+    def test_ratio(self):
+        assert ipm._ratio(2.0, -4.0) == 0.5
+        assert ipm._ratio(2.0, 0.0) == math.inf  # dtau >= 0 binds nothing
+        assert ipm._ratio(2.0, 3.0) == math.inf
+
+    def test_search_equals_the_linear_scan(self):
+        rng = np.random.default_rng(21)
+        accepted = []
+        for _ in range(150):
+            step = _random_step(rng)
+            cones, s, ds, z, dz, tau, dtau, kappa, dkappa = step
+            bound = min(
+                cones.step_bound(s, ds, z, dz), ipm._ratio(tau, dtau), ipm._ratio(kappa, dkappa)
+            )
+
+            def trial(margin):
+                def accept(a):
+                    ok = (
+                        tau + a * dtau > 0.0
+                        and kappa + a * dkappa > 0.0
+                        and cones.is_interior(s + a * ds, margin)
+                        and cones.is_interior_dual(z + a * dz, margin)
+                    )
+                    return a if ok else None
+
+                return accept
+
+            old = _scan_affine(*step)
+            new = ipm._search(ipm.AFFINE_GRID, trial(0.0), bound) or 0.0
+            # an affine step below ALPHA_FLOOR counts as 0: sigma is capped either way
+            assert new == (old if old >= ipm.ALPHA_FLOOR else 0.0)
+            assert _sigma(new) == _sigma(old)
+
+            old = _scan_combined(*step)
+            accept = trial(ipm.MARGIN)
+            new = accept(ipm.MAX_ALPHA) or ipm._search(ipm.COMBINED_GRID[1:], accept, bound)
+            assert new == old
+            accepted.append(old)
+        # the cases cover the first trial, later ones and no step at all
+        assert any(a == ipm.MAX_ALPHA for a in accepted)
+        assert sum(a is not None and a < 0.1 for a in accepted) >= 20
+        assert sum(a is None for a in accepted) >= 10
+
+    def test_interior_tests_per_iteration(self, monkeypatch):
+        # guards the gain: the full scan took 6.2 primal interior tests per
+        # iteration on this instance, the search from the boundary step 2.6
+        prob = gen_portfolio(synth_returns(6, 30, 0).window(0, 30), 5e-4)
+        calls = []
+        test = ConeProduct.is_interior
+
+        def counted(self, *args):
+            calls.append(1)
+            return test(self, *args)
+
+        monkeypatch.setattr(ConeProduct, "is_interior", counted)
+        report = solve(prob, cold_start(prob))
+        assert report.status is SolveStatus.OPTIMAL
+        assert len(calls) / report.iterations <= 3.0
+
+
+class TestNumericalErrorReason:
+    def test_no_reason_unless_numerical_error(self):
+        prob, _ = lp_box()
+        report = solve(prob, cold_start(prob))
+        assert report.status is SolveStatus.OPTIMAL
+        assert report.reason is None
+
+    def test_svm_l1_repro_is_a_proximity_stall(self):
+        # an LP whose iterate sits on the proximity boundary: every trial
+        # passes the interior test and fails the neighborhood
+        prob = gen_svm_l1(synth_samples(480, 10, seed=0), 0.04)
+        report = solve(prob, cold_start(prob))
+        assert report.status is SolveStatus.NUMERICAL_ERROR
+        assert report.reason == ipm.PROXIMITY_REJECTED
+
+    def test_no_grid_step_inside_the_cones(self, monkeypatch):
+        monkeypatch.setattr(ipm, "MARGIN", 1e300)
+        prob, _ = socp_norm()
+        report = solve(prob, cold_start(prob))
+        assert report.status is SolveStatus.NUMERICAL_ERROR
+        assert report.reason == ipm.NO_STEP_INSIDE
+
+    def test_factorization_failed(self, monkeypatch):
+        def singular(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(ipm, "splu", singular)
+        prob, _ = lp_box()
+        report = solve(prob, cold_start(prob))
+        assert report.status is SolveStatus.NUMERICAL_ERROR
+        assert report.reason == ipm.FACTORIZATION_FAILED
+
+    def test_barrier_kernel_raised(self, monkeypatch):
+        def exterior(*args):
+            raise ipm.BoundaryOrExterior("point is not strictly interior to soc(3)")
+
+        monkeypatch.setattr(ipm, "barrier_hessian_inverse", exterior)
+        prob, _ = socp_norm()
+        report = solve(prob, cold_start(prob))
+        assert report.status is SolveStatus.NUMERICAL_ERROR
+        assert report.reason == f"{ipm.KERNEL_RAISED}: point is not strictly interior to soc(3)"
