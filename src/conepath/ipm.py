@@ -8,9 +8,10 @@ centering weight.  A step is the first length of a fixed geometric grid
 that keeps every block strictly interior and, for the combined step,
 inside a proximity neighborhood of the path.  The search starts at the
 first grid value below the step to the cone boundary, which
-ConeProduct.step_bound gives in closed form, so it skips only lengths
-the interior test would reject.  Termination and infeasibility tests
-follow the documented inequalities literally.
+ConeProduct.step_bound bounds in closed form (exactly for nonnegative,
+second-order and PSD blocks), so it skips only lengths the interior
+test would reject.  Termination and infeasibility tests follow the
+documented inequalities literally.
 
 A solve assembles its KKT matrix once, with a fixed pattern, and
 computes its fill-reducing ordering once; each iteration writes only
