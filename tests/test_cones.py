@@ -723,8 +723,7 @@ class TestStepBound:
         e_s, e_z = unit_point(spec)
         for scale in (1e-6, 1.0, 1e6):
             v = scale * _side_point(spec, rng, dual)
-            bound, inside = _side(product, v, scale * (e_z if dual else e_s), dual)
-            assert bound == math.inf
+            assert _side(product, v, scale * (e_z if dual else e_s), dual)[0] == math.inf
 
     def test_nonneg_ratio_test(self):
         product = _one_block(ConeSpec.nonnegative(4))
@@ -754,9 +753,10 @@ class TestStepBound:
 
     def test_soc_row_outside_the_cone_is_unbounded(self):
         # a row that fails the interior test takes no bound from the quadratic
+        spec = ConeSpec.second_order(3)
         V = np.array([[1.0, 1.0, 0.0], [-2.0, 0.0, 0.0]])
         D = np.array([[-1.0, 0.5, 0.0], [1.0, 0.0, 0.0]])
-        bound = cones.CONES[ConeSpec.second_order(3).kind].step_bound(None, V, D)
+        bound = cones.CONES[spec.kind].step_bound(spec, V, D)
         assert np.all(bound == math.inf)
 
     def test_zero_block_imposes_no_bound(self):
