@@ -178,7 +178,7 @@ BETA = 0.1  # the neighborhood warmstart.proximity certifies by default
 MARGIN = 1e-12  # absolute floor on s and z in step acceptance, not scaled by mu
 ALPHA_FLOOR = 1e-7  # both grids end here: shorter steps make no progress
 MAX_ALPHA = 0.99  # the combined grid's first step; a full step may land on the boundary
-STEP_SLACK = 1e-6  # relative room on the boundary step, so its rounding never skips a trial
+STEP_SLACK = 1e-6  # relative room on the boundary step for rounding in it and in the interior test
 REGULARIZATION = 1e-8  # lets K factor when P is singular; refinement removes its bias
 EPS_IA = 1e-8  # infeasibility certificates need |b'z| or |q'x| above this
 EPS_IR = 1e-8  # relative residual an infeasibility certificate may leave
