@@ -698,9 +698,9 @@ class PsdTriangleCone(SelfDualCone):
     def step_bound(self, spec, V, D):
         """-1/lambda_min of S^-1/2 dS S^-1/2 where lambda_min < 0, else inf.
 
-        S^-1/2 dS S^-1/2 has the spectrum of L^-1 dS L^-T, S = LL'; it is
-        taken from the eigendecomposition the interior test computes.  A
-        row that fails that test gets inf.  Non-finite entries of dS are
+        S^-1/2 dS S^-1/2 has the spectrum of L^-1 dS L^-T, S = LL'; S^-1/2
+        comes from an eigendecomposition of S, the one the interior test
+        computes, done again here.  A row that fails that test gets inf.  Non-finite entries of dS are
         read as 0, which the eigensolver takes: such a direction passes
         no trial, whatever its bound.
         """

@@ -733,8 +733,7 @@ class TestStepSearch:
             assert _sigma(new) == _sigma(old)
 
             old = _scan_combined(*step)
-            accept = trial(ipm.MARGIN)
-            new = accept(ipm.MAX_ALPHA) or ipm._search(ipm.COMBINED_GRID[1:], accept, bound)
+            new = ipm._search(ipm.COMBINED_GRID, trial(ipm.MARGIN), bound)
             assert new == old
             accepted.append(old)
         # the cases cover the first trial, later ones and no step at all
@@ -744,7 +743,7 @@ class TestStepSearch:
 
     def test_interior_tests_per_iteration(self, monkeypatch):
         # guards the gain: the full scan took 6.2 primal interior tests per
-        # iteration on this instance, the search from the boundary step 2.6
+        # iteration on this instance, the search from the boundary step 2.1
         prob = gen_portfolio(synth_returns(6, 30, 0).window(0, 30), 5e-4)
         calls = []
         test = ConeProduct.is_interior
@@ -756,7 +755,7 @@ class TestStepSearch:
         monkeypatch.setattr(ConeProduct, "is_interior", counted)
         report = solve(prob, cold_start(prob))
         assert report.status is SolveStatus.OPTIMAL
-        assert len(calls) / report.iterations <= 3.0
+        assert len(calls) / report.iterations <= 2.5
 
 
 class TestNumericalErrorReason:
