@@ -8,18 +8,18 @@ and the mu trace.  Two commits whose outputs are equal ran every solve
 to the same bits, so a change meant to keep every iterate is checked by
 a diff of the two outputs.
 
-The chains are perfbench's (``perfbench/workloads.py``, read only), each
-instance written and read back as the benchmark does, and a warm solve
-starts from the previous member's optimum by the benchmark's chaining
-rule: the warm result if it was Optimal, else the cold one.  conepath is
-imported from ``src/`` of the checkout that holds this file.
+The solves are the benchmark's own, imported read only: perfbench/run.py
+imports conepath from ``src/`` of this checkout and builds, writes and
+reads back each workload's chains (``import_conepath``, ``setup``), and
+``perfbench.driver.run_pass`` solves them by its chaining rule.  This
+script only records the report of each ``ipm.solve`` call.
 """
 
 import argparse
 import hashlib
-import os
 import sys
 import tempfile
+import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -34,63 +34,59 @@ def digest(report):
     return h.hexdigest()[:16]
 
 
-def solve_line(label, run):
-    """'label status it=N hash', or 'label ExceptionName' when the solve raised."""
-    from conepath.errors import ConepathError
+def recording(api):
+    """(api with ipm.solve recording each report it returns, the list it records into)."""
+    reports = []
+    ipm = api.ipm
 
-    try:
-        report = run()
-    except ConepathError as exc:
-        return f"{label} {type(exc).__name__}", None
-    line = f"{label} {report.status.value} it={report.iterations} {digest(report)}"
-    return line, report
+    def solve(*args, **kwargs):
+        report = ipm.solve(*args, **kwargs)
+        reports.append(report)
+        return report
+
+    recorded_ipm = types.SimpleNamespace(
+        solve=solve, cold_start=ipm.cold_start, warm_start=ipm.warm_start
+    )
+    return types.SimpleNamespace(**{**vars(api), "ipm": recorded_ipm}), reports
 
 
-def chain_lines(name, seed, ci, chain):
-    from conepath import ipm
-    from conepath.warmstart import PreviousSolution, warmstart
+def pass_lines(label, ops, reports, statuses):
+    """One line per operation of a pass, given the reports its solves returned in order.
 
-    prev = None
-    for k, problem in enumerate(chain):
-        label = f"{name} seed={seed} chain={ci} member={k}"
-        line, cold = solve_line(f"{label} cold", lambda: ipm.solve(problem, ipm.cold_start(problem)))
+    An operation whose status is one of statuses (the SolveStatus
+    values) took the next report; one that raised shows the exception's
+    name and took none.
+    """
+    reports = iter(reports)
+    for op in ops:
+        line = f"{label} chain={op.chain} member={op.member} {op.mode} {op.status}"
+        if op.status in statuses:
+            report = next(reports)
+            line += f" it={report.iterations} {digest(report)}"
         yield line
-        warm = None
-        if k > 0 and prev is not None:
-
-            def run_warm():
-                ws = warmstart(PreviousSolution(*prev, problem=problem), problem.cones)
-                return ipm.solve(problem, ipm.warm_start(problem, ws))
-
-            line, warm = solve_line(f"{label} warm", run_warm)
-            yield line
-        ok = [r for r in (warm, cold) if r is not None and r.status is ipm.SolveStatus.OPTIMAL]
-        prev = ok[0].solution if ok else None
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     args = parser.parse_args(argv)
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = "1"  # before numpy loads, as in perfbench/run.py
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
-    import numpy as np
+    sys.path.insert(0, str(ROOT))
+    from perfbench import run
 
-    from conepath import fileio, problems
+    api = run.import_conepath()  # sets one BLAS thread before numpy loads
+    from perfbench import driver
     from perfbench.workloads import WORKLOADS
 
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "problem.txt"
-        for name, workload in WORKLOADS.items():
-            for seed in args.seeds:
-                for ci, chain in enumerate(workload.build(problems, np.random.default_rng(seed))):
-                    loaded = []
-                    for problem in chain:
-                        fileio.write_problem(problem, path)
-                        loaded.append(fileio.read_problem(path))
-                    for line in chain_lines(name, seed, ci, loaded):
-                        print(line, flush=True)
+    statuses = {status.value for status in api.ipm.SolveStatus}
+    recorded_api, reports = recording(api)
+    for name, workload in WORKLOADS.items():
+        for seed in args.seeds:
+            with tempfile.TemporaryDirectory() as tmp:
+                chains = run.setup(api, workload, seed, {}, Path(tmp))
+            reports.clear()
+            ops = driver.run_pass(recorded_api, chains, lambda: 1.0)
+            for line in pass_lines(f"{name} seed={seed}", ops, reports, statuses):
+                print(line, flush=True)
     return 0
 
 
