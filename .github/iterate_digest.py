@@ -1,12 +1,18 @@
 """Print one line per cold and warm solve of the benchmark's workloads.
 
     python3 .github/iterate_digest.py --seeds 1 2 3
+    python3 .github/iterate_digest.py --seeds 1 2 3 --summary
 
 Each line names the workload, seed, chain, member and mode, then the
 status, the iteration count and a SHA-256 prefix of the final x, s, z
 and the mu trace.  Two commits whose outputs are equal ran every solve
 to the same bits, so a change meant to keep every iterate is checked by
 a diff of the two outputs.
+
+With --summary, each line names the workload, seed and mode, then the
+count of each status and the total iteration count.  A change that moves
+iterates on purpose is compared with its parent by a diff of summaries:
+a status that appears, or a count that rises, is a failure gained.
 
 The solves are the benchmark's own, imported read only: perfbench/run.py
 imports conepath from ``src/`` of this checkout and builds, writes and
@@ -20,6 +26,7 @@ import hashlib
 import sys
 import tempfile
 import types
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -66,9 +73,21 @@ def pass_lines(label, ops, reports, statuses):
         yield line
 
 
+def summary_lines(label, ops):
+    """One line per mode: the count of each status, then the total iterations."""
+    for mode in ("cold", "warm"):
+        done = [op for op in ops if op.mode == mode]
+        counts = Counter(op.status for op in done)
+        statuses = " ".join(f"{status}={counts[status]}" for status in sorted(counts))
+        yield f"{label} {mode} {statuses} it={sum(op.iterations for op in done)}"
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
+    parser.add_argument(
+        "--summary", action="store_true", help="status counts and iterations per mode"
+    )
     args = parser.parse_args(argv)
     sys.path.insert(0, str(ROOT))
     from perfbench import run
@@ -85,7 +104,12 @@ def main(argv=None):
                 chains = run.setup(api, workload, seed, {}, Path(tmp))
             reports.clear()
             ops = driver.run_pass(recorded_api, chains, lambda: 1.0)
-            for line in pass_lines(f"{name} seed={seed}", ops, reports, statuses):
+            label = f"{name} seed={seed}"
+            if args.summary:
+                lines = summary_lines(label, ops)
+            else:
+                lines = pass_lines(label, ops, reports, statuses)
+            for line in lines:
                 print(line, flush=True)
     return 0
 

@@ -20,8 +20,10 @@ step than the scan would, still strictly interior.  Termination and
 infeasibility tests follow the documented inequalities literally.
 
 A solve assembles its KKT matrix once, with a fixed pattern, and
-computes its fill-reducing ordering once; each iteration writes only
-the (2,2) block's values, in place (see _KKT).
+computes one symmetric fill-reducing order from that pattern.  Each
+iteration writes only the (2,2) block's values, in place, and factors K
+in that order with static diagonal pivots: K is quasi-definite, so no
+pivot search is needed (see _KKT).
 """
 
 import time
@@ -30,6 +32,7 @@ from enum import Enum
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
 from .cones import (
@@ -183,7 +186,10 @@ MARGIN = 1e-12  # absolute floor on s and z in step acceptance, not scaled by mu
 ALPHA_FLOOR = 1e-7  # both grids end here: shorter steps make no progress
 MAX_ALPHA = 0.99  # the combined grid's first step; a full step may land on the boundary
 STEP_SLACK = 1e-6  # relative room on the boundary step for rounding in it and in the interior test
-REGULARIZATION = 1e-8  # lets K factor when P is singular; refinement removes its bias
+REGULARIZATION = 1e-8  # every pivot of K nonzero, P singular or not; refinement removes its bias
+# SuperLU's symmetric mode with static diagonal pivots: an LDL'-like factor of K
+STATIC_PIVOTS = dict(diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+REFINEMENT_STEPS = 2  # against K without regularization; static pivots need the second (see _KKT)
 EPS_IA = 1e-8  # infeasibility certificates need |b'z| or |q'x| above this
 EPS_IR = 1e-8  # relative residual an infeasibility certificate may leave
 
@@ -369,18 +375,31 @@ class _KKT:
     operations of a fresh assembly: h/mu, its negation, then the
     regularization on the diagonal.
 
-    The first splu of a K without an exact zero computes the ordering;
-    K is then stored with its columns in that order and factored as
-    NATURAL.  A default splu's perm_c already holds its etree postorder
-    and NATURAL adds none, so SuperLU pivots and rounds as a default
-    splu of K would: factors and solves are bit-identical.  Only an
-    exact tie for a column's largest magnitude could pick another, as
-    valid, pivot row, since SuperLU breaks such a tie towards the
-    diagonal and the permutation moves the diagonal.
+    With delta = REGULARIZATION, K is symmetric quasi-definite: its (1,1)
+    block P + delta*I is positive definite and its (2,2) block
+    -H^-1/mu - delta*I negative definite.  Such a matrix has an LDL'
+    factor in every symmetric order, with n positive pivots and m
+    negative ones taken from the diagonal (Vanderbei, SIAM J. Optim.
+    1995), so SuperLU factors it with STATIC_PIVOTS and no pivot search.
+    The order q is computed once per solve from K's pattern, by reverse
+    Cuthill-McKee, and K is stored as K[q][:, q]; each factor takes that
+    as NATURAL, the factor a fresh symmetric splu of the stored K gives.
+    An exact zero (in H^-1 at the unit point of an SOC or pow block, or
+    by underflow) stays a stored entry and takes the same path: no pivot
+    is taken off the diagonal, and every diagonal entry, P_ii + delta or
+    -h_ii/mu - delta, is nonzero.
+
+    Without a pivot search nothing bounds growth: a pivot of delta alone
+    (a column where P is 0, a Zero cone's row) taken before its
+    neighbours scales what it updates by 1/delta.  Minimum degree
+    (SuperLU's MMD_AT_PLUS_A) takes such pivots first: late in HMCR
+    solves its refined residuals were 100-500x those of partial
+    pivoting.  Reverse Cuthill-McKee stayed within 3x, with the same
+    fill on SVM LPs, and solve refines REFINEMENT_STEPS times.
 
     Hinv holds H^-1/mu for the products of the step; Kx holds K without
-    the regularization, in the original column order, for the residual
-    of the refinement step.
+    the regularization, in the original order, for the residuals of the
+    refinement steps.
     """
 
     def __init__(self, problem, stacks):
@@ -415,9 +434,16 @@ class _KKT:
         self.K.data[_positions(self.K, diag, diag)] += np.r_[
             np.full(n, REGULARIZATION), np.full(m, -REGULARIZATION)
         ]
-        self.kpos = self.xpos
-        self.qi = None  # the ordering: column j of the stored K is column qi[j] of K
-        self.perm = None  # qi once the last factor took the stored K as NATURAL
+        # the order q comes from the pattern; entry (i, j) of K moves to (qi[i], qi[j])
+        K = self.K
+        self.q = reverse_cuthill_mckee(K, symmetric_mode=True)
+        qi = np.argsort(self.q)
+        src = np.argsort(qi[np.repeat(diag, np.diff(K.indptr))] * (n + m) + qi[K.indices])
+        indptr = np.r_[0, np.cumsum(np.diff(K.indptr)[self.q])]
+        self.K = sp.csc_matrix((K.data[src], qi[K.indices[src]], indptr), shape=K.shape)
+        moved = np.empty_like(src)
+        moved[src] = np.arange(K.nnz)
+        self.kpos = moved[self.xpos]
         self.n = n
 
     def factor(self, stacks, mu):
@@ -433,44 +459,19 @@ class _KKT:
         neg = -self.Hinv.data
         self.Kx.data[self.xpos] = neg
         self.K.data[self.kpos] = neg + self.hreg
-        if not self.K.data.all():
-            # a fresh assembly drops an exact zero (there are some in H^-1
-            # at the unit point of an SOC or pow block, and an entry can
-            # underflow), so this K has a pattern of its own: factor it
-            # with a fresh ordering, as that assembly would be
-            K = self.K.copy() if self.qi is None else self.K[:, np.argsort(self.qi)]
-            K.eliminate_zeros()
-            self.lu, self.perm = splu(K), None
-        elif self.qi is None:
-            self.lu, self.perm = splu(self.K), None
-            self._permute(np.argsort(self.lu.perm_c))
-        else:
-            self.lu, self.perm = splu(self.K, permc_spec="NATURAL"), self.qi
-
-    def _permute(self, qi):
-        """Store K with its columns in the order qi, and move kpos along."""
-        K = self.K
-        counts = np.diff(K.indptr)[qi]
-        indptr = np.r_[0, np.cumsum(counts)]
-        src = np.repeat(K.indptr[qi] - indptr[:-1], counts) + np.arange(K.nnz)
-        self.K = sp.csc_matrix((K.data[src], K.indices[src], indptr), shape=K.shape)
-        moved = np.empty_like(src)
-        moved[src] = np.arange(K.nnz)
-        self.kpos = moved[self.kpos]
-        self.qi = qi
+        self.lu = splu(self.K, permc_spec="NATURAL", **STATIC_PIVOTS)
 
     def _solve(self, rhs):
-        if self.perm is None:
-            return self.lu.solve(rhs)
         sol = np.empty_like(rhs)
-        sol[self.perm] = self.lu.solve(rhs)
+        sol[self.q] = self.lu.solve(rhs[self.q])
         return sol
 
     def solve(self, top, bottom):
-        """K^-1 [top; bottom] with one step of refinement against K without regularization."""
+        """K^-1 [top; bottom], refined against K without regularization."""
         rhs = np.concatenate([top, bottom])
         sol = self._solve(rhs)
-        sol += self._solve(rhs - self.Kx @ sol)
+        for _ in range(REFINEMENT_STEPS):
+            sol += self._solve(rhs - self.Kx @ sol)
         return sol[: self.n], sol[self.n :]
 
 

@@ -478,35 +478,64 @@ class TestKKTStructure:
         unscaled = sum(spec.dim for spec in prob.cones.blocks if spec.kind is ConeKind.ZERO)
         missing = prob.n - np.count_nonzero(prob.P.diagonal())
         expected = prob.P.nnz + 2 * prob.A.nnz + scaling_nnz + missing + unscaled
-        assembled, orderings = [], []
+        assembled, orderings, factors = [], [], []
         bmat = ipm.sp.bmat
+        rcm = ipm.reverse_cuthill_mckee
 
         def counting_bmat(*args, **kwargs):
             K = bmat(*args, **kwargs)
             assembled.append(K.nnz)
             return K
 
+        def counting_rcm(K, **kwargs):
+            orderings.append(K.shape)
+            return rcm(K, **kwargs)
+
         def counting_splu(K, **kwargs):
-            orderings.append(kwargs.get("permc_spec") != "NATURAL")
+            factors.append((kwargs, K.data.all()))
             return splu(K, **kwargs)
 
         monkeypatch.setattr(ipm.sp, "bmat", counting_bmat)
+        monkeypatch.setattr(ipm, "reverse_cuthill_mckee", counting_rcm)
         monkeypatch.setattr(ipm, "splu", counting_splu)
+
+        def check(report, iterations):
+            assert report.status is SolveStatus.OPTIMAL
+            assert assembled == [expected]
+            # one order per solve; one factorization per step, each in
+            # that order with static diagonal pivots
+            assert orderings == [(prob.n + prob.m,) * 2]
+            assert len(factors) == report.iterations == iterations
+            static = dict(permc_spec="NATURAL", **ipm.STATIC_PIVOTS)
+            assert all(kwargs == static for kwargs, _ in factors)
+            zeros = not factors[0][1]
+            for seen in (assembled, orderings, factors):
+                seen.clear()
+            return zeros
+
         cold = solve(prob, cold_start(prob))
-        assert cold.status is SolveStatus.OPTIMAL
-        assert assembled == [expected]
-        # one factorization per step, 19 as before; the unit point's exact
-        # zeros in the SOC block's H^-1 force a fresh ordering once
-        assert len(orderings) == cold.iterations == 19
-        assert sum(orderings) == 2
-        assembled.clear()
-        orderings.clear()
+        # the unit point's exact zeros in the SOC block's H^-1 are stored
+        # entries of the first K; they take no second ordering
+        assert check(cold, 19)
         ws = warmstart(PreviousSolution(*cold.solution, problem=prob), prob.cones)
-        warm = solve(prob, warm_start(prob, ws))
-        assert warm.status is SolveStatus.OPTIMAL
-        assert assembled == [expected]
-        assert len(orderings) == warm.iterations == 9
-        assert sum(orderings) == 1
+        check(solve(prob, warm_start(prob, ws)), 12)
+
+    def test_factor_fill_on_svm_l1(self, monkeypatch):
+        # guards the gain: COLAMD with partial pivoting filled L + U to
+        # about 85,000 entries on this LP, the symmetric order to 25,502
+        prob = gen_svm_l1(synth_samples(480, 10, seed=0), 0.05)
+        fill = []
+
+        def counting_splu(K, **kwargs):
+            lu = splu(K, **kwargs)
+            fill.append(lu.L.nnz + lu.U.nnz)
+            return lu
+
+        monkeypatch.setattr(ipm, "splu", counting_splu)
+        report = solve(prob, cold_start(prob))
+        assert report.status is SolveStatus.OPTIMAL
+        assert len(fill) == report.iterations
+        assert max(fill) <= 35_000
 
     def product_problem(self, rng):
         cones = ConeProduct(
@@ -548,7 +577,7 @@ class TestKKTStructure:
         cones = prob.cones
         unit_soc = cones.batches[-1]
         kkt = None
-        # zeros, the first K without one, two reused orderings, zeros again
+        # zeros, three iterates without, zeros again
         for it in range(5):
             s = np.zeros(prob.m)
             for b in cones.barrier_batches:
@@ -561,27 +590,140 @@ class TestKKTStructure:
             stacks = [barrier_hessian_inverse(b.spec, b.rows(s)) for b in cones.barrier_batches]
             if kkt is None:
                 kkt = ipm._KKT(prob, stacks)
+                q = kkt.q
             kkt.factor(stacks, mu)
+            assert kkt.q is q
             K, K_exact, Hinv = self.fresh(prob, stacks, mu)
             assert zeros == (not kkt.K.data.all())
-            # the first K without a zero fixes the ordering
-            assert (kkt.qi is None) == (it == 0)
-            assert (kkt.perm is not None) == (it in (2, 3))  # factored as NATURAL
-            stored = kkt.K if kkt.qi is None else kkt.K[:, np.argsort(kkt.qi)]
-            stored = stored.copy()
+            # the stored K is K[q][:, q], with the stored zeros a fresh assembly drops
+            qi = np.argsort(q)
+            stored = kkt.K[qi][:, qi].tocsc()
             stored.eliminate_zeros()
+            stored.sort_indices()
             for attr in ("indptr", "indices", "data"):
                 assert getattr(stored, attr).tobytes() == getattr(K, attr).tobytes()
             v = rng.standard_normal(prob.n + prob.m)
             r = rng.standard_normal(prob.m)
             assert (kkt.Kx @ v).tobytes() == (K_exact @ v).tobytes()
             assert (kkt.Hinv @ r).tobytes() == (Hinv @ r).tobytes()
-            lu = splu(K)
-            assert kkt._solve(v).tobytes() == lu.solve(v).tobytes()
-            sol = lu.solve(v)
-            sol += lu.solve(v - K_exact @ sol)
+            # a fresh symmetric splu with static diagonal pivots of the fresh K[q][:, q]
+            lu = splu(K[q][:, q].tocsc(), permc_spec="NATURAL", **ipm.STATIC_PIVOTS)
+            assert (lu.perm_r == lu.perm_c).all()  # every pivot on the diagonal
+
+            def fresh_solve(rhs):
+                sol = np.empty_like(rhs)
+                sol[q] = lu.solve(rhs[q])
+                return sol
+
+            sol = fresh_solve(v)
+            for _ in range(ipm.REFINEMENT_STEPS):
+                sol += fresh_solve(v - K_exact @ sol)
             top, bottom = kkt.solve(v[: prob.n], v[prob.n :])
+            if zeros:
+                # a stored zero is a structural entry the fresh K lacks:
+                # the factor's supernodes, and so its rounding, may differ
+                np.testing.assert_allclose(np.r_[top, bottom], sol, rtol=1e-10, atol=1e-12)
+                continue
+            for ours, theirs in ((kkt.lu.L, lu.L), (kkt.lu.U, lu.U)):
+                for attr in ("indptr", "indices", "data"):
+                    assert getattr(ours, attr).tobytes() == getattr(theirs, attr).tobytes()
+            assert kkt._solve(v).tobytes() == fresh_solve(v).tobytes()
             assert np.r_[top, bottom].tobytes() == sol.tobytes()
+
+
+def psd_trace_one(order=6):
+    # min <C, X> s.t. tr X = 1, X PSD: the smallest eigenvalue of C
+    rng = np.random.default_rng(0)
+    C = rng.standard_normal((order, order))
+    dim = order * (order + 1) // 2
+    A = sp.vstack([sp.csc_matrix(svec(np.eye(order))[None, :]), -sp.eye(dim)])
+    return ConicProblem(
+        P=sp.csc_matrix((dim, dim)),
+        q=svec(C + C.T),
+        A=A,
+        b=np.r_[1.0, np.zeros(dim)],
+        cones=ConeProduct((ConeSpec.zero(1), ConeSpec.psd_triangle(order))),
+    )
+
+
+def log_sum_exp(k=3, p=8):
+    # min t s.t. sum u <= 1, u_i >= exp(a_i'w + c_i - t), |w| <= 1:
+    # t = log sum exp(a_i'w + c_i), minimized over the box
+    rng = np.random.default_rng(0)
+    a, c = rng.standard_normal((p, k)), rng.standard_normal(p)
+    n = k + 1 + p
+    rows = [np.r_[np.zeros(k + 1), np.ones(p)][None, :]]
+    rows += [np.c_[np.eye(k), np.zeros((k, 1 + p))], np.c_[-np.eye(k), np.zeros((k, 1 + p))]]
+    b = [1.0] * (1 + 2 * k)
+    for i in range(p):
+        # the block (u_i, 1, a_i'w + c_i - t), x >= y exp(z / y)
+        r = np.zeros((3, n))
+        r[0, k + 1 + i] = -1.0
+        r[2, :k] = -a[i]
+        r[2, k] = 1.0
+        rows.append(r)
+        b += [0.0, 1.0, c[i]]
+    return ConicProblem(
+        P=sp.csc_matrix((n, n)),
+        q=np.r_[np.zeros(k), 1.0, np.zeros(p)],
+        A=sp.csc_matrix(np.vstack(rows)),
+        b=np.array(b),
+        cones=ConeProduct((ConeSpec.nonnegative(1 + 2 * k),) + (ConeSpec.exponential(),) * p),
+    )
+
+
+class TestKKTAccuracy:
+    """Static diagonal pivots solve K as accurately as partial pivoting did, late in a solve."""
+
+    LATE_MU = 1e-3
+
+    @pytest.mark.parametrize(
+        "build, last_mu",
+        [
+            (lambda: gen_svm_l1(synth_samples(480, 10, seed=0), 0.05), 1e-9),
+            (lambda: gen_portfolio(synth_returns(50, 194, 0).window(0, 191), 5e-4), 1e-7),
+            (lambda: gen_hmcr(synth_returns(20, 43, 0).window(0, 40), 5e-4, 3.0, 0.9), 1e-7),
+            (psd_trace_one, 1e-7),
+            (log_sum_exp, 1e-7),
+        ],
+        ids=["svm-l1", "rebalance", "hmcr", "psd", "exp"],
+    )
+    def test_refined_residual_within_10x_of_partial_pivoting(self, monkeypatch, build, last_mu):
+        prob = build()
+        rng = np.random.default_rng(3)
+        seen = []
+        factor = ipm._KKT.factor
+
+        def residual(sol, Kx, rhs):
+            return np.abs(Kx @ sol - rhs).max() / np.abs(rhs).max()
+
+        def checked(kkt, stacks, mu):
+            factor(kkt, stacks, mu)
+            qi = np.argsort(kkt.q)
+            # quasi-definite: n positive pivots, then m negative ones
+            d = kkt.K.diagonal()[qi]
+            assert (d[: prob.n] > 0).all() and (d[prob.n :] < 0).all()
+            seen.append(mu)
+            if mu >= self.LATE_MU:
+                return
+            # the former scheme: a fresh K, COLAMD, partial pivoting and
+            # one refinement step
+            K = kkt.K[qi][:, qi].tocsc()
+            K.eliminate_zeros()
+            lu = splu(K)
+            for rhs in (np.r_[-prob.q, prob.b], rng.standard_normal(prob.n + prob.m)):
+                ours = np.concatenate(kkt.solve(rhs[: prob.n], rhs[prob.n :]))
+                ours = residual(ours, kkt.Kx, rhs)
+                sol = lu.solve(rhs)
+                sol += lu.solve(rhs - kkt.Kx @ sol)
+                partial = residual(sol, kkt.Kx, rhs)
+                assert ours <= 10.0 * partial, (mu, ours, partial)
+
+        monkeypatch.setattr(ipm._KKT, "factor", checked)
+        report = solve(prob, cold_start(prob))
+        assert report.status is SolveStatus.OPTIMAL
+        assert sum(mu < self.LATE_MU for mu in seen) >= 5
+        assert min(seen) <= last_mu
 
 
 class TestWarmVsCold:
