@@ -11,19 +11,19 @@ first grid value below the step to the cone boundary, which
 ConeProduct.step_bound bounds in closed form (exactly for nonnegative,
 second-order and PSD blocks), widened by STEP_SLACK for rounding.  In
 practice it skips only lengths the interior test would reject: on the
-benchmark's workloads at seeds 1-7 every iterate equals a full scan's
-bit for bit (.github/iterate_digest.py).  This is not guaranteed.  The
-interior test rounds by an absolute amount, so an SOC point with
-gap/v0^2 below about 1e-10, or an ill-conditioned PSD block, can move
-the test's boundary past the slack; the search then takes a shorter
-step than the scan would, still strictly interior.  Termination and
-infeasibility tests follow the documented inequalities literally.
+benchmark's workloads at seeds 1-7 every iterate equalled a full scan's
+bit for bit when the search replaced the scan (.github/iterate_digest.py).
+This is not guaranteed.  The interior test rounds by an absolute amount,
+so an SOC point with gap/v0^2 below about 1e-10, or an ill-conditioned
+PSD block, can move the test's boundary past the slack; the search then
+takes a shorter step than the scan would, still strictly interior.
+Termination and infeasibility tests follow the documented inequalities
+literally.
 
-A solve assembles its KKT matrix once, with a fixed pattern, and
-computes one symmetric fill-reducing order from that pattern.  Each
-iteration writes only the (2,2) block's values, in place, and factors K
-in that order with static diagonal pivots: K is quasi-definite, so no
-pivot search is needed (see _KKT).
+A solve assembles its KKT matrix once, with a fixed pattern and one
+symmetric fill-reducing order; each iteration writes only the (2,2)
+block's values, in place, and factors K with static diagonal pivots,
+which its quasi-definiteness allows (see _KKT).
 """
 
 import time
@@ -375,27 +375,23 @@ class _KKT:
     operations of a fresh assembly: h/mu, its negation, then the
     regularization on the diagonal.
 
-    With delta = REGULARIZATION, K is symmetric quasi-definite: its (1,1)
-    block P + delta*I is positive definite and its (2,2) block
-    -H^-1/mu - delta*I negative definite.  Such a matrix has an LDL'
-    factor in every symmetric order, with n positive pivots and m
-    negative ones taken from the diagonal (Vanderbei, SIAM J. Optim.
-    1995), so SuperLU factors it with STATIC_PIVOTS and no pivot search.
-    The order q is computed once per solve from K's pattern, by reverse
-    Cuthill-McKee, and K is stored as K[q][:, q]; each factor takes that
-    as NATURAL, the factor a fresh symmetric splu of the stored K gives.
-    An exact zero (in H^-1 at the unit point of an SOC or pow block, or
-    by underflow) stays a stored entry and takes the same path: no pivot
-    is taken off the diagonal, and every diagonal entry, P_ii + delta or
-    -h_ii/mu - delta, is nonzero.
+    With delta = REGULARIZATION, K is symmetric quasi-definite: P + delta*I
+    is positive definite and -H^-1/mu - delta*I negative definite.  So K
+    has an LDL' factor in every symmetric order with its n positive and m
+    negative pivots taken from the diagonal (Vanderbei, SIAM J. Optim.
+    1995), and SuperLU factors it with STATIC_PIVOTS, no pivot search.
+    The order q is reverse Cuthill-McKee on K's pattern, computed once per
+    solve; K is stored as K[q][:, q] and each factor takes it as NATURAL.
+    An exact zero in H^-1 (an SOC or pow unit point, or an underflow)
+    stays a stored entry: no pivot leaves the diagonal, and no diagonal
+    entry is zero.
 
-    Without a pivot search nothing bounds growth: a pivot of delta alone
-    (a column where P is 0, a Zero cone's row) taken before its
-    neighbours scales what it updates by 1/delta.  Minimum degree
-    (SuperLU's MMD_AT_PLUS_A) takes such pivots first: late in HMCR
-    solves its refined residuals were 100-500x those of partial
-    pivoting.  Reverse Cuthill-McKee stayed within 3x, with the same
-    fill on SVM LPs, and solve refines REFINEMENT_STEPS times.
+    Nothing bounds growth without a pivot search: a pivot of delta alone
+    (where P_ii = 0, or on a Zero cone's row) taken before its neighbours
+    scales its updates by 1/delta.  Minimum degree (MMD_AT_PLUS_A) takes
+    those first, and late in HMCR solves its refined residuals were
+    100-500x partial pivoting's; this order stayed within 3x at the same
+    SVM fill.  solve refines REFINEMENT_STEPS times.
 
     Hinv holds H^-1/mu for the products of the step; Kx holds K without
     the regularization, in the original order, for the residuals of the
@@ -430,12 +426,11 @@ class _KKT:
         diag = np.arange(n + m)
         self.xpos = _positions(self.Kx, n + rows, n + cols)
         self.hreg = np.where(rows == cols, -REGULARIZATION, 0.0)
-        self.K = self.Kx.copy()
-        self.K.data[_positions(self.K, diag, diag)] += np.r_[
+        K = self.Kx.copy()
+        K.data[_positions(K, diag, diag)] += np.r_[
             np.full(n, REGULARIZATION), np.full(m, -REGULARIZATION)
         ]
         # the order q comes from the pattern; entry (i, j) of K moves to (qi[i], qi[j])
-        K = self.K
         self.q = reverse_cuthill_mckee(K, symmetric_mode=True)
         qi = np.argsort(self.q)
         src = np.argsort(qi[np.repeat(diag, np.diff(K.indptr))] * (n + m) + qi[K.indices])

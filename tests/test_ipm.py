@@ -508,15 +508,14 @@ class TestKKTStructure:
             assert len(factors) == report.iterations == iterations
             static = dict(permc_spec="NATURAL", **ipm.STATIC_PIVOTS)
             assert all(kwargs == static for kwargs, _ in factors)
-            zeros = not factors[0][1]
             for seen in (assembled, orderings, factors):
                 seen.clear()
-            return zeros
 
         cold = solve(prob, cold_start(prob))
         # the unit point's exact zeros in the SOC block's H^-1 are stored
         # entries of the first K; they take no second ordering
-        assert check(cold, 19)
+        assert not factors[0][1]
+        check(cold, 19)
         ws = warmstart(PreviousSolution(*cold.solution, problem=prob), prob.cones)
         check(solve(prob, warm_start(prob, ws)), 12)
 
@@ -673,7 +672,7 @@ def log_sum_exp(k=3, p=8):
 
 
 class TestKKTAccuracy:
-    """Static diagonal pivots solve K as accurately as partial pivoting did, late in a solve."""
+    """Late in a solve, static diagonal pivots solve K within 10x of partial pivoting's residual."""
 
     LATE_MU = 1e-3
 
