@@ -1,21 +1,21 @@
 """Newton solves over the rows of a stack.
 
-The nonsymmetric cones' smoothing and projection minimize a
-self-concordant objective per point.  newton_rows runs one masked damped
-Newton over a (k, d) stack of such points: each row keeps its own step,
-tests and exit, and a row that fails does not stop the others.  One
-point is the k = 1 stack.
+The damped Newton serves two callers only: the exponential cone's
+smoothing, and smooth_newton, the reference route of every kind.  Both
+minimize a self-concordant objective per point.  newton_rows runs one
+masked damped Newton over a (k, d) stack of such points: each row keeps
+its own step, tests and exit, and a row that fails does not stop the
+others.  One point is the k = 1 stack.
 
-Their conjugate gradients need no minimization: grad f(s) = -y leaves
-one unknown per row, the root of an increasing scalar equation, and
-bracketed_root finds the roots of all rows with one vectorized Newton.
+The nonsymmetric conjugate gradients and the power cone's smoothing need
+no minimization: each leaves one unknown per row, the root of an
+increasing scalar equation, and bracketed_root finds the roots of all
+rows with one vectorized Newton.
 """
 
 import math
 
 import numpy as np
-
-from .errors import NoConvergence
 
 
 def norms(V):
@@ -195,14 +195,21 @@ def bracketed_root(equation, lo, hi, x0):
     by the bracket's midpoint.  A row stops once its step is at most
     1e-12 or its value is exactly 0; a row with an empty bracket, lo == hi,
     has its root already.  A row that has not stopped after 50 evaluations
-    comes back as NaN, and the other rows keep their roots.
+    comes back as NaN, and the other rows keep their roots, with one
+    exception: where the slope is small, rounding in the value can leave
+    Newton alternating for ever between two points more than 1e-12 apart.
+    A row whose (x, lo, hi) after the 50 evaluations equals the one of
+    two evaluations before is in such a cycle, and keeps its x.
     """
     x = np.array(x0, dtype=float)
     r = np.flatnonzero(lo < hi)
     xr, lo, hi = x[r], lo[r], hi[r]  # the rows still running
-    for _ in range(50):
+    for k in range(50):
         if not r.size:
             return x
+        if k == 48:  # two evaluations before the end
+            back = np.full((3, len(x)), np.nan)
+            back[:, r] = xr, lo, hi
         f, df = equation(xr, r)
         lo = np.where(f <= 0.0, xr, lo)
         hi = np.where(f >= 0.0, xr, hi)
@@ -211,7 +218,8 @@ def bracketed_root(equation, lo, hi, x0):
         x[r] = new
         run = ~((np.abs(new - xr) <= 1e-12) | (f == 0.0))
         r, xr, lo, hi = r[run], new[run], lo[run], hi[run]
-    x[r] = np.nan
+    cycle = (np.stack([xr, lo, hi]) == back[:, r]).all(axis=0)
+    x[r[~cycle]] = np.nan
     return x
 
 
@@ -243,16 +251,3 @@ def smoothing_newton(C, mu, oracles, S0, collect_trace):
         max_iters=100, collect_trace=collect_trace,
     )
 
-
-_PATH_MUS = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14)
-
-
-def project_path(c, oracles, s0):
-    """Interior-point homotopy: follow smooth(c, mu) as mu -> 0."""
-    C = c[None]
-    S = np.asarray(s0, dtype=float)[None]
-    for mu in _PATH_MUS:
-        S, _, _, errors = smoothing_newton(C, np.array([mu]), oracles, S, False)
-        if errors[0] is not None:
-            raise NoConvergence(errors[0])
-    return S[0]

@@ -12,14 +12,15 @@ are k points of one cone; formulas give one result per row: (k,) values
 and interior tests, (k, dim) gradients, (k, dim, dim) Hessians.  A
 ConeProduct groups each run of consecutive blocks with an equal ConeSpec
 into one batch, and a batch's slice of s or z, reshaped to (k, dim), is
-such a stack, so one call covers the whole batch.  The projections of
-the nonsymmetric kinds, the exponential cone's smoothing and
-smooth_newton run one masked damped Newton over the rows of a stack
-(_newton.py), with one derivatives call per step for the gradient and
-Hessian together: each row keeps its own step, tests and exit, and a
-row that fails does not stop the others.  The nonsymmetric conjugate
-gradients and the power cone's smoothing solve one increasing scalar
-equation per row, all rows in one bracketed Newton.
+such a stack, so one call covers the whole batch.  The exponential
+cone's smoothing and smooth_newton run one masked damped Newton over the
+rows of a stack (_newton.py), with one derivatives call per step for the
+gradient and Hessian together: each row keeps its own step, tests and
+exit, and a row that fails does not stop the others.  The nonsymmetric
+conjugate gradients and the power cone's smoothing solve one increasing
+scalar equation per row, all rows in one bracketed Newton.  A
+nonsymmetric kind projects by its own smoothing of the unit-scaled
+target, scaled back, and onto its dual cone by the Moreau identity.
 
 The module functions (is_interior, barrier_gradient, ...) are the
 checked entry points.  They take one point (dim,) or a stack (k, dim)
@@ -39,13 +40,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._newton import bracketed_root, project_path, smoothing_newton
+from ._newton import bracketed_root, smoothing_newton
 from ._newton import norms as _norms
 from .errors import BoundaryOrExterior, EigenFailure, NoConvergence, Unsupported
 
 SQRT2 = math.sqrt(2.0)
 
 MU_MAX = 1e6  # largest smoothing weight the operators accept
+PROJECTION_MU = 1e-14  # smoothing weight of a projection, on its unit-scaled target
 
 
 class ConeKind(Enum):
@@ -429,6 +431,10 @@ class Cone:
 
     smooth = smooth_newton  # the exponential cone; the other kinds override smooth
 
+    def project_dual(self, spec, c):
+        """The Moreau identity c = proj_K(c) - proj_K*(-c), solved for proj_K*(c)."""
+        return c + self.project(spec, -c)
+
 
 class ZeroCone(Cone):
     """{0}: no interior and no barrier; its dual is the whole space."""
@@ -450,9 +456,6 @@ class ZeroCone(Cone):
 
     def project(self, spec, c):
         return np.zeros_like(c)
-
-    def project_dual(self, spec, c):
-        return c.copy()
 
 
 class SelfDualCone(Cone):
@@ -745,12 +748,12 @@ class NonsymmetricCone(Cone):
     Both barriers are f = -log u - c1 log x1 - c2 log x2: each kind
     supplies u, alone or with its first (and second) derivatives, the
     weights (c1, c2), the slack its interior test bounds, a unit point
-    and the linear map M with y in int(K*) iff M y in int(K).  The
-    projections, smooth_newton and the exponential cone's smoothing run
-    damped Newton on those.  For the conjugate gradient each kind reduces
+    and the linear map M with y in int(K*) iff M y in int(K).
+    smooth_newton and the exponential cone's smoothing run damped Newton
+    on those.  For the conjugate gradient each kind reduces
     grad f(s) = -y to one increasing scalar equation per row
     (conjugate_root), solved by one bracketed Newton; the power cone's
-    smoothing reduces the same way.
+    smoothing reduces the same way, and project calls smooth.
     """
 
     def validate(self, spec):
@@ -838,24 +841,14 @@ class NonsymmetricCone(Cone):
         return -S
 
     def project(self, spec, c):
-        return project_path(c, self.oracles(spec), self.unit_s(spec))
-
-    def project_dual(self, spec, c):
-        # the dual cone is M^-1 K, so the same homotopy runs on the
-        # pulled-back barrier y -> f(M y), independent of project()
-        M = self.dual_map(spec)
-        _, e_z = self.unit_point(spec)
-
-        def derivatives(Y):
-            G, H = self.derivatives(spec, Y @ M.T)
-            return G @ M, M.T @ H @ M
-
-        oracles = (
-            lambda Y: self.value(spec, Y @ M.T),
-            derivatives,
-            lambda Y: is_interior(spec, Y @ M.T, 0.0),
-        )
-        return project_path(c, oracles, e_z)
+        # proj(t c) = t proj(c): the unit-scaled target's prox, scaled back
+        t = np.max(np.abs(c))
+        if t == 0.0:
+            return np.zeros_like(c)
+        result, errors = self.smooth(spec, c[None] / t, np.array([PROJECTION_MU]))
+        if errors[0] is not None:
+            raise NoConvergence(errors[0])
+        return t * result.s[0]
 
 
 # Interior point of the exponential cone mapped (approximately) onto

@@ -8,8 +8,9 @@ second-order and PSD cones have closed forms.  The power cone reduces
 to one increasing scalar equation per row, all rows solved by one
 bracketed Newton.  The exponential cone, and smooth_newton for every
 kind, run a safeguarded damped Newton method on the (self-concordance
-normalized) objective; exponential and power cones project by
-following it as mu -> 0.
+normalized) objective.  Exponential and power cones project by their
+own smooth at one fixed small weight on the unit-scaled target (see
+project).
 
 smooth and smooth_newton take one target c (dim,) or a stack (k, dim)
 of targets of the same cone, with one mu or one per row: a stack is
@@ -112,9 +113,13 @@ def smooth_product(product, c, mu, hints=None):
 def project(spec, c):
     """Euclidean projection onto the cone.
 
-    Analytic for zero/nonnegative/second-order/PSD blocks; exponential
-    and power cones follow the smoothing path down to mu = 1e-14, which
-    resolves the projection to roughly sqrt(mu) accuracy near kinks.
+    Analytic for zero/nonnegative/second-order/PSD blocks.  A projection
+    onto a cone is positively homogeneous, proj(t c) = t proj(c), and the
+    prox tends to it as mu -> 0, so exponential and power cones return
+    t * smooth(spec, c/t, PROJECTION_MU) with t = max|c_i|: one weight on
+    the unit-scaled target serves every scale, to about
+    sqrt(PROJECTION_MU) * t near the cone's kinks.  A zero target gives
+    zeros; a failed smoothing raises NoConvergence.
     """
     return CONES[spec.kind].project(spec, np.asarray(c, dtype=float))
 
@@ -122,9 +127,8 @@ def project(spec, c):
 def project_dual(spec, c):
     """Euclidean projection onto the dual cone.
 
-    Symmetric kinds are self-dual.  For exponential and power cones the
-    dual is a linear image of the primal cone, so the same homotopy runs
-    on the pulled-back barrier; this keeps the route independent of
-    project() for Moreau-decomposition checks.
+    Nonnegative, second-order and PSD cones are self-dual, so this is
+    project.  Every other kind takes the Moreau identity
+    c = proj_K(c) - proj_K*(-c), as proj_K*(c) = c + proj_K(-c).
     """
     return CONES[spec.kind].project_dual(spec, np.asarray(c, dtype=float))

@@ -628,6 +628,18 @@ class TestConjugateRoots:
                 conjugate_gradient(spec, Z[2])
 
 
+class TestBracketedRoot:
+    def test_two_cycle_at_the_rounding_floor_stops(self):
+        # a value that rounds to +-1e-15 with slope 1e-4 sends Newton back
+        # and forth by 1e-11, above the step test's 1e-12
+        def equation(x, rows):
+            return np.where(x < 1.0, -1e-15, 1e-15), np.full_like(x, 1e-4)
+
+        lo, hi = np.zeros(2), np.full(2, 2.0)
+        x = _newton.bracketed_root(equation, lo, hi, np.array([1.0 - 3e-12, 1.0 + 4e-12]))
+        assert np.all(np.abs(x - 1.0) <= 1e-11)
+
+
 class TestConeProduct:
     def test_dims_and_slices(self):
         product = ConeProduct(

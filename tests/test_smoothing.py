@@ -11,6 +11,7 @@ from conepath.cones import (
     ConeSpec,
     barrier_gradient,
     is_interior,
+    is_interior_dual,
     svec,
     smat,
     unit_point,
@@ -24,7 +25,7 @@ from conepath.smoothing import (
     smooth_product,
 )
 
-from support import ALL_KINDS, make_spec
+from support import ALL_KINDS, make_spec, random_interior
 
 
 def moreau_residual(spec, c, mu, s):
@@ -374,6 +375,39 @@ class TestProduct:
         assert np.allclose(s_warm, s_cold, rtol=1e-9)
 
 
+NONSYMMETRIC_SPECS = (
+    ConeSpec.exponential(),
+    ConeSpec.power(0.001),
+    ConeSpec.power(0.5),
+    ConeSpec.power(0.999),
+)
+SPEC_IDS = ("exp", "pow-0.001", "pow-0.5", "pow-0.999")
+
+
+def _projection_targets(spec, rng):
+    """Four targets per scale 10^k, k in [-8, 8]: a random one, one with a
+    zero coordinate, one inside K and one inside the polar cone -K*; and
+    one fixed target."""
+    for k in range(-8, 9):
+        c = rng.standard_normal(3)
+        zero = rng.standard_normal(3)
+        zero[rng.integers(3)] = 0.0
+        inside = random_interior(spec, rng)
+        polar = barrier_gradient(spec, random_interior(spec, rng))  # -grad f(s) is in int K*
+        for t in (c, zero, inside, polar):
+            yield 10.0**k * t / np.linalg.norm(t)
+    # near the polar cone's boundary, where the power root's Newton ended
+    # in a two-cycle at the rounding floor
+    yield np.array([-7.513983105259508e-07, -1.386400606296596e-07, -6.451197660336809e-07])
+
+
+def _in_closure(spec, x, eps, dual=False):
+    """x + eps*e is strictly inside K (or K*), e the unit point normalized:
+    x lies within eps of the closed cone along e."""
+    e = unit_point(spec)[1 if dual else 0]
+    return bool((is_interior_dual if dual else is_interior)(spec, x + eps * e / np.linalg.norm(e)))
+
+
 class TestProjection:
     def test_nonnegative(self):
         c = np.array([-1.0, 0.0, 2.0])
@@ -425,6 +459,47 @@ class TestProjection:
                     for mu in (1e-2, 1e-4, 1e-6)
                 ]
                 assert gaps[0] > gaps[1] > gaps[2]
+
+    @pytest.mark.parametrize("spec", NONSYMMETRIC_SPECS, ids=SPEC_IDS)
+    def test_optimality_conditions(self, spec):
+        rng = np.random.default_rng(1300)
+        for c in _projection_targets(spec, rng):
+            nc = np.linalg.norm(c)
+            # proj_K(c) - c lies in K*, and proj_K*(c) - c in K
+            for x, dual in ((project(spec, c), False), (project_dual(spec, c), True)):
+                assert _in_closure(spec, x, 1e-10 * nc, dual), (c, x)
+                assert _in_closure(spec, x - c, 1e-10 * nc, not dual), (c, x)
+                assert abs(float(x @ (x - c))) <= 1e-9 * nc * nc, (c, x)
+
+    @pytest.mark.parametrize("spec", NONSYMMETRIC_SPECS, ids=SPEC_IDS)
+    def test_scales_exactly(self, spec):
+        # t = max|c_i| scales by a power of two without rounding
+        rng = np.random.default_rng(1301)
+        for c in list(_projection_targets(spec, rng))[::4]:
+            p = project(spec, c)
+            for k in (-40, 40):
+                assert np.array_equal(project(spec, 2.0**k * c), 2.0**k * p)
+
+    @pytest.mark.parametrize("spec", NONSYMMETRIC_SPECS, ids=SPEC_IDS)
+    def test_zero_target(self, spec):
+        for route in (project, project_dual):
+            assert np.array_equal(route(spec, np.zeros(3)), np.zeros(3))
+
+    def test_power_does_not_run_the_damped_newton(self, monkeypatch):
+        from conepath import _newton, cones
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("damped Newton called")
+
+        for name in ("newton_rows", "smoothing_newton"):
+            monkeypatch.setattr(_newton, name, refuse)
+            # a module that imported it by name holds its own reference
+            monkeypatch.setattr(cones, name, refuse, raising=False)
+        rng = np.random.default_rng(1302)
+        for spec in NONSYMMETRIC_SPECS[1:]:
+            for c in list(_projection_targets(spec, rng))[::5]:
+                assert np.isfinite(project(spec, c)).all()
+                assert np.isfinite(project_dual(spec, c)).all()
 
 
 class TestShrinkToProjection:
