@@ -297,6 +297,7 @@ def conjugate_value(spec, y):
 
 
 _OUT_OF_RANGE = "smoothing target exceeds the float64 working range"
+_NOT_INTERIOR = "no strictly interior smoothing point found in float64"
 
 
 def _working_rows(C):
@@ -317,7 +318,8 @@ class SmoothingResult:
     stack, s is (k, dim), newton_iters and optimality_residual hold one
     entry per row and trace one list per row.  A row holds NaN in s and
     optimality_residual exactly when its solve failed: a Newton row that
-    did not converge, or any row whose target leaves the float64 range.
+    did not converge, a row whose point is not strictly interior, or any
+    row whose target leaves the float64 range.
     """
 
     s: np.ndarray
@@ -475,6 +477,24 @@ class SelfDualCone(Cone):
     def project_dual(self, spec, c):
         return self.project(spec, c)
 
+    def _closed_form(self, spec, S, residual):
+        """A closed-form smoothing result S, with no Newton steps; residual(S) gives each row's.
+
+        A row fails alone, as a Newton row does (NaN in s and
+        optimality_residual, and a message), if the interior test rejects
+        it: a non-finite entry, or a boundary point rounded onto at mu
+        near the float floor.
+        """
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            resid = residual(S)
+        finite = np.isfinite(S).all(axis=1)
+        inside = _interior_rows(self.interior, spec, S, 0.0)
+        S[~inside] = resid[~inside] = np.nan
+        errors = [
+            None if ok else _NOT_INTERIOR if f else _OUT_OF_RANGE for ok, f in zip(inside, finite)
+        ]
+        return SmoothingResult(S, np.zeros(len(S), dtype=int), resid), errors
+
 
 def _nn_root(c, mu):
     """Componentwise root s = (c + sqrt(c^2 + 4 mu)) / 2, cancellation free.
@@ -489,18 +509,6 @@ def _nn_root(c, mu):
 def _ratio_test(V, D):
     """Per row, the largest alpha with every entry of V + alpha*D positive: min of V/-D over D < 0."""
     return np.divide(V, -D, out=np.full(V.shape, np.inf), where=D < 0.0).min(axis=1)
-
-
-def _closed_form(S, resid):
-    """A closed-form smoothing result, with no Newton steps.
-
-    A row the formula cannot carry in float64 (a non-finite entry) fails
-    as a Newton row does: NaN in s and optimality_residual, and a message.
-    """
-    failed = ~np.isfinite(S).all(axis=1)
-    S[failed] = resid[failed] = np.nan
-    errors = [_OUT_OF_RANGE if f else None for f in failed]
-    return SmoothingResult(S, np.zeros(len(S), dtype=int), resid), errors
 
 
 class NonnegativeCone(SelfDualCone):
@@ -533,7 +541,7 @@ class NonnegativeCone(SelfDualCone):
 
     def smooth(self, spec, C, mu, hint=None):
         S = _nn_root(C, mu[:, None])
-        return _closed_form(S, _norms(S - C - mu[:, None] / S))
+        return self._closed_form(spec, S, lambda S: _norms(S - C - mu[:, None] / S))
 
     def project(self, spec, c):
         return np.maximum(c, 0.0)
@@ -655,12 +663,9 @@ class SecondOrderCone(SelfDualCone):
         S = np.empty_like(C)
         S[:, 0] = np.where(on_axis, np.sqrt(mu + 0.25 * nc1 * nc1), s0)
         S[:, 1:] = np.where(on_axis, 0.5, f1)[:, None] * c1
-        ts = np.where(on_axis, mu, mu * rho)
-        M = mu[:, None] * S / ts[:, None]
-        R = S - C
-        R[:, 0] -= M[:, 0]
-        R[:, 1:] += M[:, 1:]
-        return _closed_form(S, _norms(R))
+        ts = np.where(on_axis, mu, mu * rho)[:, None]
+        j = self._signs(spec)
+        return self._closed_form(spec, S, lambda S: _norms(S - C - mu[:, None] * S / ts * j))
 
     def project(self, spec, c):
         c0, c1 = c[0], c[1:]
@@ -735,7 +740,7 @@ class PsdTriangleCone(SelfDualCone):
         d, U = _eigh(smat(C))
         e = _nn_root(d, mu[:, None])
         S = svec((U * e[:, None, :]) @ _t(U))
-        return _closed_form(S, _norms(e - d - mu[:, None] / e))
+        return self._closed_form(spec, S, lambda _: _norms(e - d - mu[:, None] / e))
 
     def project(self, spec, c):
         d, U = _eigh(smat(c))
@@ -1047,7 +1052,7 @@ class PowerCone(NonsymmetricCone):
             S[todo, :2] = X
             S[todo, 2] = c3 * A / (A + 2.0 * m * r)
         for i in np.flatnonzero(todo & ~_interior_rows(self.interior, spec, S, 0.0)):
-            errors[i] = "no strictly interior smoothing point found in float64"
+            errors[i] = _NOT_INTERIOR
         return self._smoothing_result(spec, C, mu, S, np.zeros(len(S), dtype=int), errors)
 
     def unit_s(self, spec):
@@ -1135,9 +1140,6 @@ class ConeProduct:
 
     def slices(self):
         return self._slices
-
-    def split(self, v):
-        return [v[sl] for sl in self._slices]
 
     def is_interior(self, s, margin=0.0):
         """Blockwise strict interiority, one test per batch; Zero blocks require exact zeros."""

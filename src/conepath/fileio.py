@@ -131,9 +131,7 @@ def read_problem(path):
                 raise ParseError(f"repeated triplet ({i},{j}) in {tag} block", line=ln)
             entries[i, j] = v
         ij = np.array(list(entries), dtype=int).reshape(-1, 2)
-        vals = np.array(list(entries.values()))
-        keep = vals != 0.0  # stored zeros are dropped
-        rows, cols, vals = ij[keep, 0], ij[keep, 1], vals[keep]
+        rows, cols, vals = ij[:, 0], ij[:, 1], np.array(list(entries.values()))
         if mirror:
             off = rows != cols
             rows, cols, vals = np.r_[rows, cols[off]], np.r_[cols, rows[off]], np.r_[vals, vals[off]]

@@ -53,9 +53,17 @@ class SolveStatus(Enum):
     NUMERICAL_ERROR = "NumericalError"
 
 
+def _zero_free(M):
+    """M as a new CSC matrix of floats in canonical form, with no stored zero."""
+    M = sp.csc_matrix(M, dtype=float, copy=True)
+    M.sum_duplicates()
+    M.eliminate_zeros()
+    return M
+
+
 @dataclass
 class ConicProblem:
-    """Problem data; P is symmetrized and both matrices stored as CSC."""
+    """Problem data; P is symmetrized, and P and A are canonical CSC copies with no stored zero."""
 
     P: sp.csc_matrix
     q: np.ndarray
@@ -71,8 +79,8 @@ class ConicProblem:
         P = sp.csc_matrix(self.P, dtype=float)
         if P.shape != (n, n):
             raise Unsupported(f"P must be {n}x{n}, got {P.shape}")
-        self.P = ((P + P.T) * 0.5).tocsc()
-        self.A = sp.csc_matrix(self.A, dtype=float)
+        self.P = _zero_free((P + P.T) * 0.5)
+        self.A = _zero_free(self.A)
         if self.A.shape != (m, n):
             raise Unsupported(f"A must be {m}x{n}, got {self.A.shape}")
         self.AT = self.A.T  # a CSR view of A's arrays, built once
@@ -350,15 +358,6 @@ def block_proximity(cones, s, z):
     return rho, gradients
 
 
-def _with_diagonal(M):
-    """M as CSC with its whole diagonal stored, an explicit 0 where M has none."""
-    M = M.tocoo()
-    i = np.arange(M.shape[0])
-    return sp.csc_matrix(
-        (np.r_[M.data, np.zeros(len(i))], (np.r_[M.row, i], np.r_[M.col, i])), shape=M.shape
-    )
-
-
 def _positions(M, rows, cols):
     """Indices into M.data of the entries (rows, cols) of a CSC M with sorted indices."""
     keys = np.repeat(np.arange(M.shape[1]), np.diff(M.indptr)) * M.shape[0] + M.indices
@@ -368,12 +367,13 @@ def _positions(M, rows, cols):
 class _KKT:
     """K = [[P, A'], [A, -H^-1/mu]] + REGULARIZATION * diag(1_n, -1_m), built once per solve.
 
-    One bmat stores every entry an iteration can write: the full H^-1
-    pattern of each barrier batch (the diagonal where the kernel returns
-    only that, every d x d block otherwise) and the regularization
-    diagonal.  factor writes the (2,2) values in place with the float
-    operations of a fresh assembly: h/mu, its negation, then the
-    regularization on the diagonal.
+    One bmat stores P, A', A and every entry of the (2,2) block an
+    iteration can write: the full H^-1 pattern of each barrier batch (the
+    diagonal where the kernel returns only that, every d x d block
+    otherwise).  Adding the regularization stores K's whole diagonal.
+    factor writes the (2,2) values in place with the float operations of
+    a fresh assembly: h/mu, its negation, then the regularization on the
+    diagonal.
 
     With delta = REGULARIZATION, K is symmetric quasi-definite: P + delta*I
     is positive definite and -H^-1/mu - delta*I negative definite.  So K
@@ -411,34 +411,25 @@ class _KKT:
                 t, j, i = np.indices((k, d, d)).reshape(3, -1)
                 rows.append(b.sl.start + t * d + i)
                 cols.append(b.sl.start + t * d + j)
-        # block by block, column by column: the CSC order of H^-1
+        # block by block, column by column: the CSC order of H^-1.  Its
+        # values are placeholders, which factor overwrites; they are
+        # nonzero so that the sum below keeps every entry
         rows, cols = np.concatenate(rows), np.concatenate(cols)
         self.Hinv = sp.csc_matrix(
-            (np.zeros(len(rows)), rows, np.searchsorted(cols, np.arange(m + 1))), shape=(m, m)
+            (np.ones(len(rows)), rows, np.searchsorted(cols, np.arange(m + 1))), shape=(m, m)
         )
-        # a fresh assembly adds the regularization, which drops stored zeros
-        P, A = problem.P.copy(), problem.A.copy()
-        P.eliminate_zeros()
-        A.eliminate_zeros()
-        self.Kx = sp.bmat(
-            [[_with_diagonal(P), A.T], [A, _with_diagonal(self.Hinv)]], format="csc"
-        )
-        diag = np.arange(n + m)
+        A = problem.A
+        self.Kx = sp.bmat([[problem.P, A.T], [A, self.Hinv]], format="csc")
         self.xpos = _positions(self.Kx, n + rows, n + cols)
         self.hreg = np.where(rows == cols, -REGULARIZATION, 0.0)
-        K = self.Kx.copy()
-        K.data[_positions(K, diag, diag)] += np.r_[
-            np.full(n, REGULARIZATION), np.full(m, -REGULARIZATION)
-        ]
-        # the order q comes from the pattern; entry (i, j) of K moves to (qi[i], qi[j])
+        # the sum stores K's whole diagonal: P and A store no zero, and
+        # the quasi-definite diagonal sums are nonzero
+        K = self.Kx + sp.diags(np.r_[np.full(n, REGULARIZATION), np.full(m, -REGULARIZATION)])
         self.q = reverse_cuthill_mckee(K, symmetric_mode=True)
-        qi = np.argsort(self.q)
-        src = np.argsort(qi[np.repeat(diag, np.diff(K.indptr))] * (n + m) + qi[K.indices])
-        indptr = np.r_[0, np.cumsum(np.diff(K.indptr)[self.q])]
-        self.K = sp.csc_matrix((K.data[src], qi[K.indices[src]], indptr), shape=K.shape)
-        moved = np.empty_like(src)
-        moved[src] = np.arange(K.nnz)
-        self.kpos = moved[self.xpos]
+        self.K = K[self.q][:, self.q]
+        self.K.sort_indices()  # _positions needs sorted indices
+        qi = np.argsort(self.q)  # entry (i, j) of K moves to (qi[i], qi[j])
+        self.kpos = _positions(self.K, qi[n + rows], qi[n + cols])
         self.n = n
 
     def factor(self, stacks, mu):

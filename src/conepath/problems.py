@@ -228,7 +228,6 @@ def gen_portfolio(returns, r0):
     col = np.concatenate([cols, cols, cols, [na], ju])
     val = np.concatenate([np.ones(na), -rbar, -np.ones(na), [-1.0], -U[iu, ju]])
     A = sp.csc_matrix((val, (row, col)), shape=(2 * na + 3, n))
-    A.eliminate_zeros()  # a zero mean return stores nothing
     b = np.concatenate([[1.0, -r0], np.zeros(na), np.zeros(na + 1)])
     q = np.zeros(n)
     q[na] = 1.0
@@ -416,19 +415,17 @@ def _entry_rule(old, r, delta):
 
 def _perturb_sparse(A, rng, pspec):
     """A with the entry rule applied at positions drawn over all m*n
-    entries in row-major order, structural zeros included; stores no zero."""
+    entries in row-major order, structural zeros included."""
     m, n = A.shape
     idx, r = _draw(m * n, rng, pspec)
     i, j = np.divmod(idx, n)
     new = _entry_rule(np.asarray(A[i, j]).ravel(), r, pspec.delta)
     coo = A.tocoo()
     keep = ~np.isin(coo.row * np.int64(n) + coo.col, idx)
-    A = sp.csc_matrix(
+    return sp.csc_matrix(
         (np.r_[coo.data[keep], new], (np.r_[coo.row[keep], i], np.r_[coo.col[keep], j])),
         shape=(m, n),
     )
-    A.eliminate_zeros()
-    return A
 
 
 def perturb(problem, pspec):
@@ -438,7 +435,7 @@ def perturb(problem, pspec):
     (1 + delta*r), r uniform on [-1,1].  delta = 0 returns an unchanged
     copy (the literal rule would zero near-zero entries).
     """
-    b, q, A = problem.b.copy(), problem.q.copy(), problem.A.copy()
+    b, q, A = problem.b.copy(), problem.q.copy(), problem.A
     if pspec.delta > 0:
         rng = np.random.default_rng(pspec.seed)
         for target in pspec.targets:
@@ -448,7 +445,7 @@ def perturb(problem, pspec):
                 v = b if target == "b" else q
                 idx, r = _draw(v.size, rng, pspec)
                 v[idx] = _entry_rule(v[idx], r, pspec.delta)
-    return ConicProblem(P=problem.P.copy(), q=q, A=A, b=b, cones=problem.cones)
+    return ConicProblem(P=problem.P, q=q, A=A, b=b, cones=problem.cones)
 
 
 class Family(Enum):

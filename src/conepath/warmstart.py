@@ -124,9 +124,10 @@ def warmstart(prev, cones, overrides=None):
     replaces those values; a lambda-only override keeps mu0 at the
     clamped residual norm.  Each batch of equal blocks is smoothed in
     one call; a block whose smoothing fails (a Newton solve or scalar
-    root that does not converge, or a target out of the float64 range)
-    falls back alone to the cold unit point and is listed in
-    fallback_blocks.
+    root that does not converge, a target out of the float64 range, or
+    a point that rounds onto the cone's boundary), or whose z0 rounds
+    out of the dual cone, falls back alone to the cold unit point and is
+    listed in fallback_blocks.
     """
     x_star = np.asarray(prev.x_star, dtype=float)
     s_star = np.asarray(prev.s_star, dtype=float)
@@ -171,9 +172,11 @@ def warmstart(prev, cones, overrides=None):
         # a row whose smoothing fails comes back NaN and falls back alone
         s_blk = smooth(spec, sb - lam[:, None] * b.rows(z_star), mu0, hint=sb).s
         failed = np.isnan(s_blk).any(axis=1)
-        z_blk = np.empty_like(s_blk)
+        z_blk = np.full_like(s_blk, np.nan)
         if not failed.all():
             z_blk[~failed] = -(mu0 / lam)[~failed, None] * barrier_gradient(spec, s_blk[~failed])
+        # so does a z0 that rounds out of K*, from an s0 next to the boundary
+        failed |= ~is_interior_dual(spec, z_blk)
         e_s, e_z = unit_point(spec)
         s_blk[failed] = e_s
         z_blk[failed] = e_z

@@ -665,13 +665,6 @@ class TestConeProduct:
         assert np.allclose(e_s, [0, 0, 1, 0, 0])
         assert np.allclose(e_z, [0, 0, 1, 0, 0])
 
-    def test_split(self):
-        product = ConeProduct((ConeSpec.nonnegative(2), ConeSpec.exponential()))
-        parts = product.split(np.arange(5.0))
-        assert len(parts) == 2
-        assert np.allclose(parts[0], [0.0, 1.0])
-        assert np.allclose(parts[1], [2.0, 3.0, 4.0])
-
 
 def _one_block(spec):
     return ConeProduct((spec,))

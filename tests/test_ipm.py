@@ -10,6 +10,7 @@ from scipy.sparse.linalg import splu
 from conepath import ipm
 from conepath.cones import ConeKind, ConeProduct, ConeSpec, barrier_hessian_inverse, svec
 from conepath.errors import RejectedWarmStart, Unsupported
+from conepath.fileio import problem_hash
 from conepath.ipm import (
     ConicProblem,
     Iterate,
@@ -181,6 +182,37 @@ class TestProblemValidation:
             cones=ConeProduct((ConeSpec.nonnegative(2),)),
         )
         assert np.allclose(prob.P.toarray(), [[1.0, 1.0], [1.0, 1.0]])
+
+    def test_matrices_store_no_zero_in_copies_of_the_callers(self):
+        # stored zeros on P's diagonal and in A: the problem prunes
+        # copies, and the caller's arrays keep theirs
+        P = sp.csc_matrix(([0.0, 2.0], ([0, 1], [0, 1])), shape=(2, 2))
+        A = sp.csc_matrix(([-1.0, 0.0, -1.0], ([0, 1, 1], [0, 0, 1])), shape=(2, 2))
+        before = [(M.indptr.copy(), M.indices.copy(), M.data.copy()) for M in (P, A)]
+        prob = ConicProblem(
+            P=P, q=np.zeros(2), A=A, b=np.zeros(2), cones=ConeProduct((ConeSpec.nonnegative(2),))
+        )
+        for M in (prob.P, prob.A):
+            assert M.format == "csc" and M.has_canonical_format
+            assert M.data.all()
+        assert (prob.P.nnz, prob.A.nnz) == (1, 2)
+        for M, arrays in zip((P, A), before):
+            for got, kept in zip((M.indptr, M.indices, M.data), arrays):
+                assert np.array_equal(got, kept)
+
+    def test_hash_ignores_a_stored_zero(self):
+        cones = ConeProduct((ConeSpec.nonnegative(3),))
+
+        def problem(A):
+            return ConicProblem(
+                P=sp.csc_matrix((2, 2)), q=np.ones(2), A=A, b=np.ones(3), cones=cones
+            )
+
+        rows, cols = [0, 1, 1, 2], [0, 0, 1, 1]
+        stored = sp.csc_matrix(([-1.0, 0.0, -1.0, 1.0], (rows, cols)), shape=(3, 2))
+        assert stored.nnz == 4
+        clean = sp.csc_matrix(stored.toarray())
+        assert problem_hash(problem(stored)) == problem_hash(problem(clean))
 
     def test_shape_mismatches_rejected(self):
         cones = ConeProduct((ConeSpec.nonnegative(2),))
@@ -473,11 +505,12 @@ class TestKKTStructure:
             for spec in prob.cones.blocks
             if spec.kind is not ConeKind.ZERO
         )
-        # the regularization diagonal is stored too: where P has no
-        # diagonal entry, and on the Zero blocks, which have no scaling
+        # the bmat holds P, A', A and the scaling pattern; K adds the
+        # regularization diagonal where P has no diagonal entry, and on
+        # the Zero blocks, which have no scaling
         unscaled = sum(spec.dim for spec in prob.cones.blocks if spec.kind is ConeKind.ZERO)
         missing = prob.n - np.count_nonzero(prob.P.diagonal())
-        expected = prob.P.nnz + 2 * prob.A.nnz + scaling_nnz + missing + unscaled
+        expected = prob.P.nnz + 2 * prob.A.nnz + scaling_nnz
         assembled, orderings, factors = [], [], []
         bmat = ipm.sp.bmat
         rcm = ipm.reverse_cuthill_mckee
@@ -488,7 +521,7 @@ class TestKKTStructure:
             return K
 
         def counting_rcm(K, **kwargs):
-            orderings.append(K.shape)
+            orderings.append((K.shape, K.nnz))
             return rcm(K, **kwargs)
 
         def counting_splu(K, **kwargs):
@@ -504,7 +537,7 @@ class TestKKTStructure:
             assert assembled == [expected]
             # one order per solve; one factorization per step, each in
             # that order with static diagonal pivots
-            assert orderings == [(prob.n + prob.m,) * 2]
+            assert orderings == [((prob.n + prob.m,) * 2, expected + missing + unscaled)]
             assert len(factors) == report.iterations == iterations
             static = dict(permc_spec="NATURAL", **ipm.STATIC_PIVOTS)
             assert all(kwargs == static for kwargs, _ in factors)

@@ -178,6 +178,33 @@ class TestPsd:
             )
 
 
+class TestClosedFormsAtTheFloatFloor:
+    """Near the float floor a closed form can round onto the boundary; such a row fails alone."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [ConeSpec.nonnegative(3), ConeSpec.second_order(3), ConeSpec.psd_triangle(2)],
+        ids=["nonneg", "soc", "psd"],
+    )
+    def test_rows_are_interior_or_nan(self, spec):
+        C = np.random.default_rng(11).normal(0.0, 2.0, (2000, spec.dim))
+        res = smooth(spec, C, 1e-16)
+        failed = np.isnan(res.s).any(axis=1)
+        assert np.array_equal(failed, np.isnan(res.optimality_residual))
+        assert is_interior(spec, res.s[~failed]).all()
+        assert np.isfinite(res.optimality_residual[~failed]).all()
+
+    def test_nonnegative_root_underflowing_to_zero_fails_alone(self):
+        # 2 mu/(|c| + sqrt(c^2 + 4 mu)) = 1e-350 rounds to 0, the boundary
+        spec = ConeSpec.nonnegative(2)
+        c = np.array([-1e150, 1.0])
+        with pytest.raises(NoConvergence):
+            smooth(spec, c, 1e-200)
+        res = smooth(spec, np.stack([c, [-1.0, 1.0]]), 1e-200)
+        assert np.isnan(res.s[0]).all() and np.isnan(res.optimality_residual[0])
+        assert is_interior(spec, res.s[1])
+
+
 class TestNewtonKinds:
     @pytest.mark.parametrize("kind", ["exp", "pow"])
     def test_stationarity_residual(self, kind):

@@ -280,6 +280,26 @@ class TestOverridesAndFallback:
         assert np.array_equal(res.s0[:3], alone)
         assert res.per_block[0].rule == "override"
 
+    @pytest.mark.parametrize(
+        "spec", [ConeSpec.second_order(3), ConeSpec.psd_triangle(2)], ids=["soc", "psd"]
+    )
+    def test_closed_form_on_the_boundary_falls_back_alone(self, spec):
+        # at mu0 = 1e-16 the closed form rounds many targets onto the
+        # boundary, and the z0 of others rounds out of K*; each such block
+        # falls back alone, and warmstart does not raise
+        rng = np.random.default_rng(12)
+        cones = ConeProduct((spec,) * 200)
+        s_star, z_star = rng.normal(0.0, 2.0, (2, cones.dim))
+        res = warmstart(
+            PreviousSolution(np.zeros(1), s_star, z_star),
+            cones,
+            overrides={k: {"lambda": 1.0, "mu0": 1e-16} for k in range(200)},
+        )
+        alone = smooth(spec, (s_star - z_star).reshape(200, spec.dim), 1e-16).s
+        assert set(np.flatnonzero(np.isnan(alone).any(axis=1))) < set(res.fallback_blocks)
+        assert len(res.fallback_blocks) < 200
+        assert cones.is_interior(res.s0) and cones.is_interior_dual(res.z0)
+
     def test_fallback_to_unit_points(self):
         # a previous point so extreme smoothing cannot converge is
         # replaced blockwise by the cold unit point at mu = 1
