@@ -478,7 +478,7 @@ class SelfDualCone(Cone):
         return self.project(spec, c)
 
     def _closed_form(self, spec, S, residual):
-        """A closed-form smoothing result S, with no Newton steps; residual(S) gives each row's.
+        """A closed-form smoothing result S, with no Newton steps; residual() gives each row's.
 
         A row fails alone, as a Newton row does (NaN in s and
         optimality_residual, and a message), if the interior test rejects
@@ -486,7 +486,7 @@ class SelfDualCone(Cone):
         near the float floor.
         """
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            resid = residual(S)
+            resid = residual()
         finite = np.isfinite(S).all(axis=1)
         inside = _interior_rows(self.interior, spec, S, 0.0)
         S[~inside] = resid[~inside] = np.nan
@@ -541,7 +541,7 @@ class NonnegativeCone(SelfDualCone):
 
     def smooth(self, spec, C, mu, hint=None):
         S = _nn_root(C, mu[:, None])
-        return self._closed_form(spec, S, lambda S: _norms(S - C - mu[:, None] / S))
+        return self._closed_form(spec, S, lambda: _norms(S - C - mu[:, None] / S))
 
     def project(self, spec, c):
         return np.maximum(c, 0.0)
@@ -665,7 +665,7 @@ class SecondOrderCone(SelfDualCone):
         S[:, 1:] = np.where(on_axis, 0.5, f1)[:, None] * c1
         ts = np.where(on_axis, mu, mu * rho)[:, None]
         j = self._signs(spec)
-        return self._closed_form(spec, S, lambda S: _norms(S - C - mu[:, None] * S / ts * j))
+        return self._closed_form(spec, S, lambda: _norms(S - C - mu[:, None] * S / ts * j))
 
     def project(self, spec, c):
         c0, c1 = c[0], c[1:]
@@ -740,7 +740,7 @@ class PsdTriangleCone(SelfDualCone):
         d, U = _eigh(smat(C))
         e = _nn_root(d, mu[:, None])
         S = svec((U * e[:, None, :]) @ _t(U))
-        return self._closed_form(spec, S, lambda _: _norms(e - d - mu[:, None] / e))
+        return self._closed_form(spec, S, lambda: _norms(e - d - mu[:, None] / e))
 
     def project(self, spec, c):
         d, U = _eigh(smat(c))
