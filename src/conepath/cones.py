@@ -257,8 +257,11 @@ def barrier_hessian(spec, s):
 def barrier_hessian_inverse(spec, s):
     """Inverse Hessian; closed forms where available.
 
-    Nonnegative blocks give the diagonal s**2, a (dim,) array per row;
-    every other kind gives a dense (dim, dim) array per row.
+    Nonnegative blocks give the diagonal s**2, a (dim,) array per row.
+    Second-order blocks give a compact (3, dim) array per row: the
+    diagonal t 1 with t = s0^2 - ||s1||^2, then u and v, where
+    H^-1 = diag(t 1) + uu' - vv' (SecondOrderCone.hessian_inverse).
+    Every other kind gives a dense (dim, dim) array per row.
     """
     return _checked("hessian_inverse", spec, s)
 
@@ -501,8 +504,11 @@ def _nn_root(c, mu):
 
     With q = |c| + sqrt(c^2 + 4 mu), a sum of nonnegative terms, s = q/2
     for c >= 0 and, rationalized, s = 2 mu/q for c < 0: neither cancels.
+    c^2 overflows from |c| ~ 1.3e154 on; q is then inf, and the caller's
+    interior test judges the row, with no warning.
     """
-    q = np.abs(c) + np.sqrt(c * c + 4.0 * mu)
+    with np.errstate(over="ignore"):
+        q = np.abs(c) + np.sqrt(c * c + 4.0 * mu)
     return np.where(c < 0.0, 2.0 * mu / q, 0.5 * q)
 
 
@@ -622,12 +628,26 @@ class SecondOrderCone(SelfDualCone):
         return H
 
     def hessian_inverse(self, spec, S):
-        """2 ss' - t J, with J's diagonal subtracted in place."""
-        t = self._gap(S)[:, None]
-        H = 2.0 * (S[:, :, None] * S[:, None, :])
-        i = np.arange(spec.dim)
-        H[:, i, i] -= t * self._signs(spec)
-        return H
+        """2 ss' - t J split by its eigenvectors: t I + uu' - vv', as (t 1, u, v) per row.
+
+        With n = ||s1||, u = sqrt(n (s0 + n)) (1, s1/n) and
+        v = sqrt(n (s0 - n)) (1, -s1/n); both are 0 at n = 0.  t stays an
+        entry of its own, where the dense form rounds it away against
+        s0^2 once t/s0^2 nears the float floor.  t is taken as
+        (s0 - n)(s0 + n), from the factors u and v carry, so that
+        t - ||v||^2/2 = (s0 - n)^2 keeps its sign in floats: ipm's lifted
+        KKT block stays quasi-definite.
+        """
+        s0 = S[:, 0]
+        n = _norms(S[:, 1:])
+        low, high = s0 - n, s0 + n
+        w = S[:, 1:] / np.where(n > 0.0, n, 1.0)[:, None]  # s1/n, 0 at n = 0
+        out = np.empty((len(S), 3, spec.dim))
+        out[:, 0] = (low * high)[:, None]
+        for row, scale, sign in ((1, np.sqrt(n * high), 1.0), (2, np.sqrt(n * low), -1.0)):
+            out[:, row, 0] = scale
+            out[:, row, 1:] = (sign * scale)[:, None] * w
+        return out
 
     def unit_s(self, spec):
         e = np.zeros(spec.dim)
@@ -739,7 +759,8 @@ class PsdTriangleCone(SelfDualCone):
         """Eigenvalue smoothing: the nonnegative root on the spectrum of each C."""
         d, U = _eigh(smat(C))
         e = _nn_root(d, mu[:, None])
-        S = svec((U * e[:, None, :]) @ _t(U))
+        with np.errstate(over="ignore", invalid="ignore"):  # an infinite e fails the row
+            S = svec((U * e[:, None, :]) @ _t(U))
         return self._closed_form(spec, S, lambda: _norms(e - d - mu[:, None] / e))
 
     def project(self, spec, c):

@@ -21,9 +21,11 @@ Termination and infeasibility tests follow the documented inequalities
 literally.
 
 A solve assembles its KKT matrix once, with a fixed pattern and one
-symmetric fill-reducing order; each iteration writes only the (2,2)
-block's values, in place, and factors K with static diagonal pivots,
-which its quasi-definiteness allows (see _KKT).
+symmetric fill-reducing order; each iteration writes only the values of
+the barrier scaling, in place, and factors K with static diagonal
+pivots, which its quasi-definiteness allows (see _KKT).  Second-order
+blocks enter K as a diagonal and two lifted columns each, not as a dense
+block.
 """
 
 import time
@@ -36,6 +38,7 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
 from .cones import (
+    ConeKind,
     barrier_gradient,
     barrier_hessian_inverse,
     conjugate_gradient,
@@ -365,26 +368,38 @@ def _positions(M, rows, cols):
 
 
 class _KKT:
-    """K = [[P, A'], [A, -H^-1/mu]] + REGULARIZATION * diag(1_n, -1_m), built once per solve.
+    """K = [[P, A', 0], [A, -W, L], [0, L', D]] + REGULARIZATION * diag(signs), built once per solve.
 
-    One bmat stores P, A', A and every entry of the (2,2) block an
-    iteration can write: the full H^-1 pattern of each barrier batch (the
-    diagonal where the kernel returns only that, every d x d block
-    otherwise).  Adding the regularization stores K's whole diagonal.
-    factor writes the (2,2) values in place with the float operations of
-    a fresh assembly: h/mu, its negation, then the regularization on the
-    diagonal.
+    W holds H^-1/mu of the barrier blocks: the diagonal where the kernel
+    returns only that (nonnegative), every d x d block otherwise.  A
+    second-order block's H^-1 = t I + uu' - vv'
+    (SecondOrderCone.hessian_inverse) enters as the diagonal t/mu in W and
+    two lifted rows and columns, as in ECOS (Domahidi, Chu & Boyd, ECC
+    2013): L holds u and v, D the pivots +mu and -mu.  Eliminating them
+    leaves -(t I + uu' - vv')/mu = -H^-1/mu, the (2,2) block of the
+    unlifted K.  That is d + 4d + 2 stored entries where the dense block
+    has d^2, and t stays an entry of its own instead of rounding away
+    against s0^2 late in a solve.  The lifted rows follow the n + m rows
+    of x and z.
 
-    With delta = REGULARIZATION, K is symmetric quasi-definite: P + delta*I
-    is positive definite and -H^-1/mu - delta*I negative definite.  So K
-    has an LDL' factor in every symmetric order with its n positive and m
-    negative pivots taken from the diagonal (Vanderbei, SIAM J. Optim.
+    One bmat stores P, A', A, W's pattern, L, L' and D; adding the
+    regularization stores K's whole diagonal.  factor writes W, L and D
+    in place, W with the float operations of a fresh assembly: h/mu, its
+    negation, then the regularization on the diagonal.
+
+    signs is +1 on the rows of x and of the u columns, -1 on those of z
+    and of the v columns.  With delta = REGULARIZATION, K is symmetric
+    quasi-definite along that split: the + side is P + delta I and
+    mu + delta, positive definite; the - side is -W - delta I bordered by
+    v and -mu - delta, whose Schur complement, about -mu (s0 - n)^2/t
+    (n = ||s1||), is negative.  So K has an LDL' factor in every symmetric
+    order with pivots taken from the diagonal (Vanderbei, SIAM J. Optim.
     1995), and SuperLU factors it with STATIC_PIVOTS, no pivot search.
     The order q is reverse Cuthill-McKee on K's pattern, computed once per
     solve; K is stored as K[q][:, q] and each factor takes it as NATURAL.
-    An exact zero in H^-1 (an SOC or pow unit point, or an underflow)
-    stays a stored entry: no pivot leaves the diagonal, and no diagonal
-    entry is zero.
+    An exact zero (at an SOC or pow unit point, where u = v = 0, or an
+    underflow) stays a stored entry: no pivot leaves the diagonal, and no
+    diagonal entry is zero.
 
     Nothing bounds growth without a pivot search: a pivot of delta alone
     (where P_ii = 0, or on a Zero cone's row) taken before its neighbours
@@ -393,72 +408,115 @@ class _KKT:
     100-500x partial pivoting's; this order stayed within 3x at the same
     SVM fill.  solve refines REFINEMENT_STEPS times.
 
-    Hinv holds H^-1/mu for the products of the step; Kx holds K without
-    the regularization, in the original order, for the residuals of the
+    hinv gives the step's products with H^-1/mu; Kx holds K without the
+    regularization, in the original order, for the residuals of the
     refinement steps.
     """
 
     def __init__(self, problem, stacks):
         n, m = problem.n, problem.m
-        rows, cols = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
-        for b, H in zip(problem.cones.barrier_batches, stacks):
-            if H.ndim == 2:  # the diagonal of each block
+        batches = problem.cones.barrier_batches
+        self.lifts = [b.spec.kind is ConeKind.SECOND_ORDER for b in batches]
+        empty = np.zeros(0, dtype=np.intp)
+        rows, cols, lrows, lcols = [empty], [empty], [empty], [empty]
+        lifted = 0  # lifted columns so far
+        for b, H, lift in zip(batches, stacks, self.lifts):
+            k, d = len(b.blocks), b.spec.dim
+            if H.ndim == 2 or lift:  # the diagonal of each block
                 i = np.arange(b.sl.start, b.sl.stop)
                 rows.append(i)
                 cols.append(i)
             else:
-                k, d, _ = H.shape
                 t, j, i = np.indices((k, d, d)).reshape(3, -1)
                 rows.append(b.sl.start + t * d + i)
                 cols.append(b.sl.start + t * d + j)
-        # block by block, column by column: the CSC order of H^-1.  Its
-        # values are placeholders, which factor overwrites; they are
-        # nonzero so that the sum below keeps every entry
+            if lift:  # the columns u, then v, of each block
+                block = np.arange(b.sl.start, b.sl.stop).reshape(k, 1, d)
+                lrows.append(np.broadcast_to(block, (k, 2, d)).ravel())
+                lcols.append(lifted + np.repeat(np.arange(2 * k), d))
+                lifted += 2 * k
+        # block by block, column by column: the CSC order of W and L.
+        # Their values are placeholders, which factor overwrites; they
+        # are nonzero so that the sum below keeps every entry
         rows, cols = np.concatenate(rows), np.concatenate(cols)
+        lrows, lcols = np.concatenate(lrows), np.concatenate(lcols)
         self.Hinv = sp.csc_matrix(
             (np.ones(len(rows)), rows, np.searchsorted(cols, np.arange(m + 1))), shape=(m, m)
         )
-        A = problem.A
-        self.Kx = sp.bmat([[problem.P, A.T], [A, self.Hinv]], format="csc")
-        self.xpos = _positions(self.Kx, n + rows, n + cols)
-        self.hreg = np.where(rows == cols, -REGULARIZATION, 0.0)
+        self.L = sp.csc_matrix(
+            (np.ones(len(lrows)), lrows, np.searchsorted(lcols, np.arange(lifted + 1))),
+            shape=(m, lifted),
+        )
+        self.LT = self.L.T  # a CSR view of L's arrays
+        self.unit_pivots = np.tile([1.0, -1.0], lifted // 2)
+        A, L = problem.A, self.L
+        self.Kx = sp.bmat(
+            [[problem.P, A.T, None], [A, self.Hinv, L], [None, L.T, sp.diags(self.unit_pivots)]],
+            format="csc",
+        )
+        # every entry factor writes, W, L, L' and D, in the order of its values
+        lifted_rows = n + m + np.arange(lifted)
+        R = np.concatenate([n + rows, n + lrows, n + m + lcols, lifted_rows])
+        C = np.concatenate([n + cols, n + m + lcols, n + lrows, lifted_rows])
+        self.xpos = _positions(self.Kx, R, C)
+        self.signs = np.r_[np.ones(n), -np.ones(m), self.unit_pivots]
+        self.reg = np.where(R == C, REGULARIZATION * self.signs[R], 0.0)
         # the sum stores K's whole diagonal: P and A store no zero, and
         # the quasi-definite diagonal sums are nonzero
-        K = self.Kx + sp.diags(np.r_[np.full(n, REGULARIZATION), np.full(m, -REGULARIZATION)])
+        K = self.Kx + sp.diags(REGULARIZATION * self.signs)
         self.q = reverse_cuthill_mckee(K, symmetric_mode=True)
         self.K = K[self.q][:, self.q]
         self.K.sort_indices()  # _positions needs sorted indices
         qi = np.argsort(self.q)  # entry (i, j) of K moves to (qi[i], qi[j])
-        self.kpos = _positions(self.K, qi[n + rows], qi[n + cols])
-        self.n = n
+        self.kpos = _positions(self.K, qi[R], qi[C])
 
     def factor(self, stacks, mu):
         """Write H^-1/mu from the barrier batches' stacks and factor K.
 
         Raises RuntimeError if K is singular.
         """
-        values = ((H if H.ndim == 2 else H.transpose(0, 2, 1)).ravel() for H in stacks)
-        np.concatenate([np.zeros(0), *values], out=self.Hinv.data)
+        diagonal, lifted = [np.zeros(0)], [np.zeros(0)]
+        for H, lift in zip(stacks, self.lifts):
+            if lift:  # (t 1, u, v) per block
+                diagonal.append(H[:, 0].ravel())
+                lifted.append(H[:, 1:].ravel())
+            else:
+                diagonal.append((H if H.ndim == 2 else H.transpose(0, 2, 1)).ravel())
+        np.concatenate(diagonal, out=self.Hinv.data)
         # an in-place divide, not Hinv / mu: sparse division by a scalar
         # multiplies by 1/mu, which moves the last bit of every iterate
         self.Hinv.data /= mu
-        neg = -self.Hinv.data
-        self.Kx.data[self.xpos] = neg
-        self.K.data[self.kpos] = neg + self.hreg
+        np.concatenate(lifted, out=self.L.data)
+        self.pivots = mu * self.unit_pivots
+        values = np.concatenate([-self.Hinv.data, self.L.data, self.L.data, self.pivots])
+        self.Kx.data[self.xpos] = values
+        self.K.data[self.kpos] = values + self.reg
         self.lu = splu(self.K, permc_spec="NATURAL", **STATIC_PIVOTS)
+
+    def hinv(self, r):
+        """H^-1 r / mu on the barrier rows: W r, plus L D^-1 L' r on the second-order ones."""
+        out = self.Hinv @ r
+        if len(self.pivots):
+            out += self.L @ ((self.LT @ r) / self.pivots)
+        return out
 
     def _solve(self, rhs):
         sol = np.empty_like(rhs)
         sol[self.q] = self.lu.solve(rhs[self.q])
         return sol
 
-    def solve(self, top, bottom):
-        """K^-1 [top; bottom], refined against K without regularization."""
-        rhs = np.concatenate([top, bottom])
+    def _refined(self, rhs):
+        """K^-1 rhs on every row of K, the lifted ones too, refined against Kx."""
         sol = self._solve(rhs)
         for _ in range(REFINEMENT_STEPS):
             sol += self._solve(rhs - self.Kx @ sol)
-        return sol[: self.n], sol[self.n :]
+        return sol
+
+    def solve(self, rhs):
+        """K^-1 [rhs; 0] for an (n + m,) or (n + m, k) rhs, without the lifted rows' entries."""
+        full = np.zeros((len(self.signs),) + rhs.shape[1:])
+        full[: len(rhs)] = rhs
+        return self._refined(full)[: len(rhs)]
 
 
 def solve(problem, start, settings=None):
@@ -535,25 +593,36 @@ def solve(problem, start, settings=None):
             kkt.factor(stacks, mu)
         except RuntimeError:
             return report(SolveStatus.NUMERICAL_ERROR, FACTORIZATION_FAILED)
-        Hinv, kkt_solve = kkt.Hinv, kkt.solve
+        n, hinv = problem.n, kkt.hinv
 
-        u2, w2 = kkt_solve(-problem.q, problem.b)
-        qp = problem.q + (2.0 / tau) * Px
-        denom_base = -float(qp @ u2) - float(problem.b @ w2) + xPx / tau**2 + kappa / tau
-        if denom_base == 0.0:
-            return report(SolveStatus.NUMERICAL_ERROR, ZERO_DENOMINATOR)
+        def system(eta, sigma):
+            """r_s and the right side of the direction's KKT system."""
+            r_s = z + sigma * mu * grad  # read only through hinv: no Zero-block column
+            return r_s, np.concatenate([-eta * rx, eta * rz + hinv(r_s)])
 
-        def direction(eta, sigma):
-            r_s = z + sigma * mu * grad  # read only through Hinv: no Zero-block column
+        def direction(eta, sigma, r_s, sol):
+            """The step from sol, the KKT solution of system(eta, sigma)."""
             r_tk = tau * kappa - sigma * mu
-            u1, w1 = kkt_solve(-eta * rx, eta * rz + Hinv @ r_s)
+            u1, w1 = sol[:n], sol[n:]
             num = -eta * rtau + float(qp @ u1) + float(problem.b @ w1) - r_tk / tau
             dtau = num / denom_base
             dx = u1 + dtau * u2
             dz = w1 + dtau * w2
-            ds = -(Hinv @ (dz + r_s))
+            ds = -hinv(dz + r_s)
             dkappa = (-r_tk - kappa * dtau) / tau
             return dx, dz, ds, dtau, dkappa
+
+        # the tau column (-q, b) and the affine system in one solve.  Each
+        # solution column is copied to an array of its own: a BLAS dot
+        # product's rounding can depend on where its operands start
+        r_s, rhs = system(1.0, 0.0)
+        sol = kkt.solve(np.column_stack([np.r_[-problem.q, problem.b], rhs]))
+        tau_column, affine = map(np.copy, sol.T)
+        u2, w2 = tau_column[:n], tau_column[n:]
+        qp = problem.q + (2.0 / tau) * Px
+        denom_base = -float(qp @ u2) - float(problem.b @ w2) + xPx / tau**2 + kappa / tau
+        if denom_base == 0.0:
+            return report(SolveStatus.NUMERICAL_ERROR, ZERO_DENOMINATOR)
 
         def boundary_step():
             """The step to the boundary of the cones and of tau, kappa > 0."""
@@ -594,11 +663,12 @@ def solve(problem, start, settings=None):
                 return None
             return a, s_new, z_new, tau_new, kappa_new, mu_new, trial_gradients
 
-        dx, dz, ds, dtau, dkappa = direction(1.0, 0.0)
+        dx, dz, ds, dtau, dkappa = direction(1.0, 0.0, r_s, affine)
         alpha_aff = _search(AFFINE_GRID, affine_trial, boundary_step()) or 0.0
         sigma = min(max((1.0 - alpha_aff) ** 3, 1e-3), 0.9)
 
-        dx, dz, ds, dtau, dkappa = direction(1.0 - sigma, sigma)
+        r_s, rhs = system(1.0 - sigma, sigma)
+        dx, dz, ds, dtau, dkappa = direction(1.0 - sigma, sigma, r_s, kkt.solve(rhs))
         guard_passed = False  # set once a trial passes the interior test
         step = _search(COMBINED_GRID, combined_trial, boundary_step())
         if step is None:

@@ -225,6 +225,11 @@ class TestBarrierIdentities:
                     # the diagonal alone
                     assert Hinv.shape == (spec.dim,)
                     Hinv = np.diag(Hinv)
+                elif kind == "soc":
+                    # diag(t 1) + uu' - vv'
+                    assert Hinv.shape == (3, spec.dim)
+                    t1, u, v = Hinv
+                    Hinv = np.diag(t1) + np.outer(u, u) - np.outer(v, v)
                 assert np.allclose(H @ Hinv, np.eye(spec.dim), rtol=1e-8, atol=1e-8)
 
     def test_boundary_point_raises(self):

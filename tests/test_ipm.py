@@ -23,7 +23,14 @@ from conepath.ipm import (
     solve,
     warm_start,
 )
-from conepath.problems import gen_hmcr, gen_portfolio, gen_svm_l1, synth_returns, synth_samples
+from conepath.problems import (
+    gen_hmcr,
+    gen_portfolio,
+    gen_svm_l1,
+    gen_svm_l2,
+    synth_returns,
+    synth_samples,
+)
 from conepath.warmstart import PreviousSolution, WarmStartResult, warmstart
 
 from support import make_spec, random_interior
@@ -499,12 +506,18 @@ class TestKKTStructure:
         prob = gen_portfolio(synth_returns(6, 30, 0), 5e-4)
         kinds = {spec.kind for spec in prob.cones.blocks}
         assert {ConeKind.ZERO, ConeKind.NONNEGATIVE, ConeKind.SECOND_ORDER} <= kinds
-        # a nonneg scaling block is diagonal; the other barrier kinds are dense
-        scaling_nnz = sum(
-            spec.dim if spec.kind is ConeKind.NONNEGATIVE else spec.dim**2
-            for spec in prob.cones.blocks
-            if spec.kind is not ConeKind.ZERO
-        )
+        # a nonneg scaling block is diagonal; an SOC block is its diagonal,
+        # two lifted columns of dim entries each, their transposes and two
+        # lifted pivots; the other barrier kinds are dense
+        def scaling(spec):
+            if spec.kind is ConeKind.NONNEGATIVE:
+                return spec.dim
+            if spec.kind is ConeKind.SECOND_ORDER:
+                return 5 * spec.dim + 2
+            return spec.dim**2
+
+        scaling_nnz = sum(scaling(spec) for spec in prob.cones.blocks if spec.kind is not ConeKind.ZERO)
+        lifted = 2 * sum(spec.kind is ConeKind.SECOND_ORDER for spec in prob.cones.blocks)
         # the bmat holds P, A', A and the scaling pattern; K adds the
         # regularization diagonal where P has no diagonal entry, and on
         # the Zero blocks, which have no scaling
@@ -537,7 +550,7 @@ class TestKKTStructure:
             assert assembled == [expected]
             # one order per solve; one factorization per step, each in
             # that order with static diagonal pivots
-            assert orderings == [((prob.n + prob.m,) * 2, expected + missing + unscaled)]
+            assert orderings == [((prob.n + prob.m + lifted,) * 2, expected + missing + unscaled)]
             assert len(factors) == report.iterations == iterations
             static = dict(permc_spec="NATURAL", **ipm.STATIC_PIVOTS)
             assert all(kwargs == static for kwargs, _ in factors)
@@ -545,12 +558,12 @@ class TestKKTStructure:
                 seen.clear()
 
         cold = solve(prob, cold_start(prob))
-        # the unit point's exact zeros in the SOC block's H^-1 are stored
+        # at the unit point the SOC block's u and v are exact zeros, stored
         # entries of the first K; they take no second ordering
         assert not factors[0][1]
         check(cold, 19)
         ws = warmstart(PreviousSolution(*cold.solution, problem=prob), prob.cones)
-        check(solve(prob, warm_start(prob, ws)), 12)
+        check(solve(prob, warm_start(prob, ws)), 2)
 
     def test_factor_fill_on_svm_l1(self, monkeypatch):
         # guards the gain: COLAMD with partial pivoting filled L + U to
@@ -589,19 +602,34 @@ class TestKKTStructure:
         )
 
     def fresh(self, prob, stacks, mu):
-        """K, the exact K and H^-1/mu as a per-iteration assembly builds them."""
-        H = np.zeros((prob.m, prob.m))
+        """K, the exact K, H^-1/mu's diagonal part W, the lifted columns L and their pivots,
+        as a per-iteration assembly builds them."""
+        n, m = prob.n, prob.m
+        W, columns = np.zeros((m, m)), []
         for b, stack in zip(prob.cones.barrier_batches, stacks):
-            # a nonneg stack holds the diagonals; the other kinds, full blocks
-            full = np.diag(stack.ravel()) if stack.ndim == 2 else sp.block_diag(stack).toarray()
-            H[b.sl, b.sl] = full
-        Hinv = sp.csc_matrix(H)
+            if b.spec.kind is ConeKind.SECOND_ORDER:
+                # (t 1, u, v) per block: t on the diagonal, u and v lifted
+                W[b.sl, b.sl] = np.diag(stack[:, 0].ravel())
+                for rows, block in zip(np.split(np.arange(b.sl.start, b.sl.stop), len(stack)), stack):
+                    for h in block[1:]:
+                        columns.append(np.zeros(m))
+                        columns[-1][rows] = h
+            else:
+                # a nonneg stack holds the diagonals; the other kinds, full blocks
+                full = np.diag(stack.ravel()) if stack.ndim == 2 else sp.block_diag(stack).toarray()
+                W[b.sl, b.sl] = full
+        Hinv = sp.csc_matrix(W)
         Hinv.data /= mu
-        K_exact = sp.bmat([[prob.P, prob.A.T], [prob.A, -Hinv]], format="csc")
-        reg = np.r_[np.full(prob.n, ipm.REGULARIZATION), np.full(prob.m, -ipm.REGULARIZATION)]
-        K = K_exact + sp.diags(reg, format="csc")
+        L = sp.csc_matrix(np.column_stack(columns) if columns else np.zeros((m, 0)))
+        pivots = mu * np.tile([1.0, -1.0], len(columns) // 2)
+        K_exact = sp.bmat(
+            [[prob.P, prob.A.T, None], [prob.A, -Hinv, L], [None, L.T, sp.diags(pivots)]],
+            format="csc",
+        )
+        signs = np.r_[np.ones(n), -np.ones(m), np.sign(pivots)]
+        K = K_exact + sp.diags(ipm.REGULARIZATION * signs, format="csc")
         K.eliminate_zeros()
-        return K, K_exact, Hinv
+        return K, K_exact, Hinv, L, pivots
 
     def test_in_place_kkt_equals_fresh_assembly_bitwise(self):
         rng = np.random.default_rng(7)
@@ -616,7 +644,7 @@ class TestKKTStructure:
                 s[b.sl] = np.concatenate([random_interior(b.spec, rng) for _ in b.blocks])
             zeros = it in (0, 4)
             if zeros:
-                # the unit point of an SOC block: exact zeros in its H^-1
+                # the unit point of an SOC block: exact zeros in its u and v
                 s[unit_soc.sl] = cones.unit_points()[0][unit_soc.sl]
             mu = float(np.exp(rng.uniform(-5.0, 1.0)))
             stacks = [barrier_hessian_inverse(b.spec, b.rows(s)) for b in cones.barrier_batches]
@@ -625,7 +653,7 @@ class TestKKTStructure:
                 q = kkt.q
             kkt.factor(stacks, mu)
             assert kkt.q is q
-            K, K_exact, Hinv = self.fresh(prob, stacks, mu)
+            K, K_exact, Hinv, L, pivots = self.fresh(prob, stacks, mu)
             assert zeros == (not kkt.K.data.all())
             # the stored K is K[q][:, q], with the stored zeros a fresh assembly drops
             qi = np.argsort(q)
@@ -635,9 +663,11 @@ class TestKKTStructure:
             for attr in ("indptr", "indices", "data"):
                 assert getattr(stored, attr).tobytes() == getattr(K, attr).tobytes()
             v = rng.standard_normal(prob.n + prob.m)
+            lifted = np.r_[v, np.zeros(len(pivots))]  # the lifted rows' right side is 0
             r = rng.standard_normal(prob.m)
-            assert (kkt.Kx @ v).tobytes() == (K_exact @ v).tobytes()
-            assert (kkt.Hinv @ r).tobytes() == (Hinv @ r).tobytes()
+            assert (kkt.Kx @ lifted).tobytes() == (K_exact @ lifted).tobytes()
+            fresh_hinv = Hinv @ r + L @ ((L.T @ r) / pivots)
+            assert kkt.hinv(r).tobytes() == fresh_hinv.tobytes()
             # a fresh symmetric splu with static diagonal pivots of the fresh K[q][:, q]
             lu = splu(K[q][:, q].tocsc(), permc_spec="NATURAL", **ipm.STATIC_PIVOTS)
             assert (lu.perm_r == lu.perm_c).all()  # every pivot on the diagonal
@@ -647,20 +677,104 @@ class TestKKTStructure:
                 sol[q] = lu.solve(rhs[q])
                 return sol
 
-            sol = fresh_solve(v)
+            sol = fresh_solve(lifted)
             for _ in range(ipm.REFINEMENT_STEPS):
-                sol += fresh_solve(v - K_exact @ sol)
-            top, bottom = kkt.solve(v[: prob.n], v[prob.n :])
+                sol += fresh_solve(lifted - K_exact @ sol)
+            ours = kkt.solve(v)
+            assert ours.shape == v.shape  # the lifted entries are dropped
             if zeros:
                 # a stored zero is a structural entry the fresh K lacks:
                 # the factor's supernodes, and so its rounding, may differ
-                np.testing.assert_allclose(np.r_[top, bottom], sol, rtol=1e-10, atol=1e-12)
+                np.testing.assert_allclose(ours, sol[: len(v)], rtol=1e-10, atol=1e-12)
                 continue
-            for ours, theirs in ((kkt.lu.L, lu.L), (kkt.lu.U, lu.U)):
+            for ours_lu, theirs in ((kkt.lu.L, lu.L), (kkt.lu.U, lu.U)):
                 for attr in ("indptr", "indices", "data"):
-                    assert getattr(ours, attr).tobytes() == getattr(theirs, attr).tobytes()
-            assert kkt._solve(v).tobytes() == fresh_solve(v).tobytes()
-            assert np.r_[top, bottom].tobytes() == sol.tobytes()
+                    assert getattr(ours_lu, attr).tobytes() == getattr(theirs, attr).tobytes()
+            assert kkt._solve(lifted).tobytes() == fresh_solve(lifted).tobytes()
+            assert ours.tobytes() == sol[: len(v)].tobytes()
+
+    def test_two_column_solve_equals_two_solves_bitwise(self):
+        rng = np.random.default_rng(8)
+        prob = self.product_problem(rng)
+        s = np.zeros(prob.m)
+        for b in prob.cones.barrier_batches:
+            s[b.sl] = np.concatenate([random_interior(b.spec, rng) for _ in b.blocks])
+        stacks = [barrier_hessian_inverse(b.spec, b.rows(s)) for b in prob.cones.barrier_batches]
+        kkt = ipm._KKT(prob, stacks)
+        kkt.factor(stacks, 0.01)
+        rhs = rng.standard_normal((prob.n + prob.m, 2))
+        both = kkt.solve(rhs)
+        for j in range(2):
+            assert both[:, j].tobytes() == kkt.solve(rhs[:, j].copy()).tobytes()
+
+    @staticmethod
+    def soc_point(spec, rng, gap):
+        """An SOC point with s0 = 1 and t/s0^2 near gap; the unit point at gap = 1."""
+        w = rng.standard_normal(spec.dim - 1)
+        return np.r_[1.0, np.sqrt(1.0 - gap) * w / np.linalg.norm(w)]
+
+    @pytest.mark.parametrize("gap", [1.0, 0.5, 1e-4, 1e-8, 1e-12])
+    def test_lifted_schur_complement_is_the_dense_inverse_hessian(self, gap):
+        rng = np.random.default_rng(9)
+        prob = self.product_problem(rng)
+        n, m, cones = prob.n, prob.m, prob.cones
+        s = np.zeros(m)
+        for b in cones.barrier_batches:
+            make = self.soc_point if b.spec.kind is ConeKind.SECOND_ORDER else random_interior
+            args = (gap,) if b.spec.kind is ConeKind.SECOND_ORDER else ()
+            s[b.sl] = np.concatenate([make(b.spec, rng, *args) for _ in b.blocks])
+        mu = 0.3
+        stacks = [barrier_hessian_inverse(b.spec, b.rows(s)) for b in cones.barrier_batches]
+        kkt = ipm._KKT(prob, stacks)
+        kkt.factor(stacks, mu)
+        # eliminate the lifted rows from the (2,2) block
+        K22 = kkt.Kx[n:, n:].toarray()
+        W, B, D = K22[:m, :m], K22[:m, m:], K22[m:, m:]
+        schur = W - B @ np.linalg.solve(D, B.T) if len(D) else W
+        for b in cones.barrier_batches:
+            for rows in np.split(np.arange(b.sl.start, b.sl.stop), len(b.blocks)):
+                block = schur[np.ix_(rows, rows)]
+                if b.spec.kind is ConeKind.SECOND_ORDER:
+                    v = s[rows]
+                    t = v[0] ** 2 - v[1:] @ v[1:]
+                    J = np.diag(np.r_[1.0, -np.ones(len(v) - 1)])
+                    dense = -(2.0 * np.outer(v, v) - t * J) / mu
+                    assert np.abs(block - dense).max() <= 1e-12 * np.abs(dense).max()
+                    if gap == 1.0:
+                        assert not B[rows].any()  # u = v = 0 at the unit point
+                # no coupling between blocks
+                others = np.setdiff1d(np.arange(m), rows)
+                assert not schur[np.ix_(rows, others)].any()
+        # the step's products agree with the dense H^-1/mu
+        r = rng.standard_normal(m)
+        np.testing.assert_allclose(kkt.hinv(r), -schur @ r, rtol=1e-12, atol=1e-12 * np.abs(schur).max())
+
+    def test_lifted_diagonal_signs_match_the_split(self):
+        rng = np.random.default_rng(10)
+        prob = self.product_problem(rng)
+        n, m, cones = prob.n, prob.m, prob.cones
+        lifted = 2 * sum(spec.kind is ConeKind.SECOND_ORDER for spec in cones.blocks)
+        kkt = None
+        for gap in (1.0, 0.5, 1e-6, 1e-12):
+            s = np.zeros(m)
+            for b in cones.barrier_batches:
+                if b.spec.kind is ConeKind.SECOND_ORDER:
+                    s[b.sl] = np.concatenate([self.soc_point(b.spec, rng, gap) for _ in b.blocks])
+                else:
+                    s[b.sl] = np.concatenate([random_interior(b.spec, rng) for _ in b.blocks])
+            stacks = [barrier_hessian_inverse(b.spec, b.rows(s)) for b in cones.barrier_batches]
+            kkt = kkt or ipm._KKT(prob, stacks)
+            # + on x and the u columns, - on z and the v columns
+            assert np.array_equal(
+                kkt.signs, np.r_[np.ones(n), -np.ones(m), np.tile([1.0, -1.0], lifted // 2)]
+            )
+            for mu in (1.0, 1e-8):
+                kkt.factor(stacks, mu)
+                diagonal = kkt.K.diagonal()[np.argsort(kkt.q)]
+                assert np.array_equal(np.sign(diagonal), kkt.signs)
+                # static pivots: each pivot of the LDL'-like factor keeps its row's sign
+                assert (kkt.lu.perm_r == kkt.lu.perm_c).all()
+                assert np.array_equal(np.sign(kkt.lu.U.diagonal()), kkt.signs[kkt.q])
 
 
 def psd_trace_one(order=6):
@@ -732,20 +846,21 @@ class TestKKTAccuracy:
         def checked(kkt, stacks, mu):
             factor(kkt, stacks, mu)
             qi = np.argsort(kkt.q)
-            # quasi-definite: n positive pivots, then m negative ones
+            # quasi-definite: each pivot has its row's sign in the split
             d = kkt.K.diagonal()[qi]
-            assert (d[: prob.n] > 0).all() and (d[prob.n :] < 0).all()
+            assert np.array_equal(np.sign(d), kkt.signs)
             seen.append(mu)
             if mu >= self.LATE_MU:
                 return
             # the former scheme: a fresh K, COLAMD, partial pivoting and
-            # one refinement step
+            # one refinement step, on the same lifted K
             K = kkt.K[qi][:, qi].tocsc()
             K.eliminate_zeros()
             lu = splu(K)
+            lifted = np.zeros(len(kkt.signs) - prob.n - prob.m)
             for rhs in (np.r_[-prob.q, prob.b], rng.standard_normal(prob.n + prob.m)):
-                ours = np.concatenate(kkt.solve(rhs[: prob.n], rhs[prob.n :]))
-                ours = residual(ours, kkt.Kx, rhs)
+                rhs = np.r_[rhs, lifted]  # the lifted rows' right side is 0
+                ours = residual(kkt._refined(rhs), kkt.Kx, rhs)
                 sol = lu.solve(rhs)
                 sol += lu.solve(rhs - kkt.Kx @ sol)
                 partial = residual(sol, kkt.Kx, rhs)
@@ -756,6 +871,28 @@ class TestKKTAccuracy:
         assert report.status is SolveStatus.OPTIMAL
         assert sum(mu < self.LATE_MU for mu in seen) >= 5
         assert min(seen) <= last_mu
+
+
+class TestSecondOrderRowsOfTheLiftedKKT:
+    """Solves that ended NumericalError while an SOC block entered K as a dense d x d block."""
+
+    def test_rebalance_warm_pair(self):
+        # the rebalance-soc benchmark's seed 1, chain 3, member 1; r0 is
+        # the target that seed draws for chain 3.  The dense block ended
+        # the warm solve NumericalError at 23 iterations, with t/s0^2 at 2e-10
+        r0 = 0.0004822079806359817
+        returns = synth_returns(50, 194, 0)
+        first, second = (gen_portfolio(returns.window(k, 191), r0) for k in (0, 1))
+        cold = solve(first, cold_start(first))
+        assert cold.status is SolveStatus.OPTIMAL
+        ws = warmstart(PreviousSolution(*cold.solution, problem=second), second.cones)
+        assert solve(second, warm_start(second, ws)).status is SolveStatus.OPTIMAL
+
+    @pytest.mark.parametrize("lam", [0.02, 0.03, 0.04, 0.05])
+    def test_svm_l2_repro_rows(self, lam):
+        # ROADMAP's repro table: three of the four ended NumericalError
+        prob = gen_svm_l2(synth_samples(480, 10, seed=0), lam)
+        assert solve(prob, cold_start(prob)).status is SolveStatus.OPTIMAL
 
 
 class TestWarmVsCold:

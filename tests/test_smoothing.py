@@ -1,6 +1,7 @@
 """Smoothing operators: analytic kernels, Newton fallback, projections."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -203,6 +204,19 @@ class TestClosedFormsAtTheFloatFloor:
         res = smooth(spec, np.stack([c, [-1.0, 1.0]]), 1e-200)
         assert np.isnan(res.s[0]).all() and np.isnan(res.optimality_residual[0])
         assert is_interior(spec, res.s[1])
+
+    @pytest.mark.parametrize("big", [-1e200, 1e200])
+    @pytest.mark.parametrize("kind", ["nonneg", "psd"])
+    def test_squares_past_the_float_range_fail_without_a_warning(self, kind, big):
+        # c^2 overflows in the nonnegative root from |c| ~ 1.3e154 on
+        if kind == "nonneg":
+            spec, C = ConeSpec.nonnegative(2), np.array([[big, 1.0]])
+        else:
+            spec, C = ConeSpec.psd_triangle(2), svec(np.diag([big, 1.0]))[None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = smooth(spec, C, np.array([1e-200]))
+        assert np.isnan(res.s).all() and np.isnan(res.optimality_residual).all()
 
 
 class TestNewtonKinds:
