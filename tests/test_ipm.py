@@ -708,21 +708,24 @@ class TestKKTStructure:
             assert both[:, j].tobytes() == kkt.solve(rhs[:, j].copy()).tobytes()
 
     @staticmethod
-    def soc_point(spec, rng, gap):
-        """An SOC point with s0 = 1 and t/s0^2 near gap; the unit point at gap = 1."""
-        w = rng.standard_normal(spec.dim - 1)
-        return np.r_[1.0, np.sqrt(1.0 - gap) * w / np.linalg.norm(w)]
+    def soc_gap_point(prob, rng, gap):
+        """An interior s whose SOC blocks have s0 = 1 and t/s0^2 near gap (the unit point at 1)."""
+        s = np.zeros(prob.m)
+        for b in prob.cones.barrier_batches:
+            for rows in np.split(np.arange(b.sl.start, b.sl.stop), len(b.blocks)):
+                if b.spec.kind is ConeKind.SECOND_ORDER:
+                    w = rng.standard_normal(b.spec.dim - 1)
+                    s[rows] = np.r_[1.0, np.sqrt(1.0 - gap) * w / np.linalg.norm(w)]
+                else:
+                    s[rows] = random_interior(b.spec, rng)
+        return s
 
     @pytest.mark.parametrize("gap", [1.0, 0.5, 1e-4, 1e-8, 1e-12])
     def test_lifted_schur_complement_is_the_dense_inverse_hessian(self, gap):
         rng = np.random.default_rng(9)
         prob = self.product_problem(rng)
         n, m, cones = prob.n, prob.m, prob.cones
-        s = np.zeros(m)
-        for b in cones.barrier_batches:
-            make = self.soc_point if b.spec.kind is ConeKind.SECOND_ORDER else random_interior
-            args = (gap,) if b.spec.kind is ConeKind.SECOND_ORDER else ()
-            s[b.sl] = np.concatenate([make(b.spec, rng, *args) for _ in b.blocks])
+        s = self.soc_gap_point(prob, rng, gap)
         mu = 0.3
         stacks = [barrier_hessian_inverse(b.spec, b.rows(s)) for b in cones.barrier_batches]
         kkt = ipm._KKT(prob, stacks)
@@ -756,12 +759,7 @@ class TestKKTStructure:
         lifted = 2 * sum(spec.kind is ConeKind.SECOND_ORDER for spec in cones.blocks)
         kkt = None
         for gap in (1.0, 0.5, 1e-6, 1e-12):
-            s = np.zeros(m)
-            for b in cones.barrier_batches:
-                if b.spec.kind is ConeKind.SECOND_ORDER:
-                    s[b.sl] = np.concatenate([self.soc_point(b.spec, rng, gap) for _ in b.blocks])
-                else:
-                    s[b.sl] = np.concatenate([random_interior(b.spec, rng) for _ in b.blocks])
+            s = self.soc_gap_point(prob, rng, gap)
             stacks = [barrier_hessian_inverse(b.spec, b.rows(s)) for b in cones.barrier_batches]
             kkt = kkt or ipm._KKT(prob, stacks)
             # + on x and the u columns, - on z and the v columns
