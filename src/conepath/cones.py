@@ -181,19 +181,19 @@ def _t(M):
 # checked entry points: one interior test, then the kind's class
 
 
-def _interior_rows(test, spec, S, margin):
+def _interior_rows(test, spec, S):
     """test on the rows of a stack; a row with a non-finite entry is not interior."""
     # the solver's iterates are finite, and skipping the mask for them
     # nearly halves the test of a short stack, which runs ~60 times per iterate
     if np.isfinite(S).all():
-        return test(spec, S, margin)
+        return test(spec, S)
     ok = np.isfinite(S).all(axis=1)
     if ok.any():
-        ok[ok] = test(spec, S[ok], margin)
+        ok[ok] = test(spec, S[ok])
     return ok
 
 
-def _membership(test, spec, s, margin):
+def _membership(test, spec, s):
     """_interior_rows for a point (dim,), which gets a bool, or a stack (k, dim).
 
     A wrong shape is not interior.
@@ -201,17 +201,17 @@ def _membership(test, spec, s, margin):
     s = np.asarray(s, dtype=float)
     if s.ndim not in (1, 2) or s.shape[-1] != spec.dim:
         return False
-    ok = _interior_rows(test, spec, s.reshape(-1, spec.dim), margin)
+    ok = _interior_rows(test, spec, s.reshape(-1, spec.dim))
     return bool(ok[0]) if s.ndim == 1 else ok
 
 
-def is_interior(spec, s, margin=0.0):
-    """Strict membership in int(K) with all defining inequalities > margin.
+def is_interior(spec, s):
+    """Strict membership in int(K): every defining inequality > 0.
 
     Zero cones have empty interior; membership means s == 0 exactly.
     A stack gets one answer per row.
     """
-    return _membership(CONES[spec.kind].interior, spec, s, margin)
+    return _membership(CONES[spec.kind].interior, spec, s)
 
 
 def dual_coords(spec, y):
@@ -219,9 +219,9 @@ def dual_coords(spec, y):
     return CONES[spec.kind].dual_coords(spec, np.asarray(y, dtype=float))
 
 
-def is_interior_dual(spec, y, margin=0.0):
+def is_interior_dual(spec, y):
     """Strict membership in int(K*); symmetric kinds are self-dual."""
-    return _membership(CONES[spec.kind].interior_dual, spec, y, margin)
+    return _membership(CONES[spec.kind].interior_dual, spec, y)
 
 
 def _require_interior(ok, spec, dual=False):
@@ -235,7 +235,7 @@ def _checked(formula, spec, s):
     """The kind's formula on every row of a point or stack once each row has
     passed the interior test of K; one point gets its row."""
     s = np.asarray(s, dtype=float)
-    _require_interior(_membership(CONES[spec.kind].interior, spec, s, 0.0), spec)
+    _require_interior(_membership(CONES[spec.kind].interior, spec, s), spec)
     out = getattr(CONES[spec.kind], formula)(spec, s.reshape(-1, spec.dim))
     return out[0] if s.ndim == 1 else out
 
@@ -342,6 +342,8 @@ class Cone:
     validate, degree, the interior tests, conjugate_gradient (which
     tests its rows against K*) and the operators on arbitrary targets
     (smooth*, project*), methods assume rows strictly inside the cone.
+    interior(spec, S) and interior_dual(spec, Y) tell per row whether
+    every defining inequality of K, resp. K*, is > 0.
     step_bound(spec, V, D) gives per row an upper bound on the alpha
     with V + alpha*D strictly inside, inf when nothing binds; a row of
     V outside the cone gets a bound that is still valid, or inf.
@@ -359,8 +361,8 @@ class Cone:
     def dual_coords(self, spec, y):
         return y
 
-    def interior_dual(self, spec, Y, margin):
-        return _interior_rows(self.interior, spec, self.dual_coords(spec, Y), margin)
+    def interior_dual(self, spec, Y):
+        return _interior_rows(self.interior, spec, self.dual_coords(spec, Y))
 
     def derivatives(self, spec, S):
         """(gradients, Hessians) of the barrier on a stack."""
@@ -372,7 +374,7 @@ class Cone:
         return (
             lambda S: self.value(spec, S),
             lambda S: self.derivatives(spec, S),
-            lambda S: is_interior(spec, S, 0.0),
+            lambda S: is_interior(spec, S),
         )
 
     def smooth_newton(self, spec, C, mu, hint=None, collect_trace=False):
@@ -403,7 +405,7 @@ class Cone:
 
         if hint is not None:
             r = np.flatnonzero(todo)
-            r = r[is_interior(spec, hint[r], 0.0)]
+            r = r[is_interior(spec, hint[r])]
             if r.size:
                 # a row whose hint solve fails is retried along the continuation
                 todo[r[solve(r, mu[r], hint[r], collect_trace)]] = False
@@ -447,10 +449,10 @@ class ZeroCone(Cone):
     def degree(self, spec):
         return 0
 
-    def interior(self, spec, S, margin):
+    def interior(self, spec, S):
         return np.all(S == 0.0, axis=1)
 
-    def interior_dual(self, spec, Y, margin):
+    def interior_dual(self, spec, Y):
         return np.ones(len(Y), dtype=bool)
 
     def no_barrier(self, spec, *args, **kwargs):
@@ -466,15 +468,15 @@ class ZeroCone(Cone):
 class SelfDualCone(Cone):
     """Nonnegative, second-order and PSD cones: K* = K and f*(y) = f(y) + const."""
 
-    def interior_dual(self, spec, Y, margin):
-        return self.interior(spec, Y, margin)
+    def interior_dual(self, spec, Y):
+        return self.interior(spec, Y)
 
     def unit_point(self, spec):
         e = self.unit_s(spec)
         return e, e.copy()
 
     def conjugate_gradient(self, spec, Y):
-        _require_interior(_interior_rows(self.interior, spec, Y, 0.0), spec, dual=True)
+        _require_interior(_interior_rows(self.interior, spec, Y), spec, dual=True)
         return self.gradient(spec, Y)
 
     def project_dual(self, spec, c):
@@ -491,7 +493,7 @@ class SelfDualCone(Cone):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             resid = residual()
         finite = np.isfinite(S).all(axis=1)
-        inside = _interior_rows(self.interior, spec, S, 0.0)
+        inside = _interior_rows(self.interior, spec, S)
         S[~inside] = resid[~inside] = np.nan
         errors = [
             None if ok else _NOT_INTERIOR if f else _OUT_OF_RANGE for ok, f in zip(inside, finite)
@@ -521,8 +523,8 @@ class NonnegativeCone(SelfDualCone):
     def degree(self, spec):
         return spec.dim
 
-    def interior(self, spec, S, margin):
-        return np.min(S, axis=1) > margin
+    def interior(self, spec, S):
+        return np.min(S, axis=1) > 0.0
 
     def step_bound(self, spec, V, D):
         return _ratio_test(V, D)
@@ -581,8 +583,8 @@ class SecondOrderCone(SelfDualCone):
         j[0] = 1.0
         return j
 
-    def interior(self, spec, S, margin):
-        return S[:, 0] - _norms(S[:, 1:]) > margin
+    def interior(self, spec, S):
+        return S[:, 0] - _norms(S[:, 1:]) > 0.0
 
     def step_bound(self, spec, V, D):
         """The smaller positive root of q(alpha) = (v0 + alpha d0)^2 - ||v1 + alpha d1||^2.
@@ -719,9 +721,9 @@ class PsdTriangleCone(SelfDualCone):
         d, U = _eigh(smat(S))
         return (U / d[:, None, :]) @ _t(U)
 
-    def interior(self, spec, S, margin):
+    def interior(self, spec, S):
         d, _ = _eigh(smat(S))
-        return d[:, 0] > margin
+        return d[:, 0] > 0.0
 
     def step_bound(self, spec, V, D):
         """-1/lambda_min of S^-1/2 dS S^-1/2 where lambda_min < 0, else inf.
@@ -790,11 +792,11 @@ class NonsymmetricCone(Cone):
     def degree(self, spec):
         return 3
 
-    def interior(self, spec, S, margin):
+    def interior(self, spec, S):
         # x1, x2 > 0 first: the slack takes their logarithm or power
-        ok = (S[:, 0] > margin) & (S[:, 1] > margin)
+        ok = (S[:, 0] > 0.0) & (S[:, 1] > 0.0)
         if ok.any():
-            ok[ok] = self.slack(spec, S[ok]) > margin
+            ok[ok] = self.slack(spec, S[ok]) > 0.0
         return ok
 
     def step_bound(self, spec, V, D):
@@ -1072,7 +1074,7 @@ class PowerCone(NonsymmetricCone):
             X, _, A = nn_roots(r)
             S[todo, :2] = X
             S[todo, 2] = c3 * A / (A + 2.0 * m * r)
-        for i in np.flatnonzero(todo & ~_interior_rows(self.interior, spec, S, 0.0)):
+        for i in np.flatnonzero(todo & ~_interior_rows(self.interior, spec, S)):
             errors[i] = _NOT_INTERIOR
         return self._smoothing_result(spec, C, mu, S, np.zeros(len(S), dtype=int), errors)
 
@@ -1162,12 +1164,12 @@ class ConeProduct:
     def slices(self):
         return self._slices
 
-    def is_interior(self, s, margin=0.0):
+    def is_interior(self, s):
         """Blockwise strict interiority, one test per batch; Zero blocks require exact zeros."""
-        return self._all_rows("interior", s, margin)
+        return self._all_rows("interior", s)
 
-    def is_interior_dual(self, z, margin=0.0):
-        return self._all_rows("interior_dual", z, margin)
+    def is_interior_dual(self, z):
+        return self._all_rows("interior_dual", z)
 
     def step_bound(self, s, ds, z, dz):
         """An upper bound on every alpha with s + alpha*ds in int K and z + alpha*dz in int K*.
@@ -1187,9 +1189,9 @@ class ConeProduct:
             bound = min(bound, cone.step_bound(b.spec, V, D).min())
         return float(bound)
 
-    def _all_rows(self, test, v, margin):
+    def _all_rows(self, test, v):
         for b in self.batches:
-            if not _interior_rows(getattr(CONES[b.spec.kind], test), b.spec, b.rows(v), margin).all():
+            if not _interior_rows(getattr(CONES[b.spec.kind], test), b.spec, b.rows(v)).all():
                 return False
         return True
 

@@ -175,7 +175,7 @@ def warm_start(problem, ws):
     s0 = np.asarray(ws.s0, dtype=float)
     z0 = np.asarray(ws.z0, dtype=float)
     for b in cones.barrier_batches:
-        ok = is_interior(b.spec, b.rows(s0), 0.0) & is_interior_dual(b.spec, b.rows(z0), 0.0)
+        ok = is_interior(b.spec, b.rows(s0)) & is_interior_dual(b.spec, b.rows(z0))
         if not ok.all():
             k = np.asarray(b.blocks)[~ok][0]
             raise RejectedWarmStart(f"warmstart block {k} is not strictly interior")
@@ -193,7 +193,6 @@ def warm_start(problem, ws):
 # Step-rule and certificate constants.  None is a user setting: each
 # shapes every iterate, so changing one is a solver change.
 BETA = 0.1  # the neighborhood warmstart.proximity certifies by default
-MARGIN = 1e-12  # absolute floor on s and z in step acceptance, not scaled by mu
 ALPHA_FLOOR = 1e-7  # both grids end here: shorter steps make no progress
 MAX_ALPHA = 0.99  # the combined grid's first step; a full step may land on the boundary
 STEP_SLACK = 1e-6  # relative room on the boundary step for rounding in it and in the interior test
@@ -317,8 +316,8 @@ def check_termination(problem, v, eps=1e-8):
     return None, (rp, rd, gap)
 
 
-def _interior_point(cones, s, z, margin):
-    return cones.is_interior(s, margin) and cones.is_interior_dual(z, margin)
+def _interior_point(cones, s, z):
+    return cones.is_interior(s) and cones.is_interior_dual(z)
 
 
 def _ratio(v, dv):
@@ -532,7 +531,7 @@ def solve(problem, start, settings=None):
     tau, kappa = float(start.tau), float(start.kappa)
     if tau <= 0.0 or kappa <= 0.0:
         raise Unsupported("embedding starts need tau > 0 and kappa > 0")
-    if not _interior_point(cones, s, z, 0.0):
+    if not _interior_point(cones, s, z):
         raise RejectedWarmStart("start iterate is not strictly interior")
 
     gradients = None  # grad f at s per batch, from the proximity test that accepted s
@@ -628,29 +627,26 @@ def solve(problem, start, settings=None):
             """The step to the boundary of the cones and of tau, kappa > 0."""
             return min(cones.step_bound(s, ds, z, dz), _ratio(tau, dtau), _ratio(kappa, dkappa))
 
-        def affine_trial(a):
-            if (
-                tau + a * dtau > 0.0
-                and kappa + a * dkappa > 0.0
-                and _interior_point(cones, s + a * ds, z + a * dz, 0.0)
-            ):
-                return a
-            return None
-
-        def combined_trial(a):
-            """(alpha, s, z, tau, kappa, mu, gradients) at step a, if it passes every test."""
-            nonlocal guard_passed
+        def inside(a):
+            """(s, z, tau, kappa) at step a if it is strictly interior, else None."""
             s_new = s + a * ds
             z_new = z + a * dz
             tau_new = tau + a * dtau
             kappa_new = kappa + a * dkappa
-            if not (
-                tau_new > 0.0
-                and kappa_new > 0.0
-                and _interior_point(cones, s_new, z_new, MARGIN)
-            ):
+            if tau_new > 0.0 and kappa_new > 0.0 and _interior_point(cones, s_new, z_new):
+                return s_new, z_new, tau_new, kappa_new
+            return None
+
+        def affine_trial(a):
+            return None if inside(a) is None else a
+
+        def combined_trial(a):
+            """(alpha, s, z, tau, kappa, mu, gradients) at step a, if it passes every test."""
+            nonlocal guard_passed
+            if (point := inside(a)) is None:
                 return None
             guard_passed = True
+            s_new, z_new, tau_new, kappa_new = point
             mu_new = _embedding_mu(problem, s_new, z_new, tau_new, kappa_new)
             if not (mu_new > 0.0 and tau_new * kappa_new >= BETA * mu_new):
                 return None

@@ -233,9 +233,7 @@ def certify_central_path(result, cones):
     for k, spec, sl in cones.barrier_blocks:
         p = result.per_block[k]
         sb, zb = result.s0[sl], result.z0[sl]
-        interior_ok = bool(
-            is_interior(spec, sb, 0.0) and is_interior_dual(spec, zb, 0.0)
-        )
+        interior_ok = bool(is_interior(spec, sb) and is_interior_dual(spec, zb))
         if interior_ok:
             resid = float(np.linalg.norm(p.lam * zb + p.mu0 * barrier_gradient(spec, sb)))
         else:

@@ -1,6 +1,7 @@
 """Shared helpers for the test suite: seeded interior-point sampling."""
 
 import numpy as np
+from scipy.optimize import linprog
 
 from conepath.cones import ConeKind, ConeSpec, svec
 
@@ -70,3 +71,24 @@ def finite_difference_hessian(grad_fn, s, h=1e-6):
         dn[i] -= h
         H[:, i] = (grad_fn(up) - grad_fn(dn)) / (2.0 * h)
     return 0.5 * (H + H.T)
+
+
+def highs_objective(problem):
+    """HiGHS's optimal objective for an LP: P = 0, Zero blocks as Ax = b, nonneg ones as Ax <= b."""
+    assert problem.P.nnz == 0, "HiGHS takes linear objectives only"
+    eq, ub = [], []
+    for spec, sl in zip(problem.cones.blocks, problem.cones.slices()):
+        rows = {ConeKind.ZERO: eq, ConeKind.NONNEGATIVE: ub}[spec.kind]
+        rows.extend(range(sl.start, sl.stop))
+    A = problem.A.tocsr()
+    res = linprog(
+        problem.q,
+        A_ub=A[ub] if ub else None,
+        b_ub=problem.b[ub] if ub else None,
+        A_eq=A[eq] if eq else None,
+        b_eq=problem.b[eq] if eq else None,
+        bounds=(None, None),
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    return float(res.fun)

@@ -95,10 +95,10 @@ class TestPacking:
 class TestInteriority:
     def test_zero_cone_exact(self):
         spec = ConeSpec.zero(3)
-        assert is_interior(spec, np.zeros(3), 0.0)
-        assert not is_interior(spec, np.array([0.0, 1e-300, 0.0]), 0.0)
+        assert is_interior(spec, np.zeros(3))
+        assert not is_interior(spec, np.array([0.0, 1e-300, 0.0]))
         # the dual of {0} is everything
-        assert is_interior_dual(spec, np.array([5.0, -3.0, 0.0]), 0.0)
+        assert is_interior_dual(spec, np.array([5.0, -3.0, 0.0]))
 
     def test_random_interior_points(self):
         rng = np.random.default_rng(2)
@@ -106,15 +106,13 @@ class TestInteriority:
             for _ in range(100):
                 spec = make_spec(kind, rng)
                 s = random_interior(spec, rng)
-                assert is_interior(spec, s, 0.0), kind
-                assert not is_interior(spec, -s, 0.0) or kind == "pow", kind
+                assert is_interior(spec, s), kind
+                assert not is_interior(spec, -s) or kind == "pow", kind
 
     def test_boundary_rejected(self):
-        assert not is_interior(ConeSpec.nonnegative(2), np.array([1.0, 0.0]), 0.0)
-        assert not is_interior(
-            ConeSpec.second_order(3), np.array([1.0, 1.0, 0.0]), 0.0
-        )
-        assert not is_interior(ConeSpec.psd_triangle(2), svec(np.diag([1.0, 0.0])), 0.0)
+        assert not is_interior(ConeSpec.nonnegative(2), np.array([1.0, 0.0]))
+        assert not is_interior(ConeSpec.second_order(3), np.array([1.0, 1.0, 0.0]))
+        assert not is_interior(ConeSpec.psd_triangle(2), svec(np.diag([1.0, 0.0])))
 
     def test_dual_interior_matches_barrier_domain(self):
         # points whose dual-map image is interior accept the dual barrier
@@ -124,18 +122,16 @@ class TestInteriority:
                 spec = make_spec(kind, rng)
                 s = random_interior(spec, rng)
                 z = -barrier_gradient(spec, s)  # gradients land in int K*
-                assert is_interior_dual(spec, z, 0.0), kind
+                assert is_interior_dual(spec, z), kind
                 y = dual_coords(spec, z)
-                assert is_interior(
-                    spec if kind == "pow" else ConeSpec.exponential(), y, 0.0
-                )
+                assert is_interior(spec if kind == "pow" else ConeSpec.exponential(), y)
 
     def test_symmetric_duals_self(self):
         rng = np.random.default_rng(4)
         for kind in ("nonneg", "soc", "psd"):
             spec = make_spec(kind, rng)
             s = random_interior(spec, rng)
-            assert is_interior_dual(spec, s, 0.0)
+            assert is_interior_dual(spec, s)
 
 
 class TestBarrierIdentities:
@@ -245,8 +241,8 @@ class TestUnitPoints:
         for kind in ALL_KINDS:
             spec = make_spec(kind, None)
             e_s, e_z = unit_point(spec)
-            assert is_interior(spec, e_s, 0.0)
-            assert is_interior_dual(spec, e_z, 0.0)
+            assert is_interior(spec, e_s)
+            assert is_interior_dual(spec, e_z)
             assert np.allclose(e_z, -barrier_gradient(spec, e_s), rtol=1e-12)
             assert math.isclose(float(e_s @ e_z), spec.degree, rel_tol=1e-12)
 
@@ -313,9 +309,9 @@ class TestInteriorTests:
         tested = []
         inner = cones.is_interior
 
-        def recording(spec, s, margin=0.0):
+        def recording(spec, s):
             tested.append(np.asarray(s, dtype=float).tobytes())
-            return inner(spec, s, margin)
+            return inner(spec, s)
 
         monkeypatch.setattr(cones, "is_interior", recording)
         rng = np.random.default_rng(21)
@@ -334,9 +330,9 @@ class TestInteriorTests:
         tested = []
         inner = cones.is_interior
 
-        def recording(spec, s, margin=0.0):
+        def recording(spec, s):
             tested.extend(row.tobytes() for row in np.atleast_2d(np.asarray(s, dtype=float)))
-            return inner(spec, s, margin)
+            return inner(spec, s)
 
         monkeypatch.setattr(cones, "is_interior", recording)
         rng = np.random.default_rng(22)
@@ -439,7 +435,7 @@ class TestDampedNewton:
                 + mu * barrier_value(spec, v),
                 grad=lambda v: (v - c) + mu * barrier_gradient(spec, v),
                 hess=lambda v: np.eye(3) + mu * barrier_hessian(spec, v),
-                inside=lambda v: is_interior(spec, v, 0.0),
+                inside=lambda v: is_interior(spec, v),
                 s0=s0,
             )
             resid = np.linalg.norm(s - c + mu * barrier_gradient(spec, s))
@@ -458,7 +454,7 @@ class TestDampedNewton:
             + mu * barrier_value(spec, v),
             grad=lambda v: (v - c) + mu * barrier_gradient(spec, v),
             hess=lambda v: np.eye(3) + mu * barrier_hessian(spec, v),
-            inside=lambda v: is_interior(spec, v, 0.0),
+            inside=lambda v: is_interior(spec, v),
             s0=s0,
         )
         values = [row[1] for row in trace]
@@ -660,9 +656,9 @@ class TestConeProduct:
         product = ConeProduct((ConeSpec.zero(2), ConeSpec.nonnegative(2)))
         s = np.array([0.0, 0.0, 1.0, 2.0])
         z = np.array([-3.0, 7.0, 0.5, 0.5])
-        assert product.is_interior(s, 0.0)
-        assert product.is_interior_dual(z, 0.0)
-        assert not product.is_interior(np.array([1e-9, 0.0, 1.0, 2.0]), 0.0)
+        assert product.is_interior(s)
+        assert product.is_interior_dual(z)
+        assert not product.is_interior(np.array([1e-9, 0.0, 1.0, 2.0]))
 
     def test_unit_points(self):
         product = ConeProduct((ConeSpec.zero(2), ConeSpec.second_order(3)))
@@ -719,9 +715,9 @@ class TestStepBound:
                 if math.isinf(bound):
                     continue
                 finite += 1
-                assert not inside(v + bound * (1 + 1e-6) * d, 0.0)
+                assert not inside(v + bound * (1 + 1e-6) * d)
                 if kind in self.EXACT:
-                    assert inside(v + bound * (1 - 1e-9) * d, 0.0)
+                    assert inside(v + bound * (1 - 1e-9) * d)
         assert finite >= 50
 
     @pytest.mark.parametrize("kind,dual", SIDES)
@@ -756,8 +752,8 @@ class TestStepBound:
             b = v[0] * d[0] - v[1:] @ d[1:]
             gap = v[0] ** 2 - v[1:] @ v[1:]
             assert math.isclose(bound, gap / (-2.0 * b), rel_tol=1e-12)
-            assert not inside(v + bound * (1 + 1e-6) * d, 0.0)
-            assert inside(v + bound * (1 - 1e-9) * d, 0.0)
+            assert not inside(v + bound * (1 + 1e-6) * d)
+            assert inside(v + bound * (1 - 1e-9) * d)
             # the opposite tangent stays inside for every alpha
             assert _side(product, v, -d, False)[0] == math.inf
 

@@ -19,12 +19,14 @@ from conepath.ipm import (
     check_termination,
     cold_start,
     homogeneous_map,
+    optimal_objective,
     residual_map,
     solve,
     warm_start,
 )
 from conepath.problems import (
     gen_hmcr,
+    gen_mpc,
     gen_portfolio,
     gen_svm_l1,
     gen_svm_l2,
@@ -33,7 +35,7 @@ from conepath.problems import (
 )
 from conepath.warmstart import PreviousSolution, WarmStartResult, warmstart
 
-from support import make_spec, random_interior
+from support import highs_objective, make_spec, random_interior
 
 
 def lp_box():
@@ -893,6 +895,57 @@ class TestSecondOrderRowsOfTheLiftedKKT:
         assert solve(prob, cold_start(prob)).status is SolveStatus.OPTIMAL
 
 
+def _count_interior_tests(monkeypatch):
+    """A list that gains one entry per ConeProduct.is_interior call from now on."""
+    calls = []
+    test = ConeProduct.is_interior
+
+    def counted(self, *args):
+        calls.append(1)
+        return test(self, *args)
+
+    monkeypatch.setattr(ConeProduct, "is_interior", counted)
+    return calls
+
+
+class TestStrictlyInteriorSteps:
+    """Solves that ended NumericalError while the combined step kept s and z above 1e-12."""
+
+    @pytest.mark.parametrize("N", [40, 160])
+    def test_mpc_repro_rows(self, N):
+        # ROADMAP's repro table: NumericalError at 15 / 16 iterations, no grid step inside
+        prob = gen_mpc((4, 2), N, seed=0, x0=np.full(4, 0.5))
+        assert solve(prob, cold_start(prob)).status is SolveStatus.OPTIMAL
+
+    def test_unbounded_qp_repro_row(self):
+        # min 0.5 x2^2 - x1 s.t. x >= 0: NumericalError at 23 iterations, no grid step inside
+        prob = ConicProblem(
+            P=sp.diags([0.0, 1.0], format="csc"),
+            q=np.array([-1.0, 0.0]),
+            A=-sp.eye(2, format="csc"),
+            b=np.zeros(2),
+            cones=ConeProduct((ConeSpec.nonnegative(2),)),
+        )
+        assert solve(prob, cold_start(prob)).status is SolveStatus.DUAL_INFEASIBLE
+
+    def test_svm_l1_reference_warm_pair(self, monkeypatch):
+        # the svm-l1-lp benchmark's lambda 0.01 -> 0.02 pair: the warm solve
+        # ended NumericalError at 27 iterations, no grid step inside, after
+        # walking the combined grid at 15.1 primal interior tests per iteration
+        samples = synth_samples(480, 10, seed=0)
+        first, second = gen_svm_l1(samples, 0.01), gen_svm_l1(samples, 0.02)
+        cold = solve(first, cold_start(first))
+        assert cold.status is SolveStatus.OPTIMAL
+        ws = warmstart(PreviousSolution(*cold.solution, problem=second), second.cones)
+        calls = _count_interior_tests(monkeypatch)
+        report = solve(second, warm_start(second, ws))
+        assert report.status is SolveStatus.OPTIMAL
+        assert optimal_objective(second, report) == pytest.approx(
+            highs_objective(second), rel=1e-6
+        )
+        assert len(calls) / report.iterations <= 3.0
+
+
 class TestWarmVsCold:
     def qp_with_bound(self, bound):
         return ConicProblem(
@@ -935,40 +988,15 @@ class TestWarmVsCold:
         assert iters[2] <= iters[1] <= iters[0]
 
 
-def _scan_affine(cones, s, ds, z, dz, tau, dtau, kappa, dkappa):
-    """The affine step as the solver chose it before the boundary step: 80 trials from 1."""
-    alpha_aff = 1.0
-    for _ in range(80):
-        if (
-            tau + alpha_aff * dtau > 0.0
-            and kappa + alpha_aff * dkappa > 0.0
-            and cones.is_interior(s + alpha_aff * ds, 0.0)
-            and cones.is_interior_dual(z + alpha_aff * dz, 0.0)
-        ):
-            break
-        alpha_aff *= 0.8
-    else:
-        alpha_aff = 0.0
-    return alpha_aff
-
-
-def _scan_combined(cones, s, ds, z, dz, tau, dtau, kappa, dkappa):
-    """The combined step's interior guard as scanned before the boundary step; None if no trial."""
-    alpha = ipm.MAX_ALPHA
+def _scan(first, trial):
+    """The first of first, 0.8*first, ... down to ALPHA_FLOOR that trial accepts, scanned
+    as before the boundary step; None if it accepts none."""
+    alpha = first
     while alpha >= ipm.ALPHA_FLOOR:
-        if (
-            tau + alpha * dtau > 0.0
-            and kappa + alpha * dkappa > 0.0
-            and cones.is_interior(s + alpha * ds, ipm.MARGIN)
-            and cones.is_interior_dual(z + alpha * dz, ipm.MARGIN)
-        ):
+        if trial(alpha) is not None:
             return alpha
         alpha *= 0.8
     return None
-
-
-def _sigma(alpha_aff):
-    return min(max((1.0 - alpha_aff) ** 3, 1e-3), 0.9)
 
 
 def _random_step(rng):
@@ -1017,33 +1045,23 @@ class TestStepSearch:
         rng = np.random.default_rng(21)
         accepted = []
         for _ in range(150):
-            step = _random_step(rng)
-            cones, s, ds, z, dz, tau, dtau, kappa, dkappa = step
+            cones, s, ds, z, dz, tau, dtau, kappa, dkappa = _random_step(rng)
             bound = min(
                 cones.step_bound(s, ds, z, dz), ipm._ratio(tau, dtau), ipm._ratio(kappa, dkappa)
             )
 
-            def trial(margin):
-                def accept(a):
-                    ok = (
-                        tau + a * dtau > 0.0
-                        and kappa + a * dkappa > 0.0
-                        and cones.is_interior(s + a * ds, margin)
-                        and cones.is_interior_dual(z + a * dz, margin)
-                    )
-                    return a if ok else None
+            def trial(a):
+                ok = (
+                    tau + a * dtau > 0.0
+                    and kappa + a * dkappa > 0.0
+                    and cones.is_interior(s + a * ds)
+                    and cones.is_interior_dual(z + a * dz)
+                )
+                return a if ok else None
 
-                return accept
-
-            old = _scan_affine(*step)
-            new = ipm._search(ipm.AFFINE_GRID, trial(0.0), bound) or 0.0
-            # an affine step below ALPHA_FLOOR counts as 0: sigma is capped either way
-            assert new == (old if old >= ipm.ALPHA_FLOOR else 0.0)
-            assert _sigma(new) == _sigma(old)
-
-            old = _scan_combined(*step)
-            new = ipm._search(ipm.COMBINED_GRID, trial(ipm.MARGIN), bound)
-            assert new == old
+            for grid in (ipm.AFFINE_GRID, ipm.COMBINED_GRID):
+                old = _scan(grid[0], trial)
+                assert ipm._search(grid, trial, bound) == old
             accepted.append(old)
         # the cases cover the first trial, later ones and no step at all
         assert any(a == ipm.MAX_ALPHA for a in accepted)
@@ -1054,14 +1072,7 @@ class TestStepSearch:
         # guards the gain: the full scan took 6.2 primal interior tests per
         # iteration on this instance, the search from the boundary step 2.1
         prob = gen_portfolio(synth_returns(6, 30, 0).window(0, 30), 5e-4)
-        calls = []
-        test = ConeProduct.is_interior
-
-        def counted(self, *args):
-            calls.append(1)
-            return test(self, *args)
-
-        monkeypatch.setattr(ConeProduct, "is_interior", counted)
+        calls = _count_interior_tests(monkeypatch)
         report = solve(prob, cold_start(prob))
         assert report.status is SolveStatus.OPTIMAL
         assert len(calls) / report.iterations <= 2.5
@@ -1083,8 +1094,9 @@ class TestNumericalErrorReason:
         assert report.reason == ipm.PROXIMITY_REJECTED
 
     def test_no_grid_step_inside_the_cones(self, monkeypatch):
-        monkeypatch.setattr(ipm, "MARGIN", 1e300)
-        prob, _ = socp_norm()
+        # a boundary step of 0 leaves every grid value out of both searches
+        monkeypatch.setattr(ConeProduct, "step_bound", lambda *args: 0.0)
+        prob, _ = lp_box()
         report = solve(prob, cold_start(prob))
         assert report.status is SolveStatus.NUMERICAL_ERROR
         assert report.reason == ipm.NO_STEP_INSIDE

@@ -228,7 +228,7 @@ class TestNewtonKinds:
             c = rng.standard_normal(3) * 2.0
             mu = float(np.exp(rng.uniform(math.log(1e-6), math.log(10.0))))
             res = smooth(spec, c, mu)
-            assert is_interior(spec, res.s, 0.0)
+            assert is_interior(spec, res.s)
             assert moreau_residual(spec, c, mu, res.s) <= 1e-8 * max(
                 1.0, np.linalg.norm(c)
             )

@@ -311,7 +311,7 @@ class TestOverridesAndFallback:
         assert res.per_block[0].rule == "fallback"
         assert res.per_block[0].lam == 1.0
         assert res.per_block[0].mu0 == 1.0
-        assert is_interior(cones.blocks[0], res.s0, 0.0)
+        assert is_interior(cones.blocks[0], res.s0)
 
 
 class TestCertification:
@@ -324,7 +324,7 @@ class TestCertification:
             cones = ConeProduct((spec,))
             s_star = random_interior(spec, rng)
             z_star = random_interior(spec, rng, scale=0.5)
-            if not is_interior_dual(spec, z_star, 0.0):
+            if not is_interior_dual(spec, z_star):
                 continue
             hits += 1
             prev = PreviousSolution(np.array([1.0]), s_star, z_star)
