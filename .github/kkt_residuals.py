@@ -1,0 +1,105 @@
+"""Print how accurately the solver's KKT systems are solved on the benchmark's workloads.
+
+    python3 .github/kkt_residuals.py --seeds 1 2 3
+    python3 .github/kkt_residuals.py --seeds 1 --extra 2
+
+Every system ``_KKT.solve`` takes is solved as the solver solves it: one
+solve with the static-pivot factor, then ``ipm.REFINEMENT_STEPS``
+refinement steps against K without regularization.  After each of those
+steps the script records, per right-hand column, the relative residual
+max|rhs - Kx sol| / max|rhs|.  With --extra k it also records k further
+steps, taken on a copy that the solver never sees.
+
+One line per workload gives, per step, the 50th, 90th and 99th
+percentiles and the largest residual over every column of every system
+of every solve at the given seeds.
+
+The solves are the benchmark's own, as in iterate_digest.py:
+perfbench/run.py imports conepath from ``src/`` of this checkout and
+builds each workload's chains (``import_conepath``, ``setup``), and
+``perfbench.driver.run_pass`` solves them.  The solver's arithmetic is
+kept, so every iterate is the one an unrecorded run computes; the script
+only records data.
+"""
+
+import argparse
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+QUANTILES = (50, 90, 99)
+
+
+def relative_residual(Kx, rhs, sol):
+    """max|rhs - Kx sol| / max|rhs| per column of rhs, as a list."""
+    import numpy as np
+
+    res = np.abs(rhs - Kx @ sol).max(axis=0) / np.abs(rhs).max(axis=0)
+    return np.atleast_1d(res).tolist()
+
+
+def recording(ipm, extra):
+    """Replace ipm._KKT._refined by a recording copy; returns its per-step lists."""
+    steps = [[] for _ in range(ipm.REFINEMENT_STEPS + 1 + extra)]
+
+    def refined(kkt, rhs):
+        # the arithmetic of _KKT._refined, with a residual after each step
+        sol = kkt._solve(rhs)
+        steps[0].extend(relative_residual(kkt.Kx, rhs, sol))
+        for k in range(1, ipm.REFINEMENT_STEPS + 1):
+            sol += kkt._solve(rhs - kkt.Kx @ sol)
+            steps[k].extend(relative_residual(kkt.Kx, rhs, sol))
+        more = sol.copy()
+        for k in range(ipm.REFINEMENT_STEPS + 1, len(steps)):
+            more += kkt._solve(rhs - kkt.Kx @ more)
+            steps[k].extend(relative_residual(kkt.Kx, rhs, more))
+        return sol
+
+    ipm._KKT._refined = refined
+    return steps
+
+
+def summary(name, steps, used):
+    import numpy as np
+
+    parts = [f"{name}: columns={len(steps[0])}"]
+    for k, values in enumerate(steps):
+        q = np.percentile(values, QUANTILES)
+        label = f"step{k}" + ("" if k <= used else "*")
+        parts.append(
+            f"{label} " + " ".join(f"p{p}={v:.1e}" for p, v in zip(QUANTILES, q))
+            + f" max={max(values):.1e}"
+        )
+    return " | ".join(parts)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seeds", type=int, nargs="+", required=True)
+    parser.add_argument(
+        "--extra",
+        type=int,
+        default=0,
+        help="refinement steps past ipm.REFINEMENT_STEPS to record (marked *), not used",
+    )
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(ROOT))
+    from perfbench import run
+
+    api = run.import_conepath()  # sets one BLAS thread before numpy loads
+    from perfbench import driver
+    from perfbench.workloads import WORKLOADS
+
+    for name, workload in WORKLOADS.items():
+        steps = recording(api.ipm, args.extra)
+        for seed in args.seeds:
+            with tempfile.TemporaryDirectory() as tmp:
+                chains = run.setup(api, workload, seed, {}, Path(tmp))
+            driver.run_pass(api, chains, lambda: 1.0)
+        print(summary(name, steps, api.ipm.REFINEMENT_STEPS), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -351,6 +351,9 @@ class Cone:
     """
 
     takes_alpha = takes_order = False
+    # whether ipm scales the block's part of K by the block's own path
+    # parameter mu_i = <s_i, z_i>/nu_i (True) or by the global mu
+    local_mu = True
 
     def validate(self, spec):
         if spec.alpha is not None and not self.takes_alpha:
@@ -705,6 +708,10 @@ class SecondOrderCone(SelfDualCone):
 
 class PsdTriangleCone(SelfDualCone):
     takes_order = True
+    # with its own mu_i, the order-30 trace-one SDP (.github/repro_rows.py)
+    # ends NumericalError at 25 iterations, every trial rejected by
+    # proximity; with the global mu it ends Optimal in 19
+    local_mu = False
 
     def validate(self, spec):
         super().validate(spec)

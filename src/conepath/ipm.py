@@ -26,6 +26,20 @@ the barrier scaling, in place, and factors K with static diagonal
 pivots, which its quasi-definiteness allows (see _KKT).  Second-order
 blocks enter K as a diagonal and two lifted columns each, not as a dense
 block.
+
+Block i of the scaling is H(s_i)^-1/mu_i, with the block's own path
+parameter mu_i = <s_i, z_i>/nu_i in place of the global mu, so that the
+scaling sees z as well as s.  Each nonnegative coordinate counts as a
+block of degree 1, so its entry is s_j/z_j, the Nesterov-Todd scaling
+(Nesterov & Todd, Math. OR 1997); on the central path, z_i =
+-mu*grad f(s_i), every mu_i equals mu.  PSD blocks keep the global mu
+(PsdTriangleCone.local_mu).  The centering term, tau*kappa, the
+neighborhood and termination keep it too.  ds comes from the linearized
+primal equation, ds = eta*r_z - A dx + dtau*b, not from the scaling as
+-W(dz + r_s).  s_j/z_j grows without bound where z_j goes to 0, and
+that form multiplies the solve's error in dz by it: with it, three
+svm-l2 repro rows (.github/repro_rows.py) drifted in r_p and ended
+MaxIters.
 """
 
 import time
@@ -38,6 +52,7 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
 from .cones import (
+    CONES,
     ConeKind,
     barrier_gradient,
     barrier_hessian_inverse,
@@ -199,7 +214,7 @@ STEP_SLACK = 1e-6  # relative room on the boundary step for rounding in it and i
 REGULARIZATION = 1e-8  # every pivot of K nonzero, P singular or not; refinement removes its bias
 # SuperLU's symmetric mode with static diagonal pivots: an LDL'-like factor of K
 STATIC_PIVOTS = dict(diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
-REFINEMENT_STEPS = 2  # against K without regularization; static pivots need the second (see _KKT)
+REFINEMENT_STEPS = 3  # against K without regularization; see _KKT for why three
 EPS_IA = 1e-8  # infeasibility certificates need |b'z| or |q'x| above this
 EPS_IR = 1e-8  # relative residual an infeasibility certificate may leave
 
@@ -369,33 +384,39 @@ def _positions(M, rows, cols):
 class _KKT:
     """K = [[P, A', 0], [A, -W, L], [0, L', D]] + REGULARIZATION * diag(signs), built once per solve.
 
-    W holds H^-1/mu of the barrier blocks: the diagonal where the kernel
-    returns only that (nonnegative), every d x d block otherwise.  A
-    second-order block's H^-1 = t I + uu' - vv'
-    (SecondOrderCone.hessian_inverse) enters as the diagonal t/mu in W and
-    two lifted rows and columns, as in ECOS (Domahidi, Chu & Boyd, ECC
-    2013): L holds u and v, D the pivots +mu and -mu.  Eliminating them
-    leaves -(t I + uu' - vv')/mu = -H^-1/mu, the (2,2) block of the
-    unlifted K.  That is d + 4d + 2 stored entries where the dense block
-    has d^2, and t stays an entry of its own instead of rounding away
-    against s0^2 late in a solve.  The lifted rows follow the n + m rows
-    of x and z.
+    W holds H(s_i)^-1/mu_i of each barrier block i: the diagonal where
+    the kernel returns only that (nonnegative), every d x d block
+    otherwise.  A second-order block's H^-1 = t I + uu' - vv'
+    (SecondOrderCone.hessian_inverse) enters as the diagonal t/mu_i in W
+    and two lifted rows and columns, as in ECOS (Domahidi, Chu & Boyd,
+    ECC 2013): L holds u and v, D the pivots +mu_i and -mu_i.
+    Eliminating them leaves -(t I + uu' - vv')/mu_i = -H^-1/mu_i, the
+    (2,2) block of the unlifted K.  That is d + 4d + 2 stored entries
+    where the dense block has d^2, and t stays an entry of its own
+    instead of rounding away against s0^2 late in a solve.  The lifted
+    rows follow the n + m rows of x and z.
 
     One bmat stores P, A', A, W's pattern, L, L' and D; adding the
     regularization stores K's whole diagonal.  factor writes W, L and D
-    in place, W with the float operations of a fresh assembly: h/mu, its
-    negation, then the regularization on the diagonal.
+    in place, W with the float operations of a fresh assembly: h/mu_i,
+    its negation, then the regularization on the diagonal.  unit maps
+    each row of z to its slot of factor's mu_i: one per block, one per
+    nonnegative coordinate, and slot 0, the global mu, for Zero rows and
+    kinds without local_mu; owner and lift_owner map each entry of W and
+    each lifted column to its slot, so factor divides by mu_i in place
+    with no branch on the kind.
 
     signs is +1 on the rows of x and of the u columns, -1 on those of z
     and of the v columns.  With delta = REGULARIZATION, K is symmetric
     quasi-definite along that split: the + side is P + delta I and
-    mu + delta, positive definite; the - side is -W - delta I bordered by
-    v and -mu - delta, whose Schur complement, about -mu (s0 - n)^2/t
-    (n = ||s1||), is negative.  So K has an LDL' factor in every symmetric
-    order with pivots taken from the diagonal (Vanderbei, SIAM J. Optim.
-    1995), and SuperLU factors it with STATIC_PIVOTS, no pivot search.
-    The order q is reverse Cuthill-McKee on K's pattern, computed once per
-    solve; K is stored as K[q][:, q] and each factor takes it as NATURAL.
+    mu_i + delta, positive definite; the - side is -W - delta I bordered
+    by v and -mu_i - delta, whose Schur complement, about
+    -mu_i (s0 - n)^2/t (n = ||s1||), is negative.  So K has an LDL'
+    factor in every symmetric order with pivots taken from the diagonal
+    (Vanderbei, SIAM J. Optim. 1995), and SuperLU factors it with
+    STATIC_PIVOTS, no pivot search.  The order q is reverse Cuthill-McKee
+    on K's pattern, computed once per solve; K is stored as K[q][:, q]
+    and each factor takes it as NATURAL.
     An exact zero (at an SOC or pow unit point, where u = v = 0, or an
     underflow) stays a stored entry: no pivot leaves the diagonal, and no
     diagonal entry is zero.
@@ -405,11 +426,16 @@ class _KKT:
     scales its updates by 1/delta.  Minimum degree (MMD_AT_PLUS_A) takes
     those first, and late in HMCR solves its refined residuals were
     100-500x partial pivoting's; this order stayed within 3x at the same
-    SVM fill.  solve refines REFINEMENT_STEPS times.
+    SVM fill.  solve refines REFINEMENT_STEPS times.  Since ds comes from
+    the primal equation, the solve's residual on a block's rows is an
+    error in its ds: with two steps, one hmcr-pow warm solve of the
+    benchmark (seed 8) ended with proximity rejecting every trial, on a
+    pow block with s near 5e-8 whose rows' residual was 1.3% of ds; the
+    third step solves it (.github/kkt_residuals.py measures residuals).
 
-    hinv gives the step's products with H^-1/mu; Kx holds K without the
-    regularization, in the original order, for the residuals of the
-    refinement steps.
+    hinv gives the right side's products with H(s_i)^-1/mu_i; Kx holds K
+    without the regularization, in the original order, for the residuals
+    of the refinement steps.
     """
 
     def __init__(self, problem, stacks):
@@ -419,8 +445,18 @@ class _KKT:
         empty = np.zeros(0, dtype=np.intp)
         rows, cols, lrows, lcols = [empty], [empty], [empty], [empty]
         lifted = 0  # lifted columns so far
+        # the path parameter that scales each row: slot 0, the global mu,
+        # on Zero rows and on kinds without local_mu; else one slot per
+        # block, or per coordinate of a diagonal (nonneg) stack, whose
+        # barrier -log s_j is a block of degree 1 of its own
+        self.unit = np.zeros(m, dtype=np.intp)
+        degrees = [1.0]
         for b, H, lift in zip(batches, stacks, self.lifts):
             k, d = len(b.blocks), b.spec.dim
+            if CONES[b.spec.kind].local_mu:
+                size, nu = (1, 1.0) if H.ndim == 2 else (d, b.spec.degree)
+                self.unit[b.sl] = len(degrees) + np.arange(k * d) // size
+                degrees += [nu] * (k * d // size)
             if H.ndim == 2 or lift:  # the diagonal of each block
                 i = np.arange(b.sl.start, b.sl.stop)
                 rows.append(i)
@@ -447,6 +483,11 @@ class _KKT:
             shape=(m, lifted),
         )
         self.LT = self.L.T  # a CSR view of L's arrays
+        self.degrees = np.array(degrees)
+        # the owner of each entry of Hinv.data and of each lifted column:
+        # an index into factor's mu_blocks, whose slot 0 holds the global mu
+        self.owner = self.unit[rows]
+        self.lift_owner = self.unit[self.L.indices[self.L.indptr[:-1]]]
         self.unit_pivots = np.tile([1.0, -1.0], lifted // 2)
         A, L = problem.A, self.L
         self.Kx = sp.bmat(
@@ -469,11 +510,16 @@ class _KKT:
         qi = np.argsort(self.q)  # entry (i, j) of K moves to (qi[i], qi[j])
         self.kpos = _positions(self.K, qi[R], qi[C])
 
-    def factor(self, stacks, mu):
-        """Write H^-1/mu from the barrier batches' stacks and factor K.
+    def factor(self, stacks, mu, s, z):
+        """Write -H(s_i)^-1/mu_i from the barrier batches' stacks and factor K.
 
+        mu_i = <s_i, z_i>/nu_i per block (per coordinate of a nonneg
+        block); blocks of a kind without local_mu take the global mu.
         Raises RuntimeError if K is singular.
         """
+        mu_blocks = np.bincount(self.unit, weights=s * z, minlength=len(self.degrees))
+        mu_blocks /= self.degrees
+        mu_blocks[0] = mu
         diagonal, lifted = [np.zeros(0)], [np.zeros(0)]
         for H, lift in zip(stacks, self.lifts):
             if lift:  # (t 1, u, v) per block
@@ -482,18 +528,16 @@ class _KKT:
             else:
                 diagonal.append((H if H.ndim == 2 else H.transpose(0, 2, 1)).ravel())
         np.concatenate(diagonal, out=self.Hinv.data)
-        # an in-place divide, not Hinv / mu: sparse division by a scalar
-        # multiplies by 1/mu, which moves the last bit of every iterate
-        self.Hinv.data /= mu
+        self.Hinv.data /= mu_blocks[self.owner]
         np.concatenate(lifted, out=self.L.data)
-        self.pivots = mu * self.unit_pivots
+        self.pivots = mu_blocks[self.lift_owner] * self.unit_pivots
         values = np.concatenate([-self.Hinv.data, self.L.data, self.L.data, self.pivots])
         self.Kx.data[self.xpos] = values
         self.K.data[self.kpos] = values + self.reg
         self.lu = splu(self.K, permc_spec="NATURAL", **STATIC_PIVOTS)
 
     def hinv(self, r):
-        """H^-1 r / mu on the barrier rows: W r, plus L D^-1 L' r on the second-order ones."""
+        """H(s_i)^-1 r_i / mu_i on the barrier rows: W r, plus L D^-1 L' r on the second-order ones."""
         out = self.Hinv @ r
         if len(self.pivots):
             out += self.L @ ((self.LT @ r) / self.pivots)
@@ -537,6 +581,10 @@ def solve(problem, start, settings=None):
     gradients = None  # grad f at s per batch, from the proximity test that accepted s
     kkt = None
     barrier = np.array([k for k, _, _ in cones.barrier_blocks], dtype=np.intp)
+    zero_rows = np.array(
+        [i for b in cones.batches if not b.spec.degree for i in range(b.sl.start, b.sl.stop)],
+        dtype=np.intp,
+    )
 
     mu = _embedding_mu(problem, s, z, tau, kappa)
     trace = []
@@ -589,17 +637,17 @@ def solve(problem, start, settings=None):
         if kkt is None:
             kkt = _KKT(problem, stacks)
         try:
-            kkt.factor(stacks, mu)
+            kkt.factor(stacks, mu, s, z)
         except RuntimeError:
             return report(SolveStatus.NUMERICAL_ERROR, FACTORIZATION_FAILED)
         n, hinv = problem.n, kkt.hinv
 
         def system(eta, sigma):
-            """r_s and the right side of the direction's KKT system."""
+            """The right side of the direction's KKT system."""
             r_s = z + sigma * mu * grad  # read only through hinv: no Zero-block column
-            return r_s, np.concatenate([-eta * rx, eta * rz + hinv(r_s)])
+            return np.concatenate([-eta * rx, eta * rz + hinv(r_s)])
 
-        def direction(eta, sigma, r_s, sol):
+        def direction(eta, sigma, sol):
             """The step from sol, the KKT solution of system(eta, sigma)."""
             r_tk = tau * kappa - sigma * mu
             u1, w1 = sol[:n], sol[n:]
@@ -607,15 +655,17 @@ def solve(problem, start, settings=None):
             dtau = num / denom_base
             dx = u1 + dtau * u2
             dz = w1 + dtau * w2
-            ds = -hinv(dz + r_s)
+            # the linearized primal equation, not -hinv(dz + r_s), which
+            # multiplies the solve's error in dz by s_j/z_j (module docstring)
+            ds = eta * rz - problem.A @ dx + dtau * problem.b
+            ds[zero_rows] = 0.0
             dkappa = (-r_tk - kappa * dtau) / tau
             return dx, dz, ds, dtau, dkappa
 
         # the tau column (-q, b) and the affine system in one solve.  Each
         # solution column is copied to an array of its own: a BLAS dot
         # product's rounding can depend on where its operands start
-        r_s, rhs = system(1.0, 0.0)
-        sol = kkt.solve(np.column_stack([np.r_[-problem.q, problem.b], rhs]))
+        sol = kkt.solve(np.column_stack([np.r_[-problem.q, problem.b], system(1.0, 0.0)]))
         tau_column, affine = map(np.copy, sol.T)
         u2, w2 = tau_column[:n], tau_column[n:]
         qp = problem.q + (2.0 / tau) * Px
@@ -659,12 +709,13 @@ def solve(problem, start, settings=None):
                 return None
             return a, s_new, z_new, tau_new, kappa_new, mu_new, trial_gradients
 
-        dx, dz, ds, dtau, dkappa = direction(1.0, 0.0, r_s, affine)
+        dx, dz, ds, dtau, dkappa = direction(1.0, 0.0, affine)
         alpha_aff = _search(AFFINE_GRID, affine_trial, boundary_step()) or 0.0
         sigma = min(max((1.0 - alpha_aff) ** 3, 1e-3), 0.9)
 
-        r_s, rhs = system(1.0 - sigma, sigma)
-        dx, dz, ds, dtau, dkappa = direction(1.0 - sigma, sigma, r_s, kkt.solve(rhs))
+        dx, dz, ds, dtau, dkappa = direction(
+            1.0 - sigma, sigma, kkt.solve(system(1.0 - sigma, sigma))
+        )
         guard_passed = False  # set once a trial passes the interior test
         step = _search(COMBINED_GRID, combined_trial, boundary_step())
         if step is None:

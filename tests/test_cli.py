@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conepath import fileio
+from conepath import fileio, ipm
 from conepath.cli import _arith_grid, _geom_grid, _min_eigenvalue, main
 from conepath.cones import ConeProduct, ConeSpec
 from conepath.errors import ParseError
 from conepath.ipm import ConicProblem, cold_start, solve
-from conepath.problems import PerturbationSpec, gen_svm_l1, perturb, synth_samples
+from conepath.problems import PerturbationSpec, perturb
 
 
 def lp_problem(n=3, shift=0.0):
@@ -209,9 +209,16 @@ class TestSolveCommand:
         assert code == 5
         assert "status: MaxIters" in capsys.readouterr().out
 
-    def test_numerical_error_prints_its_reason(self, tmp_path, capsys):
-        path = tmp_path / "svm.prob"
-        fileio.write_problem(gen_svm_l1(synth_samples(480, 10, seed=0), 0.04), path)
+    def test_numerical_error_prints_its_reason(self, tmp_path, capsys, monkeypatch):
+        # rho = 0 on every block: proximity rejects every trial of the first step
+        def stalled(cones, s, z):
+            rho, gradients = block_proximity(cones, s, z)
+            return np.zeros_like(rho), gradients
+
+        block_proximity = ipm.block_proximity
+        monkeypatch.setattr(ipm, "block_proximity", stalled)
+        path = tmp_path / "p.prob"
+        fileio.write_problem(lp_problem(), path)
         code = main(["solve", str(path)])
         lines = capsys.readouterr().out.splitlines()
         assert code == 6

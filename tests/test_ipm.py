@@ -8,7 +8,15 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from conepath import ipm
-from conepath.cones import ConeKind, ConeProduct, ConeSpec, barrier_hessian_inverse, svec
+from conepath.cones import (
+    ConeKind,
+    ConeProduct,
+    ConeSpec,
+    barrier_gradient,
+    barrier_hessian_inverse,
+    smat,
+    svec,
+)
 from conepath.errors import RejectedWarmStart, Unsupported
 from conepath.fileio import problem_hash
 from conepath.ipm import (
@@ -563,7 +571,7 @@ class TestKKTStructure:
         # at the unit point the SOC block's u and v are exact zeros, stored
         # entries of the first K; they take no second ordering
         assert not factors[0][1]
-        check(cold, 19)
+        check(cold, 17)
         ws = warmstart(PreviousSolution(*cold.solution, problem=prob), prob.cones)
         check(solve(prob, warm_start(prob, ws)), 2)
 
@@ -603,27 +611,56 @@ class TestKKTStructure:
             P=M @ M.T, q=rng.standard_normal(n), A=A, b=rng.standard_normal(m), cones=cones
         )
 
+    @staticmethod
+    def dual_point(prob, rng):
+        """z strictly inside K*, each block -grad f of a random interior point times its own scale."""
+        z = np.zeros(prob.m)
+        for b in prob.cones.barrier_batches:
+            for rows in np.split(np.arange(b.sl.start, b.sl.stop), len(b.blocks)):
+                g = barrier_gradient(b.spec, random_interior(b.spec, rng))
+                z[rows] = -float(np.exp(rng.uniform(-3.0, 3.0))) * g
+        return z
+
+    @staticmethod
+    def row_mu(prob, s, z, mu):
+        """The path parameter that scales each row of K's (2,2) block: <s_i, z_i>/nu_i per
+        block, s_j z_j per nonneg coordinate, mu on PSD blocks; a left-to-right sum."""
+        out = np.full(prob.m, np.nan)
+        for b in prob.cones.barrier_batches:
+            for rows in np.split(np.arange(b.sl.start, b.sl.stop), len(b.blocks)):
+                if b.spec.kind is ConeKind.NONNEGATIVE:
+                    out[rows] = s[rows] * z[rows]
+                elif b.spec.kind is ConeKind.PSD_TRIANGLE:
+                    out[rows] = mu
+                else:
+                    total = 0.0
+                    for product in s[rows] * z[rows]:
+                        total += product
+                    out[rows] = total / b.spec.degree
+        return out
+
     def fresh(self, prob, stacks, mu):
-        """K, the exact K, H^-1/mu's diagonal part W, the lifted columns L and their pivots,
-        as a per-iteration assembly builds them."""
+        """K, the exact K, the diagonal part W of H(s_i)^-1/mu_i, the lifted columns L and
+        their pivots, as a per-iteration assembly builds them; mu is row_mu's (m,) array."""
         n, m = prob.n, prob.m
-        W, columns = np.zeros((m, m)), []
+        W, columns, pivots = np.zeros((m, m)), [], []
         for b, stack in zip(prob.cones.barrier_batches, stacks):
             if b.spec.kind is ConeKind.SECOND_ORDER:
                 # (t 1, u, v) per block: t on the diagonal, u and v lifted
                 W[b.sl, b.sl] = np.diag(stack[:, 0].ravel())
                 for rows, block in zip(np.split(np.arange(b.sl.start, b.sl.stop), len(stack)), stack):
-                    for h in block[1:]:
+                    for h, sign in zip(block[1:], (1.0, -1.0)):
                         columns.append(np.zeros(m))
                         columns[-1][rows] = h
+                        pivots.append(mu[rows[0]] * sign)
             else:
                 # a nonneg stack holds the diagonals; the other kinds, full blocks
                 full = np.diag(stack.ravel()) if stack.ndim == 2 else sp.block_diag(stack).toarray()
                 W[b.sl, b.sl] = full
         Hinv = sp.csc_matrix(W)
-        Hinv.data /= mu
+        Hinv.data /= mu[Hinv.indices]
         L = sp.csc_matrix(np.column_stack(columns) if columns else np.zeros((m, 0)))
-        pivots = mu * np.tile([1.0, -1.0], len(columns) // 2)
+        pivots = np.array(pivots)
         K_exact = sp.bmat(
             [[prob.P, prob.A.T, None], [prob.A, -Hinv, L], [None, L.T, sp.diags(pivots)]],
             format="csc",
@@ -649,13 +686,14 @@ class TestKKTStructure:
                 # the unit point of an SOC block: exact zeros in its u and v
                 s[unit_soc.sl] = cones.unit_points()[0][unit_soc.sl]
             mu = float(np.exp(rng.uniform(-5.0, 1.0)))
+            z = self.dual_point(prob, rng)
             stacks = [barrier_hessian_inverse(b.spec, b.rows(s)) for b in cones.barrier_batches]
             if kkt is None:
                 kkt = ipm._KKT(prob, stacks)
                 q = kkt.q
-            kkt.factor(stacks, mu)
+            kkt.factor(stacks, mu, s, z)
             assert kkt.q is q
-            K, K_exact, Hinv, L, pivots = self.fresh(prob, stacks, mu)
+            K, K_exact, Hinv, L, pivots = self.fresh(prob, stacks, self.row_mu(prob, s, z, mu))
             assert zeros == (not kkt.K.data.all())
             # the stored K is K[q][:, q], with the stored zeros a fresh assembly drops
             qi = np.argsort(q)
@@ -703,7 +741,7 @@ class TestKKTStructure:
             s[b.sl] = np.concatenate([random_interior(b.spec, rng) for _ in b.blocks])
         stacks = [barrier_hessian_inverse(b.spec, b.rows(s)) for b in prob.cones.barrier_batches]
         kkt = ipm._KKT(prob, stacks)
-        kkt.factor(stacks, 0.01)
+        kkt.factor(stacks, 0.01, s, self.dual_point(prob, rng))
         rhs = rng.standard_normal((prob.n + prob.m, 2))
         both = kkt.solve(rhs)
         for j in range(2):
@@ -728,29 +766,38 @@ class TestKKTStructure:
         prob = self.product_problem(rng)
         n, m, cones = prob.n, prob.m, prob.cones
         s = self.soc_gap_point(prob, rng, gap)
+        z = self.dual_point(prob, rng)
         mu = 0.3
+        row_mu = self.row_mu(prob, s, z, mu)
         stacks = [barrier_hessian_inverse(b.spec, b.rows(s)) for b in cones.barrier_batches]
         kkt = ipm._KKT(prob, stacks)
-        kkt.factor(stacks, mu)
+        kkt.factor(stacks, mu, s, z)
         # eliminate the lifted rows from the (2,2) block
         K22 = kkt.Kx[n:, n:].toarray()
         W, B, D = K22[:m, :m], K22[:m, m:], K22[m:, m:]
         schur = W - B @ np.linalg.solve(D, B.T) if len(D) else W
-        for b in cones.barrier_batches:
-            for rows in np.split(np.arange(b.sl.start, b.sl.stop), len(b.blocks)):
+        for b, stack in zip(cones.barrier_batches, stacks):
+            for rows, h in zip(np.split(np.arange(b.sl.start, b.sl.stop), len(b.blocks)), stack):
                 block = schur[np.ix_(rows, rows)]
+                # every block but PSD's is scaled by its own mu_i, here never mu
+                mu_i = row_mu[rows]
+                assert (mu_i == mu).all() == (b.spec.kind is ConeKind.PSD_TRIANGLE)
                 if b.spec.kind is ConeKind.SECOND_ORDER:
                     v = s[rows]
                     t = v[0] ** 2 - v[1:] @ v[1:]
                     J = np.diag(np.r_[1.0, -np.ones(len(v) - 1)])
-                    dense = -(2.0 * np.outer(v, v) - t * J) / mu
+                    dense = -(2.0 * np.outer(v, v) - t * J) / mu_i[0]
                     assert np.abs(block - dense).max() <= 1e-12 * np.abs(dense).max()
                     if gap == 1.0:
                         assert not B[rows].any()  # u = v = 0 at the unit point
+                else:
+                    # the kernel's H^-1, a nonneg block's per coordinate
+                    dense = -(np.diag(h) if h.ndim == 1 else h) / mu_i[:, None]
+                    np.testing.assert_allclose(block, dense, rtol=1e-15, atol=0.0)
                 # no coupling between blocks
                 others = np.setdiff1d(np.arange(m), rows)
                 assert not schur[np.ix_(rows, others)].any()
-        # the step's products agree with the dense H^-1/mu
+        # the step's products agree with the dense H(s_i)^-1/mu_i
         r = rng.standard_normal(m)
         np.testing.assert_allclose(kkt.hinv(r), -schur @ r, rtol=1e-12, atol=1e-12 * np.abs(schur).max())
 
@@ -769,12 +816,47 @@ class TestKKTStructure:
                 kkt.signs, np.r_[np.ones(n), -np.ones(m), np.tile([1.0, -1.0], lifted // 2)]
             )
             for mu in (1.0, 1e-8):
-                kkt.factor(stacks, mu)
+                kkt.factor(stacks, mu, s, mu * self.dual_point(prob, rng))
                 diagonal = kkt.K.diagonal()[np.argsort(kkt.q)]
                 assert np.array_equal(np.sign(diagonal), kkt.signs)
                 # static pivots: each pivot of the LDL'-like factor keeps its row's sign
                 assert (kkt.lu.perm_r == kkt.lu.perm_c).all()
                 assert np.array_equal(np.sign(kkt.lu.U.diagonal()), kkt.signs[kkt.q])
+
+    def test_nonneg_entries_are_the_nesterov_todd_scaling(self):
+        # each nonneg coordinate is a block of degree 1: its entry of K is
+        # -s_j^2/(s_j z_j) = -s_j/z_j, so W^2 z = s with W^2 = diag(s/z)
+        rng = np.random.default_rng(11)
+        prob = self.product_problem(rng)
+        m = prob.m
+        s = self.soc_gap_point(prob, rng, 0.5)
+        z = self.dual_point(prob, rng)
+        stacks = [barrier_hessian_inverse(b.spec, b.rows(s)) for b in prob.cones.barrier_batches]
+        kkt = ipm._KKT(prob, stacks)
+        kkt.factor(stacks, 0.3, s, z)
+        (batch,) = [b for b in prob.cones.batches if b.spec.kind is ConeKind.NONNEGATIVE]
+        rows = np.arange(batch.sl.start, batch.sl.stop)
+        W2 = -kkt.Kx[prob.n :, prob.n :].toarray()[:m, :m][np.ix_(rows, rows)]
+        assert not (W2 - np.diag(np.diag(W2))).any()
+        np.testing.assert_allclose(np.diag(W2) * z[rows], s[rows], rtol=4 * np.finfo(float).eps)
+
+    def test_per_block_mu_equals_the_global_mu_on_the_central_path(self):
+        # z_i = -mu grad f(s_i) gives <s_i, z_i>/nu_i = mu on every block.
+        # Near an SOC boundary <s_i, z_i> cancels to about eps/gap relative
+        rng = np.random.default_rng(12)
+        prob = self.product_problem(rng)
+        mu = 0.07
+        for gap in (1.0, 0.5):
+            s = self.soc_gap_point(prob, rng, gap)
+            z = np.zeros(prob.m)
+            for b in prob.cones.barrier_batches:
+                z[b.sl] = -mu * barrier_gradient(b.spec, b.rows(s)).ravel()
+            stacks = [barrier_hessian_inverse(b.spec, b.rows(s)) for b in prob.cones.barrier_batches]
+            kkt = ipm._KKT(prob, stacks)
+            kkt.factor(stacks, mu, s, z)
+            _, K_exact, _, _, _ = self.fresh(prob, stacks, np.full(prob.m, mu))
+            ours = kkt.Kx.toarray()
+            np.testing.assert_allclose(ours, K_exact.toarray(), rtol=1e-12, atol=0.0)
 
 
 def psd_trace_one(order=6):
@@ -843,8 +925,8 @@ class TestKKTAccuracy:
         def residual(sol, Kx, rhs):
             return np.abs(Kx @ sol - rhs).max() / np.abs(rhs).max()
 
-        def checked(kkt, stacks, mu):
-            factor(kkt, stacks, mu)
+        def checked(kkt, stacks, mu, s, z):
+            factor(kkt, stacks, mu, s, z)
             qi = np.argsort(kkt.q)
             # quasi-definite: each pivot has its row's sign in the split
             d = kkt.K.diagonal()[qi]
@@ -890,9 +972,35 @@ class TestSecondOrderRowsOfTheLiftedKKT:
 
     @pytest.mark.parametrize("lam", [0.02, 0.03, 0.04, 0.05])
     def test_svm_l2_repro_rows(self, lam):
-        # ROADMAP's repro table: three of the four ended NumericalError
+        # ROADMAP's repro table: three of the four ended NumericalError;
+        # with the global mu in K they took 34, 40, 36 and 43 iterations
         prob = gen_svm_l2(synth_samples(480, 10, seed=0), lam)
-        assert solve(prob, cold_start(prob)).status is SolveStatus.OPTIMAL
+        report = solve(prob, cold_start(prob))
+        assert report.status is SolveStatus.OPTIMAL
+        assert report.iterations < 40
+
+
+class TestPerBlockScaling:
+    """Repro rows of K scaled by each block's own mu_i = <s_i, z_i>/nu_i."""
+
+    @pytest.mark.parametrize("lam", [0.04, 0.12, 0.175])
+    def test_svm_l1_repro_rows(self, lam):
+        # with the global mu in K, proximity rejected every trial at 32, 24
+        # and 26 iterations; Nesterov-Todd's s/z on nonneg rows solves them
+        prob = gen_svm_l1(synth_samples(480, 10, seed=0), lam)
+        report = solve(prob, cold_start(prob))
+        assert report.status is SolveStatus.OPTIMAL
+        assert optimal_objective(prob, report) == pytest.approx(highs_objective(prob), rel=1e-6)
+
+    def test_order_30_sdp_repro_row(self):
+        # PSD blocks keep the global mu (PsdTriangleCone.local_mu): with
+        # their own mu_i this row stalled at 29 iterations on proximity
+        prob = psd_trace_one(30)
+        report = solve(prob, cold_start(prob))
+        assert report.status is SolveStatus.OPTIMAL
+        # q = svec(C + C'): the optimum is the smallest eigenvalue of C + C'
+        smallest = np.linalg.eigvalsh(smat(prob.q))[0]
+        assert optimal_objective(prob, report) == pytest.approx(smallest, rel=1e-6)
 
 
 def _count_interior_tests(monkeypatch):
@@ -1085,10 +1193,16 @@ class TestNumericalErrorReason:
         assert report.status is SolveStatus.OPTIMAL
         assert report.reason is None
 
-    def test_svm_l1_repro_is_a_proximity_stall(self):
-        # an LP whose iterate sits on the proximity boundary: every trial
-        # passes the interior test and fails the neighborhood
-        prob = gen_svm_l1(synth_samples(480, 10, seed=0), 0.04)
+    def test_proximity_rejected_every_trial(self, monkeypatch):
+        # rho = 0 on every block: each trial passes the interior test and
+        # fails the neighborhood
+        def stalled(cones, s, z):
+            rho, gradients = block_proximity(cones, s, z)
+            return np.zeros_like(rho), gradients
+
+        block_proximity = ipm.block_proximity
+        monkeypatch.setattr(ipm, "block_proximity", stalled)
+        prob, _ = lp_box()
         report = solve(prob, cold_start(prob))
         assert report.status is SolveStatus.NUMERICAL_ERROR
         assert report.reason == ipm.PROXIMITY_REJECTED
