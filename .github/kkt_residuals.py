@@ -3,12 +3,16 @@
     python3 .github/kkt_residuals.py --seeds 1 2 3
     python3 .github/kkt_residuals.py --seeds 1 --extra 2
 
-Every system ``_KKT.solve`` takes is solved as the solver solves it: one
-solve with the static-pivot factor, then ``ipm.REFINEMENT_STEPS``
-refinement steps against K without regularization.  After each of those
-steps the script records, per right-hand column, the relative residual
-max|rhs - Kx sol| / max|rhs|.  With --extra k it also records k further
-steps, taken on a copy that the solver never sees.
+Every system ``_KKT.solve`` takes goes through the solver's own
+``_KKT._refined``: one solve with the static-pivot factor, then
+``ipm.REFINEMENT_STEPS`` refinement steps against K without
+regularization.  The script records, per right-hand column and after
+each of those steps, the relative residual max|rhs - Kx sol| / max|rhs|.
+Each ``_KKT._solve`` call after the first of a refinement takes
+rhs - Kx sol, the residual after the step before it, so the script keeps
+those arguments and computes only the residual after the last step.
+With --extra k it also records k further steps, taken on a copy that the
+solver never sees.
 
 One line per workload gives, per step, the 50th, 90th and 99th
 percentiles and the largest residual over every column of every system
@@ -31,32 +35,32 @@ ROOT = Path(__file__).resolve().parent.parent
 QUANTILES = (50, 90, 99)
 
 
-def relative_residual(Kx, rhs, sol):
-    """max|rhs - Kx sol| / max|rhs| per column of rhs, as a list."""
+def recording(ipm, extra):
+    """Wrap ipm._KKT._refined and _KKT._solve to record residuals; returns the per-step lists."""
     import numpy as np
 
-    res = np.abs(rhs - Kx @ sol).max(axis=0) / np.abs(rhs).max(axis=0)
-    return np.atleast_1d(res).tolist()
-
-
-def recording(ipm, extra):
-    """Replace ipm._KKT._refined by a recording copy; returns its per-step lists."""
     steps = [[] for _ in range(ipm.REFINEMENT_STEPS + 1 + extra)]
+    solve, refined = ipm._KKT._solve, ipm._KKT._refined
+    arguments = []  # of the _solve calls of the current refinement
 
-    def refined(kkt, rhs):
-        # the arithmetic of _KKT._refined, with a residual after each step
-        sol = kkt._solve(rhs)
-        steps[0].extend(relative_residual(kkt.Kx, rhs, sol))
-        for k in range(1, ipm.REFINEMENT_STEPS + 1):
-            sol += kkt._solve(rhs - kkt.Kx @ sol)
-            steps[k].extend(relative_residual(kkt.Kx, rhs, sol))
+    def recorded_solve(kkt, rhs):
+        arguments.append(rhs)
+        return solve(kkt, rhs)
+
+    def recorded_refined(kkt, rhs):
+        arguments.clear()
+        sol = refined(kkt, rhs)
+        residuals = arguments[1:] + [rhs - kkt.Kx @ sol]
         more = sol.copy()
-        for k in range(ipm.REFINEMENT_STEPS + 1, len(steps)):
-            more += kkt._solve(rhs - kkt.Kx @ more)
-            steps[k].extend(relative_residual(kkt.Kx, rhs, more))
+        for _ in range(extra):
+            more += solve(kkt, residuals[-1])
+            residuals.append(rhs - kkt.Kx @ more)
+        scale = np.abs(rhs).max(axis=0)
+        for values, res in zip(steps, residuals):
+            values.extend(np.atleast_1d(np.abs(res).max(axis=0) / scale).tolist())
         return sol
 
-    ipm._KKT._refined = refined
+    ipm._KKT._solve, ipm._KKT._refined = recorded_solve, recorded_refined
     return steps
 
 
@@ -91,8 +95,10 @@ def main(argv=None):
     from perfbench import driver
     from perfbench.workloads import WORKLOADS
 
+    steps = recording(api.ipm, args.extra)
     for name, workload in WORKLOADS.items():
-        steps = recording(api.ipm, args.extra)
+        for values in steps:
+            values.clear()
         for seed in args.seeds:
             with tempfile.TemporaryDirectory() as tmp:
                 chains = run.setup(api, workload, seed, {}, Path(tmp))

@@ -4,8 +4,10 @@ Every supported cone carries a barrier f with degree nu, meaning
 f(t*s) = f(s) - nu*log(t) on the interior.  Each ConeKind has one class
 below, found through CONES, that holds every formula of its kind:
 validation, degree, interior test, step bound, barrier derivatives, unit
-point, conjugate gradient, and the smoothing and projection operators
-that smoothing.py exposes.
+point, conjugate gradient, the smoothing and projection operators that
+smoothing.py exposes, and K's scaling form: hessian_inverse gives H^-1
+as a Scaling, from which ipm builds its block of the KKT matrix without
+knowing the kind.
 
 The formulas work on stacks.  A stack is a (k, dim) array whose rows
 are k points of one cone; formulas give one result per row: (k,) values
@@ -32,7 +34,7 @@ trace inner products.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate, groupby
@@ -254,15 +256,35 @@ def barrier_hessian(spec, s):
     return _checked("hessian", spec, s)
 
 
-def barrier_hessian_inverse(spec, s):
-    """Inverse Hessian; closed forms where available.
+@dataclass(frozen=True)
+class Scaling:
+    """H(s)^-1 of each row of a stack, in the one form ipm's KKT matrix takes.
 
-    Nonnegative blocks give the diagonal s**2, a (dim,) array per row.
-    Second-order blocks give a compact (3, dim) array per row: the
-    diagonal t 1 with t = s0^2 - ||s1||^2, then u and v, where
-    H^-1 = diag(t 1) + uu' - vv' (SecondOrderCone.hessian_inverse).
-    Every other kind gives a dense (dim, dim) array per row.
+    H^-1 = blockdiag(blocks) + sum_c signs[c] U_c U_c' per row.  blocks
+    is (k, dim/w, w, w): dense w x w blocks along the row's coordinates,
+    a diagonal at w = 1.  lifts is (k, c, dim), the c columns U_c, which
+    ipm lifts into rows of K of their own.  mu_parts splits each row into
+    that many blocks of equal degree, each scaled in K by its own path
+    parameter mu_i = <s_i, z_i>/nu_i; 0 takes the global mu.  Indexing
+    gives one row's form, as the other kernels give a point its row.
     """
+
+    blocks: np.ndarray
+    lifts: np.ndarray
+    signs: tuple
+    mu_parts: int
+
+    def __getitem__(self, i):
+        return replace(self, blocks=self.blocks[i], lifts=self.lifts[i])
+
+
+def _dense(H, mu_parts):
+    """The Scaling of a stack of dense inverse Hessians (k, dim, dim), with no lifted column."""
+    return Scaling(H[:, None], np.zeros((len(H), 0, H.shape[-1])), (), mu_parts)
+
+
+def barrier_hessian_inverse(spec, s):
+    """Inverse Hessian as a Scaling; closed forms where available."""
     return _checked("hessian_inverse", spec, s)
 
 
@@ -351,9 +373,6 @@ class Cone:
     """
 
     takes_alpha = takes_order = False
-    # whether ipm scales the block's part of K by the block's own path
-    # parameter mu_i = <s_i, z_i>/nu_i (True) or by the global mu
-    local_mu = True
 
     def validate(self, spec):
         if spec.alpha is not None and not self.takes_alpha:
@@ -545,7 +564,9 @@ class NonnegativeCone(SelfDualCone):
         return H
 
     def hessian_inverse(self, spec, S):
-        return S**2
+        """The diagonal s^2; each coordinate, of degree 1, takes its own mu_j = s_j z_j,
+        so its entry of K is the Nesterov-Todd s_j/z_j."""
+        return Scaling((S**2)[:, :, None, None], np.zeros((len(S), 0, spec.dim)), (), spec.dim)
 
     def unit_s(self, spec):
         return np.ones(spec.dim)
@@ -633,7 +654,7 @@ class SecondOrderCone(SelfDualCone):
         return H
 
     def hessian_inverse(self, spec, S):
-        """2 ss' - t J split by its eigenvectors: t I + uu' - vv', as (t 1, u, v) per row.
+        """2 ss' - t J split by its eigenvectors: the diagonal t I and lifts u (+), v (-).
 
         With n = ||s1||, u = sqrt(n (s0 + n)) (1, s1/n) and
         v = sqrt(n (s0 - n)) (1, -s1/n); both are 0 at n = 0.  t stays an
@@ -641,7 +662,7 @@ class SecondOrderCone(SelfDualCone):
         s0^2 once t/s0^2 nears the float floor.  t is taken as
         (s0 - n)(s0 + n), from the factors u and v carry, so that
         t - ||v||^2/2 = (s0 - n)^2 keeps its sign in floats: ipm's lifted
-        KKT block stays quasi-definite.
+        KKT block stays quasi-definite.  The whole block takes one mu_i.
         """
         s0 = S[:, 0]
         n = _norms(S[:, 1:])
@@ -652,7 +673,7 @@ class SecondOrderCone(SelfDualCone):
         for row, scale, sign in ((1, np.sqrt(n * high), 1.0), (2, np.sqrt(n * low), -1.0)):
             out[:, row, 0] = scale
             out[:, row, 1:] = (sign * scale)[:, None] * w
-        return out
+        return Scaling(out[:, 0, :, None, None], out[:, 1:], (1.0, -1.0), 1)
 
     def unit_s(self, spec):
         e = np.zeros(spec.dim)
@@ -708,10 +729,6 @@ class SecondOrderCone(SelfDualCone):
 
 class PsdTriangleCone(SelfDualCone):
     takes_order = True
-    # with its own mu_i, the order-30 trace-one SDP (.github/repro_rows.py)
-    # ends NumericalError at 25 iterations, every trial rejected by
-    # proximity; with the global mu it ends Optimal in 19
-    local_mu = False
 
     def validate(self, spec):
         super().validate(spec)
@@ -759,7 +776,10 @@ class PsdTriangleCone(SelfDualCone):
         return _sym_kron(self._inverse(S))
 
     def hessian_inverse(self, spec, S):
-        return _sym_kron(smat(S))
+        """Dense, on the global mu: with its own mu_i, the order-30 trace-one SDP
+        (.github/repro_rows.py) ends NumericalError at 25 iterations, every trial
+        rejected by proximity; with the global mu it ends Optimal in 19."""
+        return _dense(_sym_kron(smat(S)), 0)
 
     def unit_s(self, spec):
         return svec(np.eye(spec.order))
@@ -853,7 +873,7 @@ class NonsymmetricCone(Cone):
         # scale are noise; flooring them keeps the inverse finite when the
         # point rides the boundary and plain inversion would break down
         w = np.maximum(w, w[:, -1:] * 1e-14)
-        return (U / w[:, None, :]) @ _t(U)
+        return _dense((U / w[:, None, :]) @ _t(U), 1)
 
     def unit_point(self, spec):
         e_s = self.unit_s(spec)

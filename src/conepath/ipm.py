@@ -23,23 +23,22 @@ literally.
 A solve assembles its KKT matrix once, with a fixed pattern and one
 symmetric fill-reducing order; each iteration writes only the values of
 the barrier scaling, in place, and factors K with static diagonal
-pivots, which its quasi-definiteness allows (see _KKT).  Second-order
-blocks enter K as a diagonal and two lifted columns each, not as a dense
-block.
+pivots, which its quasi-definiteness allows.  _KKT builds K from the
+one form in which every kind gives H^-1 (cones.Scaling).
 
-Block i of the scaling is H(s_i)^-1/mu_i, with the block's own path
+Part i of the scaling is H(s_i)^-1/mu_i, with the part's own path
 parameter mu_i = <s_i, z_i>/nu_i in place of the global mu, so that the
-scaling sees z as well as s.  Each nonnegative coordinate counts as a
-block of degree 1, so its entry is s_j/z_j, the Nesterov-Todd scaling
+scaling sees z as well as s.  Each nonnegative coordinate is a part of
+degree 1, so its entry is s_j/z_j, the Nesterov-Todd scaling
 (Nesterov & Todd, Math. OR 1997); on the central path, z_i =
--mu*grad f(s_i), every mu_i equals mu.  PSD blocks keep the global mu
-(PsdTriangleCone.local_mu).  The centering term, tau*kappa, the
-neighborhood and termination keep it too.  ds comes from the linearized
-primal equation, ds = eta*r_z - A dx + dtau*b, not from the scaling as
--W(dz + r_s).  s_j/z_j grows without bound where z_j goes to 0, and
-that form multiplies the solve's error in dz by it: with it, three
-svm-l2 repro rows (.github/repro_rows.py) drifted in r_p and ended
-MaxIters.
+-mu*grad f(s_i), every mu_i equals mu.  PSD blocks, of no part, keep
+the global mu (PsdTriangleCone.hessian_inverse), as do the centering
+term, tau*kappa, the neighborhood and termination.  ds comes from the
+linearized primal equation, ds = eta*r_z - A dx + dtau*b, not from the
+scaling as -W(dz + r_s).  s_j/z_j grows without bound where z_j goes
+to 0, and that form multiplies the solve's error in dz by it: with it,
+three svm-l2 repro rows (.github/repro_rows.py) drifted in r_p and
+ended MaxIters.
 """
 
 import time
@@ -52,8 +51,6 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
 from .cones import (
-    CONES,
-    ConeKind,
     barrier_gradient,
     barrier_hessian_inverse,
     conjugate_gradient,
@@ -384,42 +381,39 @@ def _positions(M, rows, cols):
 class _KKT:
     """K = [[P, A', 0], [A, -W, L], [0, L', D]] + REGULARIZATION * diag(signs), built once per solve.
 
-    W holds H(s_i)^-1/mu_i of each barrier block i: the diagonal where
-    the kernel returns only that (nonnegative), every d x d block
-    otherwise.  A second-order block's H^-1 = t I + uu' - vv'
-    (SecondOrderCone.hessian_inverse) enters as the diagonal t/mu_i in W
-    and two lifted rows and columns, as in ECOS (Domahidi, Chu & Boyd,
-    ECC 2013): L holds u and v, D the pivots +mu_i and -mu_i.
-    Eliminating them leaves -(t I + uu' - vv')/mu_i = -H^-1/mu_i, the
-    (2,2) block of the unlifted K.  That is d + 4d + 2 stored entries
-    where the dense block has d^2, and t stays an entry of its own
-    instead of rounding away against s0^2 late in a solve.  The lifted
-    rows follow the n + m rows of x and z.
+    Each barrier block's H^-1 = blockdiag(B) + sum_c sign_c U_c U_c'
+    (cones.Scaling) enters as its blocks B/mu_i in W and one lifted row
+    and column per U_c, as in ECOS (Domahidi, Chu & Boyd, ECC 2013): L
+    holds the U_c, D the pivots sign_c*mu_i.  Eliminating them leaves
+    -H^-1/mu_i, the (2,2) block of the unlifted K.  A second-order block,
+    t I + uu' - vv', so takes d + 4d + 2 stored entries where the dense
+    block has d^2, and t stays an entry of its own instead of rounding
+    away against s0^2 late in a solve.  The lifted rows follow the n + m
+    rows of x and z.
 
     One bmat stores P, A', A, W's pattern, L, L' and D; adding the
     regularization stores K's whole diagonal.  factor writes W, L and D
     in place, W with the float operations of a fresh assembly: h/mu_i,
     its negation, then the regularization on the diagonal.  unit maps
-    each row of z to its slot of factor's mu_i: one per block, one per
-    nonnegative coordinate, and slot 0, the global mu, for Zero rows and
-    kinds without local_mu; owner and lift_owner map each entry of W and
-    each lifted column to its slot, so factor divides by mu_i in place
-    with no branch on the kind.
+    each row of z to its slot of factor's mu_i: one per part
+    (Scaling.mu_parts), and slot 0, the global mu, for Zero rows and
+    blocks of no part; owner and lift_owner map each entry of W and each
+    lifted column to its slot, so factor divides by mu_i in place.
 
-    signs is +1 on the rows of x and of the u columns, -1 on those of z
-    and of the v columns.  With delta = REGULARIZATION, K is symmetric
+    signs is +1 on the rows of x and of the + columns, -1 on those of z
+    and of the - columns.  With delta = REGULARIZATION, K is symmetric
     quasi-definite along that split: the + side is P + delta I and
     mu_i + delta, positive definite; the - side is -W - delta I bordered
-    by v and -mu_i - delta, whose Schur complement, about
-    -mu_i (s0 - n)^2/t (n = ||s1||), is negative.  So K has an LDL'
-    factor in every symmetric order with pivots taken from the diagonal
-    (Vanderbei, SIAM J. Optim. 1995), and SuperLU factors it with
-    STATIC_PIVOTS, no pivot search.  The order q is reverse Cuthill-McKee
-    on K's pattern, computed once per solve; K is stored as K[q][:, q]
-    and each factor takes it as NATURAL.
-    An exact zero (at an SOC or pow unit point, where u = v = 0, or an
-    underflow) stays a stored entry: no pivot leaves the diagonal, and no
-    diagonal entry is zero.
+    by the - columns and -mu_i - delta, whose Schur complement (for an
+    SOC block's v, about -mu_i (s0 - n)^2/t, n = ||s1||) is negative.  So
+    K has an LDL' factor in every symmetric order with pivots taken from
+    the diagonal (Vanderbei, SIAM J. Optim. 1995), and SuperLU factors it
+    with STATIC_PIVOTS, no pivot search.  The order q is reverse
+    Cuthill-McKee on K's pattern, computed once per solve; K is stored as
+    K[q][:, q] and each factor takes it as NATURAL.  An exact zero (at an
+    SOC or pow unit point, where u = v = 0, or an underflow) stays a
+    stored entry: no pivot leaves the diagonal, and no diagonal entry is
+    zero.
 
     Nothing bounds growth without a pivot search: a pivot of delta alone
     (where P_ii = 0, or on a Zero cone's row) taken before its neighbours
@@ -440,36 +434,28 @@ class _KKT:
 
     def __init__(self, problem, stacks):
         n, m = problem.n, problem.m
-        batches = problem.cones.barrier_batches
-        self.lifts = [b.spec.kind is ConeKind.SECOND_ORDER for b in batches]
         empty = np.zeros(0, dtype=np.intp)
         rows, cols, lrows, lcols = [empty], [empty], [empty], [empty]
+        signs = [np.zeros(0)]
         lifted = 0  # lifted columns so far
         # the path parameter that scales each row: slot 0, the global mu,
-        # on Zero rows and on kinds without local_mu; else one slot per
-        # block, or per coordinate of a diagonal (nonneg) stack, whose
-        # barrier -log s_j is a block of degree 1 of its own
+        # on Zero rows and where mu_parts is 0; else one slot per part
         self.unit = np.zeros(m, dtype=np.intp)
         degrees = [1.0]
-        for b, H, lift in zip(batches, stacks, self.lifts):
-            k, d = len(b.blocks), b.spec.dim
-            if CONES[b.spec.kind].local_mu:
-                size, nu = (1, 1.0) if H.ndim == 2 else (d, b.spec.degree)
-                self.unit[b.sl] = len(degrees) + np.arange(k * d) // size
-                degrees += [nu] * (k * d // size)
-            if H.ndim == 2 or lift:  # the diagonal of each block
-                i = np.arange(b.sl.start, b.sl.stop)
-                rows.append(i)
-                cols.append(i)
-            else:
-                t, j, i = np.indices((k, d, d)).reshape(3, -1)
-                rows.append(b.sl.start + t * d + i)
-                cols.append(b.sl.start + t * d + j)
-            if lift:  # the columns u, then v, of each block
-                block = np.arange(b.sl.start, b.sl.stop).reshape(k, 1, d)
-                lrows.append(np.broadcast_to(block, (k, 2, d)).ravel())
-                lcols.append(lifted + np.repeat(np.arange(2 * k), d))
-                lifted += 2 * k
+        for b, H in zip(problem.cones.barrier_batches, stacks):
+            k, d, w, c = len(b.blocks), b.spec.dim, H.blocks.shape[-1], len(H.signs)
+            if parts := H.mu_parts:
+                self.unit[b.sl] = len(degrees) + np.arange(k * d) // (d // parts)
+                degrees += [b.spec.degree / parts] * (k * parts)
+            t, j, i = np.indices((k * d // w, w, w)).reshape(3, -1)
+            rows.append(b.sl.start + t * w + i)
+            cols.append(b.sl.start + t * w + j)
+            # the columns of each block, in the order of its lifts
+            block = np.arange(b.sl.start, b.sl.stop).reshape(k, 1, d)
+            lrows.append(np.broadcast_to(block, (k, c, d)).ravel())
+            lcols.append(lifted + np.repeat(np.arange(c * k), d))
+            signs.append(np.tile(H.signs, k))
+            lifted += c * k
         # block by block, column by column: the CSC order of W and L.
         # Their values are placeholders, which factor overwrites; they
         # are nonzero so that the sum below keeps every entry
@@ -488,7 +474,7 @@ class _KKT:
         # an index into factor's mu_blocks, whose slot 0 holds the global mu
         self.owner = self.unit[rows]
         self.lift_owner = self.unit[self.L.indices[self.L.indptr[:-1]]]
-        self.unit_pivots = np.tile([1.0, -1.0], lifted // 2)
+        self.unit_pivots = np.concatenate(signs)
         A, L = problem.A, self.L
         self.Kx = sp.bmat(
             [[problem.P, A.T, None], [A, self.Hinv, L], [None, L.T, sp.diags(self.unit_pivots)]],
@@ -511,25 +497,19 @@ class _KKT:
         self.kpos = _positions(self.K, qi[R], qi[C])
 
     def factor(self, stacks, mu, s, z):
-        """Write -H(s_i)^-1/mu_i from the barrier batches' stacks and factor K.
+        """Write -H(s_i)^-1/mu_i from the barrier batches' Scalings and factor K.
 
-        mu_i = <s_i, z_i>/nu_i per block (per coordinate of a nonneg
-        block); blocks of a kind without local_mu take the global mu.
-        Raises RuntimeError if K is singular.
+        mu_i = <s_i, z_i>/nu_i per part of a block (Scaling.mu_parts);
+        blocks with no part take the global mu.  Raises RuntimeError if K
+        is singular.
         """
         mu_blocks = np.bincount(self.unit, weights=s * z, minlength=len(self.degrees))
         mu_blocks /= self.degrees
         mu_blocks[0] = mu
-        diagonal, lifted = [np.zeros(0)], [np.zeros(0)]
-        for H, lift in zip(stacks, self.lifts):
-            if lift:  # (t 1, u, v) per block
-                diagonal.append(H[:, 0].ravel())
-                lifted.append(H[:, 1:].ravel())
-            else:
-                diagonal.append((H if H.ndim == 2 else H.transpose(0, 2, 1)).ravel())
-        np.concatenate(diagonal, out=self.Hinv.data)
+        blocks = [np.zeros(0)] + [H.blocks.swapaxes(-1, -2).ravel() for H in stacks]
+        np.concatenate(blocks, out=self.Hinv.data)
         self.Hinv.data /= mu_blocks[self.owner]
-        np.concatenate(lifted, out=self.L.data)
+        np.concatenate([np.zeros(0)] + [H.lifts.ravel() for H in stacks], out=self.L.data)
         self.pivots = mu_blocks[self.lift_owner] * self.unit_pivots
         values = np.concatenate([-self.Hinv.data, self.L.data, self.L.data, self.pivots])
         self.Kx.data[self.xpos] = values
@@ -537,7 +517,7 @@ class _KKT:
         self.lu = splu(self.K, permc_spec="NATURAL", **STATIC_PIVOTS)
 
     def hinv(self, r):
-        """H(s_i)^-1 r_i / mu_i on the barrier rows: W r, plus L D^-1 L' r on the second-order ones."""
+        """H(s_i)^-1 r_i / mu_i on the barrier rows: W r + L D^-1 L' r."""
         out = self.Hinv @ r
         if len(self.pivots):
             out += self.L @ ((self.LT @ r) / self.pivots)

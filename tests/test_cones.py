@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from conepath import _newton, cones
 from conepath._newton import newton_rows
@@ -211,21 +212,15 @@ class TestBarrierIdentities:
 
     def test_hessian_inverse(self):
         rng = np.random.default_rng(11)
-        for kind in ALL_KINDS:
+        # second_order(3) too: its t, u and v fill 3 x 3 numbers, as exp's and pow's dense H^-1 does
+        for kind in (*ALL_KINDS, "soc3"):
             for _ in range(50):
-                spec = make_spec(kind, rng)
+                spec = ConeSpec.second_order(3) if kind == "soc3" else make_spec(kind, rng)
                 s = random_interior(spec, rng)
                 H = barrier_hessian(spec, s)
-                Hinv = barrier_hessian_inverse(spec, s)
-                if kind == "nonneg":
-                    # the diagonal alone
-                    assert Hinv.shape == (spec.dim,)
-                    Hinv = np.diag(Hinv)
-                elif kind == "soc":
-                    # diag(t 1) + uu' - vv'
-                    assert Hinv.shape == (3, spec.dim)
-                    t1, u, v = Hinv
-                    Hinv = np.diag(t1) + np.outer(u, u) - np.outer(v, v)
+                form = barrier_hessian_inverse(spec, s)
+                # blockdiag(blocks) + sum_c sign_c U_c U_c', the same for every kind
+                Hinv = block_diag(*form.blocks) + (form.lifts.T * form.signs) @ form.lifts
                 assert np.allclose(H @ Hinv, np.eye(spec.dim), rtol=1e-8, atol=1e-8)
 
     def test_boundary_point_raises(self):
@@ -376,7 +371,14 @@ class TestStackedKernels:
         for kernel in self.KERNELS:
             stacked = kernel(spec, S)
             rows = [kernel(spec, s) for s in S]
-            self.assert_rows_equal(stacked, rows, kind)
+            if kernel is barrier_hessian_inverse:
+                # a Scaling, field by field: its arrays row by row, the rest whole
+                for field in ("blocks", "lifts"):
+                    got = [getattr(form, field) for form in rows]
+                    self.assert_rows_equal(getattr(stacked, field), got, kind)
+                assert all((f.signs, f.mu_parts) == (stacked.signs, stacked.mu_parts) for f in rows)
+            else:
+                self.assert_rows_equal(stacked, rows, kind)
         self.assert_rows_equal(
             conjugate_gradient(spec, Y), [conjugate_gradient(spec, y) for y in Y], kind
         )

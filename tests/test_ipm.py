@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import block_diag
 from scipy.sparse.linalg import splu
 
 from conepath import ipm
@@ -645,18 +646,20 @@ class TestKKTStructure:
         n, m = prob.n, prob.m
         W, columns, pivots = np.zeros((m, m)), [], []
         for b, stack in zip(prob.cones.barrier_batches, stacks):
+            k = len(b.blocks)
             if b.spec.kind is ConeKind.SECOND_ORDER:
-                # (t 1, u, v) per block: t on the diagonal, u and v lifted
-                W[b.sl, b.sl] = np.diag(stack[:, 0].ravel())
-                for rows, block in zip(np.split(np.arange(b.sl.start, b.sl.stop), len(stack)), stack):
-                    for h, sign in zip(block[1:], (1.0, -1.0)):
+                # t on the diagonal; per block, u and v lifted
+                W[b.sl, b.sl] = np.diag(stack.blocks.ravel())
+                for rows, uv in zip(np.split(np.arange(b.sl.start, b.sl.stop), k), stack.lifts):
+                    for h, sign in zip(uv, (1.0, -1.0)):
                         columns.append(np.zeros(m))
                         columns[-1][rows] = h
                         pivots.append(mu[rows[0]] * sign)
+            elif b.spec.kind is ConeKind.NONNEGATIVE:
+                W[b.sl, b.sl] = np.diag(stack.blocks.ravel())
             else:
-                # a nonneg stack holds the diagonals; the other kinds, full blocks
-                full = np.diag(stack.ravel()) if stack.ndim == 2 else sp.block_diag(stack).toarray()
-                W[b.sl, b.sl] = full
+                # one full block per cone block
+                W[b.sl, b.sl] = sp.block_diag(list(stack.blocks[:, 0])).toarray()
         Hinv = sp.csc_matrix(W)
         Hinv.data /= mu[Hinv.indices]
         L = sp.csc_matrix(np.column_stack(columns) if columns else np.zeros((m, 0)))
@@ -777,7 +780,7 @@ class TestKKTStructure:
         W, B, D = K22[:m, :m], K22[:m, m:], K22[m:, m:]
         schur = W - B @ np.linalg.solve(D, B.T) if len(D) else W
         for b, stack in zip(cones.barrier_batches, stacks):
-            for rows, h in zip(np.split(np.arange(b.sl.start, b.sl.stop), len(b.blocks)), stack):
+            for i, rows in enumerate(np.split(np.arange(b.sl.start, b.sl.stop), len(b.blocks))):
                 block = schur[np.ix_(rows, rows)]
                 # every block but PSD's is scaled by its own mu_i, here never mu
                 mu_i = row_mu[rows]
@@ -791,8 +794,9 @@ class TestKKTStructure:
                     if gap == 1.0:
                         assert not B[rows].any()  # u = v = 0 at the unit point
                 else:
-                    # the kernel's H^-1, a nonneg block's per coordinate
-                    dense = -(np.diag(h) if h.ndim == 1 else h) / mu_i[:, None]
+                    # the kernel's H^-1, with no lifted column; a nonneg block's per coordinate
+                    assert not stack[i].lifts.size
+                    dense = -block_diag(*stack[i].blocks) / mu_i[:, None]
                     np.testing.assert_allclose(block, dense, rtol=1e-15, atol=0.0)
                 # no coupling between blocks
                 others = np.setdiff1d(np.arange(m), rows)
@@ -993,8 +997,8 @@ class TestPerBlockScaling:
         assert optimal_objective(prob, report) == pytest.approx(highs_objective(prob), rel=1e-6)
 
     def test_order_30_sdp_repro_row(self):
-        # PSD blocks keep the global mu (PsdTriangleCone.local_mu): with
-        # their own mu_i this row stalled at 29 iterations on proximity
+        # PSD blocks keep the global mu (mu_parts 0 in PsdTriangleCone.hessian_inverse):
+        # with their own mu_i this row ends NumericalError at 25 iterations, on proximity
         prob = psd_trace_one(30)
         report = solve(prob, cold_start(prob))
         assert report.status is SolveStatus.OPTIMAL
