@@ -4,16 +4,23 @@
 
 Each line names the case, then the status, the iteration count,
 SolveReport.reason (``-`` unless the status is NumericalError) and the
-wall seconds of the solve.  The rows are:
+wall seconds of the solve.  The rows, with the status each must end in:
 
-- MPC, ``gen_mpc((4, 2), N, seed=0, x0=np.full(4, .5))``, N = 40 and 160;
+- MPC, ``gen_mpc((4, 2), N, seed=0, x0=np.full(4, .5))``, N = 40 and 160:
+  Optimal;
 - SVM-L2, ``gen_svm_l2(synth_samples(480, 10, seed=0), lam)``,
-  lam = 0.02, 0.03, 0.04, 0.05;
+  lam = 0.02, 0.03, 0.04, 0.05: Optimal;
 - SVM-L1, ``gen_svm_l1(synth_samples(480, 10, seed=0), lam)``,
-  lam = 0.04, 0.12, 0.175;
+  lam = 0.04, 0.12, 0.175: Optimal;
 - the SDP min <C, X> s.t. tr X = 1, X PSD at order 30, with C pinned as
-  in ``tests/test_ipm.py::psd_trace_one``;
-- the QP min 0.5 x2^2 - x1 s.t. x >= 0, which is unbounded below.
+  in ``tests/test_ipm.py::psd_trace_one``: Optimal;
+- the QP min 0.5 x2^2 - x1 s.t. x >= 0, which is unbounded below:
+  DualInfeasible.
+
+A row that ends in another status gets ``expected <status>`` at the end
+of its line, and the script exits 1 after the last row; otherwise it
+exits 0.  Iteration counts are printed, not checked: the regression
+tests in ``tests/test_ipm.py`` bound them.
 
 conepath is imported from ``src/`` of this checkout with one BLAS thread,
 as perfbench/run.py imports it.
@@ -63,19 +70,22 @@ def unbounded_qp():
 
 
 def rows(api):
-    """(label, builder) per row, in the order of the table."""
+    """(label, expected status, builder) per row, in the order of the table."""
     import numpy as np
 
     gen = api.problems
     samples = lambda: gen.synth_samples(480, 10, seed=0)
     for N in (40, 160):
-        yield f"mpc N={N}", lambda N=N: gen.gen_mpc((4, 2), N, seed=0, x0=np.full(4, 0.5))
+        yield (
+            f"mpc N={N}", "Optimal",
+            lambda N=N: gen.gen_mpc((4, 2), N, seed=0, x0=np.full(4, 0.5)),
+        )
     for lam in (0.02, 0.03, 0.04, 0.05):
-        yield f"svm-l2 lam={lam}", lambda lam=lam: gen.gen_svm_l2(samples(), lam)
+        yield f"svm-l2 lam={lam}", "Optimal", lambda lam=lam: gen.gen_svm_l2(samples(), lam)
     for lam in (0.04, 0.12, 0.175):
-        yield f"svm-l1 lam={lam}", lambda lam=lam: gen.gen_svm_l1(samples(), lam)
-    yield "sdp order=30", lambda: psd_trace_one(30)
-    yield "qp unbounded", unbounded_qp
+        yield f"svm-l1 lam={lam}", "Optimal", lambda lam=lam: gen.gen_svm_l1(samples(), lam)
+    yield "sdp order=30", "Optimal", lambda: psd_trace_one(30)
+    yield "qp unbounded", "DualInfeasible", unbounded_qp
 
 
 def main():
@@ -83,17 +93,21 @@ def main():
     from perfbench import run
 
     api = run.import_conepath()  # sets one BLAS thread before numpy loads
-    for label, build in rows(api):
+    lost = 0
+    for label, expected, build in rows(api):
         problem = build()
         t0 = time.perf_counter()
         report = api.ipm.solve(problem, api.ipm.cold_start(problem))
         seconds = time.perf_counter() - t0
+        status = report.status.value
+        lost += status != expected
         print(
-            f"{label}: {report.status.value} it={report.iterations} "
-            f"reason={report.reason or '-'} {seconds:.2f}s",
+            f"{label}: {status} it={report.iterations} "
+            f"reason={report.reason or '-'} {seconds:.2f}s"
+            + ("" if status == expected else f" expected {expected}"),
             flush=True,
         )
-    return 0
+    return 1 if lost else 0
 
 
 if __name__ == "__main__":

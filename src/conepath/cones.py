@@ -7,7 +7,9 @@ validation, degree, interior test, step bound, barrier derivatives, unit
 point, conjugate gradient, the smoothing and projection operators that
 smoothing.py exposes, and K's scaling form: hessian_inverse gives H^-1
 as a Scaling, from which ipm builds its block of the KKT matrix without
-knowing the kind.
+knowing the kind.  A kind whose block of K is its Nesterov-Todd scaling
+also gives Mehrotra's second-order term of the combined step
+(corrector), which ipm applies only where every barrier kind gives one.
 
 The formulas work on stacks.  A stack is a (k, dim) array whose rows
 are k points of one cone; formulas give one result per row: (k,) values
@@ -390,6 +392,12 @@ class Cone:
         """(gradients, Hessians) of the barrier on a stack."""
         return self.gradient(spec, S), self.hessian(spec, S)
 
+    # corrector(spec, Z, DS, DZ): Mehrotra's second-order term on the z-rows
+    # of the combined step, from the dual iterate Z and the affine direction
+    # DS, DZ.  A kind defines it once its block of K is its Nesterov-Todd
+    # scaling; None says it has none, which leaves the product uncorrected
+    corrector = None
+
     def oracles(self, spec):
         """(value, derivatives, interior test) on stacks, for the Newton
         solves, which call the first two only on rows the interior test passed."""
@@ -567,6 +575,10 @@ class NonnegativeCone(SelfDualCone):
         """The diagonal s^2; each coordinate, of degree 1, takes its own mu_j = s_j z_j,
         so its entry of K is the Nesterov-Todd s_j/z_j."""
         return Scaling((S**2)[:, :, None, None], np.zeros((len(S), 0, spec.dim)), (), spec.dim)
+
+    def corrector(self, spec, Z, DS, DZ):
+        """ds*dz/z: z ds + s dz = sigma mu - s z - ds_aff dz_aff, divided by z as K's s/z is."""
+        return DS * DZ / Z
 
     def unit_s(self, spec):
         return np.ones(spec.dim)
@@ -1149,7 +1161,8 @@ class ConeProduct:
     barrier_blocks lists (k, spec, slice) of every block but the Zero
     ones.  batches groups each run of consecutive equal blocks into one
     _Batch, whose rows(v) is the stack the cone formulas take;
-    barrier_batches lists the batches of every kind but Zero.
+    barrier_batches lists the batches of every kind but Zero.  corrected
+    tells whether every barrier kind gives Mehrotra's term (corrector).
     """
 
     def __init__(self, blocks):
@@ -1169,6 +1182,9 @@ class ConeProduct:
             for r in runs
         )
         self.barrier_batches = tuple(b for b in self.batches if b.spec.degree)
+        self.corrected = all(
+            CONES[b.spec.kind].corrector is not None for b in self.barrier_batches
+        )
 
     def __iter__(self):
         return iter(self.blocks)
@@ -1215,6 +1231,21 @@ class ConeProduct:
             D = np.concatenate([b.rows(ds), cone.dual_coords(b.spec, b.rows(dz))])
             bound = min(bound, cone.step_bound(b.spec, V, D).min())
         return float(bound)
+
+    def corrector(self, z, ds, dz):
+        """Mehrotra's second-order term for the rows of z in the combined step, or None.
+
+        Each barrier batch's kind gives its rows' term from the affine
+        direction (ds, dz) (Cone.corrector), and Zero rows take 0.  One
+        barrier kind without a term leaves the whole product uncorrected.
+        """
+        if not self.corrected:
+            return None
+        out = np.zeros(self.dim)
+        for b in self.barrier_batches:
+            cone = CONES[b.spec.kind]
+            b.rows(out)[:] = cone.corrector(b.spec, b.rows(z), b.rows(ds), b.rows(dz))
+        return out
 
     def _all_rows(self, test, v):
         for b in self.batches:

@@ -3,16 +3,20 @@
 Solves  min 0.5*x'Px + q'x  s.t.  Ax + s = b,  s in K  (dual variable z
 in K*) through the self-dual embedding variable v = (x, z, s, tau,
 kappa).  Directions linearize the central-path conditions G(v) =
-mu*G(v0), z = -mu*grad f(s), tau*kappa = mu with a Mehrotra-style
-centering weight.  A step is the first length of a fixed geometric grid
-that keeps every block strictly interior and, for the combined step,
-inside a proximity neighborhood of the path.  The search starts at the
-first grid value below the step to the cone boundary, which
-ConeProduct.step_bound bounds in closed form (exactly for nonnegative,
-second-order and PSD blocks), widened by STEP_SLACK for rounding.  In
-practice it skips only lengths the interior test would reject: on the
-benchmark's workloads at seeds 1-7 every iterate equalled a full scan's
-bit for bit when the search replaced the scan (.github/iterate_digest.py).
+mu*G(v0), z = -mu*grad f(s), tau*kappa = mu.  Each iteration takes an
+affine direction (sigma = 0), sets the centering weight sigma =
+(1 - alpha_aff)^3 from its step, clipped to [1e-3, 0.9], and takes the
+combined direction at that sigma, corrected where every barrier block
+has the Nesterov-Todd scaling (below).  A step is the first length of
+a fixed geometric grid that keeps every block strictly interior and,
+for the combined step, inside a proximity neighborhood of the path.
+The search starts at the first grid value below the step to the cone
+boundary, which ConeProduct.step_bound bounds in closed form (exactly
+for nonnegative, second-order and PSD blocks), widened by STEP_SLACK
+for rounding.  In practice it skips only lengths the interior test
+would reject: on the benchmark's workloads at seeds 1-7 every iterate
+equalled a full scan's bit for bit when the search replaced the scan
+(.github/iterate_digest.py).
 This is not guaranteed.  The interior test rounds by an absolute amount,
 so an SOC point with gap/v0^2 below about 1e-10, or an ill-conditioned
 PSD block, can move the test's boundary past the slack; the search then
@@ -39,6 +43,25 @@ scaling as -W(dz + r_s).  s_j/z_j grows without bound where z_j goes
 to 0, and that form multiplies the solve's error in dz by it: with it,
 three svm-l2 repro rows (.github/repro_rows.py) drifted in r_p and
 ended MaxIters.
+
+The combined direction carries Mehrotra's second-order term (Mehrotra,
+SIAM J. Optim. 1992; Vandenberghe, "The CVXOPT linear and quadratic
+cone program solvers", 2010, sec. 5) where it is sound: on a product
+whose every barrier block has the Nesterov-Todd scaling in K, which is
+nonneg blocks alone, Zero blocks having no barrier.  Row j's
+linearized complementarity z_j ds_j + s_j dz_j = sigma*mu - s_j z_j
+then gains -ds_aff_j dz_aff_j, so the right side's z-row gains
+ds_aff_j dz_aff_j/z_j.  Each kind gives its term or none
+(cones.Cone.corrector), and one kind with none leaves the whole product
+uncorrected (ConeProduct.corrector).  On the benchmark's svm-l1-lp at
+seeds 1-7 the term cut cold iterations 1447 -> 1071 and warm ones
+596 -> 459, every solve Optimal (.github/iterate_digest.py --summary).
+It has no tau*kappa term: with dtau_aff*dkappa_aff added, the unbounded
+QP of .github/repro_rows.py ended NumericalError at 12 iterations
+(proximity) instead of DualInfeasible.  Nor does it cover mixed
+products, whose pow or SOC blocks are not Nesterov-Todd scaled: the
+term on the nonneg rows beside hmcr-pow's pow blocks ended a warm solve
+NumericalError at seed 2.
 """
 
 import time
@@ -693,9 +716,11 @@ def solve(problem, start, settings=None):
         alpha_aff = _search(AFFINE_GRID, affine_trial, boundary_step()) or 0.0
         sigma = min(max((1.0 - alpha_aff) ** 3, 1e-3), 0.9)
 
-        dx, dz, ds, dtau, dkappa = direction(
-            1.0 - sigma, sigma, kkt.solve(system(1.0 - sigma, sigma))
-        )
+        rhs = system(1.0 - sigma, sigma)
+        # Mehrotra's term, from the affine direction, where the product has one
+        if (corrector := cones.corrector(z, ds, dz)) is not None:
+            rhs[n:] += corrector
+        dx, dz, ds, dtau, dkappa = direction(1.0 - sigma, sigma, kkt.solve(rhs))
         guard_passed = False  # set once a trial passes the interior test
         step = _search(COMBINED_GRID, combined_trial, boundary_step())
         if step is None:

@@ -669,6 +669,35 @@ class TestConeProduct:
         assert np.allclose(e_z, [0, 0, 1, 0, 0])
 
 
+class TestCorrector:
+    """Mehrotra's second-order term: only kinds with the Nesterov-Todd scaling in K have one."""
+
+    def test_nonneg_term_is_ds_dz_over_z_bitwise(self):
+        rng = np.random.default_rng(0)
+        product = ConeProduct(
+            (ConeSpec.zero(2), ConeSpec.nonnegative(3), ConeSpec.nonnegative(3),
+             ConeSpec.nonnegative(4))
+        )
+        z = np.r_[rng.standard_normal(2), np.exp(rng.uniform(-20.0, 20.0, 10))]
+        ds, dz = rng.standard_normal((2, product.dim)) * np.exp(rng.uniform(-20.0, 20.0, (2, 1)))
+        out = product.corrector(z, ds, dz)
+        # a Zero block has no barrier: its rows take 0 and leave the term on
+        assert out[:2].tolist() == [0.0, 0.0]
+        assert out[2:].tobytes() == (ds[2:] * dz[2:] / z[2:]).tobytes()
+
+    @pytest.mark.parametrize("kind", [k for k in ALL_KINDS if k != "nonneg"])
+    def test_other_kinds_have_none(self, kind):
+        rng = np.random.default_rng(1)
+        spec = make_spec(kind, rng)
+        z = -barrier_gradient(spec, random_interior(spec, rng))
+        ds, dz = rng.standard_normal((2, spec.dim))
+        assert cones.CONES[spec.kind].corrector is None
+        # one block without a term leaves the whole product uncorrected
+        product = ConeProduct((ConeSpec.nonnegative(2), spec))
+        ones = np.ones(2)
+        assert product.corrector(np.r_[ones, z], np.r_[ones, ds], np.r_[ones, dz]) is None
+
+
 def _one_block(spec):
     return ConeProduct((spec,))
 

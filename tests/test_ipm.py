@@ -13,6 +13,7 @@ from conepath.cones import (
     ConeKind,
     ConeProduct,
     ConeSpec,
+    NonnegativeCone,
     barrier_gradient,
     barrier_hessian_inverse,
     smat,
@@ -987,14 +988,16 @@ class TestSecondOrderRowsOfTheLiftedKKT:
 class TestPerBlockScaling:
     """Repro rows of K scaled by each block's own mu_i = <s_i, z_i>/nu_i."""
 
-    @pytest.mark.parametrize("lam", [0.04, 0.12, 0.175])
-    def test_svm_l1_repro_rows(self, lam):
+    @pytest.mark.parametrize("lam, before", [(0.04, 30), (0.12, 23), (0.175, 26)])
+    def test_svm_l1_repro_rows(self, lam, before):
         # with the global mu in K, proximity rejected every trial at 32, 24
-        # and 26 iterations; Nesterov-Todd's s/z on nonneg rows solves them
+        # and 26 iterations; Nesterov-Todd's s/z on nonneg rows solves them,
+        # in `before` iterations without Mehrotra's corrector
         prob = gen_svm_l1(synth_samples(480, 10, seed=0), lam)
         report = solve(prob, cold_start(prob))
         assert report.status is SolveStatus.OPTIMAL
         assert optimal_objective(prob, report) == pytest.approx(highs_objective(prob), rel=1e-6)
+        assert report.iterations < before
 
     def test_order_30_sdp_repro_row(self):
         # PSD blocks keep the global mu (mu_parts 0 in PsdTriangleCone.hessian_inverse):
@@ -1005,6 +1008,36 @@ class TestPerBlockScaling:
         # q = svec(C + C'): the optimum is the smallest eigenvalue of C + C'
         smallest = np.linalg.eigvalsh(smat(prob.q))[0]
         assert optimal_objective(prob, report) == pytest.approx(smallest, rel=1e-6)
+
+
+class TestCorrector:
+    """Mehrotra's term enters the combined step only where every barrier kind gives one."""
+
+    @staticmethod
+    def _forbid_the_nonneg_term(monkeypatch):
+        def raising(self, *args):
+            raise AssertionError("the nonneg term was computed")
+
+        monkeypatch.setattr(NonnegativeCone, "corrector", raising)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: gen_portfolio(synth_returns(6, 30, 0), 5e-4),
+            lambda: gen_hmcr(synth_returns(4, 8, 0), 5e-4, 3.0, 0.9),
+        ],
+        ids=["nonneg+soc", "nonneg+pow"],
+    )
+    def test_mixed_products_apply_no_term(self, monkeypatch, build):
+        prob = build()
+        self._forbid_the_nonneg_term(monkeypatch)
+        assert solve(prob, cold_start(prob)).status is SolveStatus.OPTIMAL
+
+    def test_nonneg_products_apply_the_term(self, monkeypatch):
+        prob, _ = lp_box()
+        self._forbid_the_nonneg_term(monkeypatch)
+        with pytest.raises(AssertionError, match="nonneg term"):
+            solve(prob, cold_start(prob))
 
 
 def _count_interior_tests(monkeypatch):
@@ -1025,12 +1058,16 @@ class TestStrictlyInteriorSteps:
 
     @pytest.mark.parametrize("N", [40, 160])
     def test_mpc_repro_rows(self, N):
-        # ROADMAP's repro table: NumericalError at 15 / 16 iterations, no grid step inside
+        # ROADMAP's repro table: NumericalError at 15 / 16 iterations, no grid
+        # step inside; Optimal in 9 / 9 without Mehrotra's corrector
         prob = gen_mpc((4, 2), N, seed=0, x0=np.full(4, 0.5))
-        assert solve(prob, cold_start(prob)).status is SolveStatus.OPTIMAL
+        report = solve(prob, cold_start(prob))
+        assert report.status is SolveStatus.OPTIMAL
+        assert report.iterations <= 8
 
     def test_unbounded_qp_repro_row(self):
-        # min 0.5 x2^2 - x1 s.t. x >= 0: NumericalError at 23 iterations, no grid step inside
+        # min 0.5 x2^2 - x1 s.t. x >= 0: NumericalError at 23 iterations, no
+        # grid step inside; DualInfeasible in 29 without Mehrotra's corrector
         prob = ConicProblem(
             P=sp.diags([0.0, 1.0], format="csc"),
             q=np.array([-1.0, 0.0]),
@@ -1038,7 +1075,9 @@ class TestStrictlyInteriorSteps:
             b=np.zeros(2),
             cones=ConeProduct((ConeSpec.nonnegative(2),)),
         )
-        assert solve(prob, cold_start(prob)).status is SolveStatus.DUAL_INFEASIBLE
+        report = solve(prob, cold_start(prob))
+        assert report.status is SolveStatus.DUAL_INFEASIBLE
+        assert report.iterations < 29
 
     def test_svm_l1_reference_warm_pair(self, monkeypatch):
         # the svm-l1-lp benchmark's lambda 0.01 -> 0.02 pair: the warm solve
