@@ -61,7 +61,8 @@ QP of .github/repro_rows.py ended NumericalError at 12 iterations
 (proximity) instead of DualInfeasible.  Nor does it cover mixed
 products, whose pow or SOC blocks are not Nesterov-Todd scaled: the
 term on the nonneg rows beside hmcr-pow's pow blocks ended a warm solve
-NumericalError at seed 2.
+NumericalError at seed 2, and beside rebalance-soc's SOC blocks it
+made warm_s.p50 7% slower in alternating benchmark pairs.
 """
 
 import time
