@@ -17,7 +17,8 @@ from scipy.stats import spearmanr
 
 from .errors import ConepathError, EmptyInput, Unsupported
 from .ipm import (
-    Settings, SolveStatus, check_termination, cold_start, optimal_objective, solve, warm_start,
+    Settings, SolveStatus, check_termination, cold_start, optimal_objective, residual_map, solve,
+    warm_start,
 )
 from .problems import Family, SequenceSpec, build_sequence
 from .warmstart import PreviousSolution, warmstart
@@ -25,10 +26,10 @@ from .warmstart import PreviousSolution, warmstart
 log = logging.getLogger(__name__)
 
 
-def phi(problem, iterate):
-    """Merit of an iterate: max of mu and the two residual norms check_termination takes."""
-    _, (r_p, r_d, _) = check_termination(problem, iterate)
-    return max(iterate.mu, r_p, r_d)
+def phi(problem, v):
+    """Merit of an iterate v: max of mu and the two residual norms check_termination reports."""
+    _, (r_p, r_d, _) = check_termination(problem, residual_map(problem, v.x, v.s, v.z, v.tau))
+    return max(v.mu, r_p, r_d)
 
 
 @dataclass(frozen=True)

@@ -91,13 +91,12 @@ def read_problem(path):
     _expect(header == _MAGIC, f"expected header {_MAGIC!r}", ln)
 
     def scalar(tag):
+        """The count on a '<tag> <count>' line; a negative count is a ParseError."""
         text, ln = next_line()
         parts = text.split()
-        _expect(len(parts) == 2 and parts[0] == tag, f"expected '{tag} <int>'", ln)
-        try:
-            return int(parts[1])
-        except ValueError:
-            raise ParseError(f"bad integer {parts[1]!r}", line=ln)
+        ok = len(parts) == 2 and parts[0] == tag and parts[1].isdecimal()
+        _expect(ok, f"expected '{tag} <count>' with a non-negative integer count", ln)
+        return int(parts[1])
 
     n = scalar("n")
     m = scalar("m")
@@ -207,7 +206,10 @@ def read_solution(path):
     for key in ("n", "m", "status", "x", "s", "z"):
         if key not in doc:
             raise ParseError(f"solution file missing {key!r}")
-    doc["x"] = np.asarray(doc["x"], dtype=float)
-    doc["s"] = np.asarray(doc["s"], dtype=float)
-    doc["z"] = np.asarray(doc["z"], dtype=float)
+    for key, size in (("x", doc["n"]), ("s", doc["m"]), ("z", doc["m"])):
+        # JSON numbers load as int or float; a bool, string or null entry is not one
+        if not (type(doc[key]) is list and len(doc[key]) == size
+                and all(type(v) in (int, float) for v in doc[key])):
+            raise ParseError(f"solution {key!r} must be a list of {size} numbers")
+        doc[key] = np.array(doc[key], dtype=float)
     return doc

@@ -21,8 +21,11 @@ This is not guaranteed.  The interior test rounds by an absolute amount,
 so an SOC point with gap/v0^2 below about 1e-10, or an ill-conditioned
 PSD block, can move the test's boundary past the slack; the search then
 takes a shorter step than the scan would, still strictly interior.
-Termination and infeasibility tests follow the documented inequalities
-literally.
+Each iterate is evaluated once, at the raw point (residual_map): the
+termination test, both infeasibility certificates and the Newton right
+side share its products with P, A' and A.  The optimality test reads
+||r||/tau at the tau-scaled point, the certificates the raw point, each
+inequality as documented.
 
 A solve assembles its KKT matrix once, with a fixed pattern and one
 symmetric fill-reducing order; each iteration writes only the values of
@@ -139,24 +142,44 @@ class ConicProblem:
 
 @dataclass
 class Residuals:
+    """The embedding's residuals at a raw point (x, s, z, tau), from one product each with P, A', A.
+
+    r_d = Px + A'z + q*tau and r_p = -Ax + b*tau - s, which divided by tau
+    are those of the tau-scaled point (x, s, z)/tau in exact arithmetic;
+    g_p = 0.5*x'Px + q'x and g_d = -0.5*x'Px - b'z at that point.
+    """
+
+    x: np.ndarray
+    s: np.ndarray
+    z: np.ndarray
+    tau: float
+    Px: np.ndarray
+    ATz: np.ndarray
+    Ax: np.ndarray
+    xPx: float
+    qx: float
+    bz: float
     r_d: np.ndarray
     r_p: np.ndarray
     g_p: float
     g_d: float
 
+    def r_tau(self, kappa):
+        """The embedding's last row, -q'x - b'z - x'Px/tau - kappa."""
+        return -self.qx - self.bz - self.xPx / self.tau - kappa
 
-def residual_map(problem, x, s, z):
-    """Plain (tau = 1) residuals and objective pair."""
-    x = np.asarray(x, dtype=float)
-    s = np.asarray(s, dtype=float)
-    z = np.asarray(z, dtype=float)
-    Px = problem.P @ x
-    xPx = float(x @ Px)
+
+def residual_map(problem, x, s, z, tau=1.0):
+    """Residuals at (x, s, z, tau); the default tau = 1 gives the plain residuals."""
+    x, s, z = (np.asarray(w, dtype=float) for w in (x, s, z))
+    Px, ATz, Ax = problem.P @ x, problem.AT @ z, problem.A @ x
+    xPx, qx, bz = float(x @ Px), float(problem.q @ x), float(problem.b @ z)
     return Residuals(
-        r_d=Px + problem.AT @ z + problem.q,
-        r_p=-(problem.A @ x) + problem.b - s,
-        g_p=0.5 * xPx + float(problem.q @ x),
-        g_d=-0.5 * xPx - float(problem.b @ z),
+        x, s, z, tau, Px, ATz, Ax, xPx, qx, bz,
+        r_d=Px + ATz + problem.q * tau,
+        r_p=-Ax + problem.b * tau - s,
+        g_p=(0.5 * xPx / tau + qx) / tau,
+        g_d=(-0.5 * xPx / tau - bz) / tau,
     )
 
 
@@ -172,13 +195,8 @@ class Iterate:
 
 def homogeneous_map(problem, v):
     """G(v) of the embedding, stacked as (n + m + 1)-vector."""
-    x, z, tau = v.x, v.z, v.tau
-    Px = problem.P @ x
-    top = Px + problem.AT @ z + problem.q * tau
-    mid = -(problem.A @ x) + problem.b * tau - v.s
-    xPx = float(x @ Px)
-    bot = -float(problem.q @ x) - float(problem.b @ z) - xPx / tau - v.kappa
-    return np.concatenate([top, mid, [bot]])
+    res = residual_map(problem, v.x, v.s, v.z, v.tau)
+    return np.concatenate([res.r_d, res.r_p, [res.r_tau(v.kappa)]])
 
 
 def _embedding_mu(problem, s, z, tau, kappa):
@@ -308,45 +326,33 @@ def optimal_objective(problem, report):
     return residual_map(problem, *report.solution).g_p
 
 
-def check_termination(problem, v, eps=1e-8):
-    """Optimality at the tau-scaled point, else raw infeasibility tests.
+def check_termination(problem, res, eps=1e-8):
+    """Optimality at the tau-scaled point, else infeasibility at the raw point, both from res.
 
-    Returns (status, (||r_p||, ||r_d||, |g_p - g_d|)): a SolveStatus or
-    None, and the norms of residual_map at the tau-scaled point, which
-    the solver reports.  The infeasibility inequalities are evaluated
-    exactly as documented: right sides carry the factor -(b'z) resp.
-    -(q'x), positive only when those products are negative.
+    res is residual_map at the raw iterate (x, s, z, tau).  Returns
+    (status, (||r_p||, ||r_d||, |g_p - g_d|)): a SolveStatus or None, and
+    the norms at the tau-scaled point, ||r||/tau, which the solver
+    reports.  The infeasibility inequalities are evaluated exactly as
+    documented: right sides carry the factor -(b'z) resp. -(q'x),
+    positive only when those products are negative.
     """
-    xs = v.x / v.tau
-    ss = v.s / v.tau
-    zs = v.z / v.tau
-    res = residual_map(problem, xs, ss, zs)
-    rp, rd = float(np.linalg.norm(res.r_p)), float(np.linalg.norm(res.r_d))
+    tau = res.tau
+    rp, rd = (float(np.linalg.norm(r)) / tau for r in (res.r_p, res.r_d))
     gap = abs(res.g_p - res.g_d)
-    nb = float(np.max(np.abs(problem.b))) if problem.b.size else 0.0
-    nq = float(np.max(np.abs(problem.q))) if problem.q.size else 0.0
-    nxs = float(np.linalg.norm(xs))
+    nx, ns, nz = (float(np.linalg.norm(w)) for w in (res.x, res.s, res.z))
+    nb, nq = (float(np.max(np.abs(v))) if v.size else 0.0 for v in (problem.b, problem.q))
     if (
-        rp < eps * max(1.0, nb + nxs + float(np.linalg.norm(ss)))
-        and rd < eps * max(1.0, nq + nxs + float(np.linalg.norm(zs)))
+        rp < eps * max(1.0, nb + nx / tau + ns / tau)
+        and rd < eps * max(1.0, nq + nx / tau + nz / tau)
         and gap < eps * max(1.0, min(abs(res.g_p), abs(res.g_d)))
     ):
         return SolveStatus.OPTIMAL, (rp, rd, gap)
-
-    x, z, s = v.x, v.z, v.s
-    btz = float(problem.b @ z)
-    nx = float(np.linalg.norm(x))
-    if btz < -EPS_IA and float(np.linalg.norm(problem.AT @ z)) < -EPS_IR * max(
-        1.0, nx + float(np.linalg.norm(z))
-    ) * btz:
+    if res.bz < -EPS_IA and float(np.linalg.norm(res.ATz)) < -EPS_IR * max(1.0, nx + nz) * res.bz:
         return SolveStatus.PRIMAL_INFEASIBLE, (rp, rd, gap)
-
-    qtx = float(problem.q @ x)
     if (
-        qtx < -EPS_IA
-        and float(np.linalg.norm(problem.P @ x)) < -EPS_IR * max(1.0, nx) * qtx
-        and float(np.linalg.norm(problem.A @ x + s))
-        < -EPS_IR * max(1.0, nx + float(np.linalg.norm(s))) * qtx
+        res.qx < -EPS_IA
+        and float(np.linalg.norm(res.Px)) < -EPS_IR * max(1.0, nx) * res.qx
+        and float(np.linalg.norm(res.Ax + res.s)) < -EPS_IR * max(1.0, nx + ns) * res.qx
     ):
         return SolveStatus.DUAL_INFEASIBLE, (rp, rd, gap)
     return None, (rp, rd, gap)
@@ -596,36 +602,20 @@ def solve(problem, start, settings=None):
 
     def report(status, reason=None):
         return SolveReport(
-            status=status,
-            iterations=max(steps, 1),
-            solve_time=time.perf_counter() - t0,
-            r_p=rp,
-            r_d=rd,
-            gap=gap,
-            trace=trace,
-            x=x,
-            s=s,
-            z=z,
-            tau=tau,
-            kappa=kappa,
+            status=status, iterations=max(steps, 1), solve_time=time.perf_counter() - t0,
+            r_p=rp, r_d=rd, gap=gap, trace=trace, x=x, s=s, z=z, tau=tau, kappa=kappa,
             reason=reason,
         )
 
     for steps in range(max(cfg.max_iters, 0) + 1):
-        status, (rp, rd, gap) = check_termination(
-            problem, Iterate(x, z, s, tau, kappa, mu), cfg.eps
-        )
+        # the one evaluation of the iterate: termination and the Newton right side
+        res = residual_map(problem, x, s, z, tau)
+        status, (rp, rd, gap) = check_termination(problem, res, cfg.eps)
         trace.append(TraceRow(mu, rp, rd, alpha))
         if status is None and steps >= cfg.max_iters:
             status = SolveStatus.MAX_ITERS
         if status is not None:
             return report(status)
-
-        Px = problem.P @ x
-        xPx = float(x @ Px)
-        rx = Px + problem.AT @ z + problem.q * tau
-        rz = -(problem.A @ x) + problem.b * tau - s
-        rtau = -float(problem.q @ x) - float(problem.b @ z) - xPx / tau - kappa
 
         grad = np.zeros(m)
         stacks = []
@@ -649,19 +639,19 @@ def solve(problem, start, settings=None):
         def system(eta, sigma):
             """The right side of the direction's KKT system."""
             r_s = z + sigma * mu * grad  # read only through hinv: no Zero-block column
-            return np.concatenate([-eta * rx, eta * rz + hinv(r_s)])
+            return np.concatenate([-eta * res.r_d, eta * res.r_p + hinv(r_s)])
 
         def direction(eta, sigma, sol):
             """The step from sol, the KKT solution of system(eta, sigma)."""
             r_tk = tau * kappa - sigma * mu
             u1, w1 = sol[:n], sol[n:]
-            num = -eta * rtau + float(qp @ u1) + float(problem.b @ w1) - r_tk / tau
+            num = -eta * res.r_tau(kappa) + float(qp @ u1) + float(problem.b @ w1) - r_tk / tau
             dtau = num / denom_base
             dx = u1 + dtau * u2
             dz = w1 + dtau * w2
             # the linearized primal equation, not -hinv(dz + r_s), which
             # multiplies the solve's error in dz by s_j/z_j (module docstring)
-            ds = eta * rz - problem.A @ dx + dtau * problem.b
+            ds = eta * res.r_p - problem.A @ dx + dtau * problem.b
             ds[zero_rows] = 0.0
             dkappa = (-r_tk - kappa * dtau) / tau
             return dx, dz, ds, dtau, dkappa
@@ -672,8 +662,8 @@ def solve(problem, start, settings=None):
         sol = kkt.solve(np.column_stack([np.r_[-problem.q, problem.b], system(1.0, 0.0)]))
         tau_column, affine = map(np.copy, sol.T)
         u2, w2 = tau_column[:n], tau_column[n:]
-        qp = problem.q + (2.0 / tau) * Px
-        denom_base = -float(qp @ u2) - float(problem.b @ w2) + xPx / tau**2 + kappa / tau
+        qp = problem.q + (2.0 / tau) * res.Px
+        denom_base = -float(qp @ u2) - float(problem.b @ w2) + res.xPx / tau**2 + kappa / tau
         if denom_base == 0.0:
             return report(SolveStatus.NUMERICAL_ERROR, ZERO_DENOMINATOR)
 

@@ -74,6 +74,16 @@ def all_kinds_problem():
     )
 
 
+def write_with_negative_count(path, problem, tag):
+    """Write problem with its '<tag> <count>' line set to '<tag> -1'; returns that line's number."""
+    fileio.write_problem(problem, path)
+    lines = path.read_text().splitlines()
+    at = next(k for k, line in enumerate(lines) if line.split()[0] == tag)
+    lines[at] = f"{tag} -1"
+    path.write_text("\n".join(lines) + "\n")
+    return at + 1
+
+
 def iterations_from(stdout):
     return int(re.search(r"iterations: (\d+)", stdout).group(1))
 
@@ -246,6 +256,12 @@ class TestSolveCommand:
         first = rows[1].split(",")
         assert first[0] == "0" and float(first[1]) == 1.0  # cold start mu
 
+    @pytest.mark.parametrize("tag", ["n", "m", "cones", "P", "A"])
+    def test_negative_count_is_input_error(self, tmp_path, capsys, tag):
+        path = tmp_path / "p.prob"
+        line = write_with_negative_count(path, lp_problem(), tag)
+        assert main(["solve", str(path)]) == 2
+        assert f"line {line}: expected '{tag} <count>'" in capsys.readouterr().err
 
 class TestWarmFlag:
     def write_pair(self, tmp_path, delta=1e-4):
@@ -295,6 +311,30 @@ class TestWarmFlag:
         assert code == 2
         assert "do not match" in err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("x", [1.0, 1.0, 1.0]),
+            ("s", ["1", "a", "1", "1"]),
+            ("x", 1.0),
+            ("z", [1.0, None, 1.0, 1.0]),
+        ],
+        ids=["x-one-short", "string-entries", "scalar-x", "null-entry"],
+    )
+    def test_malformed_solution_vectors_are_input_errors(self, tmp_path, capsys, key, value):
+        base_path, next_path = self.write_pair(tmp_path)
+        assert main(["solve", str(base_path)]) == 0
+        sol_path = tmp_path / "base.prob.sol.json"
+        doc = json.loads(sol_path.read_text())
+        doc[key] = value
+        sol_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+
+        code = main(["solve", str(next_path), "--warm", str(sol_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"solution '{key}' must be a list of" in err
+
     def test_warm_from_non_optimal_rejected(self, tmp_path, capsys):
         path = tmp_path / "inf.prob"
         fileio.write_problem(infeasible_problem(), path)
@@ -335,6 +375,16 @@ class TestCheckCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "FAIL  parse" in out
+        assert out.strip().endswith("RESULT: FAIL")
+
+    @pytest.mark.parametrize("tag", ["n", "m", "cones", "P", "A"])
+    def test_negative_count_fails_parse(self, tmp_path, capsys, tag):
+        path = tmp_path / "p.prob"
+        line = write_with_negative_count(path, all_kinds_problem(), tag)
+        code = main(["check", str(path)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert f"FAIL  parse: line {line}: expected '{tag} <count>' with a non-negative" in out
         assert out.strip().endswith("RESULT: FAIL")
 
     def test_indefinite_p_reported(self, tmp_path, capsys):

@@ -430,12 +430,13 @@ class TestTermination:
             kappa=0.0,
             mu=0.0,
         )
-        status, _ = check_termination(prob, v)
+        status, _ = check_termination(prob, residual_map(prob, v.x, v.s, v.z, v.tau))
         assert status is SolveStatus.OPTIMAL
 
     def test_cold_start_is_undecided(self):
         prob, _ = lp_box()
-        status, _ = check_termination(prob, cold_start(prob))
+        v = cold_start(prob)
+        status, _ = check_termination(prob, residual_map(prob, v.x, v.s, v.z, v.tau))
         assert status is None
 
 
@@ -506,6 +507,39 @@ class TestSolverMechanics:
         warm = solve(prob, warm_start(prob, ws))
         assert len(calls) == len(warm.trace)
         assert (warm.r_p, warm.r_d) == (warm.trace[-1].r_p, warm.trace[-1].r_d)
+
+    @pytest.mark.parametrize(
+        "make, warm",
+        [
+            (lambda: gen_hmcr(synth_returns(4, 8, 0), 5e-4, 3.0, 0.9), True),
+            (lambda: gen_portfolio(synth_returns(6, 30, 0), 5e-4), True),
+            (lambda: mixed_simplex_qp()[0], False),  # P != 0; its warm solve ends at tau = 1
+        ],
+        ids=["hmcr", "portfolio", "mixed-qp"],
+    )
+    def test_reported_norms_are_the_scaled_points_residuals(self, make, warm):
+        # the report's ||r||/tau and gap, taken at the raw point, equal the
+        # literal residuals of the tau-scaled solution.  Each is a sum of
+        # terms that cancel to about 1e-8, so the two roundings agree to
+        # 1e-12 of the terms, not of the norm; a wrong power of tau is off
+        # by far more on these solves, which end with tau != 1
+        prob = make()
+        reports = [solve(prob, cold_start(prob))]
+        if warm:
+            ws = warmstart(PreviousSolution(*reports[0].solution, problem=prob), prob.cones)
+            reports.append(solve(prob, warm_start(prob, ws)))
+        for report in reports:
+            assert report.status is SolveStatus.OPTIMAL and report.tau != 1.0
+            r = residual_map(prob, *report.solution)
+            x, s, z = report.solution
+            terms = (
+                (report.r_p, np.linalg.norm(r.r_p), [r.Ax, prob.b, s]),
+                (report.r_d, np.linalg.norm(r.r_d), [r.Px, r.ATz, prob.q]),
+                (report.gap, abs(r.g_p - r.g_d), [0.5 * r.xPx, r.qx, r.bz]),
+            )
+            for got, literal, parts in terms:
+                scale = sum(float(np.linalg.norm(part)) for part in parts)
+                assert abs(got - literal) <= 1e-12 * scale, (got, literal)
 
     def test_solve_time_recorded(self):
         prob, _ = lp_box()
