@@ -1,22 +1,25 @@
 """Print how accurately the solver's KKT systems are solved on the benchmark's workloads.
 
     python3 .github/kkt_residuals.py --seeds 1 2 3
-    python3 .github/kkt_residuals.py --seeds 1 --extra 2
 
-Every system ``_KKT.solve`` takes goes through the solver's own
-``_KKT._refined``: one solve with the static-pivot factor, then
-``ipm.REFINEMENT_STEPS`` refinement steps against K without
-regularization.  The script records, per right-hand column and after
-each of those steps, the relative residual max|rhs - Kx sol| / max|rhs|.
-Each ``_KKT._solve`` call after the first of a refinement takes
-rhs - Kx sol, the residual after the step before it, so the script keeps
-those arguments and computes only the residual after the last step.
-With --extra k it also records k further steps, taken on a copy that the
-solver never sees.
+Every column ``_KKT.solve`` takes goes through the solver's own
+``_KKT._refined``: one solve with the static-pivot factor, in K's order,
+then refinement steps against K without regularization until the
+residual is at rounding level (``ipm.REFINEMENT_TOLERANCE``), at most
+``ipm.REFINEMENT_STEPS`` of them.  The script wraps ``ipm.splu`` so that
+each factor records what its ``solve`` returns, and ``_KKT._refined`` so
+that it knows where each column starts.  From those returns it rebuilds
+the solution after each step taken, with the solver's own additions, and
+checks that the last one is the solution ``_refined`` returned, bit for
+bit.  It then records, per step taken, the relative residual
+max|rhs - Kx sol| / max|rhs|, where Kx is K minus its regularization in
+the original order, built from ``kkt.K``, ``kkt.q`` and ``kkt.signs``.
 
-One line per workload gives, per step, the 50th, 90th and 99th
-percentiles and the largest residual over every column of every system
-of every solve at the given seeds.
+One line per workload gives how many columns stopped after 0, 1, 2, ...
+steps, then, per step, the number of columns that took it and the 50th,
+90th and 99th percentiles and the largest of their residuals, and last
+the same over every column's final residual, after its last step, over
+every column of every solve at the given seeds.
 
 The solves are the benchmark's own, as in iterate_digest.py:
 perfbench/run.py imports conepath from ``src/`` of this checkout and
@@ -35,44 +38,76 @@ ROOT = Path(__file__).resolve().parent.parent
 QUANTILES = (50, 90, 99)
 
 
-def recording(ipm, extra):
-    """Wrap ipm._KKT._refined and _KKT._solve to record residuals; returns the per-step lists."""
+class _RecordingFactor:
+    """A SuperLU factor whose solve appends each return to returns; everything else delegates."""
+
+    def __init__(self, factor, returns):
+        self._factor = factor
+        self._returns = returns
+
+    def solve(self, rhs):
+        out = self._factor.solve(rhs)
+        self._returns.append(out.copy())
+        return out
+
+    def __getattr__(self, name):
+        return getattr(self._factor, name)
+
+
+def recording(ipm):
+    """Wrap ipm.splu and ipm._KKT._refined; returns (residuals per step, then final residuals,
+    and stop counts per step)."""
     import numpy as np
+    import scipy.sparse as sp
 
-    steps = [[] for _ in range(ipm.REFINEMENT_STEPS + 1 + extra)]
-    solve, refined = ipm._KKT._solve, ipm._KKT._refined
-    arguments = []  # of the _solve calls of the current refinement
+    steps = [[] for _ in range(ipm.REFINEMENT_STEPS + 2)]  # the last list: final residuals
+    stops = [0] * (ipm.REFINEMENT_STEPS + 1)
+    returns = []  # of the factor's solves in the current _refined call
+    splu, refined = ipm.splu, ipm._KKT._refined
+    last = {}  # the last factor seen, held so that it stays that object, and its Kx
 
-    def recorded_solve(kkt, rhs):
-        arguments.append(rhs)
-        return solve(kkt, rhs)
+    def recorded_splu(*args, **kwargs):
+        return _RecordingFactor(splu(*args, **kwargs), returns)
 
     def recorded_refined(kkt, rhs):
-        arguments.clear()
+        returns.clear()
         sol = refined(kkt, rhs)
-        residuals = arguments[1:] + [rhs - kkt.Kx @ sol]
-        more = sol.copy()
-        for _ in range(extra):
-            more += solve(kkt, residuals[-1])
-            residuals.append(rhs - kkt.Kx @ more)
-        scale = np.abs(rhs).max(axis=0)
-        for values, res in zip(steps, residuals):
-            values.extend(np.atleast_1d(np.abs(res).max(axis=0) / scale).tolist())
+        if last.get("factor") is not kkt.lu:
+            qi = np.argsort(kkt.q)
+            K = kkt.K[qi][:, qi] - sp.diags(ipm.REGULARIZATION * kkt.signs)
+            last.update(factor=kkt.lu, Kx=K.tocsr())
+        Kx = last["Kx"]
+        x = returns[0].copy()
+        scale = np.abs(rhs).max()
+        for k, step in enumerate(returns):
+            if k:
+                x += step
+            at = np.empty_like(x)
+            at[kkt.q] = x
+            steps[k].append(float(np.abs(rhs - Kx @ at).max() / scale))
+        if at.tobytes() != sol.tobytes():
+            raise AssertionError("the rebuilt steps do not give _refined's solution")
+        steps[-1].append(steps[len(returns) - 1][-1])
+        stops[len(returns) - 1] += 1
         return sol
 
-    ipm._KKT._solve, ipm._KKT._refined = recorded_solve, recorded_refined
-    return steps
+    ipm.splu, ipm._KKT._refined = recorded_splu, recorded_refined
+    return steps, stops
 
 
-def summary(name, steps, used):
+def summary(name, steps, stops):
     import numpy as np
 
     parts = [f"{name}: columns={len(steps[0])}"]
+    parts.append("stopped after " + " ".join(f"{k}={n}" for k, n in enumerate(stops)))
     for k, values in enumerate(steps):
+        label = f"step{k}" if k < len(steps) - 1 else "final"
+        if not values:
+            parts.append(f"{label} n=0")
+            continue
         q = np.percentile(values, QUANTILES)
-        label = f"step{k}" + ("" if k <= used else "*")
         parts.append(
-            f"{label} " + " ".join(f"p{p}={v:.1e}" for p, v in zip(QUANTILES, q))
+            f"{label} n={len(values)} " + " ".join(f"p{p}={v:.1e}" for p, v in zip(QUANTILES, q))
             + f" max={max(values):.1e}"
         )
     return " | ".join(parts)
@@ -81,12 +116,6 @@ def summary(name, steps, used):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
-    parser.add_argument(
-        "--extra",
-        type=int,
-        default=0,
-        help="refinement steps past ipm.REFINEMENT_STEPS to record (marked *), not used",
-    )
     args = parser.parse_args(argv)
     sys.path.insert(0, str(ROOT))
     from perfbench import run
@@ -95,15 +124,16 @@ def main(argv=None):
     from perfbench import driver
     from perfbench.workloads import WORKLOADS
 
-    steps = recording(api.ipm, args.extra)
+    steps, stops = recording(api.ipm)
     for name, workload in WORKLOADS.items():
         for values in steps:
             values.clear()
+        stops[:] = [0] * len(stops)
         for seed in args.seeds:
             with tempfile.TemporaryDirectory() as tmp:
                 chains = run.setup(api, workload, seed, {}, Path(tmp))
             driver.run_pass(api, chains, lambda: 1.0)
-        print(summary(name, steps, api.ipm.REFINEMENT_STEPS), flush=True)
+        print(summary(name, steps, stops), flush=True)
     return 0
 
 

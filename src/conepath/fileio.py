@@ -109,7 +109,10 @@ def read_problem(path):
         specs.append(_parse_cone(parts, ln))
 
     def triplets(tag, shape, mirror):
-        # checks raise directly, so no message is formatted on valid lines
+        """The (values, (rows, cols)) of a '<tag> <count>' block; no array of the declared shape.
+
+        Checks raise directly, so no message is formatted on valid lines.
+        """
         nnz = scalar(tag)
         entries = {}  # (i, j) -> value
         for _ in range(nnz):
@@ -134,7 +137,7 @@ def read_problem(path):
         if mirror:
             off = rows != cols
             rows, cols, vals = np.r_[rows, cols[off]], np.r_[cols, rows[off]], np.r_[vals, vals[off]]
-        return sp.csc_matrix((vals, (rows, cols)), shape=shape, dtype=float)
+        return vals, (rows, cols)
 
     P = triplets("P", (n, n), mirror=True)
     A = triplets("A", (m, n), mirror=False)
@@ -151,6 +154,10 @@ def read_problem(path):
 
     q = vector("q", n)
     b = vector("b", m)
+    # the matrices are built at the declared n and m only now, when q and
+    # b have held that many values: memory follows the file's size
+    P = sp.csc_matrix(P, shape=(n, n), dtype=float)
+    A = sp.csc_matrix(A, shape=(m, n), dtype=float)
     try:
         return ConicProblem(P=P, q=q, A=A, b=b, cones=ConeProduct(tuple(specs)))
     except Unsupported as exc:

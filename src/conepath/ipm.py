@@ -27,11 +27,16 @@ side share its products with P, A' and A.  The optimality test reads
 ||r||/tau at the tau-scaled point, the certificates the raw point, each
 inequality as documented.
 
-A solve assembles its KKT matrix once, with a fixed pattern and one
-symmetric fill-reducing order; each iteration writes only the values of
-the barrier scaling, in place, and factors K with static diagonal
-pivots, which its quasi-definiteness allows.  _KKT builds K from the
-one form in which every kind gives H^-1 (cones.Scaling).
+The KKT matrix's structure, its pattern, one symmetric fill-reducing
+order and every entry's position, is built once per sparsity pattern
+and kept, read-only and free of values, for the next solve of that
+pattern, as in a warm chain.  Each solve writes its P and A into values
+of its own; each iteration writes only the barrier scaling, in place,
+and factors K with static diagonal pivots, which its quasi-definiteness
+allows.  _KKT builds K from the one form in which every kind gives H^-1
+(cones.Scaling).  Each solve with the factor is refined against K
+without its regularization until max|r| <= REFINEMENT_TOLERANCE*max|rhs|,
+rounding level, for at most REFINEMENT_STEPS steps.
 
 Part i of the scaling is H(s_i)^-1/mu_i, with the part's own path
 parameter mu_i = <s_i, z_i>/nu_i in place of the global mu, so that the
@@ -254,6 +259,9 @@ REGULARIZATION = 1e-8  # every pivot of K nonzero, P singular or not; refinement
 # SuperLU's symmetric mode with static diagonal pivots: an LDL'-like factor of K
 STATIC_PIVOTS = dict(diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
 REFINEMENT_STEPS = 3  # against K without regularization; see _KKT for why three
+# a refinement step stops its column once max|r| <= this * max|rhs|: a few
+# roundings of r's evaluation, below which another step cannot reliably go
+REFINEMENT_TOLERANCE = 8 * np.finfo(float).eps
 EPS_IA = 1e-8  # infeasibility certificates need |b'z| or |q'x| above this
 EPS_IR = 1e-8  # relative residual an infeasibility certificate may leave
 
@@ -408,61 +416,11 @@ def _positions(M, rows, cols):
     return np.searchsorted(keys, cols * M.shape[0] + rows)
 
 
-class _KKT:
-    """K = [[P, A', 0], [A, -W, L], [0, L', D]] + REGULARIZATION * diag(signs), built once per solve.
+class _Pattern:
+    """K's symbolic structure, built from the sparsity pattern alone and read-only (_KKT)."""
 
-    Each barrier block's H^-1 = blockdiag(B) + sum_c sign_c U_c U_c'
-    (cones.Scaling) enters as its blocks B/mu_i in W and one lifted row
-    and column per U_c, as in ECOS (Domahidi, Chu & Boyd, ECC 2013): L
-    holds the U_c, D the pivots sign_c*mu_i.  Eliminating them leaves
-    -H^-1/mu_i, the (2,2) block of the unlifted K.  A second-order block,
-    t I + uu' - vv', so takes d + 4d + 2 stored entries where the dense
-    block has d^2, and t stays an entry of its own instead of rounding
-    away against s0^2 late in a solve.  The lifted rows follow the n + m
-    rows of x and z.
-
-    One bmat stores P, A', A, W's pattern, L, L' and D; adding the
-    regularization stores K's whole diagonal.  factor writes W, L and D
-    in place, W with the float operations of a fresh assembly: h/mu_i,
-    its negation, then the regularization on the diagonal.  unit maps
-    each row of z to its slot of factor's mu_i: one per part
-    (Scaling.mu_parts), and slot 0, the global mu, for Zero rows and
-    blocks of no part; owner and lift_owner map each entry of W and each
-    lifted column to its slot, so factor divides by mu_i in place.
-
-    signs is +1 on the rows of x and of the + columns, -1 on those of z
-    and of the - columns.  With delta = REGULARIZATION, K is symmetric
-    quasi-definite along that split: the + side is P + delta I and
-    mu_i + delta, positive definite; the - side is -W - delta I bordered
-    by the - columns and -mu_i - delta, whose Schur complement (for an
-    SOC block's v, about -mu_i (s0 - n)^2/t, n = ||s1||) is negative.  So
-    K has an LDL' factor in every symmetric order with pivots taken from
-    the diagonal (Vanderbei, SIAM J. Optim. 1995), and SuperLU factors it
-    with STATIC_PIVOTS, no pivot search.  The order q is reverse
-    Cuthill-McKee on K's pattern, computed once per solve; K is stored as
-    K[q][:, q] and each factor takes it as NATURAL.  An exact zero (at an
-    SOC or pow unit point, where u = v = 0, or an underflow) stays a
-    stored entry: no pivot leaves the diagonal, and no diagonal entry is
-    zero.
-
-    Nothing bounds growth without a pivot search: a pivot of delta alone
-    (where P_ii = 0, or on a Zero cone's row) taken before its neighbours
-    scales its updates by 1/delta.  Minimum degree (MMD_AT_PLUS_A) takes
-    those first, and late in HMCR solves its refined residuals were
-    100-500x partial pivoting's; this order stayed within 3x at the same
-    SVM fill.  solve refines REFINEMENT_STEPS times.  Since ds comes from
-    the primal equation, the solve's residual on a block's rows is an
-    error in its ds: with two steps, one hmcr-pow warm solve of the
-    benchmark (seed 8) ended with proximity rejecting every trial, on a
-    pow block with s near 5e-8 whose rows' residual was 1.3% of ds; the
-    third step solves it (.github/kkt_residuals.py measures residuals).
-
-    hinv gives the right side's products with H(s_i)^-1/mu_i; Kx holds K
-    without the regularization, in the original order, for the residuals
-    of the refinement steps.
-    """
-
-    def __init__(self, problem, stacks):
+    def __init__(self, problem, stacks, key):
+        self.key = key
         n, m = problem.n, problem.m
         empty = np.zeros(0, dtype=np.intp)
         rows, cols, lrows, lcols = [empty], [empty], [empty], [empty]
@@ -470,12 +428,12 @@ class _KKT:
         lifted = 0  # lifted columns so far
         # the path parameter that scales each row: slot 0, the global mu,
         # on Zero rows and where mu_parts is 0; else one slot per part
-        self.unit = np.zeros(m, dtype=np.intp)
+        unit = np.zeros(m, dtype=np.intp)
         degrees = [1.0]
         for b, H in zip(problem.cones.barrier_batches, stacks):
             k, d, w, c = len(b.blocks), b.spec.dim, H.blocks.shape[-1], len(H.signs)
             if parts := H.mu_parts:
-                self.unit[b.sl] = len(degrees) + np.arange(k * d) // (d // parts)
+                unit[b.sl] = len(degrees) + np.arange(k * d) // (d // parts)
                 degrees += [b.spec.degree / parts] * (k * parts)
             t, j, i = np.indices((k * d // w, w, w)).reshape(3, -1)
             rows.append(b.sl.start + t * w + i)
@@ -487,44 +445,161 @@ class _KKT:
             signs.append(np.tile(H.signs, k))
             lifted += c * k
         # block by block, column by column: the CSC order of W and L.
-        # Their values are placeholders, which factor overwrites; they
-        # are nonzero so that the sum below keeps every entry
+        # Every value is a placeholder, nonzero so that the sum below
+        # keeps every entry
         rows, cols = np.concatenate(rows), np.concatenate(cols)
         lrows, lcols = np.concatenate(lrows), np.concatenate(lcols)
+        # W and L, which each _KKT copies to write its own values
         self.Hinv = sp.csc_matrix(
             (np.ones(len(rows)), rows, np.searchsorted(cols, np.arange(m + 1))), shape=(m, m)
         )
-        self.L = sp.csc_matrix(
+        self.L = L = sp.csc_matrix(
             (np.ones(len(lrows)), lrows, np.searchsorted(lcols, np.arange(lifted + 1))),
             shape=(m, lifted),
         )
-        self.LT = self.L.T  # a CSR view of L's arrays
         self.degrees = np.array(degrees)
-        # the owner of each entry of Hinv.data and of each lifted column:
-        # an index into factor's mu_blocks, whose slot 0 holds the global mu
-        self.owner = self.unit[rows]
-        self.lift_owner = self.unit[self.L.indices[self.L.indptr[:-1]]]
+        self.unit = unit
+        # the slot of each entry of W and of each lifted column
+        self.owner = unit[rows]
+        self.lift_owner = unit[L.indices[L.indptr[:-1]]]
         self.unit_pivots = np.concatenate(signs)
-        A, L = problem.A, self.L
-        self.Kx = sp.bmat(
-            [[problem.P, A.T, None], [A, self.Hinv, L], [None, L.T, sp.diags(self.unit_pivots)]],
+        P, A = (sp.csc_matrix((np.ones(M.nnz), M.indices, M.indptr), shape=M.shape)
+                for M in (problem.P, problem.A))
+        K = sp.bmat(
+            [[P, A.T, None], [A, self.Hinv, L], [None, L.T, sp.diags(self.unit_pivots)]],
             format="csc",
+        )
+        self.signs = np.r_[np.ones(n), -np.ones(m), self.unit_pivots]
+        # the sum stores K's whole diagonal: P and A store no zero, and
+        # the quasi-definite diagonal sums are nonzero
+        K = K + sp.diags(REGULARIZATION * self.signs)
+        self.q = reverse_cuthill_mckee(K, symmetric_mode=True)
+        K = K[self.q][:, self.q]
+        K.sort_indices()  # _positions needs sorted indices
+        qi = np.argsort(self.q)  # entry (i, j) of K moves to (qi[i], qi[j])
+
+        def placed(R, C):
+            """The positions in K.data of the entries (R, C), and the regularization on each."""
+            reg = np.where(R == C, REGULARIZATION * self.signs[R], 0.0)
+            return _positions(K, qi[R], qi[C]), reg
+
+        # every entry a _KKT writes once, P, A and A', in the order of their data
+        P, A = problem.P.tocoo(), problem.A.tocoo()
+        self.fixed, self.fixed_reg = placed(
+            np.r_[P.row, n + A.row, A.col], np.r_[P.col, A.col, n + A.row]
         )
         # every entry factor writes, W, L, L' and D, in the order of its values
         lifted_rows = n + m + np.arange(lifted)
-        R = np.concatenate([n + rows, n + lrows, n + m + lcols, lifted_rows])
-        C = np.concatenate([n + cols, n + m + lcols, n + lrows, lifted_rows])
-        self.xpos = _positions(self.Kx, R, C)
-        self.signs = np.r_[np.ones(n), -np.ones(m), self.unit_pivots]
-        self.reg = np.where(R == C, REGULARIZATION * self.signs[R], 0.0)
-        # the sum stores K's whole diagonal: P and A store no zero, and
-        # the quasi-definite diagonal sums are nonzero
-        K = self.Kx + sp.diags(REGULARIZATION * self.signs)
-        self.q = reverse_cuthill_mckee(K, symmetric_mode=True)
-        self.K = K[self.q][:, self.q]
-        self.K.sort_indices()  # _positions needs sorted indices
-        qi = np.argsort(self.q)  # entry (i, j) of K moves to (qi[i], qi[j])
-        self.kpos = _positions(self.K, qi[R], qi[C])
+        self.kpos, self.reg = placed(
+            np.concatenate([n + rows, n + lrows, n + m + lcols, lifted_rows]),
+            np.concatenate([n + cols, n + m + lcols, n + lrows, lifted_rows]),
+        )
+        # K's template, which each _KKT copies: 0 where it or factor
+        # writes, the regularization alone where neither does (the rows
+        # of x where P has no diagonal entry, and the Zero rows)
+        K.data[self.fixed] = 0.0
+        K.data[self.kpos] = 0.0
+        self.K = K
+        self.delta = REGULARIZATION * self.signs[self.q]  # the regularization in K's order
+        for v in vars(self).values():
+            for a in (v.data, v.indices, v.indptr) if sp.issparse(v) else (v,):
+                if isinstance(a, np.ndarray):
+                    a.flags.writeable = False
+
+
+# The last pattern a solve built, which a solve of an equal pattern
+# reuses, as each member of a warm chain after the first does.  It is
+# shared by every solve in the process, but it is read-only and holds
+# no values: which one is kept decides whether a solve builds one,
+# never a bit of its result.
+_last_pattern = None
+
+
+def _pattern(problem, stacks):
+    """The _Pattern of problem's K: the last one built if its key matches, else a new one."""
+    global _last_pattern
+    forms = tuple((H.blocks.shape[-1], H.signs, H.mu_parts) for H in stacks)
+    patterns = tuple(
+        (M.shape, M.indptr.tobytes(), M.indices.tobytes()) for M in (problem.P, problem.A)
+    )
+    key = problem.cones.blocks, forms, patterns
+    pattern = _last_pattern
+    if pattern is None or pattern.key != key:
+        pattern = _last_pattern = _Pattern(problem, stacks, key)
+    return pattern
+
+
+class _KKT:
+    """K = [[P, A', 0], [A, -W, L], [0, L', D]] + REGULARIZATION * diag(signs), for one solve.
+
+    Each barrier block's H^-1 = blockdiag(B) + sum_c sign_c U_c U_c'
+    (cones.Scaling) enters as its blocks B/mu_i in W and one lifted row
+    and column per U_c, as in ECOS (Domahidi, Chu & Boyd, ECC 2013): L
+    holds the U_c, D the pivots sign_c*mu_i.  Eliminating them leaves
+    -H^-1/mu_i, the (2,2) block of the unlifted K.  A second-order block,
+    t I + uu' - vv', so takes d + 4d + 2 stored entries where the dense
+    block has d^2, and t stays an entry of its own instead of rounding
+    away against s0^2 late in a solve.  The lifted rows follow the n + m
+    rows of x and z.
+
+    What is cached.  Everything that depends on the sparsity pattern
+    alone is a _Pattern: K's pattern in its order q, the position of
+    every entry, signs and the regularization.  P and A enter its bmat
+    as placeholder ones, as W, L and D do, so it holds no value of any
+    problem, and its arrays are read-only.  _pattern keeps the last one
+    built and reuses it for every solve whose cone blocks, scaling forms
+    and P and A patterns are equal, so a warm chain assembles K (one
+    bmat) and orders it once.  Each _KKT copies the values it writes,
+    K's, W's and L's, writes its P and A into K once, at construction,
+    and never writes what another solve reads.  factor writes W, L and D
+    in place, once, into K, with the float operations of a fresh
+    assembly: h/mu_i, its negation, then the regularization on the
+    diagonal.  unit maps each row of z to its slot of factor's mu_i: one
+    per part (Scaling.mu_parts), and slot 0, the global mu, for Zero
+    rows and blocks of no part; owner and lift_owner map each entry of W
+    and each lifted column to its slot, so factor divides by mu_i in
+    place.
+
+    signs is +1 on the rows of x and of the + columns, -1 on those of z
+    and of the - columns.  With delta = REGULARIZATION, K is symmetric
+    quasi-definite along that split: the + side is P + delta I and
+    mu_i + delta, positive definite; the - side is -W - delta I bordered
+    by the - columns and -mu_i - delta, whose Schur complement (for an
+    SOC block's v, about -mu_i (s0 - n)^2/t, n = ||s1||) is negative.  So
+    K has an LDL' factor in every symmetric order with pivots taken from
+    the diagonal (Vanderbei, SIAM J. Optim. 1995), and SuperLU factors it
+    with STATIC_PIVOTS, no pivot search.  The order q is reverse
+    Cuthill-McKee on K's pattern; K is stored as K[q][:, q] and each
+    factor takes it as NATURAL.  An exact zero (at an SOC or pow unit
+    point, where u = v = 0, or an underflow) stays a stored entry: no
+    pivot leaves the diagonal, and no diagonal entry is zero.
+
+    Nothing bounds growth without a pivot search: a pivot of delta alone
+    (where P_ii = 0, or on a Zero cone's row) taken before its neighbours
+    scales its updates by 1/delta.  Minimum degree (MMD_AT_PLUS_A) takes
+    those first, and late in HMCR solves its refined residuals were
+    100-500x partial pivoting's; this order stayed within 3x at the same
+    SVM fill.  So solve refines, in K's order, against K minus its
+    delta*signs diagonal: r = rhs - (K x - delta*signs*x).  A column stops
+    once max|r| <= REFINEMENT_TOLERANCE*max|rhs|, the rounding of r's own
+    evaluation, where another step cannot reliably lower it; else it
+    takes up to REFINEMENT_STEPS steps.  Since ds comes from the primal
+    equation, the solve's residual on a block's rows is an error in its
+    ds: with two steps, one hmcr-pow warm solve of the benchmark (seed 8)
+    ended with proximity rejecting every trial, on a pow block with s
+    near 5e-8 whose rows' residual was 1.3% of ds; the third step solves
+    it (.github/kkt_residuals.py measures residuals).
+
+    hinv gives the right side's products with H(s_i)^-1/mu_i.
+    """
+
+    def __init__(self, problem, stacks):
+        self.pattern = p = _pattern(problem, stacks)
+        self.q, self.signs = p.q, p.signs
+        self.K, self.Hinv, self.L = p.K.copy(), p.Hinv.copy(), p.L.copy()
+        self.LT = self.L.T  # a CSR view of L's arrays
+        values = np.concatenate([problem.P.data, problem.A.data, problem.A.data])
+        self.K.data[p.fixed] = values + p.fixed_reg
 
     def factor(self, stacks, mu, s, z):
         """Write -H(s_i)^-1/mu_i from the barrier batches' Scalings and factor K.
@@ -533,17 +608,17 @@ class _KKT:
         blocks with no part take the global mu.  Raises RuntimeError if K
         is singular.
         """
-        mu_blocks = np.bincount(self.unit, weights=s * z, minlength=len(self.degrees))
-        mu_blocks /= self.degrees
+        p = self.pattern
+        mu_blocks = np.bincount(p.unit, weights=s * z, minlength=len(p.degrees))
+        mu_blocks /= p.degrees
         mu_blocks[0] = mu
         blocks = [np.zeros(0)] + [H.blocks.swapaxes(-1, -2).ravel() for H in stacks]
         np.concatenate(blocks, out=self.Hinv.data)
-        self.Hinv.data /= mu_blocks[self.owner]
+        self.Hinv.data /= mu_blocks[p.owner]
         np.concatenate([np.zeros(0)] + [H.lifts.ravel() for H in stacks], out=self.L.data)
-        self.pivots = mu_blocks[self.lift_owner] * self.unit_pivots
+        self.pivots = mu_blocks[p.lift_owner] * p.unit_pivots
         values = np.concatenate([-self.Hinv.data, self.L.data, self.L.data, self.pivots])
-        self.Kx.data[self.xpos] = values
-        self.K.data[self.kpos] = values + self.reg
+        self.K.data[p.kpos] = values + p.reg
         self.lu = splu(self.K, permc_spec="NATURAL", **STATIC_PIVOTS)
 
     def hinv(self, r):
@@ -553,21 +628,30 @@ class _KKT:
             out += self.L @ ((self.LT @ r) / self.pivots)
         return out
 
-    def _solve(self, rhs):
-        sol = np.empty_like(rhs)
-        sol[self.q] = self.lu.solve(rhs[self.q])
-        return sol
-
     def _refined(self, rhs):
-        """K^-1 rhs on every row of K, the lifted ones too, refined against Kx."""
-        sol = self._solve(rhs)
+        """K^-1 rhs for an rhs on every row of K, the lifted ones too, refined until it stops."""
+        b = rhs[self.q]
+        x = self.lu.solve(b)
+        delta = self.pattern.delta
+        bound = REFINEMENT_TOLERANCE * np.abs(b).max()
         for _ in range(REFINEMENT_STEPS):
-            sol += self._solve(rhs - self.Kx @ sol)
+            r = b - (self.K @ x - delta * x)
+            if np.abs(r).max() <= bound:
+                break
+            x += self.lu.solve(r)
+        sol = np.empty_like(x)
+        sol[self.q] = x
         return sol
 
     def solve(self, rhs):
-        """K^-1 [rhs; 0] for an (n + m,) or (n + m, k) rhs, without the lifted rows' entries."""
-        full = np.zeros((len(self.signs),) + rhs.shape[1:])
+        """K^-1 [rhs; 0] for an (n + m,) or (n + m, k) rhs, without the lifted rows' entries.
+
+        Each column is solved and refined on its own, so its steps and its
+        bits do not depend on the other columns.
+        """
+        if rhs.ndim == 2:
+            return np.column_stack([self.solve(np.ascontiguousarray(c)) for c in rhs.T])
+        full = np.zeros(len(self.signs))
         full[: len(rhs)] = rhs
         return self._refined(full)[: len(rhs)]
 

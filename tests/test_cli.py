@@ -4,6 +4,7 @@ import argparse
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -150,6 +151,25 @@ class TestProblemFiles:
             with pytest.raises(ParseError, match="repeated triplet") as info:
                 fileio.read_problem(path)
             assert info.value.line == at + 3, tag
+
+    def test_short_q_line_fails_before_allocating_the_declared_size(self, tmp_path):
+        # a 9-line file declaring n = 2,000,000: P and A are built only
+        # once q and b hold their declared lengths, so the short q line
+        # fails first, with memory that follows the file, not n
+        path = tmp_path / "p.prob"
+        path.write_text(
+            "conepath-problem 1\nn 2000000\nm 1\ncones 1\ncone nonneg 1\n"
+            "P 0\nA 1\n0 0 1.0\nq 1.0\n"
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match="q needs 2000000 values") as info:
+                fileio.read_problem(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert info.value.line == 9
+        assert peak < 1_000_000, peak
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "p.prob"

@@ -547,9 +547,16 @@ class TestSolverMechanics:
         assert report.solve_time > 0.0
 
 
+def unregularized(kkt):
+    """K without its regularization, in the original order, from kkt.K, kkt.q and kkt.signs."""
+    qi = np.argsort(kkt.q)
+    return (kkt.K[qi][:, qi] - sp.diags(ipm.REGULARIZATION * kkt.signs)).tocsc()
+
+
 class TestKKTStructure:
-    def test_one_assembly_per_solve_and_ordering_computed_once(self, monkeypatch):
+    def test_one_assembly_per_pattern_and_ordering_computed_once(self, monkeypatch):
         prob = gen_portfolio(synth_returns(6, 30, 0), 5e-4)
+        monkeypatch.setattr(ipm, "_last_pattern", None)  # whatever another test solved last
         kinds = {spec.kind for spec in prob.cones.blocks}
         assert {ConeKind.ZERO, ConeKind.NONNEGATIVE, ConeKind.SECOND_ORDER} <= kinds
         # a nonneg scaling block is diagonal; an SOC block is its diagonal,
@@ -591,12 +598,14 @@ class TestKKTStructure:
         monkeypatch.setattr(ipm, "reverse_cuthill_mckee", counting_rcm)
         monkeypatch.setattr(ipm, "splu", counting_splu)
 
-        def check(report, iterations):
+        def check(report, iterations, built):
             assert report.status is SolveStatus.OPTIMAL
-            assert assembled == [expected]
-            # one order per solve; one factorization per step, each in
-            # that order with static diagonal pivots
-            assert orderings == [((prob.n + prob.m + lifted,) * 2, expected + missing + unscaled)]
+            # one assembly and one order per pattern: the warm solve of
+            # the same pattern takes neither; one factorization per
+            # step, each in that order with static diagonal pivots
+            assert assembled == [expected] * built
+            order = ((prob.n + prob.m + lifted,) * 2, expected + missing + unscaled)
+            assert orderings == [order] * built
             assert len(factors) == report.iterations == iterations
             static = dict(permc_spec="NATURAL", **ipm.STATIC_PIVOTS)
             assert all(kwargs == static for kwargs, _ in factors)
@@ -607,9 +616,9 @@ class TestKKTStructure:
         # at the unit point the SOC block's u and v are exact zeros, stored
         # entries of the first K; they take no second ordering
         assert not factors[0][1]
-        check(cold, 17)
+        check(cold, 17, built=1)
         ws = warmstart(PreviousSolution(*cold.solution, problem=prob), prob.cones)
-        check(solve(prob, warm_start(prob, ws)), 2)
+        check(solve(prob, warm_start(prob, ws)), 2, built=0)
 
     def test_factor_fill_on_svm_l1(self, monkeypatch):
         # guards the gain: COLAMD with partial pivoting filled L + U to
@@ -743,21 +752,30 @@ class TestKKTStructure:
             v = rng.standard_normal(prob.n + prob.m)
             lifted = np.r_[v, np.zeros(len(pivots))]  # the lifted rows' right side is 0
             r = rng.standard_normal(prob.m)
-            assert (kkt.Kx @ lifted).tobytes() == (K_exact @ lifted).tobytes()
+            # refinement's operator, K minus its regularization, is K_exact
+            # up to the rounding of (a + delta) - delta on the diagonal
+            np.testing.assert_allclose(
+                unregularized(kkt) @ lifted, K_exact @ lifted,
+                rtol=0.0, atol=4 * np.finfo(float).eps * (abs(K) @ abs(lifted)).max(),
+            )
             fresh_hinv = Hinv @ r + L @ ((L.T @ r) / pivots)
             assert kkt.hinv(r).tobytes() == fresh_hinv.tobytes()
             # a fresh symmetric splu with static diagonal pivots of the fresh K[q][:, q]
             lu = splu(K[q][:, q].tocsc(), permc_spec="NATURAL", **ipm.STATIC_PIVOTS)
             assert (lu.perm_r == lu.perm_c).all()  # every pivot on the diagonal
 
-            def fresh_solve(rhs):
-                sol = np.empty_like(rhs)
-                sol[q] = lu.solve(rhs[q])
-                return sol
-
-            sol = fresh_solve(lifted)
+            # refined in K's order against K[q][:, q] minus delta*signs[q],
+            # until max|r| <= REFINEMENT_TOLERANCE*max|rhs|
+            Kq, delta = K[q][:, q].tocsc(), ipm.REGULARIZATION * kkt.signs[q]
+            b = lifted[q]
+            x = lu.solve(b)
             for _ in range(ipm.REFINEMENT_STEPS):
-                sol += fresh_solve(lifted - K_exact @ sol)
+                r = b - (Kq @ x - delta * x)
+                if np.abs(r).max() <= ipm.REFINEMENT_TOLERANCE * np.abs(b).max():
+                    break
+                x += lu.solve(r)
+            sol = np.empty_like(x)
+            sol[q] = x
             ours = kkt.solve(v)
             assert ours.shape == v.shape  # the lifted entries are dropped
             if zeros:
@@ -768,7 +786,7 @@ class TestKKTStructure:
             for ours_lu, theirs in ((kkt.lu.L, lu.L), (kkt.lu.U, lu.U)):
                 for attr in ("indptr", "indices", "data"):
                     assert getattr(ours_lu, attr).tobytes() == getattr(theirs, attr).tobytes()
-            assert kkt._solve(lifted).tobytes() == fresh_solve(lifted).tobytes()
+            assert kkt.lu.solve(lifted[q]).tobytes() == lu.solve(lifted[q]).tobytes()
             assert ours.tobytes() == sol[: len(v)].tobytes()
 
     def test_two_column_solve_equals_two_solves_bitwise(self):
@@ -784,6 +802,117 @@ class TestKKTStructure:
         both = kkt.solve(rhs)
         for j in range(2):
             assert both[:, j].tobytes() == kkt.solve(rhs[:, j].copy()).tobytes()
+
+    @staticmethod
+    def interior_stacks(prob, rng):
+        """A random interior s and the barrier batches' Scalings at it."""
+        s = np.zeros(prob.m)
+        for b in prob.cones.barrier_batches:
+            s[b.sl] = np.concatenate([random_interior(b.spec, rng) for _ in b.blocks])
+        return s, [barrier_hessian_inverse(b.spec, b.rows(s)) for b in prob.cones.barrier_batches]
+
+    def test_reused_pattern_gives_the_fresh_iterates_bitwise(self, monkeypatch):
+        # prob solved with a pattern built for it, then after first, a
+        # problem of the same pattern with other P and A values
+        prob = gen_portfolio(synth_returns(6, 30, 0), 5e-4)
+        first = gen_portfolio(synth_returns(6, 30, 1), 5e-4)
+        for M, N in ((prob.P, first.P), (prob.A, first.A)):
+            assert np.array_equal(M.indptr, N.indptr) and np.array_equal(M.indices, N.indices)
+        assert not np.array_equal(prob.A.data, first.A.data)
+
+        def cold_and_warm():
+            cold = solve(prob, cold_start(prob))
+            ws = warmstart(PreviousSolution(*cold.solution, problem=prob), prob.cones)
+            return cold, solve(prob, warm_start(prob, ws))
+
+        monkeypatch.setattr(ipm, "_last_pattern", None)
+        fresh = cold_and_warm()
+        built = ipm._last_pattern
+        monkeypatch.setattr(ipm, "_last_pattern", None)
+        solve(first, cold_start(first))
+        reused = ipm._last_pattern
+        again = cold_and_warm()
+        assert ipm._last_pattern is reused and reused is not built
+        for ours, theirs in zip(again, fresh):
+            assert ours.status is theirs.status is SolveStatus.OPTIMAL
+            assert ours.iterations == theirs.iterations
+            for part in ("x", "s", "z"):
+                assert getattr(ours, part).tobytes() == getattr(theirs, part).tobytes()
+            assert [row.mu for row in ours.trace] == [row.mu for row in theirs.trace]
+
+    def test_changed_pattern_or_cone_product_rebuilds(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        prob = self.product_problem(rng)
+        monkeypatch.setattr(ipm, "_last_pattern", None)
+        assembled = []
+        bmat = ipm.sp.bmat
+
+        def counting_bmat(*args, **kwargs):
+            assembled.append(1)
+            return bmat(*args, **kwargs)
+
+        monkeypatch.setattr(ipm.sp, "bmat", counting_bmat)
+
+        def pattern(problem):
+            _, stacks = self.interior_stacks(problem, rng)
+            return ipm._KKT(problem, stacks).pattern
+
+        built = pattern(prob)
+        assert pattern(prob) is built and len(assembled) == 1
+        # the same patterns with other values: no rebuild
+        scaled = ConicProblem(P=2.0 * prob.P, q=prob.q, A=3.0 * prob.A, b=prob.b, cones=prob.cones)
+        assert pattern(scaled) is built and len(assembled) == 1
+        # one entry of A or of P's diagonal fewer; the two second-order
+        # blocks' dimensions swapped, with P, A and each batch's scaling
+        # form unchanged
+        A = prob.A.tolil()
+        A[prob.A.nonzero()[0][0], prob.A.nonzero()[1][0]] = 0.0
+        P = prob.P.tolil()
+        P[0, 0] = 0.0
+        blocks = list(prob.cones.blocks)
+        assert blocks[2] == ConeSpec.second_order(4) and blocks[-1] == ConeSpec.second_order(3)
+        blocks[2], blocks[-1] = blocks[-1], blocks[2]
+        changed = (
+            ConicProblem(P=prob.P, q=prob.q, A=A, b=prob.b, cones=prob.cones),
+            ConicProblem(P=P, q=prob.q, A=prob.A, b=prob.b, cones=prob.cones),
+            ConicProblem(P=prob.P, q=prob.q, A=prob.A, b=prob.b, cones=ConeProduct(tuple(blocks))),
+        )
+        for other in changed:
+            # each right after prob's own pattern, so it differs in one thing
+            base, seen = pattern(prob), len(assembled)
+            assert pattern(other) is not base and len(assembled) == seen + 1
+
+    def test_one_solves_values_never_reach_another(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        prob = self.product_problem(rng)
+        other = ConicProblem(P=2.0 * prob.P, q=prob.q, A=3.0 * prob.A, b=prob.b, cones=prob.cones)
+        monkeypatch.setattr(ipm, "_last_pattern", None)
+        s, stacks = self.interior_stacks(prob, rng)
+        z = self.dual_point(prob, rng)
+        kkt = ipm._KKT(prob, stacks)
+        kkt.factor(stacks, 0.1, s, z)
+        before = kkt.K.data.copy()
+        kkt_other = ipm._KKT(other, stacks)
+        assert kkt_other.pattern is kkt.pattern
+        kkt_other.factor(stacks, 0.2, s, z)
+        assert kkt.K.data.tobytes() == before.tobytes()
+        n, m, delta = prob.n, prob.m, ipm.REGULARIZATION
+        for ours, problem in ((kkt, prob), (kkt_other, other)):
+            qi = np.argsort(ours.q)
+            K = ours.K[qi][:, qi].toarray()
+            assert np.array_equal(K[:n, :n], problem.P.toarray() + delta * np.eye(n))
+            assert np.array_equal(K[n : n + m, :n], problem.A.toarray())
+            assert np.array_equal(K[:n, n : n + m], problem.A.T.toarray())
+        # the shared structure holds no value of either problem, and no
+        # solve can write it
+        pattern = kkt.pattern
+        assert set(np.unique(pattern.K.data)) <= {0.0, delta, -delta}
+        arrays = [v for v in vars(pattern).values() if isinstance(v, np.ndarray)]
+        for M in (pattern.K, pattern.Hinv, pattern.L):
+            arrays += [M.data, M.indices, M.indptr]
+        assert len(arrays) > 10 and not any(a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError):
+            pattern.K.indices[0] = 0
 
     @staticmethod
     def soc_gap_point(prob, rng, gap):
@@ -811,7 +940,7 @@ class TestKKTStructure:
         kkt = ipm._KKT(prob, stacks)
         kkt.factor(stacks, mu, s, z)
         # eliminate the lifted rows from the (2,2) block
-        K22 = kkt.Kx[n:, n:].toarray()
+        K22 = unregularized(kkt)[n:, n:].toarray()
         W, B, D = K22[:m, :m], K22[:m, m:], K22[m:, m:]
         schur = W - B @ np.linalg.solve(D, B.T) if len(D) else W
         for b, stack in zip(cones.barrier_batches, stacks):
@@ -875,7 +1004,7 @@ class TestKKTStructure:
         kkt.factor(stacks, 0.3, s, z)
         (batch,) = [b for b in prob.cones.batches if b.spec.kind is ConeKind.NONNEGATIVE]
         rows = np.arange(batch.sl.start, batch.sl.stop)
-        W2 = -kkt.Kx[prob.n :, prob.n :].toarray()[:m, :m][np.ix_(rows, rows)]
+        W2 = -unregularized(kkt)[prob.n :, prob.n :].toarray()[:m, :m][np.ix_(rows, rows)]
         assert not (W2 - np.diag(np.diag(W2))).any()
         np.testing.assert_allclose(np.diag(W2) * z[rows], s[rows], rtol=4 * np.finfo(float).eps)
 
@@ -894,7 +1023,7 @@ class TestKKTStructure:
             kkt = ipm._KKT(prob, stacks)
             kkt.factor(stacks, mu, s, z)
             _, K_exact, _, _, _ = self.fresh(prob, stacks, np.full(prob.m, mu))
-            ours = kkt.Kx.toarray()
+            ours = unregularized(kkt).toarray()
             np.testing.assert_allclose(ours, K_exact.toarray(), rtol=1e-12, atol=0.0)
 
 
@@ -978,13 +1107,14 @@ class TestKKTAccuracy:
             K = kkt.K[qi][:, qi].tocsc()
             K.eliminate_zeros()
             lu = splu(K)
+            Kx = unregularized(kkt)
             lifted = np.zeros(len(kkt.signs) - prob.n - prob.m)
             for rhs in (np.r_[-prob.q, prob.b], rng.standard_normal(prob.n + prob.m)):
                 rhs = np.r_[rhs, lifted]  # the lifted rows' right side is 0
-                ours = residual(kkt._refined(rhs), kkt.Kx, rhs)
+                ours = residual(kkt._refined(rhs), Kx, rhs)
                 sol = lu.solve(rhs)
-                sol += lu.solve(rhs - kkt.Kx @ sol)
-                partial = residual(sol, kkt.Kx, rhs)
+                sol += lu.solve(rhs - Kx @ sol)
+                partial = residual(sol, Kx, rhs)
                 assert ours <= 10.0 * partial, (mu, ours, partial)
 
         monkeypatch.setattr(ipm._KKT, "factor", checked)
@@ -992,6 +1122,115 @@ class TestKKTAccuracy:
         assert report.status is SolveStatus.OPTIMAL
         assert sum(mu < self.LATE_MU for mu in seen) >= 5
         assert min(seen) <= last_mu
+
+
+class TestRefinementStop:
+    """A column is refined while max|r| > REFINEMENT_TOLERANCE*max|rhs|, REFINEMENT_STEPS at most."""
+
+    @staticmethod
+    def recorded(monkeypatch, check):
+        """Call check(kkt, rhs, solves) after each _refined; solves holds each LU solve's
+        (argument, return)."""
+        solves = []
+        splu_, refined = ipm.splu, ipm._KKT._refined
+
+        class Factor:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, r):
+                out = self.lu.solve(r)
+                solves.append((r.copy(), out.copy()))
+                return out
+
+        def recorded_refined(kkt, rhs):
+            solves.clear()
+            sol = refined(kkt, rhs)
+            check(kkt, rhs, list(solves))
+            return sol
+
+        monkeypatch.setattr(ipm, "splu", lambda *args, **kwargs: Factor(splu_(*args, **kwargs)))
+        monkeypatch.setattr(ipm._KKT, "_refined", recorded_refined)
+
+    @staticmethod
+    def residuals(kkt, rhs, solves):
+        """max|r|/max|rhs| before each LU solve after the first, and after the last, rebuilt from
+        the returns; each argument must be that r = rhs - (K x - delta*signs*x), in K's order."""
+        b = rhs[kkt.q]
+        delta = ipm.REGULARIZATION * kkt.signs[kkt.q]
+        x = solves[0][1].copy()
+        out = []
+        for argument, step in solves[1:] + [(None, None)]:
+            r = b - (kkt.K @ x - delta * x)
+            out.append(np.abs(r).max() / np.abs(b).max())
+            if argument is not None:
+                assert argument.tobytes() == r.tobytes()
+                x += step
+        return out
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: gen_svm_l1(synth_samples(480, 10, seed=0), 0.05),
+            lambda: gen_portfolio(synth_returns(50, 194, 0).window(0, 191), 5e-4),
+            lambda: gen_hmcr(synth_returns(20, 43, 0).window(0, 40), 5e-4, 3.0, 0.9),
+        ],
+        ids=["svm-l1", "rebalance", "hmcr"],
+    )
+    def test_a_step_is_taken_exactly_while_above_rounding_level(self, monkeypatch, build):
+        prob = build()
+        taken = []
+
+        def check(kkt, rhs, solves):
+            steps = len(solves) - 1
+            assert steps <= ipm.REFINEMENT_STEPS
+            ratios = self.residuals(kkt, rhs, solves)
+            # every step taken started above the tolerance; a column that
+            # stopped early ended at or below it
+            assert all(ratio > ipm.REFINEMENT_TOLERANCE for ratio in ratios[:steps])
+            if steps < ipm.REFINEMENT_STEPS:
+                assert ratios[steps] <= ipm.REFINEMENT_TOLERANCE
+            taken.append(steps)
+
+        self.recorded(monkeypatch, check)
+        report = solve(prob, cold_start(prob))
+        assert report.status is SolveStatus.OPTIMAL
+        # columns that stop early, and columns still above the tolerance
+        # after two steps, which take all three, both seen
+        assert min(taken) < ipm.REFINEMENT_STEPS and ipm.REFINEMENT_STEPS in taken
+
+    def test_a_system_at_rounding_level_takes_no_extra_lu_solve(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        structure = TestKKTStructure()
+        prob = structure.product_problem(rng)
+        s, stacks = structure.interior_stacks(prob, rng)
+        z = structure.dual_point(prob, rng)
+        taken = []
+        self.recorded(monkeypatch, lambda kkt, rhs, solves: taken.append(len(solves)))
+        kkt = ipm._KKT(prob, stacks)
+        kkt.factor(stacks, 0.1, s, z)
+        v = rng.standard_normal(prob.n + prob.m)
+        # the zero column is exact after one LU solve, and stops alone: the
+        # other column's steps and bits are those of its own solve
+        both = kkt.solve(np.column_stack([np.zeros_like(v), v]))
+        alone = kkt.solve(v)
+        assert not both[:, 0].any() and both[:, 1].tobytes() == alone.tobytes()
+        assert taken[0] == 1 and taken[1] == taken[2] > 1
+        # K about [[1e8 I, I], [I, -1e8 I]]: the first solve's bias from
+        # the regularization, delta*x with x about 1e-8, is below rounding
+        taken.clear()
+        big = ConicProblem(
+            P=1e8 * sp.eye(3), q=np.ones(3), A=sp.eye(3), b=np.ones(3),
+            cones=ConeProduct((ConeSpec.nonnegative(3),)),
+        )
+        s, z = np.ones(3), np.full(3, 1e-8)  # W = s/z = 1e8
+        big_stacks = [barrier_hessian_inverse(b.spec, b.rows(s)) for b in big.cones.barrier_batches]
+        kkt = ipm._KKT(big, big_stacks)
+        kkt.factor(big_stacks, 1e-8, s, z)
+        rhs = np.ones(6)
+        sol = kkt.solve(rhs)
+        assert taken == [1]
+        assert self.residuals(kkt, rhs, [(None, sol[kkt.q])])[0] <= ipm.REFINEMENT_TOLERANCE
 
 
 class TestSecondOrderRowsOfTheLiftedKKT:
