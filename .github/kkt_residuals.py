@@ -8,10 +8,11 @@ then refinement steps against K without regularization until the
 residual is at rounding level (``ipm.REFINEMENT_TOLERANCE``), at most
 ``ipm.REFINEMENT_STEPS`` of them.  The script wraps ``ipm.splu`` so that
 each factor records what its ``solve`` returns, and ``_KKT._refined`` so
-that it knows where each column starts.  From those returns it rebuilds
-the solution after each step taken, with the solver's own additions, and
-checks that the last one is the solution ``_refined`` returned, bit for
-bit.  It then records, per step taken, the relative residual
+that, after the solver's call, it solves each column again alone; that
+column must equal its part of the solver's result, bit for bit.  From
+the alone solve's returns it rebuilds the column's solution after each
+step taken, with the solver's own additions, and checks that the last
+one is the solution that call returned.  It then records, per step taken, the relative residual
 max|rhs - Kx sol| / max|rhs|, where Kx is K minus its regularization in
 the original order, built from ``kkt.K``, ``kkt.q`` and ``kkt.signs``.
 
@@ -70,25 +71,30 @@ def recording(ipm):
         return _RecordingFactor(splu(*args, **kwargs), returns)
 
     def recorded_refined(kkt, rhs):
-        returns.clear()
         sol = refined(kkt, rhs)
         if last.get("factor") is not kkt.lu:
             qi = np.argsort(kkt.q)
             K = kkt.K[qi][:, qi] - sp.diags(ipm.REGULARIZATION * kkt.signs)
             last.update(factor=kkt.lu, Kx=K.tocsr())
         Kx = last["Kx"]
-        x = returns[0].copy()
-        scale = np.abs(rhs).max()
-        for k, step in enumerate(returns):
-            if k:
-                x += step
-            at = np.empty_like(x)
-            at[kkt.q] = x
-            steps[k].append(float(np.abs(rhs - Kx @ at).max() / scale))
-        if at.tobytes() != sol.tobytes():
-            raise AssertionError("the rebuilt steps do not give _refined's solution")
-        steps[-1].append(steps[len(returns) - 1][-1])
-        stops[len(returns) - 1] += 1
+        # each column again on its own, which must give the same bits
+        for j, column in enumerate([rhs] if rhs.ndim == 1 else [c.copy() for c in rhs.T]):
+            returns.clear()
+            alone = refined(kkt, column)
+            if alone.tobytes() != (sol if rhs.ndim == 1 else sol[:, j]).tobytes():
+                raise AssertionError("a column refined alone differs from its solve with the others")
+            x = returns[0].copy()
+            scale = np.abs(column).max()
+            for k, step in enumerate(returns):
+                if k:
+                    x += step
+                at = np.empty_like(x)
+                at[kkt.q] = x
+                steps[k].append(float(np.abs(column - Kx @ at).max() / scale))
+            if at.tobytes() != alone.tobytes():
+                raise AssertionError("the rebuilt steps do not give _refined's solution")
+            steps[-1].append(steps[len(returns) - 1][-1])
+            stops[len(returns) - 1] += 1
         return sol
 
     ipm.splu, ipm._KKT._refined = recorded_splu, recorded_refined

@@ -629,29 +629,29 @@ class _KKT:
         return out
 
     def _refined(self, rhs):
-        """K^-1 rhs for an rhs on every row of K, the lifted ones too, refined until it stops."""
+        """K^-1 rhs for an (N,) or (N, k) rhs on every row of K, the lifted ones too.
+
+        One LU solve takes every column; then each column is refined on its
+        own until it stops, so its steps and its bits do not depend on the
+        other columns.
+        """
         b = rhs[self.q]
         x = self.lu.solve(b)
         delta = self.pattern.delta
-        bound = REFINEMENT_TOLERANCE * np.abs(b).max()
-        for _ in range(REFINEMENT_STEPS):
-            r = b - (self.K @ x - delta * x)
-            if np.abs(r).max() <= bound:
-                break
-            x += self.lu.solve(r)
+        for bj, xj in zip(b.T, x.T) if x.ndim == 2 else [(b, x)]:
+            bound = REFINEMENT_TOLERANCE * np.abs(bj).max()
+            for _ in range(REFINEMENT_STEPS):
+                r = bj - (self.K @ xj - delta * xj)
+                if np.abs(r).max() <= bound:
+                    break
+                xj += self.lu.solve(r)
         sol = np.empty_like(x)
         sol[self.q] = x
         return sol
 
     def solve(self, rhs):
-        """K^-1 [rhs; 0] for an (n + m,) or (n + m, k) rhs, without the lifted rows' entries.
-
-        Each column is solved and refined on its own, so its steps and its
-        bits do not depend on the other columns.
-        """
-        if rhs.ndim == 2:
-            return np.column_stack([self.solve(np.ascontiguousarray(c)) for c in rhs.T])
-        full = np.zeros(len(self.signs))
+        """K^-1 [rhs; 0] for an (n + m,) or (n + m, k) rhs, without the lifted rows' entries."""
+        full = np.zeros((len(self.signs),) + rhs.shape[1:])
         full[: len(rhs)] = rhs
         return self._refined(full)[: len(rhs)]
 
