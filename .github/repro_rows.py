@@ -1,6 +1,7 @@
 """Cold-solve every cold-solve row of ROADMAP.md's repro table, one line per row.
 
     python3 .github/repro_rows.py
+    python3 .github/repro_rows.py --psd-sweep
 
 Each line names the case, then the status, the iteration count,
 SolveReport.reason (``-`` unless the status is NumericalError) and the
@@ -22,15 +23,23 @@ of its line, and the script exits 1 after the last row; otherwise it
 exits 0.  Iteration counts are printed, not checked: the regression
 tests in ``tests/test_ipm.py`` bound them.
 
+With --psd-sweep, the rows are followed by the PSD sweep of ROADMAP.md's
+Open repros: one line per cold solve of the SDP above at orders 26 to
+34, in the same format.  The order-30 row's family changes status when
+the last bits of a solve change, so the sweep shows where it fails
+today.  It is informational: its statuses never change the exit code.
+
 conepath is imported from ``src/`` of this checkout with one BLAS thread,
 as perfbench/run.py imports it.
 """
 
+import argparse
 import sys
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PSD_SWEEP_ORDERS = range(26, 35)
 
 
 def psd_trace_one(order):
@@ -88,25 +97,35 @@ def rows(api):
     yield "qp unbounded", "DualInfeasible", unbounded_qp
 
 
-def main():
+def cold_line(api, label, problem):
+    """(the row's line, its status) for one cold solve of problem."""
+    t0 = time.perf_counter()
+    report = api.ipm.solve(problem, api.ipm.cold_start(problem))
+    seconds = time.perf_counter() - t0
+    status = report.status.value
+    line = f"{label}: {status} it={report.iterations} reason={report.reason or '-'} {seconds:.2f}s"
+    return line, status
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--psd-sweep", action="store_true",
+        help="also solve the SDP at orders 26-34; informational, never fails",
+    )
+    args = parser.parse_args(argv)
     sys.path.insert(0, str(ROOT))
     from perfbench import run
 
     api = run.import_conepath()  # sets one BLAS thread before numpy loads
     lost = 0
     for label, expected, build in rows(api):
-        problem = build()
-        t0 = time.perf_counter()
-        report = api.ipm.solve(problem, api.ipm.cold_start(problem))
-        seconds = time.perf_counter() - t0
-        status = report.status.value
+        line, status = cold_line(api, label, build())
         lost += status != expected
-        print(
-            f"{label}: {status} it={report.iterations} "
-            f"reason={report.reason or '-'} {seconds:.2f}s"
-            + ("" if status == expected else f" expected {expected}"),
-            flush=True,
-        )
+        print(line + ("" if status == expected else f" expected {expected}"), flush=True)
+    if args.psd_sweep:
+        for order in PSD_SWEEP_ORDERS:
+            print(cold_line(api, f"psd sweep order={order}", psd_trace_one(order))[0], flush=True)
     return 1 if lost else 0
 
 

@@ -10,7 +10,7 @@ others.  One point is the k = 1 stack.
 The nonsymmetric conjugate gradients and the power cone's smoothing need
 no minimization: each leaves one unknown per row, the root of an
 increasing scalar equation, and bracketed_root finds the roots of all
-rows with one vectorized Newton.
+rows with one vectorized Halley iteration.
 """
 
 import math
@@ -185,39 +185,65 @@ def newton_rows(
 
 
 def bracketed_root(equation, lo, hi, x0):
-    """Root of an increasing scalar equation per row, by Newton inside a bracket.
+    """Root of an increasing scalar equation per row, by Halley's method inside a bracket.
 
     equation takes (x, rows), points and the indices of their rows, and
-    returns (values, slopes) from one call.  Row i's root lies in
-    [lo[i], hi[i]] and its Newton starts at x0[i].  Each evaluation moves
-    one end of the row's bracket to the point, by the sign of the value,
-    and a step that leaves the bracket (or is not a number) is replaced
-    by the bracket's midpoint.  A row stops once its step is at most
-    1e-12 or its value is exactly 0; a row with an empty bracket, lo == hi,
-    has its root already.  A row that has not stopped after 50 evaluations
-    comes back as NaN, and the other rows keep their roots, with one
-    exception: where the slope is small, rounding in the value can leave
-    Newton alternating for ever between two points more than 1e-12 apart.
-    A row whose (x, lo, hi) after the 50 evaluations equals the one of
-    two evaluations before is in such a cycle, and keeps its x.
+    returns (values, slopes, second derivatives) from one call.  Row i's
+    root lies in [lo[i], hi[i]] and its iteration starts at x0[i].  Each
+    evaluation moves one end of the row's bracket to the point, by the
+    sign of the value, then takes Halley's step
+    x - (f/f') / (1 - (f/f') f''/(2 f')), which converges cubically where
+    Newton's converges quadratically.  A step that leaves the bracket, or
+    is not a number, is replaced by the bracket's midpoint.  That covers
+    a negative denominator too: the step then points away from the root,
+    past the end just moved to x.
+
+    A row stops once its step is at most 1e-12, or its value is exactly
+    0, or its Halley step d after a Halley step d_prev has
+    d^4 <= 1e-16 d_prev^3.  Near the root Halley's error contracts as
+    e' = K e^3, so K is about d/d_prev^3 and the step after d would be
+    about K d^3 = d^4/d_prev^3, at most 1e-16: the row keeps x + d, one
+    evaluation before a step of 1e-12 would show.  A midpoint step tells
+    nothing of K, so the step after it must meet 1e-12.  A row with an
+    empty bracket, lo == hi, has its root already.  A row that has not
+    stopped after 50 evaluations comes back as NaN, and the other rows
+    keep their roots, with one exception: where the slope is small,
+    rounding in the value can leave the iteration alternating for ever
+    between two points more than 1e-12 apart.  A row whose (x, lo, hi)
+    after the 50 evaluations equals the one of two evaluations before is
+    in such a cycle, and keeps its x.
     """
     x = np.array(x0, dtype=float)
     r = np.flatnonzero(lo < hi)
     xr, lo, hi = x[r], lo[r], hi[r]  # the rows still running
+    tol = np.full(r.size, 1e-12)  # each row's stop test on its next step
     for k in range(50):
         if not r.size:
             return x
         if k == 48:  # two evaluations before the end
             back = np.full((3, len(x)), np.nan)
             back[:, r] = xr, lo, hi
-        f, df = equation(xr, r)
+        f, df, d2f = equation(xr, r)
         lo = np.where(f <= 0.0, xr, lo)
         hi = np.where(f >= 0.0, xr, hi)
-        new = xr - f / df
-        new = np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
-        x[r] = new
-        run = ~((np.abs(new - xr) <= 1e-12) | (f == 0.0))
-        r, xr, lo, hi = r[run], new[run], lo[run], hi[run]
+        step = f / df  # Newton's, then Halley's, in ratios that cannot overflow
+        new = xr - step / (1.0 - 0.5 * step * d2f / df)
+        inside = (new >= lo) & (new <= hi)
+        midpoints = not inside.all()
+        if midpoints:
+            new = np.where(inside, new, 0.5 * (lo + hi))
+            tol[~inside] = 1e-12
+        # a value of exactly 0 leaves lo = hi = x, and so a step of 0
+        d = np.abs(new - xr)
+        run = d > tol
+        tol = np.maximum(1e-4 * d**0.75, 1e-12)  # d'^4 <= 1e-16 d^3 for the next step d'
+        if midpoints:
+            tol[~inside] = 1e-12
+        xr = new
+        if not run.all():  # keep the roots of the rows that stopped, then drop them
+            x[r] = xr
+            r, xr, lo, hi, tol = r[run], xr[run], lo[run], hi[run], tol[run]
+    x[r] = xr
     cycle = (np.stack([xr, lo, hi]) == back[:, r]).all(axis=0)
     x[r[~cycle]] = np.nan
     return x

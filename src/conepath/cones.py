@@ -22,9 +22,13 @@ rows of a stack (_newton.py), with one derivatives call per step for the
 gradient and Hessian together: each row keeps its own step, tests and
 exit, and a row that fails does not stop the others.  The nonsymmetric
 conjugate gradients and the power cone's smoothing solve one increasing
-scalar equation per row, all rows in one bracketed Newton.  A
-nonsymmetric kind projects by its own smoothing of the unit-scaled
-target, scaled back, and onto its dual cone by the Moreau identity.
+scalar equation per row, all rows in one bracketed Halley iteration
+whose equations give their first and second derivatives in closed form.
+The nonsymmetric kinds' inverse Hessians are closed forms too, from an
+LDL' factorization of each 3 x 3 row (NonsymmetricCone.hessian_inverse):
+no eigendecomposition runs unless a row's pivots fail.  A nonsymmetric
+kind projects by its own smoothing of the unit-scaled target, scaled
+back, and onto its dual cone by the Moreau identity.
 
 The module functions (is_interior, barrier_gradient, ...) are the
 checked entry points.  They take one point (dim,) or a stack (k, dim)
@@ -179,6 +183,9 @@ def _eigh(S):
 def _t(M):
     """Transpose of every matrix of a stack."""
     return M.transpose(0, 2, 1)
+
+
+_UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))  # a 3 x 3 upper triangle, row by row
 
 
 # ---------------------------------------------------------------------------
@@ -815,11 +822,19 @@ class NonsymmetricCone(Cone):
     Both barriers are f = -log u - c1 log x1 - c2 log x2: each kind
     supplies u, alone or with its first (and second) derivatives, the
     weights (c1, c2), the slack its interior test bounds, a unit point
-    and the linear map M with y in int(K*) iff M y in int(K).
-    smooth_newton and the exponential cone's smoothing run damped Newton
-    on those.  For the conjugate gradient each kind reduces
-    grad f(s) = -y to one increasing scalar equation per row
-    (conjugate_root), solved by one bracketed Newton; the power cone's
+    and the linear map M with y in int(K*) iff M y in int(K), which
+    dual_coords applies entry by entry (M is diagonal for the power cone
+    and a scaled signed permutation for the exponential cone).  u is
+    separable in x3, so its Hessian has four entries, and H and H^-1 are
+    closed forms in u's derivatives (hessian_inverse says when it falls
+    back to an eigendecomposition).  smooth_newton and the exponential
+    cone's smoothing run damped Newton on those.  For the conjugate
+    gradient each kind reduces grad f(s) = -y to one increasing scalar
+    equation per row (conjugate_root), with its value, slope and second
+    derivative in closed form, solved by one bracketed Halley iteration
+    (_newton.bracketed_root: cubic steps, a midpoint where a step leaves
+    the bracket, and a stop once the next step would be below 1e-16, as
+    cubic convergence predicts it from the last two); the power cone's
     smoothing reduces the same way, and project calls smooth.
     """
 
@@ -832,8 +847,11 @@ class NonsymmetricCone(Cone):
         return 3
 
     def interior(self, spec, S):
-        # x1, x2 > 0 first: the slack takes their logarithm or power
+        # x1, x2 > 0 first: the slack takes their logarithm or power.  An
+        # iterate's rows all pass, and then the slack needs no masked copy
         ok = (S[:, 0] > 0.0) & (S[:, 1] > 0.0)
+        if ok.all():
+            return self.slack(spec, S) > 0.0
         if ok.any():
             ok[ok] = self.slack(spec, S[ok]) > 0.0
         return ok
@@ -846,9 +864,6 @@ class NonsymmetricCone(Cone):
         """
         return _ratio_test(V[:, :2], D[:, :2])
 
-    def dual_coords(self, spec, y):
-        return y @ self.dual_map(spec).T
-
     def value(self, spec, S):
         c1, c2 = self.weights(spec)
         return -np.log(self.u(spec, S)) - c1 * np.log(S[:, 0]) - c2 * np.log(S[:, 1])
@@ -860,12 +875,25 @@ class NonsymmetricCone(Cone):
         G[:, 1] -= c2 / S[:, 1]
         return G
 
-    def _hessian(self, spec, S, u, du, d2u):
+    def _hessian_entries(self, spec, S, u, du, d2u):
+        """The upper triangle (h11, h12, h13, h22, h23, h33) of H, one (k,) array each.
+
+        H = g g' - d2u/u + diag(c1/x1^2, c2/x2^2, 0) with g = du/u; u is
+        separable in x3, so d2u holds the four entries (d11, d12, d22, d33).
+        """
         c1, c2 = self.weights(spec)
-        u = u[:, None, None]
-        H = (du[:, :, None] * du[:, None, :]) / u**2 - d2u / u
-        H[:, 0, 0] += c1 / S[:, 0] ** 2
-        H[:, 1, 1] += c2 / S[:, 1] ** 2
+        d11, d12, d22, d33 = d2u
+        g1, g2, g3 = (du / u[:, None]).T
+        x1, x2 = S[:, 0], S[:, 1]
+        return (
+            g1 * g1 - d11 / u + c1 / (x1 * x1), g1 * g2 - d12 / u, g1 * g3,
+            g2 * g2 - d22 / u + c2 / (x2 * x2), g2 * g3, g3 * g3 - d33 / u,
+        )
+
+    def _hessian(self, spec, S, u, du, d2u):
+        H = np.empty((len(S), 3, 3))
+        for (i, j), h in zip(_UPPER, self._hessian_entries(spec, S, u, du, d2u)):
+            H[:, i, j] = H[:, j, i] = h
         return H
 
     def derivatives(self, spec, S):
@@ -880,12 +908,43 @@ class NonsymmetricCone(Cone):
         return self._hessian(spec, S, *self.u(spec, S, order=2))
 
     def hessian_inverse(self, spec, S):
-        w, U = np.linalg.eigh(self.hessian(spec, S))
-        # the exact Hessian is positive definite, so eigenvalues at rounding
-        # scale are noise; flooring them keeps the inverse finite when the
-        # point rides the boundary and plain inversion would break down
-        w = np.maximum(w, w[:, -1:] * 1e-14)
-        return _dense((U / w[:, None, :]) @ _t(U), 1)
+        """H^-1 per row in closed form from H = L diag(d) L', L unit lower triangular.
+
+        Each entry of L^-T diag(1/d) L^-1 is a short sum of products, so
+        a row costs a few dozen flops and its inverse is as accurate as a
+        Cholesky solve: ||H X - I|| stays within a small multiple of
+        eps cond(H).  The exact H is positive definite, but where cond(H)
+        nears 1/eps, as at relative slack 1e-10, rounding can leave a
+        pivot zero or negative.  A row whose pivots d are not all finite
+        and positive takes the eigendecomposition instead, with
+        eigenvalues floored at 1e-14 of the largest, which keeps its
+        inverse finite.  A row whose H holds an entry that is not finite
+        (an overflow near the float64 range) has no inverse to floor and
+        raises LinAlgError, which ipm reports as a kernel failure.
+        """
+        h11, h12, h13, h22, h23, h33 = self._hessian_entries(spec, S, *self.u(spec, S, order=2))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            l21, l31 = h12 / h11, h13 / h11
+            d2 = h22 - l21 * h12
+            e = h23 - l31 * h12
+            l32 = e / d2
+            d3 = h33 - l31 * h13 - l32 * e
+            # the rows of L^-1 are (1, 0, 0), (-l21, 1, 0) and (m31, -l32, 1)
+            m31 = l21 * l32 - l31
+            i1, i2, i3 = 1.0 / h11, 1.0 / d2, 1.0 / d3
+            a, b = m31 * i3, -l32 * i3
+            x11, x12, x22 = i1 + l21 * l21 * i2 + m31 * a, m31 * b - l21 * i2, i2 - l32 * b
+            X = np.array([x11, x12, a, x12, x22, b, a, b, i3]).T.reshape(-1, 3, 3)
+            # a pivot that is not a number fails both tests, and one that is +inf the second
+            bad = ~((np.minimum(np.minimum(h11, d2), d3) > 0.0) & (h11 + d2 + d3 < np.inf))
+        if bad.any():
+            H = self.hessian(spec, S[bad])
+            if not np.isfinite(H).all():
+                raise np.linalg.LinAlgError("barrier Hessian is not finite")
+            w, U = np.linalg.eigh(H)
+            w = np.maximum(w, w[:, -1:] * 1e-14)
+            X[bad] = (U / w[:, None, :]) @ _t(U)
+        return _dense(X, 1)
 
     def unit_point(self, spec):
         e_s = self.unit_s(spec)
@@ -895,11 +954,13 @@ class NonsymmetricCone(Cone):
         # the checks below catch what float64 cannot hold: a bracket end,
         # a step or a point that overflows, underflows or is not a number.
         # ok is the interior test of M y, and its slack v is kept for the
-        # equation; a row outside x1, x2 > 0 gets a meaningless v and fails
+        # equation; a row outside x1, x2 > 0 gets a meaningless v and fails.
+        # With x1, x2 > 0, an entry of M y that is not finite leaves v
+        # infinite or not a number, so 0 < v < inf also tests finiteness
         MY = self.dual_coords(spec, Y)
         with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
             v = self.slack(spec, MY)
-            ok = np.isfinite(MY).all(axis=1) & (MY[:, 0] > 0.0) & (MY[:, 1] > 0.0) & (v > 0.0)
+            ok = (MY[:, 0] > 0.0) & (MY[:, 1] > 0.0) & (v > 0.0) & (v < np.inf)
             _require_interior(ok, spec, dual=True)
             equation, lo, hi, x0, point = self.conjugate_root(spec, Y, v)
             S, u = point(bracketed_root(equation, lo, hi, x0))
@@ -922,6 +983,7 @@ class NonsymmetricCone(Cone):
 # itself by s -> -grad f(s); the dual pairing is computed at runtime.
 _EXP_UNIT = (1.290928, 0.805102, -0.827838)
 _EXP_DUAL_MAP = np.array([[math.e, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, -1.0, 0.0]])
+_EXP_DUAL_SIGNS = np.array([math.e, -1.0, -1.0])  # the nonzero of each row of the map
 
 
 class ExponentialCone(NonsymmetricCone):
@@ -939,11 +1001,7 @@ class ExponentialCone(NonsymmetricCone):
         du = np.stack([x2 / x1, L - 1.0, np.full_like(x1, -1.0)], axis=1)
         if order == 1:
             return u, du
-        d2u = np.zeros((len(S), 3, 3))
-        d2u[:, 0, 0] = -x2 / x1**2
-        d2u[:, 0, 1] = d2u[:, 1, 0] = 1.0 / x1
-        d2u[:, 1, 1] = -1.0 / x2
-        return u, du, d2u
+        return u, du, (-x2 / x1**2, 1.0 / x1, -1.0 / x2, 0.0)
 
     slack = u
 
@@ -954,8 +1012,9 @@ class ExponentialCone(NonsymmetricCone):
         s3 = w log(s1/w) - 1/p, so that u = 1/p; q = 1/w = e^l solves
         q + p log(1 + q/p) = v, where v > 0 is the dual slack of y, the
         slack of M y.  The left side lies between q and 2q, so the root
-        lies in [v/2, v]; it is convex in l, so Newton from the upper
-        end descends without overshoot.
+        lies in [v/2, v]; the iteration starts at the upper end.  With
+        f = p/(p + q), the slope is q (1 + f) and the second derivative
+        q (1 + f^2).
         """
         y1, p = Y[:, 0], -Y[:, 2]
         hi = np.log(v)
@@ -963,7 +1022,8 @@ class ExponentialCone(NonsymmetricCone):
         def equation(l, rows):
             q = np.exp(l)
             pk = p[rows]
-            return q + pk * np.log1p(q / pk) - v[rows], q * (1.0 + pk / (pk + q))
+            f = pk / (pk + q)
+            return q + pk * np.log1p(q / pk) - v[rows], q * (1.0 + f), q * (1.0 + f * f)
 
         def point(l):
             w = np.exp(-l)
@@ -977,6 +1037,10 @@ class ExponentialCone(NonsymmetricCone):
 
     def dual_map(self, spec):
         return _EXP_DUAL_MAP
+
+    def dual_coords(self, spec, y):
+        """M y = (e y1, -y3, -y2): M, a scaled signed permutation, moves entries."""
+        return y[..., [0, 2, 1]] * _EXP_DUAL_SIGNS
 
 
 class PowerCone(NonsymmetricCone):
@@ -1012,12 +1076,10 @@ class PowerCone(NonsymmetricCone):
         du = np.stack([2 * a * A / x1, 2 * (1 - a) * A / x2, -2 * x3], axis=1)
         if order == 1:
             return u, du
-        d2u = np.zeros((len(S), 3, 3))
-        d2u[:, 0, 0] = 2 * a * (2 * a - 1) * A / x1**2
-        d2u[:, 0, 1] = d2u[:, 1, 0] = 4 * a * (1 - a) * A / (x1 * x2)
-        d2u[:, 1, 1] = 2 * (1 - a) * (1 - 2 * a) * A / x2**2
-        d2u[:, 2, 2] = -2.0
-        return u, du, d2u
+        d11 = 2 * a * (2 * a - 1) * A / x1**2
+        d12 = 4 * a * (1 - a) * A / (x1 * x2)
+        d22 = 2 * (1 - a) * (1 - 2 * a) * A / x2**2
+        return u, du, (d11, d12, d22, -2.0)
 
     def conjugate_root(self, spec, Y, v):
         """grad f(s) = -y as one increasing equation per row in l = log t, t = s3^2/u.
@@ -1028,7 +1090,9 @@ class PowerCone(NonsymmetricCone):
         dual slack of y (the slack of M y) and
         D(x) = 2a log(1 + Ax) + 2(1-a) log(1 + Bx) - log(1 + x),
         A = (1+a)/(2a), B = (2-a)/(2(1-a)).  h increases and is concave
-        in l, so Newton from the lower end climbs without overshoot.
+        in l, and the iteration starts from the lower end.  Each term
+        log(1 + e^z), z = log(A) - l and so on, has slope -e^z/(1 + e^z)
+        and second derivative e^z/(1 + e^z)^2 in l.
         log(1 + x) <= D(x) <= 3x and D(x) >= log x + 2a log A + 2(1-a) log B
         bracket the root.  y3 = 0 gives t = 0: an empty bracket at -inf.
         """
@@ -1042,14 +1106,17 @@ class PowerCone(NonsymmetricCone):
         def equation(l, rows):
             z = c[:, None] - l
             P = np.logaddexp(0.0, z)  # log(1 + e^z), one row per term of D
-            return h_inf[rows] - w @ P, w @ np.exp(z - P)
+            zP = z - P
+            # D's terms, their slopes e^z/(1 + e^z) and curvatures e^z/(1 + e^z)^2
+            D, dD, d2D = w @ np.array([P, np.exp(zP), np.exp(zP - P)])
+            return h_inf[rows] - D, dD, -d2D
 
         def point(l):
             t = np.exp(l)
-            s1 = (2 * a * t + 1 + a) / y1
-            s2 = (2 * (1 - a) * t + 2 - a) / y2
-            phi = (s1**a * s2 ** (1 - a)) ** 2
-            return np.stack([s1, s2, -y3 * phi / (2 * (1 + t))], axis=1), phi / (1 + t)
+            s1 = (2 * a * t + (1 + a)) / y1
+            s2 = (2 * (1 - a) * t + (2 - a)) / y2
+            u = s1 ** (2 * a) * s2 ** (2 - 2 * a) / (1 + t)  # phi/r
+            return np.stack([s1, s2, -0.5 * y3 * u], axis=1), u
 
         return equation, lo, math.log(3.0) - np.log(h_inf), lo, point
 
@@ -1067,13 +1134,17 @@ class PowerCone(NonsymmetricCone):
         r, each with an elasticity of at most 1 in r, so A grows with an
         elasticity 0 <= e <= 2 in r, and the three terms of F have
         elasticities 1 + (e - 1) t/r, 1 and 1 + (1 - e) t/r in t, all
-        >= 1/r.  The slope is h' = 1/r + (4 mu t - g (2 mu r - A))/(A + 2 mu r),
-        g = d log A/dl = 4 mu t (a^2/(s1^2 + m1) + (1-a)^2/(s2^2 + m2)).
+        >= 1/r.  The slope is h' = 1/r + N/E, N = 4 mu t - g (2 mu r - A),
+        E = A + 2 mu r, g = d log A/dl = 4 mu t sum_i w_i^2/Q_i with
+        Q_i = s_i^2 + m_i and w = (a, 1-a).  Since ds_i/dl = 2 mu w_i t s_i/Q_i,
+        g' = g - 8 mu^2 t^2 sum_i w_i^3 (2 s_i^2 + Q_i)/Q_i^3, and
+        h'' = (N' - N E'/E)/E - t/r^2 with E' = A g + 2 mu t and
+        N' = 4 mu t - g' (2 mu r - A) - g (2 mu t - A g).
 
         F(t) >= 8 mu t (the geometric mean of A/r and 4 mu^2 r/A) gives
         the upper end hi = log(c3^2/(8 mu)).  A root with t <= 1 has
         F(t) <= t K, K = A(r=2) + 4 mu + 8 mu^2/A(r=1), so the lower end is
-        lo = min(0, log(c3^2/K), hi).  Newton starts from the small-t
+        lo = min(0, log(c3^2/K), hi).  The iteration starts from the small-t
         root log(c3^2 A1/(A1 + 2 mu)^2), A1 = A(r=1), inside the bracket.
         c3 = 0 gives t = 0: an empty bracket at -inf and s3 = 0 exactly.
         A row outside the working range, or whose point is not finite and
@@ -1096,10 +1167,18 @@ class PowerCone(NonsymmetricCone):
             r = 1.0 + t
             X, M, A = nn_roots(r, rows)
             mt = m[rows] * t
-            E = A + 2.0 * m[rows] * r
-            g = 4.0 * mt * np.sum(w * w / (X * X + M), axis=1)
+            B = 2.0 * m[rows] * r
+            E = A + B
+            Q = X * X + M
+            W = w * w / Q
+            g = 4.0 * mt * np.sum(W, axis=1)
+            N = 4.0 * mt - g * (B - A)
             h = l - np.log(r) - np.log(A) + 2.0 * np.log(E) - log_c3sq[rows]
-            return h, 1.0 / r + (4.0 * mt - g * (2.0 * m[rows] * r - A)) / E
+            # g' = g - 8 m^2 t^2 sum w^3 (2 s^2 + Q)/Q^3, and N' and E' follow
+            dg = g - 8.0 * mt * mt * np.sum(W * w * (2.0 * X * X + Q) / (Q * Q), axis=1)
+            dN = 4.0 * mt - dg * (B - A) - g * (2.0 * mt - A * g)
+            dE = A * g + 2.0 * mt
+            return h, 1.0 / r + N / E, (dN - N * dE / E) / E - t / (r * r)
 
         # a non-finite bracket end, step or point is caught by the tests below
         with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
@@ -1122,7 +1201,14 @@ class PowerCone(NonsymmetricCone):
         return np.array([math.sqrt(1.0 + a), math.sqrt(2.0 - a), 0.0])
 
     def dual_map(self, spec):
-        return np.diag([1.0 / spec.alpha, 1.0 / (1.0 - spec.alpha), 1.0])
+        return np.diag(self._dual_scale(spec))
+
+    def _dual_scale(self, spec):
+        return np.array([1.0 / spec.alpha, 1.0 / (1.0 - spec.alpha), 1.0])
+
+    def dual_coords(self, spec, y):
+        """M y with the diagonal M, entry by entry."""
+        return y * self._dual_scale(spec)
 
 
 CONES = {

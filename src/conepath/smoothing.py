@@ -6,7 +6,7 @@ onto the cone as mu -> 0.  This module checks the arguments; the
 formulas live with each kind's class in cones.py.  Nonnegative,
 second-order and PSD cones have closed forms.  The power cone reduces
 to one increasing scalar equation per row, all rows solved by one
-bracketed Newton.  The exponential cone, and smooth_newton for every
+bracketed Halley iteration.  The exponential cone, and smooth_newton for every
 kind, run a safeguarded damped Newton method on the (self-concordance
 normalized) objective.  Exponential and power cones project by their
 own smooth at one fixed small weight on the unit-scaled target (see

@@ -631,12 +631,237 @@ class TestConjugateRoots:
                 conjugate_gradient(spec, Z[2])
 
 
+EPS = np.finfo(float).eps
+INVERSE_SPECS = (
+    ConeSpec.power(0.1), ConeSpec.power(1 / 3), ConeSpec.power(0.5), ConeSpec.power(0.9),
+    ConeSpec.exponential(),
+)
+
+
+def _hessian_rows(spec, seed):
+    """Seeded rows of int K at scales 10^k, k in [-6, 6]: 20 random, 20 at relative
+    slack 1e-10 of the curved boundary and 20 with x1 or x2 at 1e-10 (a flat face)."""
+    rng = np.random.default_rng(seed)
+    X = np.array([random_interior(spec, rng) for _ in range(60)])
+    x1, x2 = X[:, 0], X[:, 1]
+    if spec.kind.value == "pow":
+        x1[40:50] = x2[50:] = 1e-10
+        rho = np.r_[
+            rng.uniform(-0.9, 0.9, 20), rng.choice([-1.0, 1.0], 20) * (1 - 1e-10),
+            rng.uniform(-0.9, 0.9, 20),
+        ]
+        X[:, 2] = rho * x1**spec.alpha * x2 ** (1 - spec.alpha)
+    else:
+        x2[40:] = 1e-10
+        X[40:, 2] = -np.abs(X[40:, 2])
+        X[20:40, 2] = x2[20:40] * np.log(x1[20:40] / x2[20:40]) - 1e-10 * x2[20:40]
+    X *= 10.0 ** rng.integers(-6, 7, (60, 1))
+    assert is_interior(spec, X).all()
+    return X
+
+
+def _floored_inverse(H):
+    """The eigenvalue-floored inverse: eigenvalues below 1e-14 of the largest are raised to it."""
+    w, U = np.linalg.eigh(H)
+    w = np.maximum(w, w[:, -1:] * 1e-14)
+    return (U / w[:, None, :]) @ U.transpose(0, 2, 1)
+
+
+class TestClosedFormHessianInverse:
+    """NonsymmetricCone.hessian_inverse: LDL' in closed form, the floored eigh route as fallback."""
+
+    @pytest.mark.parametrize("spec", INVERSE_SPECS, ids=str)
+    def test_residual_within_the_condition_bound(self, spec):
+        S = _hessian_rows(spec, 50)
+        H = barrier_hessian(spec, S)
+        X = barrier_hessian_inverse(spec, S).blocks[:, 0]
+        residual = np.abs(H @ X - np.eye(3)).max(axis=(1, 2))
+        assert (residual <= 1e2 * EPS * np.linalg.cond(H)).all()
+
+    @pytest.mark.parametrize("spec", INVERSE_SPECS, ids=str)
+    def test_rows_off_the_curved_boundary_run_no_eigendecomposition(self, spec, monkeypatch):
+        # the random rows and the flat-face rows, cond(H) up to ~1e21 among them
+        S = _hessian_rows(spec, 51)[np.r_[0:20, 40:60]]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        X = barrier_hessian_inverse(spec, S).blocks[:, 0]
+        assert np.isfinite(X).all()
+        assert np.array_equal(X, X.transpose(0, 2, 1))
+
+    @pytest.mark.parametrize("spec", INVERSE_SPECS, ids=str)
+    def test_rows_failing_the_pivot_test_take_the_floored_route(self, spec, monkeypatch):
+        # at relative slack 1e-10 cond(H) exceeds 1/eps and rounding leaves
+        # some rows with a pivot <= 0: those rows, and only those, are
+        # decomposed, and get the floored inverse of their H, bit for bit
+        S = _hessian_rows(spec, 52)
+        given = []
+        eigh = np.linalg.eigh
+
+        def recording(H):
+            given.append(H.copy())
+            return eigh(H)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        X = barrier_hessian_inverse(spec, S).blocks[:, 0]
+        (H,) = given
+        dense = barrier_hessian(spec, S)
+        failed = [i for i in range(len(S)) if any(np.array_equal(dense[i], h) for h in H)]
+        assert 0 < len(failed) == len(H) and set(failed) <= set(range(20, 40))
+        floored = X[failed]
+        assert floored.tobytes() == _floored_inverse(H).tobytes()
+        assert np.isfinite(floored).all()
+        assert np.allclose(floored, floored.transpose(0, 2, 1), rtol=4 * EPS, atol=0.0)
+        # the other rows are their own closed forms, whatever shares their stack
+        kept = np.setdiff1d(np.arange(len(S)), failed)
+        assert np.array_equal(X[kept], barrier_hessian_inverse(spec, S[kept]).blocks[:, 0])
+
+    @pytest.mark.parametrize(
+        "spec,row",
+        [(ConeSpec.power(0.3), [1e-300, 1.0, 0.0]), (ConeSpec.exponential(), [1e300, 1e-300, -1.0])],
+        ids=["pow", "exp"],
+    )
+    def test_non_finite_row_raises(self, spec, row):
+        # interior, but H overflows: no inverse to floor
+        S = np.array([unit_point(spec)[0], row])
+        with np.errstate(all="ignore"):
+            assert is_interior(spec, S).all()
+            for points in (S, S[1]):
+                with pytest.raises(np.linalg.LinAlgError):
+                    barrier_hessian_inverse(spec, points)
+
+
+class TestDualCoords:
+    @pytest.mark.parametrize("spec", NONSYMMETRIC, ids=str)
+    def test_equals_the_dual_map(self, spec):
+        rng = np.random.default_rng(53)
+        Y = rng.standard_normal((50, 3)) * 10.0 ** rng.uniform(-6.0, 6.0, (50, 1))
+        M = cones.CONES[spec.kind].dual_map(spec)
+        assert np.array_equal(dual_coords(spec, Y), Y @ M.T)
+        assert np.array_equal(dual_coords(spec, Y[0]), M @ Y[0])
+
+
+def _root_equations(spec, monkeypatch, call):
+    """The (equation, lo, hi) of every bracketed_root call that call() makes."""
+    seen = []
+    root = cones.bracketed_root
+
+    def recording(equation, lo, hi, x0):
+        seen.append((equation, lo, hi))
+        return root(equation, lo, hi, x0)
+
+    monkeypatch.setattr(cones, "bracketed_root", recording)
+    call()
+    return seen
+
+
+class TestRootDerivatives:
+    """Halley's step needs each root equation's second derivative; all three give it in closed form."""
+
+    @staticmethod
+    def calls(spec):
+        yield lambda: conjugate_gradient(spec, _dual_stack(spec, 54))
+        if spec.kind.value == "pow":
+            rng = np.random.default_rng(55)
+            C = rng.standard_normal((100, 3)) * 10.0 ** rng.uniform(-4.0, 4.0, (100, 3))
+            yield lambda: smooth(spec, C, 10.0 ** rng.uniform(-10.0, 3.0, 100))
+
+    @pytest.mark.parametrize("spec", NONSYMMETRIC, ids=str)
+    def test_derivatives_match_central_differences(self, spec, monkeypatch):
+        for call in self.calls(spec):
+            for equation, lo, hi in _root_equations(spec, monkeypatch, call):
+                r = np.flatnonzero(lo < hi)
+                for x in (lo[r], hi[r], 0.5 * (lo[r] + hi[r])):
+                    h = 1e-5 * np.maximum(1.0, np.abs(x))
+                    f, df, d2f = equation(x, r)
+                    up, down = equation(x + h, r), equation(x - h, r)
+                    slope = (up[0] - down[0]) / (2 * h)
+                    curvature = (up[1] - down[1]) / (2 * h)
+                    assert np.allclose(slope, df, rtol=1e-6, atol=0.0)
+                    assert (np.abs(curvature - d2f) <= 1e-6 * (np.abs(d2f) + np.abs(df))).all()
+
+    @pytest.mark.parametrize("spec", NONSYMMETRIC, ids=str)
+    def test_at_most_three_evaluations_per_conjugate_root(self, spec, monkeypatch):
+        # bracketed Newton with a stop at a 1e-12 step took up to 6 on these
+        # rows; Halley's step, stopped on its cubic prediction, takes 3
+        count = {}
+        root = _newton.bracketed_root
+
+        def counting(equation, lo, hi, x0):
+            n = np.zeros(len(lo), dtype=int)
+
+            def counted(x, rows):
+                n[rows] += 1
+                return equation(x, rows)
+
+            out = root(counted, lo, hi, x0)
+            count["n"] = n[lo < hi]
+            return out
+
+        monkeypatch.setattr(cones, "bracketed_root", counting)
+        conjugate_gradient(spec, _dual_stack(spec, 41))
+        assert count["n"].size and count["n"].max() <= 3
+
+
 class TestBracketedRoot:
+    @pytest.mark.parametrize("kind", ["exp", "atan"])
+    def test_roots_to_rounding_level(self, kind):
+        # e^x - c: convex, roots log c; atan(x - a): Halley's step from far
+        # out leaves the bracket and takes midpoints.  Either way a row that
+        # stops on the cubic prediction has its root to a few ulps
+        rng = np.random.default_rng(56)
+        root = rng.uniform(-20.0, 20.0, 200)
+        c = np.exp(root)
+        if kind == "exp":
+            root = np.log(c)
+
+            def equation(x, rows):
+                e = np.exp(x)
+                return e - c[rows], e, e
+        else:
+
+            def equation(x, rows):
+                z = x - root[rows]
+                q = 1.0 / (1.0 + z * z)
+                return np.arctan(z), q, -2.0 * z * q * q
+
+        lo, hi = root - rng.uniform(0.1, 30.0, 200), root + rng.uniform(0.1, 30.0, 200)
+        x = _newton.bracketed_root(equation, lo, hi, np.where(rng.random(200) < 0.5, lo, hi))
+        assert (np.abs(x - root) <= 4 * EPS * np.maximum(1.0, np.abs(root))).all()
+
+    @pytest.mark.parametrize(
+        "flat,c,below,above", [(1, 100.0, 1.0, 1.0 + 1e-4), (2, -1e-5, 0.5, 1e-5)],
+        ids=["first", "second"],
+    )
+    def test_no_stop_predicted_across_a_midpoint(self, flat, c, below, above):
+        # z + c z^3, whose slope reads 0 at one evaluation: that step is not
+        # a number and takes the bracket's midpoint.  Neither the midpoint
+        # step nor the step after it follows a Halley step, so each must
+        # meet 1e-12.  Else the first case stops 5e-5 from the root, with
+        # K = 100 leaving an error near 1e-11, and the second, whose Halley
+        # step of 0.5 ends 1.25e-6 below the root, stops on a midpoint step
+        # of ~6e-6 that leaves 4e-6
+        root = np.linspace(-1.0, 1.0, 5)
+        evaluations = []
+
+        def equation(x, rows):
+            evaluations.append(None)
+            z = x - root[rows]
+            slope = 0.0 if len(evaluations) == flat else 1.0 + 3.0 * c * z * z
+            return z + c * z**3, np.full_like(z, slope), 6.0 * c * z
+
+        lo, hi = root - below, root + above
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = _newton.bracketed_root(equation, lo, hi, lo.copy())
+        assert (np.abs(x - root) <= 4 * EPS).all()
+
     def test_two_cycle_at_the_rounding_floor_stops(self):
         # a value that rounds to +-1e-15 with slope 1e-4 sends Newton back
         # and forth by 1e-11, above the step test's 1e-12
         def equation(x, rows):
-            return np.where(x < 1.0, -1e-15, 1e-15), np.full_like(x, 1e-4)
+            return np.where(x < 1.0, -1e-15, 1e-15), np.full_like(x, 1e-4), np.zeros_like(x)
 
         lo, hi = np.zeros(2), np.full(2, 2.0)
         x = _newton.bracketed_root(equation, lo, hi, np.array([1.0 - 3e-12, 1.0 + 4e-12]))
