@@ -26,8 +26,9 @@ tests in ``tests/test_ipm.py`` bound them.
 With --psd-sweep, the rows are followed by the PSD sweep of ROADMAP.md's
 Open repros: one line per cold solve of the SDP above at orders 26 to
 34, in the same format.  The order-30 row's family changes status when
-the last bits of a solve change, so the sweep shows where it fails
-today.  It is informational: its statuses never change the exit code.
+the last bits of a solve change, so the sweep shows which orders fail at
+this checkout.  It is informational: its statuses never change the exit
+code.
 
 conepath is imported from ``src/`` of this checkout with one BLAS thread,
 as perfbench/run.py imports it.

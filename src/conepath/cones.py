@@ -185,7 +185,9 @@ def _t(M):
     return M.transpose(0, 2, 1)
 
 
-_UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))  # a 3 x 3 upper triangle, row by row
+def _symmetric3(a11, a12, a13, a22, a23, a33):
+    """The stack of symmetric 3 x 3 matrices with these upper triangles, one (k,) array each."""
+    return np.array([a11, a12, a13, a12, a22, a23, a13, a23, a33]).T.reshape(-1, 3, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -891,10 +893,7 @@ class NonsymmetricCone(Cone):
         )
 
     def _hessian(self, spec, S, u, du, d2u):
-        H = np.empty((len(S), 3, 3))
-        for (i, j), h in zip(_UPPER, self._hessian_entries(spec, S, u, du, d2u)):
-            H[:, i, j] = H[:, j, i] = h
-        return H
+        return _symmetric3(*self._hessian_entries(spec, S, u, du, d2u))
 
     def derivatives(self, spec, S):
         """(gradients, Hessians) from one evaluation of u and its derivatives."""
@@ -916,9 +915,9 @@ class NonsymmetricCone(Cone):
         eps cond(H).  The exact H is positive definite, but where cond(H)
         nears 1/eps, as at relative slack 1e-10, rounding can leave a
         pivot zero or negative.  A row whose pivots d are not all finite
-        and positive takes the eigendecomposition instead, with
-        eigenvalues floored at 1e-14 of the largest, which keeps its
-        inverse finite.  A row whose H holds an entry that is not finite
+        and positive, or whose inverse overflows, takes the
+        eigendecomposition instead, with eigenvalues floored at 1e-14 of
+        the largest, which keeps its inverse finite.  A row whose H holds an entry that is not finite
         (an overflow near the float64 range) has no inverse to floor and
         raises LinAlgError, which ipm reports as a kernel failure.
         """
@@ -934,9 +933,10 @@ class NonsymmetricCone(Cone):
             i1, i2, i3 = 1.0 / h11, 1.0 / d2, 1.0 / d3
             a, b = m31 * i3, -l32 * i3
             x11, x12, x22 = i1 + l21 * l21 * i2 + m31 * a, m31 * b - l21 * i2, i2 - l32 * b
-            X = np.array([x11, x12, a, x12, x22, b, a, b, i3]).T.reshape(-1, 3, 3)
-            # a pivot that is not a number fails both tests, and one that is +inf the second
-            bad = ~((np.minimum(np.minimum(h11, d2), d3) > 0.0) & (h11 + d2 + d3 < np.inf))
+            X = _symmetric3(x11, x12, a, x22, b, i3)
+            # 1/d > 0 fails on a pivot d < 0, +inf or not a number, and a
+            # finite X rules out d = 0 and any overflow on the way
+            bad = ~((np.minimum(np.minimum(i1, i2), i3) > 0.0) & np.isfinite(X).all(axis=(1, 2)))
         if bad.any():
             H = self.hessian(spec, S[bad])
             if not np.isfinite(H).all():

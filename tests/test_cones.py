@@ -720,7 +720,10 @@ class TestClosedFormHessianInverse:
 
     @pytest.mark.parametrize(
         "spec,row",
-        [(ConeSpec.power(0.3), [1e-300, 1.0, 0.0]), (ConeSpec.exponential(), [1e300, 1e-300, -1.0])],
+        [
+            (ConeSpec.power(0.3), [1e-300, 1.0, 0.0]),
+            (ConeSpec.exponential(), [1e300, 1e-300, -1.0]),
+        ],
         ids=["pow", "exp"],
     )
     def test_non_finite_row_raises(self, spec, row):
@@ -758,7 +761,7 @@ def _root_equations(spec, monkeypatch, call):
 
 
 class TestRootDerivatives:
-    """Halley's step needs each root equation's second derivative; all three give it in closed form."""
+    """Halley's step needs each root equation's second derivative, in closed form in all three."""
 
     @staticmethod
     def calls(spec):
