@@ -3,23 +3,31 @@
     python3 .github/kernel_timings.py --repeat 30
 
 For each workload, one cold solve of the first member of its reference
-chain (perfbench/workloads.py, seed 1) records every stack of s rows
-that ``ipm`` passes to ``barrier_hessian_inverse`` and every stack of z
-rows that it passes to ``conjugate_gradient`` and that call accepts.
-Each kernel of the cone class of each barrier kind then runs once on
-every recorded stack of its side, and that loop is timed with ``timeit``
-in each of ``--repeat`` rounds, every kernel once per round.  One line
-per workload and kind gives the best loop's microseconds per call:
+chain (perfbench/workloads.py, seed 1) records every call ``ipm`` makes
+to its kernels ``barrier_gradient``, ``barrier_hessian_inverse`` and
+``conjugate_gradient``, to ``block_proximity``, and to the methods
+``is_interior``, ``is_interior_dual`` and ``step_bound`` of its
+``ConeProduct``, with copies of the arguments, for the calls that
+return.  Each timed loop runs once on every recorded call or stack of
+its kind, timed with ``timeit`` in each of ``--repeat`` rounds, every
+loop once per round, and the best loop gives the microseconds per call.
+
+One line per workload and kind times the cone class's kernels
+(``cones.CONES[kind]``), which assume tested rows, on the s stacks that
+``ipm`` passed to ``barrier_hessian_inverse`` and the z stacks that it
+passed to ``conjugate_gradient``:
 
 - on the s stacks: ``gradient``, ``hessian_inverse``, ``interior`` and
   ``step_bound``, the last along the step to the next recorded stack;
 - on the z stacks: ``conjugate_gradient`` and ``interior_dual``.
 
-The kernels are the class methods (``cones.CONES[kind]``), which assume
-tested rows; the module functions ``ipm`` calls add one interior test.
-The perfbench tracer inflates calls this short, so these numbers, not
-its self times, say what one kernel call costs.  Nothing is checked:
-the script exits 0 whatever the times.
+One more line per workload, ``product``, replays the recorded calls as
+``ipm`` made them: the three kernels per kind (``barrier_gradient.soc``
+and so on), ``block_proximity`` and the three ``ConeProduct`` methods.
+These include whatever the names add to the class formulas, such as an
+interior test.  The perfbench tracer inflates calls this short, so these
+numbers, not its self times, say what one call costs.  Nothing is
+checked: the script exits 0 whatever the times.
 
 conepath is imported from ``src/`` of this checkout with one BLAS thread,
 as perfbench/run.py imports it.
@@ -34,33 +42,55 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 S_KERNELS = ("gradient", "hessian_inverse", "interior")  # and step_bound, which takes two stacks
 Z_KERNELS = ("conjugate_gradient", "interior_dual")
+IPM_KERNELS = ("barrier_gradient", "barrier_hessian_inverse", "conjugate_gradient")
+PRODUCT_METHODS = ("is_interior", "is_interior_dual", "step_bound")
 
 
-def recorded_stacks(api, problem):
-    """{kind value: (spec, s stacks, z stacks)} from one cold solve of problem."""
+def recorded_calls(api, cones, problem):
+    """(report, {name: [(function, args)]}) from one cold solve of problem.
+
+    Each name of IPM_KERNELS, block_proximity and PRODUCT_METHODS maps
+    to the calls of it that returned, with copies of their array
+    arguments; a kernel's name gains its kind, as barrier_gradient.soc.
+    """
+    import numpy as np
+
     ipm = api.ipm
-    stacks = {}
-    hinv, conj = ipm.barrier_hessian_inverse, ipm.conjugate_gradient
+    calls = {}
 
-    def entry(spec):
-        return stacks.setdefault(spec.kind.value, (spec, [], []))
+    def recording(owner, name):
+        fn = getattr(owner, name)
 
-    def recorded_hinv(spec, S):
-        out = hinv(spec, S)
-        entry(spec)[1].append(S.copy())
-        return out
+        def recorded(*args):
+            out = fn(*args)
+            key = f"{name}.{args[0].kind.value}" if name in IPM_KERNELS else name
+            copied = tuple(a.copy() if isinstance(a, np.ndarray) else a for a in args)
+            calls.setdefault(key, []).append((fn, copied))
+            return out
 
-    def recorded_conj(spec, Y):
-        out = conj(spec, Y)
-        entry(spec)[2].append(Y.copy())
-        return out
+        setattr(owner, name, recorded)
+        return owner, name, fn
 
-    ipm.barrier_hessian_inverse, ipm.conjugate_gradient = recorded_hinv, recorded_conj
+    patched = [recording(ipm, name) for name in (*IPM_KERNELS, "block_proximity")]
+    patched += [recording(cones.ConeProduct, name) for name in PRODUCT_METHODS]
     try:
         report = ipm.solve(problem, ipm.cold_start(problem))
     finally:
-        ipm.barrier_hessian_inverse, ipm.conjugate_gradient = hinv, conj
-    return report, stacks
+        for owner, name, fn in patched:
+            setattr(owner, name, fn)
+    return report, calls
+
+
+def kind_stacks(calls):
+    """{kind value: (spec, s stacks, z stacks)}: the rows ipm passed to the
+    barrier Hessian inverse and to the conjugate gradient."""
+    stacks = {}
+    for side, kernel in ((1, "barrier_hessian_inverse"), (2, "conjugate_gradient")):
+        for name, recorded in calls.items():
+            if name.startswith(kernel + "."):
+                for _, (spec, S, *_) in recorded:
+                    stacks.setdefault(spec.kind.value, (spec, [], []))[side].append(S)
+    return stacks
 
 
 def per_call_us(calls, repeat):
@@ -97,6 +127,16 @@ def kernel_lines(label, stacks, cones, repeat):
         )
 
 
+def product_line(label, calls, repeat):
+    """The line timing the recorded calls as ipm made them."""
+    replays = {name: [lambda f=f, a=a: f(*a) for f, a in recorded] for name, recorded in calls.items()}
+    order = sorted(replays, key=lambda name: (name.split(".")[0] in IPM_KERNELS, name))
+    times = per_call_us({name: replays[name] for name in order}, repeat)
+    counts = " ".join(f"{name}={len(replays[name])}" for name in order)
+    us = " ".join(f"{name}={times[name]:.1f}" for name in order)
+    return f"{label} product calls: {counts} us_per_call: {us}"
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=30, help="timed rounds (best kept)")
@@ -113,10 +153,11 @@ def main(argv=None):
     for name, workload in WORKLOADS.items():
         with tempfile.TemporaryDirectory() as tmp:
             chains = run.setup(api, workload, 1, {}, Path(tmp))
-        report, stacks = recorded_stacks(api, chains[0][0])
+        report, calls = recorded_calls(api, cones, chains[0][0])
         label = f"{name} {report.status.value} it={report.iterations}"
-        for line in kernel_lines(label, stacks, cones, args.repeat):
+        for line in kernel_lines(label, kind_stacks(calls), cones, args.repeat):
             print(line, flush=True)
+        print(product_line(label, calls, args.repeat), flush=True)
     return 0
 
 

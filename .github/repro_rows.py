@@ -1,7 +1,7 @@
 """Cold-solve every cold-solve row of ROADMAP.md's repro table, one line per row.
 
     python3 .github/repro_rows.py
-    python3 .github/repro_rows.py --psd-sweep
+    python3 .github/repro_rows.py --psd-sweep --warm-override
 
 Each line names the case, then the status, the iteration count,
 SolveReport.reason (``-`` unless the status is NumericalError) and the
@@ -30,6 +30,13 @@ the last bits of a solve change, so the sweep shows which orders fail at
 this checkout.  It is informational: its statuses never change the exit
 code.
 
+With --warm-override, they are followed by Open repros' warm row: the
+rebalance-soc reference chain (perfbench/workloads.py, seed 1, built
+and read back as the benchmark builds it), member 2 (counted from 0)
+cold, then warm-started from member 1's cold optimum with every barrier
+block's mu0 from ``warmstart`` scaled by each of WARM_OVERRIDE_FACTORS
+through ``overrides``, lambda kept.  Its lines are informational too.
+
 conepath is imported from ``src/`` of this checkout with one BLAS thread,
 as perfbench/run.py imports it.
 """
@@ -41,6 +48,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PSD_SWEEP_ORDERS = range(26, 35)
+WARM_OVERRIDE_FACTORS = (1.0, 0.3, 0.1, 0.03, 0.01, 0.001)
 
 
 def psd_trace_one(order):
@@ -100,12 +108,39 @@ def rows(api):
 
 def cold_line(api, label, problem):
     """(the row's line, its status) for one cold solve of problem."""
+    return solve_line(label, lambda: api.ipm.solve(problem, api.ipm.cold_start(problem)))
+
+
+def solve_line(label, solve):
+    """The row's line for solve(), a call that returns a SolveReport."""
     t0 = time.perf_counter()
-    report = api.ipm.solve(problem, api.ipm.cold_start(problem))
+    report = solve()
     seconds = time.perf_counter() - t0
     status = report.status.value
     line = f"{label}: {status} it={report.iterations} reason={report.reason or '-'} {seconds:.2f}s"
     return line, status
+
+
+def warm_override_lines(api):
+    """Open repros' warm row: one line for the cold solve, one per mu0 factor."""
+    import tempfile
+
+    from perfbench import run
+    from perfbench.workloads import WORKLOADS
+
+    ipm, ws_mod = api.ipm, api.warmstart
+    with tempfile.TemporaryDirectory() as tmp:
+        chain = run.setup(api, WORKLOADS["rebalance-soc"], 1, {}, Path(tmp))[0]
+    previous, problem = chain[1], chain[2]
+    yield cold_line(api, "rebalance member 2 cold", problem)[0]
+    report = ipm.solve(previous, ipm.cold_start(previous))
+    prev = ws_mod.PreviousSolution(*report.solution, problem=problem)
+    default = ws_mod.warmstart(prev, problem.cones).per_block
+    for factor in WARM_OVERRIDE_FACTORS:
+        overrides = {k: {"mu0": factor * default[k].mu0} for k, _, _ in problem.cones.barrier_blocks}
+        ws = ws_mod.warmstart(prev, problem.cones, overrides=overrides)
+        label = f"rebalance member 2 warm mu0 x{factor:g}"
+        yield solve_line(label, lambda: ipm.solve(problem, ipm.warm_start(problem, ws)))[0]
 
 
 def main(argv=None):
@@ -113,6 +148,10 @@ def main(argv=None):
     parser.add_argument(
         "--psd-sweep", action="store_true",
         help="also solve the SDP at orders 26-34; informational, never fails",
+    )
+    parser.add_argument(
+        "--warm-override", action="store_true",
+        help="also solve the rebalance warm row at each mu0 factor; informational, never fails",
     )
     args = parser.parse_args(argv)
     sys.path.insert(0, str(ROOT))
@@ -127,6 +166,9 @@ def main(argv=None):
     if args.psd_sweep:
         for order in PSD_SWEEP_ORDERS:
             print(cold_line(api, f"psd sweep order={order}", psd_trace_one(order))[0], flush=True)
+    if args.warm_override:
+        for line in warm_override_lines(api):
+            print(line, flush=True)
     return 1 if lost else 0
 
 

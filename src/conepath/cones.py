@@ -30,13 +30,17 @@ no eigendecomposition runs unless a row's pivots fail.  A nonsymmetric
 kind projects by its own smoothing of the unit-scaled target, scaled
 back, and onto its dual cone by the Moreau identity.
 
-The module functions (is_interior, barrier_gradient, ...) are the
-checked entry points.  They take one point (dim,) or a stack (k, dim)
--- one point is the k = 1 case of the same code -- test interiority once
-and look the class up; class methods assume tested rows, so the Newton
-loops call them directly.  Symmetric matrix blocks travel in packed
-triangle form with sqrt(2) scaling so that packed inner products equal
-trace inner products.
+One interior test per point.  The module functions (is_interior,
+barrier_gradient, conjugate_gradient, ...) are the checked entry points,
+for warmstart, smoothing and users.  They take one point (dim,) or a
+stack (k, dim) -- one point is the k = 1 case of the same code -- test
+interiority once (require_interior) and look the class up.  Class
+methods assume tested rows, so whatever has tested a point calls them
+directly: the Newton loops, and ipm, whose only membership tests are
+ConeProduct.is_interior and is_interior_dual on its start and trial
+points.  A ConeProduct binds each batch's class once (_Batch.cone).
+Symmetric matrix blocks travel in packed triangle form with sqrt(2)
+scaling so that packed inner products equal trace inner products.
 """
 
 import math
@@ -196,8 +200,11 @@ def _symmetric3(a11, a12, a13, a22, a23, a33):
 
 def _interior_rows(test, spec, S):
     """test on the rows of a stack; a row with a non-finite entry is not interior."""
-    # the solver's iterates are finite, and skipping the mask for them
-    # nearly halves the test of a short stack, which runs ~60 times per iterate
+    # points are mostly finite, and skipping the mask for them nearly
+    # halves the test of a short stack.  The checked entry points,
+    # warmstart and smoothing call this; ipm's tests do not, except the
+    # nonsymmetric dual test (Cone.interior_dual): at seed 1 an iteration
+    # runs it 2.1 times on hmcr-pow and never on svm-l1-lp or rebalance-soc
     if np.isfinite(S).all():
         return test(spec, S)
     ok = np.isfinite(S).all(axis=1)
@@ -237,20 +244,25 @@ def is_interior_dual(spec, y):
     return _membership(CONES[spec.kind].interior_dual, spec, y)
 
 
-def _require_interior(ok, spec, dual=False):
-    """Raise BoundaryOrExterior unless every row passed the interior test of K, or of K*."""
-    if not np.all(ok):
+def require_interior(spec, s, dual=False):
+    """s as a stack (k, dim) once every row has passed the interior test of K, or of K*.
+
+    Raises BoundaryOrExterior otherwise, a wrong shape included.  The
+    checked entry points run it once before the kind's formula.
+    """
+    s = np.asarray(s, dtype=float)
+    cone = CONES[spec.kind]
+    if not np.all(_membership(cone.interior_dual if dual else cone.interior, spec, s)):
         where = f"the dual of {spec.kind.value}" if dual else f"{spec.kind.value}({spec.dim})"
         raise BoundaryOrExterior(f"point is not strictly interior to {where}")
+    return s.reshape(-1, spec.dim)
 
 
 def _checked(formula, spec, s):
     """The kind's formula on every row of a point or stack once each row has
     passed the interior test of K; one point gets its row."""
-    s = np.asarray(s, dtype=float)
-    _require_interior(_membership(CONES[spec.kind].interior, spec, s), spec)
-    out = getattr(CONES[spec.kind], formula)(spec, s.reshape(-1, spec.dim))
-    return out[0] if s.ndim == 1 else out
+    out = getattr(CONES[spec.kind], formula)(spec, require_interior(spec, s))
+    return out[0] if np.ndim(s) == 1 else out
 
 
 def barrier_value(spec, s):
@@ -312,14 +324,16 @@ def conjugate_gradient(spec, y):
     scalar equation per row.  Raises BoundaryOrExterior if a row is not
     strictly inside K*, and NoConvergence if a row's point -grad f*(y)
     leaves the float64 range (its u overflows or underflows, as for
-    |y| ~ 1e300 on a power cone).  Each kind tests its rows against K*,
-    the nonsymmetric ones with the dual slack their equation reuses.
+    |y| ~ 1e300 on a power cone).  The nonsymmetric kinds test their
+    rows against K* with the dual slack their equation reuses
+    (Cone.conjugate_tests_rows).
     """
-    y = np.asarray(y, dtype=float)
-    if y.ndim not in (1, 2) or y.shape[-1] != spec.dim:
-        _require_interior(False, spec, dual=True)
-    out = CONES[spec.kind].conjugate_gradient(spec, y.reshape(-1, spec.dim))
-    return out[0] if y.ndim == 1 else out
+    cone = CONES[spec.kind]
+    Y = np.asarray(y, dtype=float)
+    if not cone.conjugate_tests_rows or Y.ndim not in (1, 2) or Y.shape[-1] != spec.dim:
+        Y = require_interior(spec, Y, dual=True)  # a wrong shape raises
+    out = cone.conjugate_gradient(spec, Y.reshape(-1, spec.dim))
+    return out[0] if np.ndim(y) == 1 else out
 
 
 def conjugate_value(spec, y):
@@ -372,9 +386,10 @@ class Cone:
     """The formulas of one cone kind; every method takes the block's ConeSpec.
 
     Points arrive as stacks (k, dim), one point per row.  Apart from
-    validate, degree, the interior tests, conjugate_gradient (which
-    tests its rows against K*) and the operators on arbitrary targets
-    (smooth*, project*), methods assume rows strictly inside the cone.
+    validate, degree, the interior tests and the operators on arbitrary
+    targets (smooth*, project*), methods assume rows that passed the
+    interior test: of K, or of K* for conjugate_gradient, unless
+    conjugate_tests_rows says that it tests them itself.
     interior(spec, S) and interior_dual(spec, Y) tell per row whether
     every defining inequality of K, resp. K*, is > 0.
     step_bound(spec, V, D) gives per row an upper bound on the alpha
@@ -384,6 +399,7 @@ class Cone:
     """
 
     takes_alpha = takes_order = False
+    conjugate_tests_rows = False
 
     def validate(self, spec):
         if spec.alpha is not None and not self.takes_alpha:
@@ -515,7 +531,6 @@ class SelfDualCone(Cone):
         return e, e.copy()
 
     def conjugate_gradient(self, spec, Y):
-        _require_interior(_interior_rows(self.interior, spec, Y), spec, dual=True)
         return self.gradient(spec, Y)
 
     def project_dual(self, spec, c):
@@ -840,6 +855,10 @@ class NonsymmetricCone(Cone):
     smoothing reduces the same way, and project calls smooth.
     """
 
+    # conjugate_gradient tests its rows against K* with the dual slack its
+    # equation reuses, so that slack is computed once
+    conjugate_tests_rows = True
+
     def validate(self, spec):
         super().validate(spec)
         if spec.dim != 3:
@@ -961,7 +980,10 @@ class NonsymmetricCone(Cone):
         with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
             v = self.slack(spec, MY)
             ok = (MY[:, 0] > 0.0) & (MY[:, 1] > 0.0) & (v > 0.0) & (v < np.inf)
-            _require_interior(ok, spec, dual=True)
+            if not ok.all():
+                raise BoundaryOrExterior(
+                    f"point is not strictly interior to the dual of {spec.kind.value}"
+                )
             equation, lo, hi, x0, point = self.conjugate_root(spec, Y, v)
             S, u = point(bracketed_root(equation, lo, hi, x0))
         if not (np.isfinite(S).all() and np.all((u >= np.finfo(float).tiny) & np.isfinite(u))):
@@ -1226,19 +1248,23 @@ CONES = {
 
 
 class _Batch(NamedTuple):
-    """A run of consecutive blocks with an equal ConeSpec.
+    """A run of consecutive blocks with an equal ConeSpec, bound to its kind once.
 
     sl covers the run's coordinates in the product and blocks its
-    indices in ConeProduct.blocks.
+    indices in ConeProduct.blocks; cone is the kind's class, shape the
+    run's stack shape (len(blocks), spec.dim) and degree each block's.
     """
 
     spec: ConeSpec
     sl: slice
     blocks: range
+    cone: Cone
+    shape: tuple
+    degree: int
 
     def rows(self, v):
         """The run's part of v as a (k, spec.dim) stack; a view of v."""
-        return v[self.sl].reshape(len(self.blocks), self.spec.dim)
+        return v[self.sl].reshape(self.shape)
 
 
 class ConeProduct:
@@ -1262,15 +1288,16 @@ class ConeProduct:
             for k, (spec, sl) in enumerate(zip(self.blocks, self._slices))
             if spec.degree
         )
-        runs = [list(run) for _, run in groupby(range(len(self.blocks)), self.blocks.__getitem__)]
+        runs = groupby(range(len(self.blocks)), self.blocks.__getitem__)
         self.batches = tuple(
-            _Batch(self.blocks[r[0]], slice(offs[r[0]], offs[r[-1] + 1]), range(r[0], r[-1] + 1))
-            for r in runs
+            _Batch(
+                spec, slice(offs[r[0]], offs[r[-1] + 1]), range(r[0], r[-1] + 1),
+                CONES[spec.kind], (len(r), spec.dim), spec.degree,
+            )
+            for spec, r in ((spec, list(run)) for spec, run in runs)
         )
-        self.barrier_batches = tuple(b for b in self.batches if b.spec.degree)
-        self.corrected = all(
-            CONES[b.spec.kind].corrector is not None for b in self.barrier_batches
-        )
+        self.barrier_batches = tuple(b for b in self.batches if b.degree)
+        self.corrected = all(b.cone.corrector is not None for b in self.barrier_batches)
 
     def __iter__(self):
         return iter(self.blocks)
@@ -1294,11 +1321,16 @@ class ConeProduct:
         return self._slices
 
     def is_interior(self, s):
-        """Blockwise strict interiority, one test per batch; Zero blocks require exact zeros."""
-        return self._all_rows("interior", s)
+        """Blockwise strict interiority, one test per batch; Zero blocks require exact zeros.
+
+        A point with an entry that is not finite is not interior: one
+        finiteness pass covers every batch.
+        """
+        return self._all_rows(self.batches, "interior", s)
 
     def is_interior_dual(self, z):
-        return self._all_rows("interior_dual", z)
+        # a Zero block's dual is the whole space: its finite rows pass
+        return self._all_rows(self.barrier_batches, "interior_dual", z)
 
     def step_bound(self, s, ds, z, dz):
         """An upper bound on every alpha with s + alpha*ds in int K and z + alpha*dz in int K*.
@@ -1312,7 +1344,7 @@ class ConeProduct:
         """
         bound = np.inf
         for b in self.barrier_batches:
-            cone = CONES[b.spec.kind]
+            cone = b.cone
             V = np.concatenate([b.rows(s), cone.dual_coords(b.spec, b.rows(z))])
             D = np.concatenate([b.rows(ds), cone.dual_coords(b.spec, b.rows(dz))])
             bound = min(bound, cone.step_bound(b.spec, V, D).min())
@@ -1329,13 +1361,15 @@ class ConeProduct:
             return None
         out = np.zeros(self.dim)
         for b in self.barrier_batches:
-            cone = CONES[b.spec.kind]
-            b.rows(out)[:] = cone.corrector(b.spec, b.rows(z), b.rows(ds), b.rows(dz))
+            b.rows(out)[:] = b.cone.corrector(b.spec, b.rows(z), b.rows(ds), b.rows(dz))
         return out
 
-    def _all_rows(self, test, v):
-        for b in self.batches:
-            if not _interior_rows(getattr(CONES[b.spec.kind], test), b.spec, b.rows(v)).all():
+    @staticmethod
+    def _all_rows(batches, test, v):
+        if not np.isfinite(v).all():
+            return False
+        for b in batches:
+            if not getattr(b.cone, test)(b.spec, b.rows(v)).all():
                 return False
         return True
 

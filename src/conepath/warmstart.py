@@ -15,7 +15,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cones import ConeKind, barrier_gradient, is_interior, is_interior_dual, smat, unit_point
+from .cones import (
+    ConeKind,
+    barrier_gradient,
+    is_interior,
+    is_interior_dual,
+    require_interior,
+    smat,
+    unit_point,
+)
 from .errors import NotApplicable, Unsupported
 from .ipm import BETA, block_proximity, residual_map
 from .smoothing import smooth
@@ -432,12 +440,17 @@ def proximity(result, cones, beta=BETA):
     """Neighborhood test rho_i >= beta*mu for a warmstart output.
 
     mu is the aggregate <s0, z0>/nu; each non-Zero block must keep its
-    proximity value above beta*mu to count as well-centered.
+    proximity value above beta*mu to count as well-centered.  Raises
+    BoundaryOrExterior unless every non-Zero block of z0 is strictly
+    inside K* and of s0 inside K: block_proximity tests nothing.
     """
     if not (0.0 < beta <= 1.0):
         raise Unsupported(f"beta must lie in (0, 1], got {beta}")
     if cones.degree == 0:
         raise NotApplicable("proximity is undefined for all-Zero compositions")
+    for b in cones.barrier_batches:
+        require_interior(b.spec, b.rows(result.z0), dual=True)
+        require_interior(b.spec, b.rows(result.s0))
     mu = float(result.s0 @ result.z0) / cones.degree
     rho, _ = block_proximity(cones, result.s0, result.z0)
     ok = np.array(

@@ -408,6 +408,18 @@ class TestStackedKernels:
         Y[3] = -Y[3]
         with pytest.raises(BoundaryOrExterior):
             conjugate_gradient(spec, Y)
+        # so does a row that is not finite: the solver's kernels skip the
+        # test on rows it has accepted, these entry points keep it
+        spec, S, Y = _stack_cases(kind, np.random.default_rng(35), 5)
+        for bad in (np.nan, np.inf):
+            S[1, -1] = Y[1, -1] = bad
+            assert list(is_interior(spec, S)) == [True, False, True, True, True]
+            assert not is_interior_dual(spec, Y)[1]
+            for kernel in self.KERNELS:
+                with pytest.raises(BoundaryOrExterior):
+                    kernel(spec, S)
+            with pytest.raises(BoundaryOrExterior):
+                conjugate_gradient(spec, Y)
 
 
 def newton_one_point(value, grad, hess, inside, s0):
@@ -889,6 +901,24 @@ class TestConeProduct:
         assert product.is_interior(s)
         assert product.is_interior_dual(z)
         assert not product.is_interior(np.array([1e-9, 0.0, 1.0, 2.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_entry_in_any_block_is_not_interior(self, bad):
+        # one finiteness pass covers every batch, a Zero block's z included
+        product = ConeProduct(
+            (ConeSpec.zero(2), ConeSpec.nonnegative(2), ConeSpec.second_order(3), ConeSpec.power(0.3))
+        )
+        s = np.array([0.0, 0.0, 1.0, 2.0, 2.0, 0.5, 0.5, 1.0, 1.0, 0.1])
+        z = np.array([-3.0, 7.0, 0.5, 0.5, 2.0, -0.5, 0.5, 1.0, 1.0, -0.1])
+        assert product.is_interior(s) and product.is_interior_dual(z)
+        for i in range(product.dim):
+            bent = z.copy()
+            bent[i] = bad
+            assert not product.is_interior_dual(bent)
+            if i >= 2:
+                bent = s.copy()
+                bent[i] = bad
+                assert not product.is_interior(bent)
 
     def test_unit_points(self):
         product = ConeProduct((ConeSpec.zero(2), ConeSpec.second_order(3)))

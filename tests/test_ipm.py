@@ -1,6 +1,7 @@
 """Homogeneous-embedding solver: fixtures, statuses, invariants."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import scipy.sparse as sp
 from scipy.linalg import block_diag
 from scipy.sparse.linalg import splu
 
+from conepath import cones as cones_module
 from conepath import ipm
 from conepath.cones import (
     ConeKind,
@@ -1447,7 +1449,7 @@ def _random_step(rng):
         else:
             spec = make_spec(kind, rng, dim=3, order=int(rng.integers(1, 4)))
             s.append(random_interior(spec, rng))
-            z.append(-ipm.barrier_gradient(spec, random_interior(spec, rng)))
+            z.append(-barrier_gradient(spec, random_interior(spec, rng)))
         blocks.append(spec)
     cones = ConeProduct(tuple(blocks))
     s, z = np.concatenate(s), np.concatenate(z)
@@ -1512,6 +1514,81 @@ class TestStepSearch:
         report = solve(prob, cold_start(prob))
         assert report.status is SolveStatus.OPTIMAL
         assert len(calls) / report.iterations <= 2.5
+
+
+    def test_each_solver_point_is_tested_once(self, monkeypatch):
+        # ConeProduct's trial test is the only membership test an accepted s
+        # row or a trial z row meets: the kernels run on the rows it accepted
+        tested = _record_interior_tests(monkeypatch)
+        accepted_s, trial_z = [], []
+        for name, store in (("barrier_hessian_inverse", accepted_s), ("conjugate_gradient", trial_z)):
+            kernel = getattr(ipm, name)
+
+            def recorded(spec, S, *args, kernel=kernel, store=store):
+                store.extend((spec.kind, row.tobytes()) for row in S)
+                return kernel(spec, S, *args)
+
+            monkeypatch.setattr(ipm, name, recorded)
+        renormalized = []
+
+        def retest(*args):
+            renormalized.append(1)
+            return cones_module.require_interior(*args)
+
+        monkeypatch.setattr(ipm, "require_interior", retest, raising=False)
+        # each warm solve starts from the optimum at the previous required return
+        cases = []
+        for previous, problem in (
+            [gen_hmcr(synth_returns(4, 8, 0), r0, 3.0, 0.9) for r0 in (5e-4, 4.5e-4)],
+            [gen_portfolio(synth_returns(6, 30, 0), r0) for r0 in (5e-4, 4.5e-4)],
+        ):
+            report = solve(previous, cold_start(previous))
+            ws = warmstart(PreviousSolution(*report.solution, problem=previous), problem.cones)
+            cases += [(problem, cold_start(problem)), (problem, warm_start(problem, ws))]
+        qp = qp_shifted()[0]
+        cases.append((qp, cold_start(qp)))  # renormalizes its iterate once
+        for problem, start in cases:
+            tested.clear()
+            del accepted_s[:], trial_z[:]
+            report = solve(problem, start)
+            assert report.status is SolveStatus.OPTIMAL
+            # the start was tested on entry; every later s was a trial's, or
+            # a renormalized one, which is tested before its kernels see it
+            first = {
+                (b.spec.kind, row.tobytes())
+                for b in problem.cones.barrier_batches
+                for row in b.rows(start.s)
+            }
+            s_rows = [key for key in accepted_s if key not in first]
+            assert len(s_rows) >= report.iterations - 1 and trial_z
+            assert {tested[key] for key in s_rows} == {1}, "accepted s rows tested again"
+            assert {tested[key] for key in trial_z} == {1}, "trial z rows tested again"
+        assert renormalized
+
+
+def _record_interior_tests(monkeypatch):
+    """A Counter of (kind, row bytes) over every row each kind's interior test receives.
+
+    Only the outermost test of a call counts: a dual test that runs the
+    primal one on mapped rows, or on the same rows, counts once.
+    """
+    tested = Counter()
+    depth = [0]
+    for cone in cones_module.CONES.values():
+        for name in ("interior", "interior_dual"):
+            test = getattr(type(cone), name)
+
+            def recording(self, spec, S, test=test):
+                if not depth[0]:
+                    tested.update((spec.kind, row.tobytes()) for row in S)
+                depth[0] += 1
+                try:
+                    return test(self, spec, S)
+                finally:
+                    depth[0] -= 1
+
+            monkeypatch.setattr(type(cone), name, recording)
+    return tested
 
 
 class TestNumericalErrorReason:

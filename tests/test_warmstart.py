@@ -1,5 +1,6 @@
 """Warm-start generation: parameter selection, certification, bounds."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from conepath.cones import (
     svec,
     unit_point,
 )
-from conepath.errors import NotApplicable, Unsupported
+from conepath.errors import BoundaryOrExterior, NotApplicable, Unsupported
 from conepath.ipm import ConicProblem, residual_map
 from conepath.smoothing import smooth
 from conepath.warmstart import (
@@ -511,6 +512,20 @@ class TestProximity:
         res = warmstart(prev, cones, overrides={0: {"mu0": 1e-6}})
         report = proximity(res, cones, beta=0.99)
         assert report.all_ok
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("side", ["s0", "z0"])
+    def test_exterior_or_non_finite_block_raises(self, side, bad):
+        # block_proximity tests nothing; proximity tests the warmstart's point first
+        cones = ConeProduct((ConeSpec.zero(1), ConeSpec.nonnegative(2), ConeSpec.second_order(3)))
+        prev = PreviousSolution(np.array([1.0]), np.r_[0.0, np.ones(5)], np.ones(6))
+        res = warmstart(prev, cones, overrides={1: {"mu0": 1e-4}, 2: {"mu0": 1e-4}})
+        assert proximity(res, cones).all_ok
+        for i in (2, 5):  # a nonneg entry, an SOC entry
+            bent = dataclasses.replace(res, **{side: getattr(res, side).copy()})
+            getattr(bent, side)[i] = bad
+            with pytest.raises(BoundaryOrExterior):
+                proximity(bent, cones)
 
     def test_beta_validation(self):
         cones = ConeProduct((ConeSpec.nonnegative(2),))
