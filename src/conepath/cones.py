@@ -200,11 +200,9 @@ def _symmetric3(a11, a12, a13, a22, a23, a33):
 
 def _interior_rows(test, spec, S):
     """test on the rows of a stack; a row with a non-finite entry is not interior."""
-    # points are mostly finite, and skipping the mask for them nearly
-    # halves the test of a short stack.  The checked entry points,
-    # warmstart and smoothing call this; ipm's tests do not, except the
-    # nonsymmetric dual test (Cone.interior_dual): at seed 1 an iteration
-    # runs it 2.1 times on hmcr-pow and never on svm-l1-lp or rebalance-soc
+    # skipping the mask on a finite stack nearly halves a short test.  The
+    # solver's iterations run this only in the exp/pow dual test: at seed
+    # 1, 2.1 times each on hmcr-pow, never on svm-l1-lp or rebalance-soc
     if np.isfinite(S).all():
         return test(spec, S)
     ok = np.isfinite(S).all(axis=1)

@@ -21,17 +21,15 @@ This is not guaranteed.  The interior test rounds by an absolute amount,
 so an SOC point with gap/v0^2 below about 1e-10, or an ill-conditioned
 PSD block, can move the test's boundary past the slack; the search then
 takes a shorter step than the scan would, still strictly interior.
-Each point meets one membership test.  ConeProduct.is_interior and
-is_interior_dual test the start and every trial, and the kernels this
-module runs on the points they accepted (barrier_gradient,
-barrier_hessian_inverse and conjugate_gradient below, through
-block_proximity and the scaling) are the kinds' formulas with no test of
-their own; the checked entry points of the same names in cones test
-first, for warmstart, smoothing and users.  A point changed after its
-test, as the tau-renormalization's s /= tau, is tested again
-(cones.require_interior) before a kernel sees it.  At seed 1 this cut
-the kinds' interior tests per iteration 22.2 -> 12.2 on rebalance-soc,
-18.8 -> 11.6 on hmcr-pow and 7.4 -> 4.4 on svm-l1-lp.
+Each point meets one membership test: ConeProduct.is_interior and
+is_interior_dual on the start and every trial.  The kernels below
+(barrier_gradient, barrier_hessian_inverse, conjugate_gradient) run the
+kind's formula on the rows those tests accepted, with no test of their
+own; the checked entry points of the same names in cones test first.  A
+point changed after its test (the tau-renormalization's s /= tau) is
+tested again before a kernel sees it.  At seed 1 this cut the kinds'
+interior tests per iteration 22.2 -> 12.2 on rebalance-soc, 18.8 ->
+11.6 on hmcr-pow and 7.4 -> 4.4 on svm-l1-lp.
 Each iterate is evaluated once, at the raw point (residual_map): the
 termination test, both infeasibility certificates and the Newton right
 side share its products with P, A' and A.  The optimality test reads
@@ -117,9 +115,7 @@ def _zero_free(M):
 class ConicProblem:
     """Problem data; P is symmetrized, and P and A are canonical CSC copies with no stored zero.
 
-    AT and the data scale b_max = max|b|, q_max = max|q|, which the
-    termination test reads, are derived once here: change the data by
-    building a new problem.
+    AT, b_max = max|b| and q_max = max|q| are derived once, here.
     """
 
     P: sp.csc_matrix
@@ -402,10 +398,8 @@ def _search(grid, trial, bound):
     return None
 
 
-# The kernels the solver runs on its own points: the kind's formula, with
-# no interior test, on rows that passed ConeProduct.is_interior (s) or
-# is_interior_dual (z) (module docstring).  cone is the batch's class.
-# The checked entry points of the same names in cones test first.
+# The kernels on rows that passed ConeProduct.is_interior (s) or
+# is_interior_dual (z): the formula of cone, the batch's class, untested.
 
 
 def barrier_gradient(spec, S, cone):
@@ -423,15 +417,13 @@ def conjugate_gradient(spec, Y, cone):
 def block_proximity(cones, s, z):
     """Per-block proximity rho_i = nu_i / <grad f(s_i), grad f*(z_i)>.
 
-    s and z must have passed cones.is_interior and is_interior_dual:
-    the kernels here test nothing (warmstart.proximity tests first).
-    One kernel call covers each batch of cones.barrier_batches.  Returns
+    s and z must have passed cones.is_interior and is_interior_dual.  One
+    kernel call covers each batch of cones.barrier_batches.  Returns
     (rho, gradients): rho is NaN on Zero blocks, and gradients[j] is
     grad f(s) on the rows of barrier batch j, which the step rule reuses
-    at the trial it accepts.  Raises what the nonsymmetric conjugate
-    gradients raise on a row out of the float64 range.  rho_i equals the
-    local path parameter mu_i exactly on the central path and is
-    strictly smaller off it.
+    at the trial it accepts.  Raises what conjugate_gradient raises.
+    rho_i equals the local path parameter mu_i exactly on the central
+    path and is strictly smaller off it.
     """
     rho = np.full(len(cones.blocks), np.nan)
     gradients = []

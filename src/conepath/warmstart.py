@@ -441,8 +441,7 @@ def proximity(result, cones, beta=BETA):
 
     mu is the aggregate <s0, z0>/nu; each non-Zero block must keep its
     proximity value above beta*mu to count as well-centered.  Raises
-    BoundaryOrExterior unless every non-Zero block of z0 is strictly
-    inside K* and of s0 inside K: block_proximity tests nothing.
+    BoundaryOrExterior unless each such block of s0 is in int K, of z0 in int K*.
     """
     if not (0.0 < beta <= 1.0):
         raise Unsupported(f"beta must lie in (0, 1], got {beta}")

@@ -1521,7 +1521,8 @@ class TestStepSearch:
         # row or a trial z row meets: the kernels run on the rows it accepted
         tested = _record_interior_tests(monkeypatch)
         accepted_s, trial_z = [], []
-        for name, store in (("barrier_hessian_inverse", accepted_s), ("conjugate_gradient", trial_z)):
+        kernels = (("barrier_hessian_inverse", accepted_s), ("conjugate_gradient", trial_z))
+        for name, store in kernels:
             kernel = getattr(ipm, name)
 
             def recorded(spec, S, *args, kernel=kernel, store=store):
