@@ -17,7 +17,8 @@ One line per workload and kind times the cone class's kernels
 ``ipm`` passed to ``barrier_hessian_inverse`` and the z stacks that it
 passed to ``conjugate_gradient``:
 
-- on the s stacks: ``gradient``, ``hessian_inverse``, ``interior`` and
+- on the s stacks: ``gradient``, ``hessian_inverse`` (with the z stack
+  and mu that ``ipm`` passed with each s stack), ``interior`` and
   ``step_bound``, the last along the step to the next recorded stack;
 - on the z stacks: ``conjugate_gradient`` and ``interior_dual``.
 
@@ -82,14 +83,16 @@ def recorded_calls(api, cones, problem):
 
 
 def kind_stacks(calls):
-    """{kind value: (spec, s stacks, z stacks)}: the rows ipm passed to the
-    barrier Hessian inverse and to the conjugate gradient."""
+    """{kind value: (spec, s arguments, z stacks)}: the arguments (S, Z, mu) ipm
+    passed to the barrier Hessian inverse, and the rows it passed to the
+    conjugate gradient."""
     stacks = {}
     for side, kernel in ((1, "barrier_hessian_inverse"), (2, "conjugate_gradient")):
         for name, recorded in calls.items():
             if name.startswith(kernel + "."):
-                for _, (spec, S, *_) in recorded:
-                    stacks.setdefault(spec.kind.value, (spec, [], []))[side].append(S)
+                for _, (spec, *args, _cone) in recorded:
+                    entry = stacks.setdefault(spec.kind.value, (spec, [], []))
+                    entry[side].append(tuple(args) if side == 1 else args[0])
     return stacks
 
 
@@ -109,10 +112,14 @@ def per_call_us(calls, repeat):
 
 
 def kernel_lines(label, stacks, cones, repeat):
-    for kind, (spec, S_list, Z_list) in stacks.items():
+    for kind, (spec, s_args, Z_list) in stacks.items():
         cone = cones.CONES[spec.kind]
+        S_list = [S for S, _, _ in s_args]
+        # hessian_inverse takes the Z and mu passed with each S, the others S alone
+        args = {name: s_args if name == "hessian_inverse" else [(S,) for S in S_list]
+                for name in S_KERNELS}
         calls = {
-            name: [lambda f=getattr(cone, name), S=S: f(spec, S) for S in S_list]
+            name: [lambda f=getattr(cone, name), a=a: f(spec, *a) for a in args[name]]
             for name in S_KERNELS
         }
         calls["step_bound"] = [

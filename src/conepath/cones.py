@@ -5,11 +5,12 @@ f(t*s) = f(s) - nu*log(t) on the interior.  Each ConeKind has one class
 below, found through CONES, that holds every formula of its kind:
 validation, degree, interior test, step bound, barrier derivatives, unit
 point, conjugate gradient, the smoothing and projection operators that
-smoothing.py exposes, and K's scaling form: hessian_inverse gives H^-1
-as a Scaling, from which ipm builds its block of the KKT matrix without
-knowing the kind.  A kind whose block of K is its Nesterov-Todd scaling
-also gives Mehrotra's second-order term of the combined step
-(corrector), which ipm applies only where every barrier kind gives one.
+smoothing.py exposes, and the block's scaling in K: hessian_inverse
+gives H(s_i)^-1/mu_i from the rows of s and z, each kind taking its own
+path parameter mu_i (Scaling), and ipm builds K from it without knowing
+the kind.  A kind whose block of K is its Nesterov-Todd scaling also
+gives Mehrotra's second-order term of the combined step (corrector),
+which ipm applies only where every barrier kind gives one.
 
 The formulas work on stacks.  A stack is a (k, dim) array whose rows
 are k points of one cone; formulas give one result per row: (k,) values
@@ -256,10 +257,10 @@ def require_interior(spec, s, dual=False):
     return s.reshape(-1, spec.dim)
 
 
-def _checked(formula, spec, s):
+def _checked(formula, spec, s, *args):
     """The kind's formula on every row of a point or stack once each row has
     passed the interior test of K; one point gets its row."""
-    out = getattr(CONES[spec.kind], formula)(spec, require_interior(spec, s))
+    out = getattr(CONES[spec.kind], formula)(spec, require_interior(spec, s), *args)
     return out[0] if np.ndim(s) == 1 else out
 
 
@@ -279,34 +280,43 @@ def barrier_hessian(spec, s):
 
 @dataclass(frozen=True)
 class Scaling:
-    """H(s)^-1 of each row of a stack, in the one form ipm's KKT matrix takes.
+    """A block's scaling H(s)^-1/mu_i per row of a stack, in the one form ipm's KKT matrix takes.
 
-    H^-1 = blockdiag(blocks) + sum_c signs[c] U_c U_c' per row.  blocks
+    It is blockdiag(blocks) + sum_c U_c U_c'/pivots[c] per row.  blocks
     is (k, dim/w, w, w): dense w x w blocks along the row's coordinates,
     a diagonal at w = 1.  lifts is (k, c, dim), the c columns U_c, which
-    ipm lifts into rows of K of their own.  mu_parts splits each row into
-    that many blocks of equal degree, each scaled in K by its own path
-    parameter mu_i = <s_i, z_i>/nu_i; 0 takes the global mu.  Indexing
+    ipm lifts into rows of K of their own, with pivots (k, c),
+    signs[c]*mu_i, as their entries of K's diagonal D.  mu_i is
+    <s_i, z_i>/nu_i for each nonnegative coordinate and each second-order,
+    exponential or power block, the global mu for a PSD block.  Indexing
     gives one row's form, as the other kernels give a point its row.
     """
 
     blocks: np.ndarray
     lifts: np.ndarray
+    pivots: np.ndarray
     signs: tuple
-    mu_parts: int
 
     def __getitem__(self, i):
-        return replace(self, blocks=self.blocks[i], lifts=self.lifts[i])
+        return replace(self, blocks=self.blocks[i], lifts=self.lifts[i], pivots=self.pivots[i])
 
 
-def _dense(H, mu_parts):
-    """The Scaling of a stack of dense inverse Hessians (k, dim, dim), with no lifted column."""
-    return Scaling(H[:, None], np.zeros((len(H), 0, H.shape[-1])), (), mu_parts)
+def _dense(H):
+    """The Scaling of a stack of dense blocks (k, dim, dim), with no lifted column."""
+    return Scaling(H[:, None], np.zeros((len(H), 0, H.shape[-1])), np.zeros((len(H), 0)), ())
 
 
-def barrier_hessian_inverse(spec, s):
-    """Inverse Hessian as a Scaling; closed forms where available."""
-    return _checked("hessian_inverse", spec, s)
+def _path_parameters(S, Z, degree):
+    """mu_i = <s_i, z_i>/nu_i per row, the products summed left to right."""
+    return np.add.accumulate(S * Z, axis=1)[:, -1] / degree
+
+
+def barrier_hessian_inverse(spec, s, z, mu):
+    """The Scaling H(s)^-1/mu_i once s has passed the interior test of K and z, of s's
+    shape, that of K*; mu is the global path parameter, which only PSD reads."""
+    if np.shape(z) != np.shape(s):
+        raise BoundaryOrExterior(f"z has shape {np.shape(z)}, s {np.shape(s)}")
+    return _checked("hessian_inverse", spec, s, require_interior(spec, z, dual=True), mu)
 
 
 def unit_point(spec):
@@ -593,10 +603,11 @@ class NonnegativeCone(SelfDualCone):
         H[:, i, i] = 1.0 / S**2
         return H
 
-    def hessian_inverse(self, spec, S):
-        """The diagonal s^2; each coordinate, of degree 1, takes its own mu_j = s_j z_j,
-        so its entry of K is the Nesterov-Todd s_j/z_j."""
-        return Scaling((S**2)[:, :, None, None], np.zeros((len(S), 0, spec.dim)), (), spec.dim)
+    def hessian_inverse(self, spec, S, Z, mu):
+        """The diagonal s^2/(s z), each coordinate's mu_j = s_j z_j: the Nesterov-Todd
+        s_j/z_j (Nesterov & Todd, Math. OR 1997)."""
+        W = (S**2 / (S * Z))[:, :, None, None]
+        return Scaling(W, np.zeros((len(S), 0, spec.dim)), np.zeros((len(S), 0)), ())
 
     def corrector(self, spec, Z, DS, DZ):
         """ds*dz/z: z ds + s dz = sigma mu - s z - ds_aff dz_aff, divided by z as K's s/z is."""
@@ -687,8 +698,9 @@ class SecondOrderCone(SelfDualCone):
         H[:, i, i] += -j / t
         return H
 
-    def hessian_inverse(self, spec, S):
-        """2 ss' - t J split by its eigenvectors: the diagonal t I and lifts u (+), v (-).
+    def hessian_inverse(self, spec, S, Z, mu):
+        """(2 ss' - t J)/mu_i split by its eigenvectors: the diagonal t I/mu_i and lifts
+        u (pivot +mu_i) and v (pivot -mu_i), mu_i = <s, z> for the whole block.
 
         With n = ||s1||, u = sqrt(n (s0 + n)) (1, s1/n) and
         v = sqrt(n (s0 - n)) (1, -s1/n); both are 0 at n = 0.  t stays an
@@ -696,18 +708,20 @@ class SecondOrderCone(SelfDualCone):
         s0^2 once t/s0^2 nears the float floor.  t is taken as
         (s0 - n)(s0 + n), from the factors u and v carry, so that
         t - ||v||^2/2 = (s0 - n)^2 keeps its sign in floats: ipm's lifted
-        KKT block stays quasi-definite.  The whole block takes one mu_i.
+        KKT block stays quasi-definite.
         """
+        mu_i = _path_parameters(S, Z, 1)
         s0 = S[:, 0]
         n = _norms(S[:, 1:])
         low, high = s0 - n, s0 + n
         w = S[:, 1:] / np.where(n > 0.0, n, 1.0)[:, None]  # s1/n, 0 at n = 0
         out = np.empty((len(S), 3, spec.dim))
-        out[:, 0] = (low * high)[:, None]
+        out[:, 0] = (low * high / mu_i)[:, None]
         for row, scale, sign in ((1, np.sqrt(n * high), 1.0), (2, np.sqrt(n * low), -1.0)):
             out[:, row, 0] = scale
             out[:, row, 1:] = (sign * scale)[:, None] * w
-        return Scaling(out[:, 0, :, None, None], out[:, 1:], (1.0, -1.0), 1)
+        signs = (1.0, -1.0)
+        return Scaling(out[:, 0, :, None, None], out[:, 1:], mu_i[:, None] * signs, signs)
 
     def unit_s(self, spec):
         e = np.zeros(spec.dim)
@@ -809,11 +823,11 @@ class PsdTriangleCone(SelfDualCone):
     def hessian(self, spec, S):
         return _sym_kron(self._inverse(S))
 
-    def hessian_inverse(self, spec, S):
-        """Dense, on the global mu: with its own mu_i, the order-30 trace-one SDP
-        (.github/repro_rows.py) ends NumericalError at 25 iterations, every trial
-        rejected by proximity; with the global mu it ends Optimal in 19."""
-        return _dense(_sym_kron(smat(S)), 0)
+    def hessian_inverse(self, spec, S, Z, mu):
+        """Dense H^-1/mu with the global mu, the one kernel that reads it: with its own
+        mu_i, the order-30 trace-one SDP (.github/repro_rows.py) ends NumericalError at
+        25 iterations, every trial rejected by proximity; with mu it ends Optimal in 19."""
+        return _dense(_sym_kron(smat(S)) / mu)
 
     def unit_s(self, spec):
         return svec(np.eye(spec.order))
@@ -923,8 +937,8 @@ class NonsymmetricCone(Cone):
     def hessian(self, spec, S):
         return self._hessian(spec, S, *self.u(spec, S, order=2))
 
-    def hessian_inverse(self, spec, S):
-        """H^-1 per row in closed form from H = L diag(d) L', L unit lower triangular.
+    def hessian_inverse(self, spec, S, Z, mu):
+        """H^-1/mu_i per row, mu_i = <s, z>/3, from H = L diag(d) L', L unit lower triangular.
 
         Each entry of L^-T diag(1/d) L^-1 is a short sum of products, so
         a row costs a few dozen flops and its inverse is as accurate as a
@@ -961,7 +975,7 @@ class NonsymmetricCone(Cone):
             w, U = np.linalg.eigh(H)
             w = np.maximum(w, w[:, -1:] * 1e-14)
             X[bad] = (U / w[:, None, :]) @ _t(U)
-        return _dense(X, 1)
+        return _dense(X / _path_parameters(S, Z, 3)[:, None, None])
 
     def unit_point(self, spec):
         e_s = self.unit_s(spec)

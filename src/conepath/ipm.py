@@ -27,9 +27,10 @@ is_interior_dual on the start and every trial.  The kernels below
 kind's formula on the rows those tests accepted, with no test of their
 own; the checked entry points of the same names in cones test first.  A
 point changed after its test (the tau-renormalization's s /= tau) is
-tested again before a kernel sees it.  At seed 1 this cut the kinds'
-interior tests per iteration 22.2 -> 12.2 on rebalance-soc, 18.8 ->
-11.6 on hmcr-pow and 7.4 -> 4.4 on svm-l1-lp.
+tested again before a kernel sees it; its z /= tau is not, since that
+z reaches no kernel but the scaling's <s_i, z_i>.  At seed 1 this cut
+the kinds' interior tests per iteration 22.2 -> 12.2 on rebalance-soc,
+18.8 -> 11.6 on hmcr-pow and 7.4 -> 4.4 on svm-l1-lp.
 Each iterate is evaluated once, at the raw point (residual_map): the
 termination test, both infeasibility certificates and the Newton right
 side share its products with P, A' and A.  The optimality test reads
@@ -42,19 +43,15 @@ and kept, read-only and free of values, for the next solve of that
 pattern, as in a warm chain.  Each solve writes its P and A into values
 of its own; each iteration writes only the barrier scaling, in place,
 and factors K with static diagonal pivots, which its quasi-definiteness
-allows.  _KKT builds K from the one form in which every kind gives H^-1
-(cones.Scaling).  Each solve with the factor is refined against K
+allows.  _KKT builds K from the one form in which every kind gives its
+scaling (cones.Scaling).  Each solve with the factor is refined against K
 without its regularization until max|r| <= REFINEMENT_TOLERANCE*max|rhs|,
 rounding level, for at most REFINEMENT_STEPS steps.
 
-Part i of the scaling is H(s_i)^-1/mu_i, with the part's own path
-parameter mu_i = <s_i, z_i>/nu_i in place of the global mu, so that the
-scaling sees z as well as s.  Each nonnegative coordinate is a part of
-degree 1, so its entry is s_j/z_j, the Nesterov-Todd scaling
-(Nesterov & Todd, Math. OR 1997); on the central path, z_i =
--mu*grad f(s_i), every mu_i equals mu.  PSD blocks, of no part, keep
-the global mu (PsdTriangleCone.hessian_inverse), as do the centering
-term, tau*kappa, the neighborhood and termination.  ds comes from the
+Each barrier block's scaling, H(s_i)^-1/mu_i with the path parameter
+mu_i its kind picks from s_i and z_i, comes from the kind's kernel
+(cones.Scaling); the global mu scales the centering term, tau*kappa,
+the neighborhood and termination.  ds comes from the
 linearized primal equation, ds = eta*r_z - A dx + dtau*b, not from the
 scaling as -W(dz + r_s).  s_j/z_j grows without bound where z_j goes
 to 0, and that form multiplies the solve's error in dz by it: with it,
@@ -406,8 +403,8 @@ def barrier_gradient(spec, S, cone):
     return cone.gradient(spec, S)
 
 
-def barrier_hessian_inverse(spec, S, cone):
-    return cone.hessian_inverse(spec, S)
+def barrier_hessian_inverse(spec, S, Z, mu, cone):
+    return cone.hessian_inverse(spec, S, Z, mu)
 
 
 def conjugate_gradient(spec, Y, cone):
@@ -451,15 +448,8 @@ class _Pattern:
         rows, cols, lrows, lcols = [empty], [empty], [empty], [empty]
         signs = [np.zeros(0)]
         lifted = 0  # lifted columns so far
-        # the path parameter that scales each row: slot 0, the global mu,
-        # on Zero rows and where mu_parts is 0; else one slot per part
-        unit = np.zeros(m, dtype=np.intp)
-        degrees = [1.0]
         for b, H in zip(problem.cones.barrier_batches, stacks):
             k, d, w, c = len(b.blocks), b.spec.dim, H.blocks.shape[-1], len(H.signs)
-            if parts := H.mu_parts:
-                unit[b.sl] = len(degrees) + np.arange(k * d) // (d // parts)
-                degrees += [b.spec.degree / parts] * (k * parts)
             t, j, i = np.indices((k * d // w, w, w)).reshape(3, -1)
             rows.append(b.sl.start + t * w + i)
             cols.append(b.sl.start + t * w + j)
@@ -482,19 +472,13 @@ class _Pattern:
             (np.ones(len(lrows)), lrows, np.searchsorted(lcols, np.arange(lifted + 1))),
             shape=(m, lifted),
         )
-        self.degrees = np.array(degrees)
-        self.unit = unit
-        # the slot of each entry of W and of each lifted column
-        self.owner = unit[rows]
-        self.lift_owner = unit[L.indices[L.indptr[:-1]]]
-        self.unit_pivots = np.concatenate(signs)
+        signs = np.concatenate(signs)
         P, A = (sp.csc_matrix((np.ones(M.nnz), M.indices, M.indptr), shape=M.shape)
                 for M in (problem.P, problem.A))
         K = sp.bmat(
-            [[P, A.T, None], [A, self.Hinv, L], [None, L.T, sp.diags(self.unit_pivots)]],
-            format="csc",
+            [[P, A.T, None], [A, self.Hinv, L], [None, L.T, sp.diags(signs)]], format="csc"
         )
-        self.signs = np.r_[np.ones(n), -np.ones(m), self.unit_pivots]
+        self.signs = np.r_[np.ones(n), -np.ones(m), signs]
         # the sum stores K's whole diagonal: P and A store no zero, and
         # the quasi-definite diagonal sums are nonzero
         K = K + sp.diags(REGULARIZATION * self.signs)
@@ -543,7 +527,7 @@ _last_pattern = None
 def _pattern(problem, stacks):
     """The _Pattern of problem's K: the last one built if its key matches, else a new one."""
     global _last_pattern
-    forms = tuple((H.blocks.shape[-1], H.signs, H.mu_parts) for H in stacks)
+    forms = tuple((H.blocks.shape[-1], H.signs) for H in stacks)
     patterns = tuple(
         (M.shape, M.indptr.tobytes(), M.indices.tobytes()) for M in (problem.P, problem.A)
     )
@@ -557,15 +541,15 @@ def _pattern(problem, stacks):
 class _KKT:
     """K = [[P, A', 0], [A, -W, L], [0, L', D]] + REGULARIZATION * diag(signs), for one solve.
 
-    Each barrier block's H^-1 = blockdiag(B) + sum_c sign_c U_c U_c'
-    (cones.Scaling) enters as its blocks B/mu_i in W and one lifted row
-    and column per U_c, as in ECOS (Domahidi, Chu & Boyd, ECC 2013): L
-    holds the U_c, D the pivots sign_c*mu_i.  Eliminating them leaves
-    -H^-1/mu_i, the (2,2) block of the unlifted K.  A second-order block,
-    t I + uu' - vv', so takes d + 4d + 2 stored entries where the dense
-    block has d^2, and t stays an entry of its own instead of rounding
-    away against s0^2 late in a solve.  The lifted rows follow the n + m
-    rows of x and z.
+    Each barrier block's scaling blockdiag(B) + sum_c U_c U_c'/pivot_c
+    (cones.Scaling, H^-1/mu_i) enters as its blocks B in W and one lifted
+    row and column per U_c, as in ECOS (Domahidi, Chu & Boyd, ECC 2013):
+    L holds the U_c, D the pivots.  Eliminating them leaves -H^-1/mu_i,
+    the (2,2) block of the unlifted K.  A second-order block,
+    (t I + uu' - vv')/mu_i, so takes d + 4d + 2 stored entries where the
+    dense block has d^2, and t stays an entry of its own instead of
+    rounding away against s0^2 late in a solve.  The lifted rows follow
+    the n + m rows of x and z.
 
     What is cached.  Everything that depends on the sparsity pattern
     alone is a _Pattern: K's pattern in its order q, the position of
@@ -578,12 +562,8 @@ class _KKT:
     K's, W's and L's, writes its P and A into K once, at construction,
     and never writes what another solve reads.  factor writes W, L and D
     in place, once, into K, with the float operations of a fresh
-    assembly: h/mu_i, its negation, then the regularization on the
-    diagonal.  unit maps each row of z to its slot of factor's mu_i: one
-    per part (Scaling.mu_parts), and slot 0, the global mu, for Zero
-    rows and blocks of no part; owner and lift_owner map each entry of W
-    and each lifted column to its slot, so factor divides by mu_i in
-    place.
+    assembly: the kernel's entry, its negation, then the regularization
+    on the diagonal.
 
     signs is +1 on the rows of x and of the + columns, -1 on those of z
     and of the - columns.  With delta = REGULARIZATION, K is symmetric
@@ -615,7 +595,7 @@ class _KKT:
     near 5e-8 whose rows' residual was 1.3% of ds; the third step solves
     it (.github/kkt_residuals.py measures residuals).
 
-    hinv gives the right side's products with H(s_i)^-1/mu_i.
+    hinv gives the right side's products with the scaling.
     """
 
     def __init__(self, problem, stacks):
@@ -626,28 +606,20 @@ class _KKT:
         values = np.concatenate([problem.P.data, problem.A.data, problem.A.data])
         self.K.data[p.fixed] = values + p.fixed_reg
 
-    def factor(self, stacks, mu, s, z):
-        """Write -H(s_i)^-1/mu_i from the barrier batches' Scalings and factor K.
-
-        mu_i = <s_i, z_i>/nu_i per part of a block (Scaling.mu_parts);
-        blocks with no part take the global mu.  Raises RuntimeError if K
-        is singular.
-        """
+    def factor(self, stacks):
+        """Write the barrier batches' Scalings, negated, into K and factor it; RuntimeError
+        if K is singular."""
         p = self.pattern
-        mu_blocks = np.bincount(p.unit, weights=s * z, minlength=len(p.degrees))
-        mu_blocks /= p.degrees
-        mu_blocks[0] = mu
         blocks = [np.zeros(0)] + [H.blocks.swapaxes(-1, -2).ravel() for H in stacks]
         np.concatenate(blocks, out=self.Hinv.data)
-        self.Hinv.data /= mu_blocks[p.owner]
         np.concatenate([np.zeros(0)] + [H.lifts.ravel() for H in stacks], out=self.L.data)
-        self.pivots = mu_blocks[p.lift_owner] * p.unit_pivots
+        self.pivots = np.concatenate([np.zeros(0)] + [H.pivots.ravel() for H in stacks])
         values = np.concatenate([-self.Hinv.data, self.L.data, self.L.data, self.pivots])
         self.K.data[p.kpos] = values + p.reg
         self.lu = splu(self.K, permc_spec="NATURAL", **STATIC_PIVOTS)
 
     def hinv(self, r):
-        """H(s_i)^-1 r_i / mu_i on the barrier rows: W r + L D^-1 L' r."""
+        """The scaling times r on the barrier rows, H(s_i)^-1 r_i/mu_i: W r + L D^-1 L' r."""
         out = self.Hinv @ r
         if len(self.pivots):
             out += self.L @ ((self.LT @ r) / self.pivots)
@@ -738,13 +710,13 @@ def solve(problem, start, settings=None):
                 S = b.rows(s)
                 G = barrier_gradient(b.spec, S, b.cone) if gradients is None else gradients[j]
                 grad[b.sl] = G.ravel()
-                stacks.append(barrier_hessian_inverse(b.spec, S, b.cone))
+                stacks.append(barrier_hessian_inverse(b.spec, S, b.rows(z), mu, b.cone))
         except (BoundaryOrExterior, np.linalg.LinAlgError) as exc:
             return report(SolveStatus.NUMERICAL_ERROR, f"{KERNEL_RAISED}: {exc}")
         if kkt is None:
             kkt = _KKT(problem, stacks)
         try:
-            kkt.factor(stacks, mu, s, z)
+            kkt.factor(stacks)
         except RuntimeError:
             return report(SolveStatus.NUMERICAL_ERROR, FACTORIZATION_FAILED)
         n, hinv = problem.n, kkt.hinv

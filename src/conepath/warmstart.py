@@ -177,12 +177,13 @@ def warmstart(prev, cones, overrides=None):
         lam = np.array([params[k].lam for k in b.blocks])
         mu0 = np.array([params[k].mu0 for k in b.blocks])
         sb = b.rows(s_star)
-        # a row whose smoothing fails comes back NaN and falls back alone
+        # a row whose smoothing fails, its interior test included, comes
+        # back NaN and falls back alone; the kept rows need no second test
         s_blk = smooth(spec, sb - lam[:, None] * b.rows(z_star), mu0, hint=sb).s
         failed = np.isnan(s_blk).any(axis=1)
         z_blk = np.full_like(s_blk, np.nan)
         if not failed.all():
-            z_blk[~failed] = -(mu0 / lam)[~failed, None] * barrier_gradient(spec, s_blk[~failed])
+            z_blk[~failed] = -(mu0 / lam)[~failed, None] * b.cone.gradient(spec, s_blk[~failed])
         # so does a z0 that rounds out of K*, from an s0 next to the boundary
         failed |= ~is_interior_dual(spec, z_blk)
         e_s, e_z = unit_point(spec)

@@ -50,6 +50,24 @@ def random_interior(spec, rng, scale=1.0):
     raise ValueError(kind)
 
 
+def row_mu(cones, s, z, mu):
+    """The path parameter that scales each row of a ConeProduct's scaling in K: <s_i, z_i>/nu_i
+    per block, s_j z_j per nonneg coordinate, mu on PSD blocks; a left-to-right sum."""
+    out = np.full(cones.dim, np.nan)
+    for b in cones.barrier_batches:
+        for rows in np.split(np.arange(b.sl.start, b.sl.stop), len(b.blocks)):
+            if b.spec.kind is ConeKind.NONNEGATIVE:
+                out[rows] = s[rows] * z[rows]
+            elif b.spec.kind is ConeKind.PSD_TRIANGLE:
+                out[rows] = mu
+            else:
+                total = 0.0
+                for product in s[rows] * z[rows]:
+                    total += product
+                out[rows] = total / b.spec.degree
+    return out
+
+
 def finite_difference_gradient(fn, s, h=1e-6):
     g = np.zeros_like(s)
     for i in range(s.size):

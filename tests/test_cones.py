@@ -35,6 +35,7 @@ from support import (
     finite_difference_hessian,
     make_spec,
     random_interior,
+    row_mu,
 )
 
 
@@ -212,16 +213,26 @@ class TestBarrierIdentities:
 
     def test_hessian_inverse(self):
         rng = np.random.default_rng(11)
+        dual_rng = np.random.default_rng(12)  # z and mu, apart from the points s
         # second_order(3) too: its t, u and v fill 3 x 3 numbers, as exp's and pow's dense H^-1 does
         for kind in (*ALL_KINDS, "soc3"):
             for _ in range(50):
                 spec = ConeSpec.second_order(3) if kind == "soc3" else make_spec(kind, rng)
                 s = random_interior(spec, rng)
+                z = -np.exp(dual_rng.uniform(-3.0, 3.0)) * barrier_gradient(
+                    spec, random_interior(spec, dual_rng)
+                )
+                mu = float(np.exp(dual_rng.uniform(-3.0, 3.0)))
                 H = barrier_hessian(spec, s)
-                form = barrier_hessian_inverse(spec, s)
-                # blockdiag(blocks) + sum_c sign_c U_c U_c', the same for every kind
-                Hinv = block_diag(*form.blocks) + (form.lifts.T * form.signs) @ form.lifts
-                assert np.allclose(H @ Hinv, np.eye(spec.dim), rtol=1e-8, atol=1e-8)
+                form = barrier_hessian_inverse(spec, s, z, mu)
+                # blockdiag(blocks) + sum_c U_c U_c'/pivot_c, the same for every kind
+                W2 = block_diag(*form.blocks) + (form.lifts.T / form.pivots) @ form.lifts
+                # H^-1/mu_i, mu_i each row's path parameter: mu on PSD, <s, z>/nu elsewhere
+                mu_i = row_mu(ConeProduct((spec,)), s, z, mu)
+                assert np.allclose(H @ W2 * mu_i[:, None], np.eye(spec.dim), rtol=1e-8, atol=1e-8)
+                if kind == "nonneg":
+                    # the Nesterov-Todd scaling: W^2 z = s
+                    np.testing.assert_allclose(W2 @ z, s, rtol=4 * EPS)
 
     def test_boundary_point_raises(self):
         for kind in ALL_KINDS:
@@ -352,6 +363,12 @@ class TestStackedKernels:
     """A (k, dim) stack gives, row for row, what the 1-D kernels give."""
 
     KERNELS = (barrier_value, barrier_gradient, barrier_hessian, barrier_hessian_inverse)
+    MU = 0.3  # the global mu, which only PSD's hessian_inverse reads
+
+    @classmethod
+    def call(cls, kernel, spec, S, Y):
+        """kernel at S; barrier_hessian_inverse also takes the dual rows Y and MU."""
+        return kernel(spec, S, Y, cls.MU) if kernel is barrier_hessian_inverse else kernel(spec, S)
 
     @staticmethod
     def assert_rows_equal(stacked, rows, kind):
@@ -369,14 +386,14 @@ class TestStackedKernels:
     def test_kernels_match_rows(self, kind, k):
         spec, S, Y = _stack_cases(kind, np.random.default_rng(30 + k), k)
         for kernel in self.KERNELS:
-            stacked = kernel(spec, S)
-            rows = [kernel(spec, s) for s in S]
+            stacked = self.call(kernel, spec, S, Y)
+            rows = [self.call(kernel, spec, s, y) for s, y in zip(S, Y)]
             if kernel is barrier_hessian_inverse:
                 # a Scaling, field by field: its arrays row by row, the rest whole
-                for field in ("blocks", "lifts"):
+                for field in ("blocks", "lifts", "pivots"):
                     got = [getattr(form, field) for form in rows]
                     self.assert_rows_equal(getattr(stacked, field), got, kind)
-                assert all((f.signs, f.mu_parts) == (stacked.signs, stacked.mu_parts) for f in rows)
+                assert all(f.signs == stacked.signs for f in rows)
             else:
                 self.assert_rows_equal(stacked, rows, kind)
         self.assert_rows_equal(
@@ -400,26 +417,38 @@ class TestStackedKernels:
     def test_one_exterior_row_raises(self, kind):
         spec, S, Y = _stack_cases(kind, np.random.default_rng(34), 5)
         assert is_interior(spec, S).all()
+        interior_S = S.copy()
         S[2] = -S[2]
         assert list(is_interior(spec, S)) == [True, True, False, True, True]
         for kernel in self.KERNELS:
             with pytest.raises(BoundaryOrExterior):
-                kernel(spec, S)
+                self.call(kernel, spec, S, Y)
         Y[3] = -Y[3]
         with pytest.raises(BoundaryOrExterior):
             conjugate_gradient(spec, Y)
+        # the scaling tests its dual rows against K* too
+        with pytest.raises(BoundaryOrExterior):
+            barrier_hessian_inverse(spec, interior_S, Y, self.MU)
         # so does a row that is not finite: the solver's kernels skip the
         # test on rows it has accepted, these entry points keep it
         spec, S, Y = _stack_cases(kind, np.random.default_rng(35), 5)
+        interior_S, interior_Y = S.copy(), Y.copy()
         for bad in (np.nan, np.inf):
             S[1, -1] = Y[1, -1] = bad
             assert list(is_interior(spec, S)) == [True, False, True, True, True]
             assert not is_interior_dual(spec, Y)[1]
             for kernel in self.KERNELS:
                 with pytest.raises(BoundaryOrExterior):
-                    kernel(spec, S)
+                    self.call(kernel, spec, S, Y)
+            with pytest.raises(BoundaryOrExterior):
+                barrier_hessian_inverse(spec, interior_S, Y, self.MU)
             with pytest.raises(BoundaryOrExterior):
                 conjugate_gradient(spec, Y)
+        # and dual rows whose shape is not that of s
+        S, Y = interior_S, interior_Y
+        for s, y in ((S, Y[:4]), (S[0], Y), (S, Y[:, :-1])):
+            with pytest.raises(BoundaryOrExterior):
+                barrier_hessian_inverse(spec, s, y, self.MU)
 
 
 def newton_one_point(value, grad, hess, inside, s0):
@@ -679,6 +708,18 @@ def _floored_inverse(H):
     return (U / w[:, None, :]) @ U.transpose(0, 2, 1)
 
 
+def _unit_dual(spec, k):
+    """k rows of the unit dual point, a z in int K* for every row of a stack."""
+    return np.tile(unit_point(spec)[1], (k, 1))
+
+
+def _scaled_inverse(spec, S):
+    """The kernel's H^-1/mu_i per row of S at z = the unit dual point, and each row's mu_i."""
+    Z = _unit_dual(spec, len(S))
+    mu_i = row_mu(ConeProduct((spec,) * len(S)), S.ravel(), Z.ravel(), 1.0)[:: spec.dim]
+    return barrier_hessian_inverse(spec, S, Z, 1.0).blocks[:, 0], mu_i
+
+
 class TestClosedFormHessianInverse:
     """NonsymmetricCone.hessian_inverse: LDL' in closed form, the floored eigh route as fallback."""
 
@@ -686,8 +727,8 @@ class TestClosedFormHessianInverse:
     def test_residual_within_the_condition_bound(self, spec):
         S = _hessian_rows(spec, 50)
         H = barrier_hessian(spec, S)
-        X = barrier_hessian_inverse(spec, S).blocks[:, 0]
-        residual = np.abs(H @ X - np.eye(3)).max(axis=(1, 2))
+        X, mu_i = _scaled_inverse(spec, S)
+        residual = np.abs(H @ X * mu_i[:, None, None] - np.eye(3)).max(axis=(1, 2))
         assert (residual <= 1e2 * EPS * np.linalg.cond(H)).all()
 
     @pytest.mark.parametrize("spec", INVERSE_SPECS, ids=str)
@@ -699,7 +740,7 @@ class TestClosedFormHessianInverse:
             raise AssertionError("eigh called")
 
         monkeypatch.setattr(np.linalg, "eigh", refuse)
-        X = barrier_hessian_inverse(spec, S).blocks[:, 0]
+        X, _ = _scaled_inverse(spec, S)
         assert np.isfinite(X).all()
         assert np.array_equal(X, X.transpose(0, 2, 1))
 
@@ -717,18 +758,18 @@ class TestClosedFormHessianInverse:
             return eigh(H)
 
         monkeypatch.setattr(np.linalg, "eigh", recording)
-        X = barrier_hessian_inverse(spec, S).blocks[:, 0]
+        X, mu_i = _scaled_inverse(spec, S)
         (H,) = given
         dense = barrier_hessian(spec, S)
         failed = [i for i in range(len(S)) if any(np.array_equal(dense[i], h) for h in H)]
         assert 0 < len(failed) == len(H) and set(failed) <= set(range(20, 40))
         floored = X[failed]
-        assert floored.tobytes() == _floored_inverse(H).tobytes()
+        assert floored.tobytes() == (_floored_inverse(H) / mu_i[failed, None, None]).tobytes()
         assert np.isfinite(floored).all()
         assert np.allclose(floored, floored.transpose(0, 2, 1), rtol=4 * EPS, atol=0.0)
         # the other rows are their own closed forms, whatever shares their stack
         kept = np.setdiff1d(np.arange(len(S)), failed)
-        assert np.array_equal(X[kept], barrier_hessian_inverse(spec, S[kept]).blocks[:, 0])
+        assert np.array_equal(X[kept], _scaled_inverse(spec, S[kept])[0])
 
     @pytest.mark.parametrize(
         "spec,row",
@@ -741,11 +782,12 @@ class TestClosedFormHessianInverse:
     def test_non_finite_row_raises(self, spec, row):
         # interior, but H overflows: no inverse to floor
         S = np.array([unit_point(spec)[0], row])
+        Z = _unit_dual(spec, 2)
         with np.errstate(all="ignore"):
             assert is_interior(spec, S).all()
-            for points in (S, S[1]):
+            for points, duals in ((S, Z), (S[1], Z[1])):
                 with pytest.raises(np.linalg.LinAlgError):
-                    barrier_hessian_inverse(spec, points)
+                    barrier_hessian_inverse(spec, points, duals, 1.0)
 
 
 class TestDualCoords:

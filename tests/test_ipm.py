@@ -17,6 +17,7 @@ from conepath.cones import (
     ConeSpec,
     NonnegativeCone,
     barrier_gradient,
+    barrier_hessian,
     barrier_hessian_inverse,
     smat,
     svec,
@@ -47,7 +48,7 @@ from conepath.problems import (
 )
 from conepath.warmstart import PreviousSolution, WarmStartResult, warmstart
 
-from support import highs_objective, make_spec, random_interior
+from support import highs_objective, make_spec, random_interior, row_mu
 
 
 def lp_box():
@@ -669,26 +670,17 @@ class TestKKTStructure:
         return z
 
     @staticmethod
-    def row_mu(prob, s, z, mu):
-        """The path parameter that scales each row of K's (2,2) block: <s_i, z_i>/nu_i per
-        block, s_j z_j per nonneg coordinate, mu on PSD blocks; a left-to-right sum."""
-        out = np.full(prob.m, np.nan)
-        for b in prob.cones.barrier_batches:
-            for rows in np.split(np.arange(b.sl.start, b.sl.stop), len(b.blocks)):
-                if b.spec.kind is ConeKind.NONNEGATIVE:
-                    out[rows] = s[rows] * z[rows]
-                elif b.spec.kind is ConeKind.PSD_TRIANGLE:
-                    out[rows] = mu
-                else:
-                    total = 0.0
-                    for product in s[rows] * z[rows]:
-                        total += product
-                    out[rows] = total / b.spec.degree
-        return out
+    def scalings(prob, s, z, mu):
+        """The barrier batches' Scalings at (s, z) and the global mu, as ipm.solve takes them."""
+        return [
+            barrier_hessian_inverse(b.spec, b.rows(s), b.rows(z), mu)
+            for b in prob.cones.barrier_batches
+        ]
 
     def fresh(self, prob, stacks, mu):
         """K, the exact K, the diagonal part W of H(s_i)^-1/mu_i, the lifted columns L and
-        their pivots, as a per-iteration assembly builds them; mu is row_mu's (m,) array."""
+        their pivots, as a per-iteration assembly builds them from the kernels' stacks; the
+        pivots are +-mu_i from mu, row_mu's (m,) array."""
         n, m = prob.n, prob.m
         W, columns, pivots = np.zeros((m, m)), [], []
         for b, stack in zip(prob.cones.barrier_batches, stacks):
@@ -707,7 +699,6 @@ class TestKKTStructure:
                 # one full block per cone block
                 W[b.sl, b.sl] = sp.block_diag(list(stack.blocks[:, 0])).toarray()
         Hinv = sp.csc_matrix(W)
-        Hinv.data /= mu[Hinv.indices]
         L = sp.csc_matrix(np.column_stack(columns) if columns else np.zeros((m, 0)))
         pivots = np.array(pivots)
         K_exact = sp.bmat(
@@ -736,13 +727,13 @@ class TestKKTStructure:
                 s[unit_soc.sl] = cones.unit_points()[0][unit_soc.sl]
             mu = float(np.exp(rng.uniform(-5.0, 1.0)))
             z = self.dual_point(prob, rng)
-            stacks = [barrier_hessian_inverse(b.spec, b.rows(s)) for b in cones.barrier_batches]
+            stacks = self.scalings(prob, s, z, mu)
             if kkt is None:
                 kkt = ipm._KKT(prob, stacks)
                 q = kkt.q
-            kkt.factor(stacks, mu, s, z)
+            kkt.factor(stacks)
             assert kkt.q is q
-            K, K_exact, Hinv, L, pivots = self.fresh(prob, stacks, self.row_mu(prob, s, z, mu))
+            K, K_exact, Hinv, L, pivots = self.fresh(prob, stacks, row_mu(cones, s, z, mu))
             assert zeros == (not kkt.K.data.all())
             # the stored K is K[q][:, q], with the stored zeros a fresh assembly drops
             qi = np.argsort(q)
@@ -797,21 +788,22 @@ class TestKKTStructure:
         s = np.zeros(prob.m)
         for b in prob.cones.barrier_batches:
             s[b.sl] = np.concatenate([random_interior(b.spec, rng) for _ in b.blocks])
-        stacks = [barrier_hessian_inverse(b.spec, b.rows(s)) for b in prob.cones.barrier_batches]
+        stacks = self.scalings(prob, s, self.dual_point(prob, rng), 0.01)
         kkt = ipm._KKT(prob, stacks)
-        kkt.factor(stacks, 0.01, s, self.dual_point(prob, rng))
+        kkt.factor(stacks)
         rhs = rng.standard_normal((prob.n + prob.m, 2))
         both = kkt.solve(rhs)
         for j in range(2):
             assert both[:, j].tobytes() == kkt.solve(rhs[:, j].copy()).tobytes()
 
-    @staticmethod
-    def interior_stacks(prob, rng):
-        """A random interior s and the barrier batches' Scalings at it."""
+    @classmethod
+    def interior_stacks(cls, prob, rng):
+        """A random interior s, a z in int K* and the barrier batches' Scalings at them, mu = 0.1."""
         s = np.zeros(prob.m)
         for b in prob.cones.barrier_batches:
             s[b.sl] = np.concatenate([random_interior(b.spec, rng) for _ in b.blocks])
-        return s, [barrier_hessian_inverse(b.spec, b.rows(s)) for b in prob.cones.barrier_batches]
+        z = cls.dual_point(prob, rng)
+        return s, z, cls.scalings(prob, s, z, 0.1)
 
     def test_reused_pattern_gives_the_fresh_iterates_bitwise(self, monkeypatch):
         # prob solved with a pattern built for it, then after first, a
@@ -856,7 +848,7 @@ class TestKKTStructure:
         monkeypatch.setattr(ipm.sp, "bmat", counting_bmat)
 
         def pattern(problem):
-            _, stacks = self.interior_stacks(problem, rng)
+            _, _, stacks = self.interior_stacks(problem, rng)
             return ipm._KKT(problem, stacks).pattern
 
         built = pattern(prob)
@@ -889,14 +881,14 @@ class TestKKTStructure:
         prob = self.product_problem(rng)
         other = ConicProblem(P=2.0 * prob.P, q=prob.q, A=3.0 * prob.A, b=prob.b, cones=prob.cones)
         monkeypatch.setattr(ipm, "_last_pattern", None)
-        s, stacks = self.interior_stacks(prob, rng)
-        z = self.dual_point(prob, rng)
+        s, z, stacks = self.interior_stacks(prob, rng)
         kkt = ipm._KKT(prob, stacks)
-        kkt.factor(stacks, 0.1, s, z)
+        kkt.factor(stacks)
         before = kkt.K.data.copy()
-        kkt_other = ipm._KKT(other, stacks)
+        other_stacks = self.scalings(other, s, z, 0.2)
+        kkt_other = ipm._KKT(other, other_stacks)
         assert kkt_other.pattern is kkt.pattern
-        kkt_other.factor(stacks, 0.2, s, z)
+        kkt_other.factor(other_stacks)
         assert kkt.K.data.tobytes() == before.tobytes()
         n, m, delta = prob.n, prob.m, ipm.REGULARIZATION
         for ours, problem in ((kkt, prob), (kkt_other, other)):
@@ -929,27 +921,32 @@ class TestKKTStructure:
                     s[rows] = random_interior(b.spec, rng)
         return s
 
+    @staticmethod
+    def schur(prob, kkt):
+        """The (2,2) block of K with the lifted rows eliminated, and the lifted columns L."""
+        n, m = prob.n, prob.m
+        K22 = unregularized(kkt)[n:, n:].toarray()
+        W, B, D = K22[:m, :m], K22[:m, m:], K22[m:, m:]
+        return (W - B @ np.linalg.solve(D, B.T) if len(D) else W), B
+
     @pytest.mark.parametrize("gap", [1.0, 0.5, 1e-4, 1e-8, 1e-12])
     def test_lifted_schur_complement_is_the_dense_inverse_hessian(self, gap):
         rng = np.random.default_rng(9)
         prob = self.product_problem(rng)
-        n, m, cones = prob.n, prob.m, prob.cones
+        m, cones = prob.m, prob.cones
         s = self.soc_gap_point(prob, rng, gap)
         z = self.dual_point(prob, rng)
         mu = 0.3
-        row_mu = self.row_mu(prob, s, z, mu)
-        stacks = [barrier_hessian_inverse(b.spec, b.rows(s)) for b in cones.barrier_batches]
+        mu_rows = row_mu(cones, s, z, mu)
+        stacks = self.scalings(prob, s, z, mu)
         kkt = ipm._KKT(prob, stacks)
-        kkt.factor(stacks, mu, s, z)
-        # eliminate the lifted rows from the (2,2) block
-        K22 = unregularized(kkt)[n:, n:].toarray()
-        W, B, D = K22[:m, :m], K22[:m, m:], K22[m:, m:]
-        schur = W - B @ np.linalg.solve(D, B.T) if len(D) else W
+        kkt.factor(stacks)
+        schur, B = self.schur(prob, kkt)
         for b, stack in zip(cones.barrier_batches, stacks):
             for i, rows in enumerate(np.split(np.arange(b.sl.start, b.sl.stop), len(b.blocks))):
                 block = schur[np.ix_(rows, rows)]
                 # every block but PSD's is scaled by its own mu_i, here never mu
-                mu_i = row_mu[rows]
+                mu_i = mu_rows[rows]
                 assert (mu_i == mu).all() == (b.spec.kind is ConeKind.PSD_TRIANGLE)
                 if b.spec.kind is ConeKind.SECOND_ORDER:
                     v = s[rows]
@@ -960,9 +957,9 @@ class TestKKTStructure:
                     if gap == 1.0:
                         assert not B[rows].any()  # u = v = 0 at the unit point
                 else:
-                    # the kernel's H^-1, with no lifted column; a nonneg block's per coordinate
+                    # the kernel's H^-1/mu_i, with no lifted column; a nonneg block's per coordinate
                     assert not stack[i].lifts.size
-                    dense = -block_diag(*stack[i].blocks) / mu_i[:, None]
+                    dense = -block_diag(*stack[i].blocks)
                     np.testing.assert_allclose(block, dense, rtol=1e-15, atol=0.0)
                 # no coupling between blocks
                 others = np.setdiff1d(np.arange(m), rows)
@@ -979,14 +976,14 @@ class TestKKTStructure:
         kkt = None
         for gap in (1.0, 0.5, 1e-6, 1e-12):
             s = self.soc_gap_point(prob, rng, gap)
-            stacks = [barrier_hessian_inverse(b.spec, b.rows(s)) for b in cones.barrier_batches]
-            kkt = kkt or ipm._KKT(prob, stacks)
-            # + on x and the u columns, - on z and the v columns
-            assert np.array_equal(
-                kkt.signs, np.r_[np.ones(n), -np.ones(m), np.tile([1.0, -1.0], lifted // 2)]
-            )
             for mu in (1.0, 1e-8):
-                kkt.factor(stacks, mu, s, mu * self.dual_point(prob, rng))
+                stacks = self.scalings(prob, s, mu * self.dual_point(prob, rng), mu)
+                kkt = kkt or ipm._KKT(prob, stacks)
+                # + on x and the u columns, - on z and the v columns
+                assert np.array_equal(
+                    kkt.signs, np.r_[np.ones(n), -np.ones(m), np.tile([1.0, -1.0], lifted // 2)]
+                )
+                kkt.factor(stacks)
                 diagonal = kkt.K.diagonal()[np.argsort(kkt.q)]
                 assert np.array_equal(np.sign(diagonal), kkt.signs)
                 # static pivots: each pivot of the LDL'-like factor keeps its row's sign
@@ -1001,9 +998,9 @@ class TestKKTStructure:
         m = prob.m
         s = self.soc_gap_point(prob, rng, 0.5)
         z = self.dual_point(prob, rng)
-        stacks = [barrier_hessian_inverse(b.spec, b.rows(s)) for b in prob.cones.barrier_batches]
+        stacks = self.scalings(prob, s, z, 0.3)
         kkt = ipm._KKT(prob, stacks)
-        kkt.factor(stacks, 0.3, s, z)
+        kkt.factor(stacks)
         (batch,) = [b for b in prob.cones.batches if b.spec.kind is ConeKind.NONNEGATIVE]
         rows = np.arange(batch.sl.start, batch.sl.stop)
         W2 = -unregularized(kkt)[prob.n :, prob.n :].toarray()[:m, :m][np.ix_(rows, rows)]
@@ -1011,8 +1008,9 @@ class TestKKTStructure:
         np.testing.assert_allclose(np.diag(W2) * z[rows], s[rows], rtol=4 * np.finfo(float).eps)
 
     def test_per_block_mu_equals_the_global_mu_on_the_central_path(self):
-        # z_i = -mu grad f(s_i) gives <s_i, z_i>/nu_i = mu on every block.
-        # Near an SOC boundary <s_i, z_i> cancels to about eps/gap relative
+        # z_i = -mu grad f(s_i) gives <s_i, z_i>/nu_i = mu on every block, so
+        # each block of K's unlifted (2,2) block is -H(s_i)^-1/mu.  Near an
+        # SOC boundary <s_i, z_i> cancels to about eps/gap relative
         rng = np.random.default_rng(12)
         prob = self.product_problem(rng)
         mu = 0.07
@@ -1021,12 +1019,17 @@ class TestKKTStructure:
             z = np.zeros(prob.m)
             for b in prob.cones.barrier_batches:
                 z[b.sl] = -mu * barrier_gradient(b.spec, b.rows(s)).ravel()
-            stacks = [barrier_hessian_inverse(b.spec, b.rows(s)) for b in prob.cones.barrier_batches]
+            mu_rows = row_mu(prob.cones, s, z, mu)
+            np.testing.assert_allclose(mu_rows[~np.isnan(mu_rows)], mu, rtol=1e-12)
+            stacks = self.scalings(prob, s, z, mu)
             kkt = ipm._KKT(prob, stacks)
-            kkt.factor(stacks, mu, s, z)
-            _, K_exact, _, _, _ = self.fresh(prob, stacks, np.full(prob.m, mu))
-            ours = unregularized(kkt).toarray()
-            np.testing.assert_allclose(ours, K_exact.toarray(), rtol=1e-12, atol=0.0)
+            kkt.factor(stacks)
+            schur, _ = self.schur(prob, kkt)
+            for b in prob.cones.barrier_batches:
+                for rows in np.split(np.arange(b.sl.start, b.sl.stop), len(b.blocks)):
+                    dense = -np.linalg.inv(barrier_hessian(b.spec, s[rows])) / mu
+                    error = np.abs(schur[np.ix_(rows, rows)] - dense).max()
+                    assert error <= 1e-12 * np.abs(dense).max()
 
 
 def psd_trace_one(order=6):
@@ -1089,19 +1092,25 @@ class TestKKTAccuracy:
     def test_refined_residual_within_10x_of_partial_pivoting(self, monkeypatch, build, last_mu):
         prob = build()
         rng = np.random.default_rng(3)
-        seen = []
-        factor = ipm._KKT.factor
+        seen, passed = [], []  # the mu of each factor, and of each kernel call
+        factor, hessian_inverse = ipm._KKT.factor, ipm.barrier_hessian_inverse
 
         def residual(sol, Kx, rhs):
             return np.abs(Kx @ sol - rhs).max() / np.abs(rhs).max()
 
-        def checked(kkt, stacks, mu, s, z):
-            factor(kkt, stacks, mu, s, z)
+        def recording(spec, S, Z, mu, cone):
+            """The kernel, which ipm.solve passes the iterate's mu before each factor."""
+            passed.append(mu)
+            return hessian_inverse(spec, S, Z, mu, cone)
+
+        def checked(kkt, stacks):
+            factor(kkt, stacks)
+            mu = passed[-1]
+            seen.append(mu)
             qi = np.argsort(kkt.q)
             # quasi-definite: each pivot has its row's sign in the split
             d = kkt.K.diagonal()[qi]
             assert np.array_equal(np.sign(d), kkt.signs)
-            seen.append(mu)
             if mu >= self.LATE_MU:
                 return
             # the former scheme: a fresh K, COLAMD, partial pivoting and
@@ -1120,6 +1129,7 @@ class TestKKTAccuracy:
                 assert ours <= 10.0 * partial, (mu, ours, partial)
 
         monkeypatch.setattr(ipm._KKT, "factor", checked)
+        monkeypatch.setattr(ipm, "barrier_hessian_inverse", recording)
         report = solve(prob, cold_start(prob))
         assert report.status is SolveStatus.OPTIMAL
         assert sum(mu < self.LATE_MU for mu in seen) >= 5
@@ -1215,12 +1225,11 @@ class TestRefinementStop:
         rng = np.random.default_rng(15)
         structure = TestKKTStructure()
         prob = structure.product_problem(rng)
-        s, stacks = structure.interior_stacks(prob, rng)
-        z = structure.dual_point(prob, rng)
+        _, _, stacks = structure.interior_stacks(prob, rng)
         taken = []
         self.recorded(monkeypatch, lambda kkt, rhs, solves: taken.append(len(solves)))
         kkt = ipm._KKT(prob, stacks)
-        kkt.factor(stacks, 0.1, s, z)
+        kkt.factor(stacks)
         v = rng.standard_normal(prob.n + prob.m)
         # the zero column is exact after the first LU solve, which it
         # shares, and takes no other; the other column's steps and bits
@@ -1237,9 +1246,9 @@ class TestRefinementStop:
             cones=ConeProduct((ConeSpec.nonnegative(3),)),
         )
         s, z = np.ones(3), np.full(3, 1e-8)  # W = s/z = 1e8
-        big_stacks = [barrier_hessian_inverse(b.spec, b.rows(s)) for b in big.cones.barrier_batches]
+        big_stacks = TestKKTStructure.scalings(big, s, z, 1e-8)
         kkt = ipm._KKT(big, big_stacks)
-        kkt.factor(big_stacks, 1e-8, s, z)
+        kkt.factor(big_stacks)
         rhs = np.ones(6)
         sol = kkt.solve(rhs)
         assert taken == [1]
@@ -1287,7 +1296,7 @@ class TestPerBlockScaling:
         assert report.iterations < {0.04: 30, 0.12: 23, 0.175: 26}[lam]
 
     def test_order_30_sdp_repro_row(self):
-        # PSD blocks keep the global mu (mu_parts 0 in PsdTriangleCone.hessian_inverse):
+        # PSD blocks keep the global mu (PsdTriangleCone.hessian_inverse, its only reader):
         # with their own mu_i this row ends NumericalError at 25 iterations, on proximity
         prob = psd_trace_one(30)
         report = solve(prob, cold_start(prob))
@@ -1565,6 +1574,19 @@ class TestStepSearch:
             assert {tested[key] for key in s_rows} == {1}, "accepted s rows tested again"
             assert {tested[key] for key in trial_z} == {1}, "trial z rows tested again"
         assert renormalized
+
+    def test_each_warmstart_row_is_tested_once(self, monkeypatch):
+        # a smoothed s0 row meets only the smoothing's own result test, and
+        # its z0 row only the dual test
+        tested = _record_interior_tests(monkeypatch)
+        for previous, problem in (
+            [gen_hmcr(synth_returns(4, 8, 0), r0, 3.0, 0.9) for r0 in (5e-4, 4.5e-4)],
+            [gen_portfolio(synth_returns(6, 30, 0), r0) for r0 in (5e-4, 4.5e-4)],
+        ):
+            report = solve(previous, cold_start(previous))
+            tested.clear()
+            warmstart(PreviousSolution(*report.solution, problem=previous), problem.cones)
+            assert len(tested) >= 4 and set(tested.values()) == {1}
 
 
 def _record_interior_tests(monkeypatch):
