@@ -17,19 +17,12 @@ from scipy.stats import spearmanr
 
 from .errors import ConepathError, EmptyInput, Unsupported
 from .ipm import (
-    Settings, SolveStatus, check_termination, cold_start, optimal_objective, residual_map, solve,
-    warm_start,
+    Settings, SolveStatus, cold_start, optimal_objective, solve, warm_start,
 )
 from .problems import Family, SequenceSpec, build_sequence
 from .warmstart import PreviousSolution, warmstart
 
 log = logging.getLogger(__name__)
-
-
-def phi(problem, v):
-    """Merit of an iterate v: max of mu and the two residual norms check_termination reports."""
-    _, (r_p, r_d, _) = check_termination(problem, residual_map(problem, v.x, v.s, v.z, v.tau))
-    return max(v.mu, r_p, r_d)
 
 
 @dataclass(frozen=True)
@@ -129,8 +122,8 @@ def _schedule_labels(seq, count):
 
 def _record(problem, pid, family, param, mode, v0, settings, ws_time=0.0):
     """Solve from v0; the record's solve_time adds ws_time, the warmstart construction time."""
-    phi0 = phi(problem, v0)
     rep = solve(problem, v0, settings)
+    first = rep.trace[0]  # at v0: its mu and the residual norms check_termination reports
     rec = RunRecord(
         problem_id=pid,
         family=family,
@@ -139,7 +132,7 @@ def _record(problem, pid, family, param, mode, v0, settings, ws_time=0.0):
         status=rep.status.value,
         iterations=rep.iterations,
         solve_time=ws_time + rep.solve_time,
-        phi0=phi0,
+        phi0=max(first.mu, first.r_p, first.r_d),
         objective=optimal_objective(problem, rep),
         ws_time=ws_time,
     )

@@ -332,15 +332,9 @@ def conjugate_gradient(spec, y):
     scalar equation per row.  Raises BoundaryOrExterior if a row is not
     strictly inside K*, and NoConvergence if a row's point -grad f*(y)
     leaves the float64 range (its u overflows or underflows, as for
-    |y| ~ 1e300 on a power cone).  The nonsymmetric kinds test their
-    rows against K* with the dual slack their equation reuses
-    (Cone.conjugate_tests_rows).
+    |y| ~ 1e300 on a power cone).
     """
-    cone = CONES[spec.kind]
-    Y = np.asarray(y, dtype=float)
-    if not cone.conjugate_tests_rows or Y.ndim not in (1, 2) or Y.shape[-1] != spec.dim:
-        Y = require_interior(spec, Y, dual=True)  # a wrong shape raises
-    out = cone.conjugate_gradient(spec, Y.reshape(-1, spec.dim))
+    out = CONES[spec.kind].conjugate_gradient(spec, require_interior(spec, y, dual=True))
     return out[0] if np.ndim(y) == 1 else out
 
 
@@ -396,8 +390,7 @@ class Cone:
     Points arrive as stacks (k, dim), one point per row.  Apart from
     validate, degree, the interior tests and the operators on arbitrary
     targets (smooth*, project*), methods assume rows that passed the
-    interior test: of K, or of K* for conjugate_gradient, unless
-    conjugate_tests_rows says that it tests them itself.
+    interior test: of K, or of K* for conjugate_gradient.
     interior(spec, S) and interior_dual(spec, Y) tell per row whether
     every defining inequality of K, resp. K*, is > 0.
     step_bound(spec, V, D) gives per row an upper bound on the alpha
@@ -407,7 +400,6 @@ class Cone:
     """
 
     takes_alpha = takes_order = False
-    conjugate_tests_rows = False
 
     def validate(self, spec):
         if spec.alpha is not None and not self.takes_alpha:
@@ -866,10 +858,6 @@ class NonsymmetricCone(Cone):
     cubic convergence predicts it from the last two); the power cone's
     smoothing reduces the same way, and project calls smooth.
     """
-
-    # conjugate_gradient tests its rows against K* with the dual slack its
-    # equation reuses, so that slack is computed once
-    conjugate_tests_rows = True
 
     def validate(self, spec):
         super().validate(spec)

@@ -25,12 +25,10 @@ Each point meets one membership test: ConeProduct.is_interior and
 is_interior_dual on the start and every trial.  The kernels below
 (barrier_gradient, barrier_hessian_inverse, conjugate_gradient) run the
 kind's formula on the rows those tests accepted, with no test of their
-own; the checked entry points of the same names in cones test first.  A
-point changed after its test (the tau-renormalization's s /= tau) is
-tested again before a kernel sees it; its z /= tau is not, since that
-z reaches no kernel but the scaling's <s_i, z_i>.  At seed 1 this cut
-the kinds' interior tests per iteration 22.2 -> 12.2 on rebalance-soc,
-18.8 -> 11.6 on hmcr-pow and 7.4 -> 4.4 on svm-l1-lp.
+own; the checked entry points of the same names in cones test first.
+No point changes after its test.  At seed 1 this cut the kinds'
+interior tests per iteration 22.2 -> 12.2 on rebalance-soc, 18.8 ->
+11.6 on hmcr-pow and 7.4 -> 4.4 on svm-l1-lp.
 Each iterate is evaluated once, at the raw point (residual_map): the
 termination test, both infeasibility certificates and the Newton right
 side share its products with P, A' and A.  The optimality test reads
@@ -88,7 +86,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
-from .cones import is_interior, is_interior_dual, require_interior
+from .cones import is_interior, is_interior_dual
 from .errors import BoundaryOrExterior, NoConvergence, RejectedWarmStart, Unsupported
 
 
@@ -702,10 +700,6 @@ def solve(problem, start, settings=None):
         grad = np.zeros(m)
         stacks = []
         try:
-            if steps and gradients is None:
-                # the renormalization below moved s after its test
-                for b in cones.barrier_batches:
-                    require_interior(b.spec, b.rows(s))
             for j, b in enumerate(cones.barrier_batches):
                 S = b.rows(s)
                 G = barrier_gradient(b.spec, S, b.cone) if gradients is None else gradients[j]
@@ -805,18 +799,3 @@ def solve(problem, start, settings=None):
             )
         alpha, s, z, tau, kappa, mu, gradients = step
         x = x + alpha * dx
-        if tau < 0.1 and kappa < tau:
-            # G is positively homogeneous, so the iterate ray may be
-            # renormalized freely; doing so keeps kappa, mu and the
-            # KKT factorization away from the float floor when tau
-            # drifts small on a feasible problem (the tau-scaled
-            # residuals and all acceptance ratios are scale-invariant).
-            # kappa < tau keeps infeasibility rays (where kappa grows
-            # instead) unscaled so certificates sharpen before detection
-            x /= tau
-            z /= tau
-            s /= tau
-            kappa /= tau
-            tau = 1.0
-            mu = _embedding_mu(problem, s, z, tau, kappa)
-            gradients = None

@@ -12,14 +12,13 @@ from conepath.bench import (
     emit_report,
     geometric_mean,
     perturbation_study,
-    phi,
     reduction_metrics,
     run_sequence,
     trend_statistic,
 )
 from conepath.cones import ConeProduct, ConeSpec
 from conepath.errors import EmptyInput, Unsupported
-from conepath.ipm import ConicProblem, cold_start
+from conepath.ipm import ConicProblem
 from conepath.problems import Family, SequenceSpec
 
 # Frozen sweep logs (warm iters, cold iters, warm time, cold time).
@@ -159,11 +158,10 @@ class TestReductionMetrics:
 
 class TestPhi:
     def test_cold_start_merit(self):
-        prob = nn_qp(2)
-        v = cold_start(prob)
-        # r_p = b - s = -1 each, r_d = q - z = -3 each, mu = 1
+        (record,) = run_sequence([nn_qp(2)]).records
+        # at the cold start r_p = b - s = -1 each, r_d = q - z = -3 each, mu = 1
         expected = 3.0 * math.sqrt(2.0)
-        assert math.isclose(phi(prob, v), expected, rel_tol=1e-12)
+        assert math.isclose(record.phi0, expected, rel_tol=1e-12)
 
 
 class TestRunSequence:

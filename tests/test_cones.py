@@ -633,7 +633,8 @@ class TestConjugateRoots:
 
     @pytest.mark.parametrize("spec", NONSYMMETRIC, ids=str)
     def test_dual_slack_computed_once(self, spec, monkeypatch):
-        # the interior test of K* and the equation share one slack of M y
+        # the class's test of K* and its equation share one slack of M y.  ipm
+        # calls the class on tested rows; the checked entry point tests first
         calls = []
         slack = type(cones.CONES[spec.kind]).slack
 
@@ -642,7 +643,7 @@ class TestConjugateRoots:
             return slack(self, spec, S)
 
         monkeypatch.setattr(type(cones.CONES[spec.kind]), "slack", counted)
-        conjugate_gradient(spec, _dual_stack(spec, 46))
+        cones.CONES[spec.kind].conjugate_gradient(spec, _dual_stack(spec, 46))
         assert len(calls) == 1
 
     def test_does_not_run_the_damped_newton(self, monkeypatch):

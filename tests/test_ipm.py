@@ -1539,13 +1539,6 @@ class TestStepSearch:
                 return kernel(spec, S, *args)
 
             monkeypatch.setattr(ipm, name, recorded)
-        renormalized = []
-
-        def retest(*args):
-            renormalized.append(1)
-            return cones_module.require_interior(*args)
-
-        monkeypatch.setattr(ipm, "require_interior", retest, raising=False)
         # each warm solve starts from the optimum at the previous required return
         cases = []
         for previous, problem in (
@@ -1556,14 +1549,13 @@ class TestStepSearch:
             ws = warmstart(PreviousSolution(*report.solution, problem=previous), problem.cones)
             cases += [(problem, cold_start(problem)), (problem, warm_start(problem, ws))]
         qp = qp_shifted()[0]
-        cases.append((qp, cold_start(qp)))  # renormalizes its iterate once
+        cases.append((qp, cold_start(qp)))  # ends Optimal with tau below 0.1
         for problem, start in cases:
             tested.clear()
             del accepted_s[:], trial_z[:]
             report = solve(problem, start)
             assert report.status is SolveStatus.OPTIMAL
-            # the start was tested on entry; every later s was a trial's, or
-            # a renormalized one, which is tested before its kernels see it
+            # the start was tested on entry; every later s was a trial's
             first = {
                 (b.spec.kind, row.tobytes())
                 for b in problem.cones.barrier_batches
@@ -1573,7 +1565,7 @@ class TestStepSearch:
             assert len(s_rows) >= report.iterations - 1 and trial_z
             assert {tested[key] for key in s_rows} == {1}, "accepted s rows tested again"
             assert {tested[key] for key in trial_z} == {1}, "trial z rows tested again"
-        assert renormalized
+        assert report.tau < 0.1  # qp_shifted's, the last case
 
     def test_each_warmstart_row_is_tested_once(self, monkeypatch):
         # a smoothed s0 row meets only the smoothing's own result test, and
