@@ -6,9 +6,9 @@ For each workload, one cold solve of the first member of its reference
 chain (perfbench/workloads.py, seed 1) records every call ``ipm`` makes
 to its kernels ``barrier_gradient``, ``barrier_hessian_inverse`` and
 ``conjugate_gradient``, to ``block_proximity``, and to the methods
-``is_interior``, ``is_interior_dual`` and ``step_bound`` of its
-``ConeProduct``, with copies of the arguments, for the calls that
-return.  Each timed loop runs once on every recorded call or stack of
+``is_interior``, ``is_interior_dual``, ``step_bound`` and ``corrector``
+of its ``ConeProduct``, with copies of the arguments, for the calls
+that return.  Each timed loop runs once on every recorded call or stack of
 its kind, timed with ``timeit`` in each of ``--repeat`` rounds, every
 loop once per round, and the best loop gives the microseconds per call.
 
@@ -20,11 +20,14 @@ passed to ``conjugate_gradient``:
 - on the s stacks: ``gradient``, ``hessian_inverse`` (with the z stack
   and mu that ``ipm`` passed with each s stack), ``interior`` and
   ``step_bound``, the last along the step to the next recorded stack;
-- on the z stacks: ``conjugate_gradient`` and ``interior_dual``.
+- on the z stacks: ``conjugate_gradient`` and ``interior_dual``;
+- ``corrector``, Mehrotra's term, on the kind's rows of the (s, z, ds,
+  dz) that ``ipm`` passed to ``ConeProduct.corrector``, where the product
+  has the term.
 
 One more line per workload, ``product``, replays the recorded calls as
 ``ipm`` made them: the three kernels per kind (``barrier_gradient.soc``
-and so on), ``block_proximity`` and the three ``ConeProduct`` methods.
+and so on), ``block_proximity`` and the four ``ConeProduct`` methods.
 These include whatever the names add to the class formulas, such as an
 interior test.  The perfbench tracer inflates calls this short, so these
 numbers, not its self times, say what one call costs.  Nothing is
@@ -44,7 +47,7 @@ ROOT = Path(__file__).resolve().parent.parent
 S_KERNELS = ("gradient", "hessian_inverse", "interior")  # and step_bound, which takes two stacks
 Z_KERNELS = ("conjugate_gradient", "interior_dual")
 IPM_KERNELS = ("barrier_gradient", "barrier_hessian_inverse", "conjugate_gradient")
-PRODUCT_METHODS = ("is_interior", "is_interior_dual", "step_bound")
+PRODUCT_METHODS = ("is_interior", "is_interior_dual", "step_bound", "corrector")
 
 
 def recorded_calls(api, cones, problem):
@@ -83,16 +86,21 @@ def recorded_calls(api, cones, problem):
 
 
 def kind_stacks(calls):
-    """{kind value: (spec, s arguments, z stacks)}: the arguments (S, Z, mu) ipm
-    passed to the barrier Hessian inverse, and the rows it passed to the
-    conjugate gradient."""
+    """{kind value: (spec, s arguments, z stacks, term arguments)}: the arguments
+    (S, Z, mu) ipm passed to the barrier Hessian inverse, the rows it passed
+    to the conjugate gradient, and the kind's rows (S, Z, DS, DZ) of each
+    ConeProduct.corrector call whose product has the term."""
     stacks = {}
     for side, kernel in ((1, "barrier_hessian_inverse"), (2, "conjugate_gradient")):
         for name, recorded in calls.items():
             if name.startswith(kernel + "."):
                 for _, (spec, *args, _cone) in recorded:
-                    entry = stacks.setdefault(spec.kind.value, (spec, [], []))
+                    entry = stacks.setdefault(spec.kind.value, (spec, [], [], []))
                     entry[side].append(tuple(args) if side == 1 else args[0])
+    for _, (product, *vectors) in calls.get("corrector", []):
+        if product.corrected:
+            for b in product.barrier_batches:
+                stacks[b.spec.kind.value][3].append(tuple(b.rows(v) for v in vectors))
     return stacks
 
 
@@ -112,7 +120,7 @@ def per_call_us(calls, repeat):
 
 
 def kernel_lines(label, stacks, cones, repeat):
-    for kind, (spec, s_args, Z_list) in stacks.items():
+    for kind, (spec, s_args, Z_list, term_args) in stacks.items():
         cone = cones.CONES[spec.kind]
         S_list = [S for S, _, _ in s_args]
         # hessian_inverse takes the Z and mu passed with each S, the others S alone
@@ -127,6 +135,7 @@ def kernel_lines(label, stacks, cones, repeat):
         ]
         for name in Z_KERNELS:
             calls[name] = [lambda f=getattr(cone, name), Y=Y: f(spec, Y) for Y in Z_list]
+        calls["corrector"] = [lambda a=a: cone.corrector(spec, *a) for a in term_args]
         times = " ".join(f"{name}={us:.1f}" for name, us in per_call_us(calls, repeat).items())
         yield (
             f"{label} {kind} dim={spec.dim} rows={len(S_list[0])} "

@@ -1,7 +1,7 @@
 """Cold-solve every cold-solve row of ROADMAP.md's repro table, one line per row.
 
     python3 .github/repro_rows.py
-    python3 .github/repro_rows.py --psd-sweep --warm-override
+    python3 .github/repro_rows.py --psd-sweep --warm-override --warm-pairs
 
 Each line names the case, then the status, the iteration count,
 SolveReport.reason (``-`` unless the status is NumericalError) and the
@@ -36,6 +36,18 @@ and read back as the benchmark builds it), member 2 (counted from 0)
 cold, then warm-started from member 1's cold optimum with every barrier
 block's mu0 from ``warmstart`` scaled by each of WARM_OVERRIDE_FACTORS
 through ``overrides``, lambda kept.  Its lines are informational too.
+
+With --warm-pairs, they are followed by Open repros' two warm pairs at
+the default mu0, each as one line for the member's cold solve and one
+for its warm start from the cold optimum of the member before:
+
+- SVM-L2, ``gen_svm_l2(synth_samples(480, 10, seed=2), lam)`` at
+  lam = ``np.linspace(0.01, 0.2, 28)[7]``, warm from ``[6]``;
+- frontier, ``gen_portfolio(synth_returns(50, 191, 2).window(0, 191),
+  f * max(mean))`` at f = ``np.linspace(0.05, 0.95, 12)[6]``, warm from
+  ``[5]``.
+
+Their lines are informational as well.
 
 conepath is imported from ``src/`` of this checkout with one BLAS thread,
 as perfbench/run.py imports it.
@@ -143,6 +155,32 @@ def warm_override_lines(api):
         yield solve_line(label, lambda: ipm.solve(problem, ipm.warm_start(problem, ws)))[0]
 
 
+def warm_pairs(api):
+    """(label, build) per warm pair of Open repros: build(i) is member i of its sweep."""
+    import numpy as np
+
+    gen = api.problems
+    samples = gen.synth_samples(480, 10, seed=2)
+    lams = np.linspace(0.01, 0.2, 28)
+    yield "svm-l2 seed=2 lam[7]", lambda i: gen.gen_svm_l2(samples, lams[i])
+    returns = gen.synth_returns(50, 191, 2).window(0, 191)
+    targets = np.linspace(0.05, 0.95, 12) * np.max(returns.mean)
+    yield "frontier seed=2 f[6]", lambda i: gen.gen_portfolio(returns, targets[i])
+
+
+def warm_pair_lines(api):
+    """Per warm pair: one line for member 7 resp. 6 cold, one for it warm from the member before."""
+    ipm, ws_mod = api.ipm, api.warmstart
+    for (label, build), member in zip(warm_pairs(api), (7, 6)):
+        previous, problem = build(member - 1), build(member)
+        yield cold_line(api, f"{label} cold", problem)[0]
+        report = ipm.solve(previous, ipm.cold_start(previous))
+        prev = ws_mod.PreviousSolution(*report.solution, problem=problem)
+        ws = ws_mod.warmstart(prev, problem.cones)
+        label = f"{label} warm from [{member - 1}]"
+        yield solve_line(label, lambda: ipm.solve(problem, ipm.warm_start(problem, ws)))[0]
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -152,6 +190,10 @@ def main(argv=None):
     parser.add_argument(
         "--warm-override", action="store_true",
         help="also solve the rebalance warm row at each mu0 factor; informational, never fails",
+    )
+    parser.add_argument(
+        "--warm-pairs", action="store_true",
+        help="also solve the svm-l2 and frontier warm pairs; informational, never fails",
     )
     args = parser.parse_args(argv)
     sys.path.insert(0, str(ROOT))
@@ -168,6 +210,9 @@ def main(argv=None):
             print(cold_line(api, f"psd sweep order={order}", psd_trace_one(order))[0], flush=True)
     if args.warm_override:
         for line in warm_override_lines(api):
+            print(line, flush=True)
+    if args.warm_pairs:
+        for line in warm_pair_lines(api):
             print(line, flush=True)
     return 1 if lost else 0
 

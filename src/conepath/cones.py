@@ -6,11 +6,12 @@ below, found through CONES, that holds every formula of its kind:
 validation, degree, interior test, step bound, barrier derivatives, unit
 point, conjugate gradient, the smoothing and projection operators that
 smoothing.py exposes, and the block's scaling in K: hessian_inverse
-gives H(s_i)^-1/mu_i from the rows of s and z, each kind taking its own
-path parameter mu_i (Scaling), and ipm builds K from it without knowing
-the kind.  A kind whose block of K is its Nesterov-Todd scaling also
-gives Mehrotra's second-order term of the combined step (corrector),
-which ipm applies only where every barrier kind gives one.
+gives it from the rows of s and z (Scaling), and ipm builds K from it
+without knowing the kind.  The nonnegative and second-order kinds give
+their Nesterov-Todd scaling W^2, with W^2 z = s, and Mehrotra's
+second-order term of the combined step (corrector), which ipm applies
+only where every barrier kind gives one.  The other kinds give
+H(s_i)^-1/mu_i, each taking its own path parameter mu_i, and no term.
 
 The formulas work on stacks.  A stack is a (k, dim) array whose rows
 are k points of one cone; formulas give one result per row: (k,) values
@@ -280,16 +281,20 @@ def barrier_hessian(spec, s):
 
 @dataclass(frozen=True)
 class Scaling:
-    """A block's scaling H(s)^-1/mu_i per row of a stack, in the one form ipm's KKT matrix takes.
+    """A block's scaling per row of a stack, in the one form ipm's KKT matrix takes.
 
-    It is blockdiag(blocks) + sum_c U_c U_c'/pivots[c] per row.  blocks
-    is (k, dim/w, w, w): dense w x w blocks along the row's coordinates,
-    a diagonal at w = 1.  lifts is (k, c, dim), the c columns U_c, which
-    ipm lifts into rows of K of their own, with pivots (k, c),
-    signs[c]*mu_i, as their entries of K's diagonal D.  mu_i is
-    <s_i, z_i>/nu_i for each nonnegative coordinate and each second-order,
-    exponential or power block, the global mu for a PSD block.  Indexing
-    gives one row's form, as the other kernels give a point its row.
+    The scaling is the Nesterov-Todd W^2, with W^2 z = s, for a
+    nonnegative coordinate (s/z) and a second-order block (P(w) =
+    2ww' - rJ at the Nesterov-Todd point w), and H(s)^-1/mu_i for an
+    exponential, power or PSD block.  It is blockdiag(blocks) +
+    sum_c U_c U_c'/pivots[c] per row.  blocks is (k, dim/w, w, w): dense
+    w x w blocks along the row's coordinates, a diagonal at w = 1.  lifts
+    is (k, c, dim), the c columns U_c, which ipm lifts into rows of K of
+    their own, with pivots (k, c), signs[c]*mu_i, as their entries of K's
+    diagonal D.  mu_i is <s_i, z_i>/nu_i for each nonnegative coordinate
+    and each second-order, exponential or power block, the global mu for
+    a PSD block.  Indexing gives one row's form, as the other kernels
+    give a point its row.
     """
 
     blocks: np.ndarray
@@ -312,8 +317,8 @@ def _path_parameters(S, Z, degree):
 
 
 def barrier_hessian_inverse(spec, s, z, mu):
-    """The Scaling H(s)^-1/mu_i once s has passed the interior test of K and z, of s's
-    shape, that of K*; mu is the global path parameter, which only PSD reads."""
+    """The block's Scaling (Scaling) once s has passed the interior test of K and z, of
+    s's shape, that of K*; mu is the global path parameter, which only PSD reads."""
     if np.shape(z) != np.shape(s):
         raise BoundaryOrExterior(f"z has shape {np.shape(z)}, s {np.shape(s)}")
     return _checked("hessian_inverse", spec, s, require_interior(spec, z, dual=True), mu)
@@ -417,10 +422,11 @@ class Cone:
         """(gradients, Hessians) of the barrier on a stack."""
         return self.gradient(spec, S), self.hessian(spec, S)
 
-    # corrector(spec, Z, DS, DZ): Mehrotra's second-order term on the z-rows
-    # of the combined step, from the dual iterate Z and the affine direction
-    # DS, DZ.  A kind defines it once its block of K is its Nesterov-Todd
-    # scaling; None says it has none, which leaves the product uncorrected
+    # corrector(spec, S, Z, DS, DZ): Mehrotra's second-order term on the
+    # z-rows of the combined step, from the iterate S, Z and the affine
+    # direction DS, DZ.  A kind defines it once its block of K is its
+    # Nesterov-Todd scaling, as the nonnegative and second-order kinds'
+    # are; None says it has none, which leaves the product uncorrected
     corrector = None
 
     def oracles(self, spec):
@@ -573,6 +579,15 @@ def _ratio_test(V, D):
     return np.divide(V, -D, out=np.full(V.shape, np.inf), where=D < 0.0).min(axis=1)
 
 
+def _quadratic(X, det, Y):
+    """P(x) y = 2 x <x, y> - det(x) J y per row, given det(x) = x0^2 - ||x1||^2 per row:
+    x's quadratic representation in the second-order cone's algebra."""
+    out = 2.0 * np.vecdot(X, Y)[:, None] * X
+    out[:, 0] -= det * Y[:, 0]
+    out[:, 1:] += det[:, None] * Y[:, 1:]
+    return out
+
+
 class NonnegativeCone(SelfDualCone):
     def degree(self, spec):
         return spec.dim
@@ -601,8 +616,11 @@ class NonnegativeCone(SelfDualCone):
         W = (S**2 / (S * Z))[:, :, None, None]
         return Scaling(W, np.zeros((len(S), 0, spec.dim)), np.zeros((len(S), 0)), ())
 
-    def corrector(self, spec, Z, DS, DZ):
-        """ds*dz/z: z ds + s dz = sigma mu - s z - ds_aff dz_aff, divided by z as K's s/z is."""
+    def corrector(self, spec, S, Z, DS, DZ):
+        """ds*dz/z: z ds + s dz = sigma mu - s z - ds_aff dz_aff, divided by z as K's s/z is.
+
+        The general W L(lambda)^-1 ((W^-1 ds) o (W dz)) with W = sqrt(s/z)
+        and lambda = sqrt(s z) reduces to it, with no use of s."""
         return DS * DZ / Z
 
     def unit_s(self, spec):
@@ -690,30 +708,89 @@ class SecondOrderCone(SelfDualCone):
         H[:, i, i] += -j / t
         return H
 
-    def hessian_inverse(self, spec, S, Z, mu):
-        """(2 ss' - t J)/mu_i split by its eigenvectors: the diagonal t I/mu_i and lifts
-        u (pivot +mu_i) and v (pivot -mu_i), mu_i = <s, z> for the whole block.
-
-        With n = ||s1||, u = sqrt(n (s0 + n)) (1, s1/n) and
-        v = sqrt(n (s0 - n)) (1, -s1/n); both are 0 at n = 0.  t stays an
-        entry of its own, where the dense form rounds it away against
-        s0^2 once t/s0^2 nears the float floor.  t is taken as
-        (s0 - n)(s0 + n), from the factors u and v carry, so that
-        t - ||v||^2/2 = (s0 - n)^2 keeps its sign in floats: ipm's lifted
-        KKT block stays quasi-definite.
-        """
-        mu_i = _path_parameters(S, Z, 1)
-        s0 = S[:, 0]
+    def _det(self, S):
+        """det s = (s0 - ||s1||)(s0 + ||s1||) per row, a product of two positive factors inside."""
         n = _norms(S[:, 1:])
-        low, high = s0 - n, s0 + n
-        w = S[:, 1:] / np.where(n > 0.0, n, 1.0)[:, None]  # s1/n, 0 at n = 0
+        return (S[:, 0] - n) * (S[:, 0] + n)
+
+    def _nt_point(self, S, Z):
+        """The Nesterov-Todd point w per row, with r = det w and det(lambda) (corrector).
+
+        With a = det s, c = det z, p = <s, z> and r = sqrt(a/c),
+        w = (s + r J z)/sqrt(2 (p + sqrt(ac))), whose det is r; P(w) =
+        2ww' - rJ satisfies P(w) z = s and P(w) grad f(s) = grad f*(z)
+        (Nesterov & Todd, Math. OR 1997; Vandenberghe, "The CVXOPT linear
+        and quadratic cone program solvers", 2010, sec. 4).  P(x) =
+        2xx' - det(x) J is the quadratic representation of x (_quadratic).
+        lambda = P(w^1/2) z has det r c = sqrt(a) sqrt(c).
+        """
+        ra, rc = np.sqrt(self._det(S)), np.sqrt(self._det(Z))
+        r = ra / rc
+        W = Z * r[:, None]
+        W[:, 1:] = -W[:, 1:]
+        W += S
+        W /= np.sqrt(2.0 * (np.vecdot(S, Z) + ra * rc))[:, None]
+        return W, r, ra * rc
+
+    def hessian_inverse(self, spec, S, Z, mu):
+        """The Nesterov-Todd W^2 = P(w) = 2ww' - rJ (_nt_point) split by its eigenvectors: the
+        diagonal r I and the lifts u (pivot +mu_i) and v (pivot -mu_i) of sqrt(mu_i) w, with
+        mu_i = <s, z> for the whole block.
+
+        With n = ||w1||, u = sqrt(mu_i n (w0 + n)) (1, w1/n) and
+        v = sqrt(mu_i n (w0 - n)) (1, -w1/n), so that (uu' - vv')/mu_i =
+        2ww' - 2r e0 e0'; both are 0 at n = 0.  w0 - n is taken as
+        r/(w0 + n), from det w = r, so the diagonal is r itself and never
+        a difference: a w formed by subtraction rounds out of the cone.
+        Then r - ||v||^2/(2 mu_i) = r w0/(w0 + n) > 0 in floats, and
+        ipm's lifted KKT block stays quasi-definite.  W^2 z = s, so the
+        right side's W^2 (z + sigma mu grad f(s)) is s - sigma mu z^-1,
+        the Nesterov-Todd one.
+        """
+        w, r, _ = self._nt_point(S, Z)
+        mu_i = _path_parameters(S, Z, 1)
+        n = _norms(w[:, 1:])
+        high = w[:, 0] + n
+        low = r / high
+        unit = w[:, 1:] / np.where(n > 0.0, n, 1.0)[:, None]  # w1/n, 0 at n = 0
         out = np.empty((len(S), 3, spec.dim))
-        out[:, 0] = (low * high / mu_i)[:, None]
-        for row, scale, sign in ((1, np.sqrt(n * high), 1.0), (2, np.sqrt(n * low), -1.0)):
+        out[:, 0] = r[:, None]
+        lifts = ((1, np.sqrt(mu_i * n * high), 1.0), (2, np.sqrt(mu_i * n * low), -1.0))
+        for row, scale, sign in lifts:
             out[:, row, 0] = scale
-            out[:, row, 1:] = (sign * scale)[:, None] * w
+            out[:, row, 1:] = (sign * scale)[:, None] * unit
         signs = (1.0, -1.0)
         return Scaling(out[:, 0, :, None, None], out[:, 1:], mu_i[:, None] * signs, signs)
+
+    def corrector(self, spec, S, Z, DS, DZ):
+        """W L(lambda)^-1 ((W^-1 ds) o (W dz)) per row, with W = P(v), v = w^1/2 and lambda = W z.
+
+        In the scaled coordinates W^-1 s = W z = lambda the linearized
+        complementarity lambda o (W^-1 ds + W dz) = sigma mu e - lambda o lambda
+        gains -(W^-1 ds_aff) o (W dz_aff); solved for ds, that is
+        -W L(lambda)^-1 of it, which enters K's z-rows as ds does
+        (Vandenberghe 2010, sec. 5).  x o y = (x'y, x0 y1 + y0 x1) is the
+        Jordan product and L(lambda) y = lambda o y.  With d = det v =
+        sqrt(r), v = (w + d e)/sqrt(2 (w0 + d)), W^-1 = P(v^-1) and
+        v^-1 = Jv/d.  L(lambda)^-1 y is x with x0 = (lambda0 y0 -
+        lambda1'y1)/det(lambda) and x1 = (y1 - x0 lambda1)/lambda0.
+        """
+        w, r, det_lam = self._nt_point(S, Z)
+        d = np.sqrt(r)
+        V = w.copy()
+        V[:, 0] += d
+        V /= np.sqrt(2.0 * V[:, 0])[:, None]
+        V_inv = V / d[:, None]
+        V_inv[:, 1:] = -V_inv[:, 1:]
+        lam = _quadratic(V, d, Z)
+        X, Y = _quadratic(V_inv, 1.0 / d, DS), _quadratic(V, d, DZ)
+        # y = (W^-1 ds) o (W dz), then L(lambda)^-1 y
+        y0 = np.vecdot(X, Y)
+        y1 = X[:, :1] * Y[:, 1:] + Y[:, :1] * X[:, 1:]
+        out = np.empty_like(Y)
+        out[:, 0] = (lam[:, 0] * y0 - np.vecdot(lam[:, 1:], y1)) / det_lam
+        out[:, 1:] = (y1 - out[:, :1] * lam[:, 1:]) / lam[:, :1]
+        return _quadratic(V, d, out)
 
     def unit_s(self, spec):
         e = np.zeros(spec.dim)
@@ -1350,18 +1427,21 @@ class ConeProduct:
             bound = min(bound, cone.step_bound(b.spec, V, D).min())
         return float(bound)
 
-    def corrector(self, z, ds, dz):
+    def corrector(self, s, z, ds, dz):
         """Mehrotra's second-order term for the rows of z in the combined step, or None.
 
-        Each barrier batch's kind gives its rows' term from the affine
-        direction (ds, dz) (Cone.corrector), and Zero rows take 0.  One
-        barrier kind without a term leaves the whole product uncorrected.
+        Each barrier batch's kind gives its rows' term at the iterate
+        (s, z) from the affine direction (ds, dz) (Cone.corrector), and
+        Zero rows take 0.  One barrier kind without a term leaves the
+        whole product uncorrected.
         """
         if not self.corrected:
             return None
         out = np.zeros(self.dim)
         for b in self.barrier_batches:
-            b.rows(out)[:] = b.cone.corrector(b.spec, b.rows(z), b.rows(ds), b.rows(dz))
+            b.rows(out)[:] = b.cone.corrector(
+                b.spec, b.rows(s), b.rows(z), b.rows(ds), b.rows(dz)
+            )
         return out
 
     @staticmethod

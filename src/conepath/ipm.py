@@ -46,35 +46,47 @@ scaling (cones.Scaling).  Each solve with the factor is refined against K
 without its regularization until max|r| <= REFINEMENT_TOLERANCE*max|rhs|,
 rounding level, for at most REFINEMENT_STEPS steps.
 
-Each barrier block's scaling, H(s_i)^-1/mu_i with the path parameter
-mu_i its kind picks from s_i and z_i, comes from the kind's kernel
-(cones.Scaling); the global mu scales the centering term, tau*kappa,
-the neighborhood and termination.  ds comes from the
-linearized primal equation, ds = eta*r_z - A dx + dtau*b, not from the
-scaling as -W(dz + r_s).  s_j/z_j grows without bound where z_j goes
-to 0, and that form multiplies the solve's error in dz by it: with it,
-three svm-l2 repro rows (.github/repro_rows.py) drifted in r_p and
-ended MaxIters.
+Each barrier block's scaling comes from the kind's kernel
+(cones.Scaling): the Nesterov-Todd W^2, with W^2 z = s, for nonneg
+coordinates (s_j/z_j) and second-order blocks (2ww' - rJ at the
+Nesterov-Todd point w), and H(s_i)^-1/mu_i, with the path parameter
+mu_i its kind picks from s_i and z_i, for exp, pow and PSD blocks.  The
+global mu scales the centering term, tau*kappa, the neighborhood and
+termination.  The right side's W^2 (z + sigma*mu*grad f(s)) is then
+s - sigma*mu*z^-1 on a Nesterov-Todd block, that scaling's own.  ds
+comes from the linearized primal equation, ds = eta*r_z - A dx +
+dtau*b, not from the scaling as -W(dz + r_s).  s_j/z_j grows without
+bound where z_j goes to 0, and that form multiplies the solve's error
+in dz by it: with it, three svm-l2 repro rows (.github/repro_rows.py)
+drifted in r_p and ended MaxIters.
 
 The combined direction carries Mehrotra's second-order term (Mehrotra,
 SIAM J. Optim. 1992; Vandenberghe, "The CVXOPT linear and quadratic
 cone program solvers", 2010, sec. 5) where it is sound: on a product
-whose every barrier block has the Nesterov-Todd scaling in K, which is
-nonneg blocks alone, Zero blocks having no barrier.  Row j's
-linearized complementarity z_j ds_j + s_j dz_j = sigma*mu - s_j z_j
-then gains -ds_aff_j dz_aff_j, so the right side's z-row gains
-ds_aff_j dz_aff_j/z_j.  Each kind gives its term or none
-(cones.Cone.corrector), and one kind with none leaves the whole product
-uncorrected (ConeProduct.corrector).  On the benchmark's svm-l1-lp at
-seeds 1-7 the term cut cold iterations 1447 -> 1071 and warm ones
-596 -> 459, every solve Optimal (.github/iterate_digest.py --summary).
-It has no tau*kappa term: with dtau_aff*dkappa_aff added, the unbounded
-QP of .github/repro_rows.py ended NumericalError at 12 iterations
-(proximity) instead of DualInfeasible.  Nor does it cover mixed
-products, whose pow or SOC blocks are not Nesterov-Todd scaled: the
-term on the nonneg rows beside hmcr-pow's pow blocks ended a warm solve
-NumericalError at seed 2, and beside rebalance-soc's SOC blocks it
-made warm_s.p50 7% slower in alternating benchmark pairs.
+whose every barrier block has the Nesterov-Todd scaling in K, its
+blocks nonneg and SOC, Zero blocks having no barrier.  In the scaled
+coordinates W^-1 s = W z = lambda, a block's linearized
+complementarity lambda o (W^-1 ds + W dz) = sigma*mu*e - lambda o lambda
+gains -(W^-1 ds_aff) o (W dz_aff), so the right side's z-rows gain
+W L(lambda)^-1 of it: ds_aff_j dz_aff_j/z_j on a nonneg row.  Each kind
+gives its term or none (cones.Cone.corrector), and one kind with none
+leaves the whole product uncorrected (ConeProduct.corrector).  On the
+benchmark's svm-l1-lp at seeds 1-7 the term cut cold iterations
+1447 -> 1071 and warm ones 596 -> 459, and on rebalance-soc, with the
+SOC blocks' Nesterov-Todd scaling, 7132 -> 3632 and 2688 -> 1451,
+every solve Optimal (.github/iterate_digest.py --summary); the scaling
+without the term took more iterations than H(s)^-1/mu_i and ended a
+warm solve NumericalError.  A combined direction that no trial passes
+is taken again without the term before the solve gives up: on the
+frontier warm pair of .github/repro_rows.py --warm-pairs the corrected
+direction found no trial at 12 iterations, and the uncorrected one went
+on to Optimal.  The term has no tau*kappa part: with
+dtau_aff*dkappa_aff added, the unbounded QP of .github/repro_rows.py
+ended NumericalError at 12 iterations (proximity) instead of
+DualInfeasible.  Nor does it cover products with an exp, pow or PSD
+block, which are not Nesterov-Todd scaled: the term on the nonneg rows
+beside hmcr-pow's pow blocks ended a warm solve NumericalError at
+seed 2.
 """
 
 import time
@@ -540,14 +552,14 @@ class _KKT:
     """K = [[P, A', 0], [A, -W, L], [0, L', D]] + REGULARIZATION * diag(signs), for one solve.
 
     Each barrier block's scaling blockdiag(B) + sum_c U_c U_c'/pivot_c
-    (cones.Scaling, H^-1/mu_i) enters as its blocks B in W and one lifted
-    row and column per U_c, as in ECOS (Domahidi, Chu & Boyd, ECC 2013):
-    L holds the U_c, D the pivots.  Eliminating them leaves -H^-1/mu_i,
-    the (2,2) block of the unlifted K.  A second-order block,
-    (t I + uu' - vv')/mu_i, so takes d + 4d + 2 stored entries where the
-    dense block has d^2, and t stays an entry of its own instead of
-    rounding away against s0^2 late in a solve.  The lifted rows follow
-    the n + m rows of x and z.
+    (cones.Scaling) enters as its blocks B in W and one lifted row and
+    column per U_c, as in ECOS (Domahidi, Chu & Boyd, ECC 2013): L holds
+    the U_c, D the pivots.  Eliminating them leaves minus the scaling,
+    the (2,2) block of the unlifted K.  A second-order block's
+    Nesterov-Todd W^2 = 2ww' - rJ, r I + (uu' - vv')/mu_i, so takes
+    d + 4d + 2 stored entries where the dense block has d^2, and r = det w
+    stays an entry of its own instead of rounding away against w0^2 late
+    in a solve.  The lifted rows follow the n + m rows of x and z.
 
     What is cached.  Everything that depends on the sparsity pattern
     alone is a _Pattern: K's pattern in its order q, the position of
@@ -568,13 +580,14 @@ class _KKT:
     quasi-definite along that split: the + side is P + delta I and
     mu_i + delta, positive definite; the - side is -W - delta I bordered
     by the - columns and -mu_i - delta, whose Schur complement (for an
-    SOC block's v, about -mu_i (s0 - n)^2/t, n = ||s1||) is negative.  So
+    SOC block's v, about -mu_i (w0 - n)^2/r, n = ||w1||) is negative.  So
     K has an LDL' factor in every symmetric order with pivots taken from
     the diagonal (Vanderbei, SIAM J. Optim. 1995), and SuperLU factors it
     with STATIC_PIVOTS, no pivot search.  The order q is reverse
     Cuthill-McKee on K's pattern; K is stored as K[q][:, q] and each
-    factor takes it as NATURAL.  An exact zero (at an SOC or pow unit
-    point, where u = v = 0, or an underflow) stays a stored entry: no
+    factor takes it as NATURAL.  An exact zero (where an SOC block's NT
+    point is on its axis, as at the unit points, so u = v = 0, at a pow
+    unit point, or an underflow) stays a stored entry: no
     pivot leaves the diagonal, and no diagonal entry is zero.
 
     Nothing bounds growth without a pivot search: a pivot of delta alone
@@ -617,7 +630,7 @@ class _KKT:
         self.lu = splu(self.K, permc_spec="NATURAL", **STATIC_PIVOTS)
 
     def hinv(self, r):
-        """The scaling times r on the barrier rows, H(s_i)^-1 r_i/mu_i: W r + L D^-1 L' r."""
+        """The scaling times r on the barrier rows (cones.Scaling): W r + L D^-1 L' r."""
         out = self.Hinv @ r
         if len(self.pivots):
             out += self.L @ ((self.LT @ r) / self.pivots)
@@ -786,13 +799,19 @@ def solve(problem, start, settings=None):
         alpha_aff = _search(AFFINE_GRID, affine_trial, boundary_step()) or 0.0
         sigma = min(max((1.0 - alpha_aff) ** 3, 1e-3), 0.9)
 
-        rhs = system(1.0 - sigma, sigma)
-        # Mehrotra's term, from the affine direction, where the product has one
-        if (corrector := cones.corrector(z, ds, dz)) is not None:
-            rhs[n:] += corrector
-        dx, dz, ds, dtau, dkappa = direction(1.0 - sigma, sigma, kkt.solve(rhs))
+        # Mehrotra's term, from the affine direction, where the product has
+        # one; a combined direction that no trial passes is taken again without it
+        terms = [cones.corrector(s, z, ds, dz)]
+        if terms[0] is not None:
+            terms.append(None)
         guard_passed = False  # set once a trial passes the interior test
-        step = _search(COMBINED_GRID, combined_trial, boundary_step())
+        for term in terms:
+            rhs = system(1.0 - sigma, sigma)
+            if term is not None:
+                rhs[n:] += term
+            dx, dz, ds, dtau, dkappa = direction(1.0 - sigma, sigma, kkt.solve(rhs))
+            if (step := _search(COMBINED_GRID, combined_trial, boundary_step())) is not None:
+                break
         if step is None:
             return report(
                 SolveStatus.NUMERICAL_ERROR, PROXIMITY_REJECTED if guard_passed else NO_STEP_INSIDE

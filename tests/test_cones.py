@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
-from conepath import _newton, cones
+from conepath import _newton, cones, ipm
 from conepath._newton import newton_rows
 from conepath.cones import (
+    ConeKind,
     ConeProduct,
     ConeSpec,
     barrier_gradient,
@@ -136,6 +137,11 @@ class TestInteriority:
             assert is_interior_dual(spec, s)
 
 
+def _dense_scaling(form):
+    """One row's Scaling as a dense matrix: blockdiag(blocks) + sum_c U_c U_c'/pivot_c."""
+    return block_diag(*form.blocks) + (form.lifts.T / form.pivots) @ form.lifts
+
+
 class TestBarrierIdentities:
     def test_gradient_degree_identity(self):
         # <grad f(s), s> = -nu
@@ -224,9 +230,13 @@ class TestBarrierIdentities:
                 )
                 mu = float(np.exp(dual_rng.uniform(-3.0, 3.0)))
                 H = barrier_hessian(spec, s)
-                form = barrier_hessian_inverse(spec, s, z, mu)
-                # blockdiag(blocks) + sum_c U_c U_c'/pivot_c, the same for every kind
-                W2 = block_diag(*form.blocks) + (form.lifts.T / form.pivots) @ form.lifts
+                W2 = _dense_scaling(barrier_hessian_inverse(spec, s, z, mu))
+                if spec.kind is ConeKind.SECOND_ORDER:
+                    # the Nesterov-Todd scaling (TestNesterovToddScaling), which
+                    # is H(s)^-1/mu on the central path z = -mu grad f(s)
+                    np.testing.assert_allclose(W2 @ z, s, rtol=1e-12)
+                    z = -mu * barrier_gradient(spec, s)
+                    W2 = _dense_scaling(barrier_hessian_inverse(spec, s, z, mu))
                 # H^-1/mu_i, mu_i each row's path parameter: mu on PSD, <s, z>/nu elsewhere
                 mu_i = row_mu(ConeProduct((spec,)), s, z, mu)
                 assert np.allclose(H @ W2 * mu_i[:, None], np.eye(spec.dim), rtol=1e-8, atol=1e-8)
@@ -979,24 +989,179 @@ class TestCorrector:
             (ConeSpec.zero(2), ConeSpec.nonnegative(3), ConeSpec.nonnegative(3),
              ConeSpec.nonnegative(4))
         )
-        z = np.r_[rng.standard_normal(2), np.exp(rng.uniform(-20.0, 20.0, 10))]
+        s, z = np.exp(rng.uniform(-20.0, 20.0, (2, product.dim)))
+        z[:2] = rng.standard_normal(2)
         ds, dz = rng.standard_normal((2, product.dim)) * np.exp(rng.uniform(-20.0, 20.0, (2, 1)))
-        out = product.corrector(z, ds, dz)
+        out = product.corrector(s, z, ds, dz)
         # a Zero block has no barrier: its rows take 0 and leave the term on
         assert out[:2].tolist() == [0.0, 0.0]
         assert out[2:].tobytes() == (ds[2:] * dz[2:] / z[2:]).tobytes()
 
-    @pytest.mark.parametrize("kind", [k for k in ALL_KINDS if k != "nonneg"])
+    def test_nonneg_and_soc_products_are_corrected(self):
+        rng = np.random.default_rng(2)
+        spec = ConeSpec.second_order(4)
+        product = ConeProduct((ConeSpec.zero(1), ConeSpec.nonnegative(2), spec, spec))
+        assert product.corrected
+        s, z = (np.r_[0.0, np.ones(2), random_interior(spec, rng), random_interior(spec, rng)]
+                for _ in range(2))
+        ds, dz = rng.standard_normal((2, product.dim))
+        out = product.corrector(s, z, ds, dz)
+        assert out[0] == 0.0
+        assert out[1:3].tobytes() == (ds[1:3] * dz[1:3] / z[1:3]).tobytes()
+        soc = cones.CONES[ConeKind.SECOND_ORDER]
+        rows = slice(3, product.dim)
+        stack = [v[rows].reshape(2, 4) for v in (s, z, ds, dz)]
+        assert out[rows].tobytes() == soc.corrector(spec, *stack).ravel().tobytes()
+
+    @pytest.mark.parametrize("kind", [k for k in ALL_KINDS if k not in ("nonneg", "soc")])
     def test_other_kinds_have_none(self, kind):
         rng = np.random.default_rng(1)
         spec = make_spec(kind, rng)
+        s = random_interior(spec, rng)
         z = -barrier_gradient(spec, random_interior(spec, rng))
         ds, dz = rng.standard_normal((2, spec.dim))
         assert cones.CONES[spec.kind].corrector is None
         # one block without a term leaves the whole product uncorrected
         product = ConeProduct((ConeSpec.nonnegative(2), spec))
         ones = np.ones(2)
-        assert product.corrector(np.r_[ones, z], np.r_[ones, ds], np.r_[ones, dz]) is None
+        assert product.corrector(
+            np.r_[ones, s], np.r_[ones, z], np.r_[ones, ds], np.r_[ones, dz]
+        ) is None
+
+
+def _arrow(x):
+    """L(x), the matrix of y -> x o y = (x'y, x0 y1 + y0 x1): the second-order cone's
+    Jordan product."""
+    L = x[0] * np.eye(len(x))
+    L[0, 1:] = L[1:, 0] = x[1:]
+    return L
+
+
+def _spectral(x, f):
+    """f(x) through x's spectral decomposition (x0 +- ||x1||) with the frame (1, +-x1/||x1||)/2."""
+    n = np.linalg.norm(x[1:])
+    u = x[1:] / n if n > 0.0 else np.eye(len(x) - 1)[0]  # any frame on the axis
+    return 0.5 * f(x[0] + n) * np.r_[1.0, u] + 0.5 * f(x[0] - n) * np.r_[1.0, -u]
+
+
+def _dense_quadratic(x):
+    """P(x) = 2 L(x)^2 - L(x o x), x's quadratic representation, from its definition."""
+    L = _arrow(x)
+    return 2.0 * L @ L - _arrow(L @ x)
+
+
+def _soc_pairs(seed, dim=6, k=120):
+    """Seeded SOC pairs (s, z) scaled 1e-6 to 1e6, with det/x0^2 from 1 to 1e-12 (near the
+    boundary), and for each pair the smaller of the two relative gaps."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(k):
+        gaps = 10.0 ** -rng.integers(0, 13, 2).astype(float)
+        points = []
+        for gap in gaps:
+            u = rng.standard_normal(dim - 1)
+            x = np.r_[1.0, np.sqrt(1.0 - gap) * u / np.linalg.norm(u)]
+            points.append(10.0 ** rng.uniform(-6.0, 6.0) * x)
+        pairs.append((*points, gaps.min()))
+    return pairs
+
+
+class TestNesterovToddScaling:
+    """The second-order block of K is the Nesterov-Todd W^2 = P(w), and its term is Mehrotra's.
+
+    Each identity is checked at seeded pairs scaled 1e-6 to 1e6 and up to
+    a relative gap of 1e-12, within a multiple of eps/gap: the pair's own
+    determinants carry that rounding, so no formula can do better.
+    """
+
+    SPEC = ConeSpec.second_order(6)
+
+    @staticmethod
+    def tolerance(gap):
+        return 64.0 * EPS / gap
+
+    def test_w2_maps_z_to_s_and_grad_f_to_grad_f_star(self):
+        spec = self.SPEC
+        for s, z, gap in _soc_pairs(0):
+            W2 = _dense_scaling(barrier_hessian_inverse(spec, s, z, 0.3))
+            np.testing.assert_allclose(W2, W2.T, rtol=0.0, atol=EPS * np.abs(W2).max())
+            err = np.linalg.norm(W2 @ z - s) / np.linalg.norm(s)
+            assert err <= self.tolerance(gap), (err, gap)
+            target = conjugate_gradient(spec, z)
+            err = np.linalg.norm(W2 @ barrier_gradient(spec, s) - target) / np.linalg.norm(target)
+            assert err <= self.tolerance(gap), (err, gap)
+            if gap >= 1e-4:
+                # the dense reference w = P(s^1/2) (P(s^1/2) z)^-1/2, W^2 = P(w).
+                # Its square roots round more than the closed form does, so
+                # it is compared at the better-centred pairs only
+                h = _dense_quadratic(_spectral(s, np.sqrt))
+                w = h @ _spectral(h @ z, lambda t: t**-0.5)
+                reference = _dense_quadratic(w)
+                assert np.abs(W2 - reference).max() <= 1e-9 * np.abs(reference).max()
+
+    def test_lifted_scaling_in_ipm_maps_z_to_s(self):
+        # W^2 z = s through K's arrays, as ipm assembles and applies them (_KKT.hinv)
+        pairs = _soc_pairs(1, k=40)
+        product = ConeProduct((ConeSpec.nonnegative(2),) + (self.SPEC,) * len(pairs))
+        s = np.r_[1.0, 2.0, np.concatenate([p[0] for p in pairs])]
+        z = np.r_[3.0, 0.5, np.concatenate([p[1] for p in pairs])]
+        m = product.dim
+        problem = ipm.ConicProblem(
+            P=np.zeros((1, 1)), q=np.ones(1), A=np.ones((m, 1)), b=np.zeros(m), cones=product
+        )
+        stacks = [
+            barrier_hessian_inverse(b.spec, b.rows(s), b.rows(z), 0.3)
+            for b in product.barrier_batches
+        ]
+        kkt = ipm._KKT(problem, stacks)
+        kkt.factor(stacks)
+        out = kkt.hinv(z)
+        np.testing.assert_allclose(out[:2], s[:2], rtol=4 * EPS)
+        for (_, _, gap), rows_out, rows_s in zip(
+            pairs, np.split(out[2:], len(pairs)), np.split(s[2:], len(pairs))
+        ):
+            err = np.linalg.norm(rows_out - rows_s) / np.linalg.norm(rows_s)
+            assert err <= self.tolerance(gap), (err, gap)
+
+    def test_term_removes_the_second_order_part_of_the_complementarity(self):
+        # in lambda-coordinates, W^-1 s = W z = lambda, the combined step of
+        # ipm, ds = -W^2 (dz + z + sigma mu grad f(s)) - term, satisfies
+        # (s + ds) o (z + dz) - s o z - ds o dz = lambda o (ds + dz)
+        #                                      = sigma mu e - lambda o lambda - ds_aff o dz_aff
+        spec, soc = self.SPEC, cones.CONES[ConeKind.SECOND_ORDER]
+        rng = np.random.default_rng(2)
+        e = np.r_[1.0, np.zeros(spec.dim - 1)]
+        for s, z, gap in _soc_pairs(3):
+            W2 = _dense_scaling(barrier_hessian_inverse(spec, s, z, 0.3))
+            d, U = np.linalg.eigh(W2)
+            W, W_inv = (U * d**0.5) @ U.T, (U * d**-0.5) @ U.T  # the dense reference
+            lam = W @ z
+            ds_aff, dz = rng.standard_normal((2, spec.dim)) * np.linalg.norm(s)
+            dz_aff = rng.standard_normal(spec.dim) * np.linalg.norm(z)
+            dz *= np.linalg.norm(z) / np.linalg.norm(s)
+            sigma_mu = 0.1 * float(s @ z)
+            term = soc.corrector(spec, s[None], z[None], ds_aff[None], dz_aff[None])[0]
+            ds = -W2 @ (dz + z + sigma_mu * barrier_gradient(spec, s)) - term
+            ds_hat, dz_hat = W_inv @ ds, W @ dz
+            linear = (_arrow(lam + ds_hat) @ (lam + dz_hat) - _arrow(lam) @ lam
+                      - _arrow(ds_hat) @ dz_hat)
+            removed = _arrow(W_inv @ ds_aff) @ (W @ dz_aff)
+            expected = sigma_mu * e - _arrow(lam) @ lam - removed
+            scale = np.linalg.norm(lam) * (np.linalg.norm(ds_hat) + np.linalg.norm(dz_hat))
+            err = np.linalg.norm(linear - expected) / scale
+            assert err <= self.tolerance(gap), (err, gap)
+
+    def test_nonneg_rows_reduce_the_general_term_to_ds_dz_over_z(self):
+        # W = sqrt(s/z) and lambda = sqrt(s z) per coordinate: W L(lambda)^-1
+        # ((W^-1 ds) o (W dz)) is the nonneg kind's ds dz/z
+        rng = np.random.default_rng(4)
+        spec = ConeSpec.nonnegative(50)
+        S, Z = np.exp(rng.uniform(-14.0, 14.0, (2, 3, 50)))
+        DS, DZ = rng.standard_normal((2, 3, 50))
+        W = np.sqrt(S / Z)
+        general = W * ((DS / W) * (W * DZ)) / np.sqrt(S * Z)
+        term = cones.CONES[ConeKind.NONNEGATIVE].corrector(spec, S, Z, DS, DZ)
+        np.testing.assert_allclose(term, general, rtol=8 * EPS)
 
 
 def _one_block(spec):

@@ -556,6 +556,17 @@ def unregularized(kkt):
     return (kkt.K[qi][:, qi] - sp.diags(ipm.REGULARIZATION * kkt.signs)).tocsc()
 
 
+def nt_scaling(s, z):
+    """The dense Nesterov-Todd scaling 2ww' - rJ of one SOC pair, with r = sqrt(det s/det z)
+    and w = (s + rJz)/sqrt(2 (s'z + sqrt(det s det z)))."""
+    J = np.diag(np.r_[1.0, -np.ones(len(s) - 1)])
+    # each det as (x0 - ||x1||)(x0 + ||x1||), as the interior test factors it
+    a, c = ((x[0] - np.linalg.norm(x[1:])) * (x[0] + np.linalg.norm(x[1:])) for x in (s, z))
+    r = math.sqrt(a / c)
+    w = (s + r * J @ z) / math.sqrt(2.0 * (s @ z + math.sqrt(a * c)))
+    return 2.0 * np.outer(w, w) - r * J
+
+
 class TestKKTStructure:
     def test_one_assembly_per_pattern_and_ordering_computed_once(self, monkeypatch):
         prob = gen_portfolio(synth_returns(6, 30, 0), 5e-4)
@@ -616,10 +627,11 @@ class TestKKTStructure:
                 seen.clear()
 
         cold = solve(prob, cold_start(prob))
-        # at the unit point the SOC block's u and v are exact zeros, stored
-        # entries of the first K; they take no second ordering
+        # at the unit points s = z = e the SOC block's NT point is e, and its
+        # u and v are exact zeros, stored entries of the first K; they take
+        # no second ordering
         assert not factors[0][1]
-        check(cold, 17, built=1)
+        check(cold, 10, built=1)
         ws = warmstart(PreviousSolution(*cold.solution, problem=prob), prob.cones)
         check(solve(prob, warm_start(prob, ws)), 2, built=0)
 
@@ -678,7 +690,7 @@ class TestKKTStructure:
         ]
 
     def fresh(self, prob, stacks, mu):
-        """K, the exact K, the diagonal part W of H(s_i)^-1/mu_i, the lifted columns L and
+        """K, the exact K, the diagonal part W of the scaling, the lifted columns L and
         their pivots, as a per-iteration assembly builds them from the kernels' stacks; the
         pivots are +-mu_i from mu, row_mu's (m,) array."""
         n, m = prob.n, prob.m
@@ -686,7 +698,7 @@ class TestKKTStructure:
         for b, stack in zip(prob.cones.barrier_batches, stacks):
             k = len(b.blocks)
             if b.spec.kind is ConeKind.SECOND_ORDER:
-                # t on the diagonal; per block, u and v lifted
+                # r on the diagonal; per block, u and v lifted
                 W[b.sl, b.sl] = np.diag(stack.blocks.ravel())
                 for rows, uv in zip(np.split(np.arange(b.sl.start, b.sl.stop), k), stack.lifts):
                     for h, sign in zip(uv, (1.0, -1.0)):
@@ -723,10 +735,12 @@ class TestKKTStructure:
                 s[b.sl] = np.concatenate([random_interior(b.spec, rng) for _ in b.blocks])
             zeros = it in (0, 4)
             if zeros:
-                # the unit point of an SOC block: exact zeros in its u and v
+                # s and z on an SOC block's axis: exact zeros in its u and v
                 s[unit_soc.sl] = cones.unit_points()[0][unit_soc.sl]
             mu = float(np.exp(rng.uniform(-5.0, 1.0)))
             z = self.dual_point(prob, rng)
+            if zeros:
+                z = self.soc_axis(prob, z)  # so is the NT point w
             stacks = self.scalings(prob, s, z, mu)
             if kkt is None:
                 kkt = ipm._KKT(prob, stacks)
@@ -929,6 +943,16 @@ class TestKKTStructure:
         W, B, D = K22[:m, :m], K22[:m, m:], K22[m:, m:]
         return (W - B @ np.linalg.solve(D, B.T) if len(D) else W), B
 
+    @staticmethod
+    def soc_axis(prob, z):
+        """z with each SOC block moved onto the axis, a multiple of its unit point."""
+        z = z.copy()
+        for b in prob.cones.barrier_batches:
+            if b.spec.kind is ConeKind.SECOND_ORDER:
+                Z = b.rows(z)
+                Z[:, 1:] = 0.0
+        return z
+
     @pytest.mark.parametrize("gap", [1.0, 0.5, 1e-4, 1e-8, 1e-12])
     def test_lifted_schur_complement_is_the_dense_inverse_hessian(self, gap):
         rng = np.random.default_rng(9)
@@ -936,6 +960,8 @@ class TestKKTStructure:
         m, cones = prob.m, prob.cones
         s = self.soc_gap_point(prob, rng, gap)
         z = self.dual_point(prob, rng)
+        if gap == 1.0:
+            z = self.soc_axis(prob, z)  # s and z on the axis: so is the NT point w
         mu = 0.3
         mu_rows = row_mu(cones, s, z, mu)
         stacks = self.scalings(prob, s, z, mu)
@@ -949,13 +975,11 @@ class TestKKTStructure:
                 mu_i = mu_rows[rows]
                 assert (mu_i == mu).all() == (b.spec.kind is ConeKind.PSD_TRIANGLE)
                 if b.spec.kind is ConeKind.SECOND_ORDER:
-                    v = s[rows]
-                    t = v[0] ** 2 - v[1:] @ v[1:]
-                    J = np.diag(np.r_[1.0, -np.ones(len(v) - 1)])
-                    dense = -(2.0 * np.outer(v, v) - t * J) / mu_i[0]
+                    # the Nesterov-Todd W^2 = H(w)^-1 at the NT point w of (s, z)
+                    dense = -nt_scaling(s[rows], z[rows])
                     assert np.abs(block - dense).max() <= 1e-12 * np.abs(dense).max()
                     if gap == 1.0:
-                        assert not B[rows].any()  # u = v = 0 at the unit point
+                        assert not B[rows].any()  # u = v = 0 where w is on the axis
                 else:
                     # the kernel's H^-1/mu_i, with no lifted column; a nonneg block's per coordinate
                     assert not stack[i].lifts.size
@@ -964,7 +988,7 @@ class TestKKTStructure:
                 # no coupling between blocks
                 others = np.setdiff1d(np.arange(m), rows)
                 assert not schur[np.ix_(rows, others)].any()
-        # the step's products agree with the dense H(s_i)^-1/mu_i
+        # the step's products agree with the dense scaling
         r = rng.standard_normal(m)
         np.testing.assert_allclose(kkt.hinv(r), -schur @ r, rtol=1e-12, atol=1e-12 * np.abs(schur).max())
 
@@ -1078,18 +1102,23 @@ class TestKKTAccuracy:
 
     LATE_MU = 1e-3
 
+    # eps is the solve's tolerance.  The rebalance solve ends at the default
+    # 1e-8 after its last factor at mu = 1.6e-7, so it runs to 1e-10 to reach
+    # last_mu: its last factors are then at mu = 2.8e-9
     @pytest.mark.parametrize(
-        "build, last_mu",
+        "build, last_mu, eps",
         [
-            (lambda: gen_svm_l1(synth_samples(480, 10, seed=0), 0.05), 1e-9),
-            (lambda: gen_portfolio(synth_returns(50, 194, 0).window(0, 191), 5e-4), 1e-7),
-            (lambda: gen_hmcr(synth_returns(20, 43, 0).window(0, 40), 5e-4, 3.0, 0.9), 1e-7),
-            (psd_trace_one, 1e-7),
-            (log_sum_exp, 1e-7),
+            (lambda: gen_svm_l1(synth_samples(480, 10, seed=0), 0.05), 1e-9, 1e-8),
+            (lambda: gen_portfolio(synth_returns(50, 194, 0).window(0, 191), 5e-4), 1e-7, 1e-10),
+            (lambda: gen_hmcr(synth_returns(20, 43, 0).window(0, 40), 5e-4, 3.0, 0.9), 1e-7, 1e-8),
+            (psd_trace_one, 1e-7, 1e-8),
+            (log_sum_exp, 1e-7, 1e-8),
         ],
         ids=["svm-l1", "rebalance", "hmcr", "psd", "exp"],
     )
-    def test_refined_residual_within_10x_of_partial_pivoting(self, monkeypatch, build, last_mu):
+    def test_refined_residual_within_10x_of_partial_pivoting(
+        self, monkeypatch, build, last_mu, eps
+    ):
         prob = build()
         rng = np.random.default_rng(3)
         seen, passed = [], []  # the mu of each factor, and of each kernel call
@@ -1130,7 +1159,7 @@ class TestKKTAccuracy:
 
         monkeypatch.setattr(ipm._KKT, "factor", checked)
         monkeypatch.setattr(ipm, "barrier_hessian_inverse", recording)
-        report = solve(prob, cold_start(prob))
+        report = solve(prob, cold_start(prob), Settings(eps=eps))
         assert report.status is SolveStatus.OPTIMAL
         assert sum(mu < self.LATE_MU for mu in seen) >= 5
         assert min(seen) <= last_mu
@@ -1274,11 +1303,41 @@ class TestSecondOrderRowsOfTheLiftedKKT:
     @pytest.mark.parametrize("lam", [0.02, 0.03, 0.04, 0.05])
     def test_svm_l2_repro_rows(self, lam):
         # ROADMAP's repro table: three of the four ended NumericalError;
-        # with the global mu in K they took 34, 40, 36 and 43 iterations
+        # with the global mu in K they took 34, 40, 36 and 43 iterations,
+        # with H(s)^-1/mu_i 30, 35, 33 and 37, and with the Nesterov-Todd
+        # scaling and Mehrotra's term 22, 22, 22 and 23
         prob = gen_svm_l2(synth_samples(480, 10, seed=0), lam)
         report = solve(prob, cold_start(prob))
         assert report.status is SolveStatus.OPTIMAL
-        assert report.iterations < 40
+        assert report.iterations <= {0.02: 22, 0.03: 22, 0.04: 22, 0.05: 23}[lam]
+
+
+class TestWarmPairRepros:
+    """Open repros' warm pairs at the default mu0 (.github/repro_rows.py --warm-pairs)."""
+
+    @staticmethod
+    def warm(previous, problem):
+        """problem's warm solve from previous's cold optimum."""
+        cold = solve(previous, cold_start(previous))
+        ws = warmstart(PreviousSolution(*cold.solution, problem=problem), problem.cones)
+        return solve(problem, warm_start(problem, ws))
+
+    def test_svm_l2_pair(self):
+        # while SOC blocks entered K as H(s)^-1/mu_i, with no term, this
+        # ended NumericalError at 18 iterations, proximity rejecting every trial
+        samples = synth_samples(480, 10, seed=2)
+        lams = np.linspace(0.01, 0.2, 28)
+        previous, problem = (gen_svm_l2(samples, lams[i]) for i in (6, 7))
+        assert self.warm(previous, problem).status is SolveStatus.OPTIMAL
+
+    def test_frontier_pair(self):
+        # with the Nesterov-Todd scaling and its term alone, the corrected
+        # direction of iteration 12 found no trial (proximity rejected every
+        # one); taken again without the term, the step goes on
+        returns = synth_returns(50, 191, 2).window(0, 191)
+        targets = np.linspace(0.05, 0.95, 12) * np.max(returns.mean)
+        previous, problem = (gen_portfolio(returns, targets[i]) for i in (5, 6))
+        assert self.warm(previous, problem).status is SolveStatus.OPTIMAL
 
 
 class TestPerBlockScaling:
@@ -1311,18 +1370,15 @@ class TestCorrector:
 
     @staticmethod
     def _forbid_the_nonneg_term(monkeypatch):
-        def raising(self, *args):
+        def raising(self, spec, S, Z, DS, DZ):
             raise AssertionError("the nonneg term was computed")
 
         monkeypatch.setattr(NonnegativeCone, "corrector", raising)
 
     @pytest.mark.parametrize(
         "build",
-        [
-            lambda: gen_portfolio(synth_returns(6, 30, 0), 5e-4),
-            lambda: gen_hmcr(synth_returns(4, 8, 0), 5e-4, 3.0, 0.9),
-        ],
-        ids=["nonneg+soc", "nonneg+pow"],
+        [lambda: gen_hmcr(synth_returns(4, 8, 0), 5e-4, 3.0, 0.9)],
+        ids=["nonneg+pow"],
     )
     def test_mixed_products_apply_no_term(self, monkeypatch, build):
         prob = build()
@@ -1331,6 +1387,14 @@ class TestCorrector:
 
     def test_nonneg_products_apply_the_term(self, monkeypatch):
         prob, _ = lp_box()
+        self._forbid_the_nonneg_term(monkeypatch)
+        with pytest.raises(AssertionError, match="nonneg term"):
+            solve(prob, cold_start(prob))
+
+    def test_nonneg_and_soc_products_apply_the_term(self, monkeypatch):
+        # both kinds' blocks of K are Nesterov-Todd scalings
+        prob = gen_portfolio(synth_returns(6, 30, 0), 5e-4)
+        assert prob.cones.corrected
         self._forbid_the_nonneg_term(monkeypatch)
         with pytest.raises(AssertionError, match="nonneg term"):
             solve(prob, cold_start(prob))
