@@ -19,11 +19,13 @@ passed to ``conjugate_gradient``:
 
 - on the s stacks: ``gradient``, ``hessian_inverse`` (with the z stack
   and mu that ``ipm`` passed with each s stack), ``interior`` and
-  ``step_bound``, the last along the step to the next recorded stack;
+  ``step_bound``, the last along the step to the next recorded stack.
+  ``hessian_inverse`` includes grad f(s), which it gives with the
+  scaling (``cones.Scaling``) for ``ipm``'s right side;
 - on the z stacks: ``conjugate_gradient`` and ``interior_dual``;
-- ``corrector``, Mehrotra's term, on the kind's rows of the (s, z, ds,
-  dz) that ``ipm`` passed to ``ConeProduct.corrector``, where the product
-  has the term.
+- ``corrector``, Mehrotra's term, on the kind's ``Scaling`` and rows of
+  the (stacks, z, ds, dz) that ``ipm`` passed to
+  ``ConeProduct.corrector``, where the product has the term.
 
 One more line per workload, ``product``, replays the recorded calls as
 ``ipm`` made them: the three kernels per kind (``barrier_gradient.soc``
@@ -88,8 +90,8 @@ def recorded_calls(api, cones, problem):
 def kind_stacks(calls):
     """{kind value: (spec, s arguments, z stacks, term arguments)}: the arguments
     (S, Z, mu) ipm passed to the barrier Hessian inverse, the rows it passed
-    to the conjugate gradient, and the kind's rows (S, Z, DS, DZ) of each
-    ConeProduct.corrector call whose product has the term."""
+    to the conjugate gradient, and the kind's Scaling and rows (H, Z, DS, DZ)
+    of each ConeProduct.corrector call whose product has the term."""
     stacks = {}
     for side, kernel in ((1, "barrier_hessian_inverse"), (2, "conjugate_gradient")):
         for name, recorded in calls.items():
@@ -97,10 +99,10 @@ def kind_stacks(calls):
                 for _, (spec, *args, _cone) in recorded:
                     entry = stacks.setdefault(spec.kind.value, (spec, [], [], []))
                     entry[side].append(tuple(args) if side == 1 else args[0])
-    for _, (product, *vectors) in calls.get("corrector", []):
+    for _, (product, scalings, *vectors) in calls.get("corrector", []):
         if product.corrected:
-            for b in product.barrier_batches:
-                stacks[b.spec.kind.value][3].append(tuple(b.rows(v) for v in vectors))
+            for b, H in zip(product.barrier_batches, scalings):
+                stacks[b.spec.kind.value][3].append((H, *(b.rows(v) for v in vectors)))
     return stacks
 
 

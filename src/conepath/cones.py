@@ -6,12 +6,13 @@ below, found through CONES, that holds every formula of its kind:
 validation, degree, interior test, step bound, barrier derivatives, unit
 point, conjugate gradient, the smoothing and projection operators that
 smoothing.py exposes, and the block's scaling in K: hessian_inverse
-gives it from the rows of s and z (Scaling), and ipm builds K from it
-without knowing the kind.  The nonnegative and second-order kinds give
-their Nesterov-Todd scaling W^2, with W^2 z = s, and Mehrotra's
-second-order term of the combined step (corrector), which ipm applies
-only where every barrier kind gives one.  The other kinds give
-H(s_i)^-1/mu_i, each taking its own path parameter mu_i, and no term.
+gives it, grad f(s) and the term's state from one evaluation of the
+rows of s and z (Scaling), and ipm builds K and its right side from
+it without knowing the kind.  The nonnegative and second-order kinds
+give their Nesterov-Todd scaling W^2, with W^2 z = s, and Mehrotra's
+term of the combined step (corrector), which ipm applies only where
+every barrier kind gives one.  The other kinds give H(s_i)^-1/mu_i,
+each taking its own path parameter mu_i, and no term.
 
 The formulas work on stacks.  A stack is a (k, dim) array whose rows
 are k points of one cone; formulas give one result per row: (k,) values
@@ -293,22 +294,27 @@ class Scaling:
     their own, with pivots (k, c), signs[c]*mu_i, as their entries of K's
     diagonal D.  mu_i is <s_i, z_i>/nu_i for each nonnegative coordinate
     and each second-order, exponential or power block, the global mu for
-    a PSD block.  Indexing gives one row's form, as the other kernels
-    give a point its row.
+    a PSD block.  The same evaluation gives gradient, grad f(s) per row,
+    and point, what the kind's term reads (Cone.corrector): SOC's (w, r,
+    det lambda) (SecondOrderCone._nt_point), empty for the other kinds.
+    Indexing gives one row's form, as the other kernels give a point its row.
     """
 
     blocks: np.ndarray
     lifts: np.ndarray
     pivots: np.ndarray
     signs: tuple
+    gradient: np.ndarray
+    point: tuple = ()
 
     def __getitem__(self, i):
-        return replace(self, blocks=self.blocks[i], lifts=self.lifts[i], pivots=self.pivots[i])
+        return replace(self, blocks=self.blocks[i], lifts=self.lifts[i], pivots=self.pivots[i],
+                       gradient=self.gradient[i], point=tuple(p[i] for p in self.point))
 
 
-def _dense(H):
-    """The Scaling of a stack of dense blocks (k, dim, dim), with no lifted column."""
-    return Scaling(H[:, None], np.zeros((len(H), 0, H.shape[-1])), np.zeros((len(H), 0)), ())
+def _unlifted(blocks, G):
+    """The Scaling of blocks (k, dim/w, w, w) and gradients G (k, dim), with no lifted column."""
+    return Scaling(blocks, np.zeros((len(G), 0, G.shape[-1])), np.zeros((len(G), 0)), (), G)
 
 
 def _path_parameters(S, Z, degree):
@@ -422,11 +428,11 @@ class Cone:
         """(gradients, Hessians) of the barrier on a stack."""
         return self.gradient(spec, S), self.hessian(spec, S)
 
-    # corrector(spec, S, Z, DS, DZ): Mehrotra's second-order term on the
-    # z-rows of the combined step, from the iterate S, Z and the affine
-    # direction DS, DZ.  A kind defines it once its block of K is its
-    # Nesterov-Todd scaling, as the nonnegative and second-order kinds'
-    # are; None says it has none, which leaves the product uncorrected
+    # corrector(spec, H, Z, DS, DZ): Mehrotra's second-order term on the
+    # z-rows of the combined step, from the iterate's Scaling H and rows Z
+    # and the affine direction DS, DZ.  A kind defines it once its block of
+    # K is its Nesterov-Todd scaling, as the nonnegative and second-order
+    # kinds' are; None says it has none, which leaves the product uncorrected
     corrector = None
 
     def oracles(self, spec):
@@ -613,10 +619,9 @@ class NonnegativeCone(SelfDualCone):
     def hessian_inverse(self, spec, S, Z, mu):
         """The diagonal s^2/(s z), each coordinate's mu_j = s_j z_j: the Nesterov-Todd
         s_j/z_j (Nesterov & Todd, Math. OR 1997)."""
-        W = (S**2 / (S * Z))[:, :, None, None]
-        return Scaling(W, np.zeros((len(S), 0, spec.dim)), np.zeros((len(S), 0)), ())
+        return _unlifted((S**2 / (S * Z))[:, :, None, None], self.gradient(spec, S))
 
-    def corrector(self, spec, S, Z, DS, DZ):
+    def corrector(self, spec, H, Z, DS, DZ):
         """ds*dz/z: z ds + s dz = sigma mu - s z - ds_aff dz_aff, divided by z as K's s/z is.
 
         The general W L(lambda)^-1 ((W^-1 ds) o (W dz)) with W = sqrt(s/z)
@@ -747,7 +752,7 @@ class SecondOrderCone(SelfDualCone):
         right side's W^2 (z + sigma mu grad f(s)) is s - sigma mu z^-1,
         the Nesterov-Todd one.
         """
-        w, r, _ = self._nt_point(S, Z)
+        point = w, r, _ = self._nt_point(S, Z)
         mu_i = _path_parameters(S, Z, 1)
         n = _norms(w[:, 1:])
         high = w[:, 0] + n
@@ -759,10 +764,10 @@ class SecondOrderCone(SelfDualCone):
         for row, scale, sign in lifts:
             out[:, row, 0] = scale
             out[:, row, 1:] = (sign * scale)[:, None] * unit
-        signs = (1.0, -1.0)
-        return Scaling(out[:, 0, :, None, None], out[:, 1:], mu_i[:, None] * signs, signs)
+        signs, G = (1.0, -1.0), self.gradient(spec, S)
+        return Scaling(out[:, 0, :, None, None], out[:, 1:], mu_i[:, None] * signs, signs, G, point)
 
-    def corrector(self, spec, S, Z, DS, DZ):
+    def corrector(self, spec, H, Z, DS, DZ):
         """W L(lambda)^-1 ((W^-1 ds) o (W dz)) per row, with W = P(v), v = w^1/2 and lambda = W z.
 
         In the scaled coordinates W^-1 s = W z = lambda the linearized
@@ -775,7 +780,7 @@ class SecondOrderCone(SelfDualCone):
         v^-1 = Jv/d.  L(lambda)^-1 y is x with x0 = (lambda0 y0 -
         lambda1'y1)/det(lambda) and x1 = (y1 - x0 lambda1)/lambda0.
         """
-        w, r, det_lam = self._nt_point(S, Z)
+        w, r, det_lam = H.point  # hessian_inverse's _nt_point at the same (s, z)
         d = np.sqrt(r)
         V = w.copy()
         V[:, 0] += d
@@ -896,7 +901,7 @@ class PsdTriangleCone(SelfDualCone):
         """Dense H^-1/mu with the global mu, the one kernel that reads it: with its own
         mu_i, the order-30 trace-one SDP (.github/repro_rows.py) ends NumericalError at
         25 iterations, every trial rejected by proximity; with mu it ends Optimal in 19."""
-        return _dense(_sym_kron(smat(S)) / mu)
+        return _unlifted(_sym_kron(smat(S))[:, None] / mu, self.gradient(spec, S))
 
     def unit_s(self, spec):
         return svec(np.eye(spec.order))
@@ -1017,7 +1022,8 @@ class NonsymmetricCone(Cone):
         (an overflow near the float64 range) has no inverse to floor and
         raises LinAlgError, which ipm reports as a kernel failure.
         """
-        h11, h12, h13, h22, h23, h33 = self._hessian_entries(spec, S, *self.u(spec, S, order=2))
+        u, du, d2u = self.u(spec, S, order=2)
+        h11, h12, h13, h22, h23, h33 = self._hessian_entries(spec, S, u, du, d2u)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             l21, l31 = h12 / h11, h13 / h11
             d2 = h22 - l21 * h12
@@ -1040,7 +1046,8 @@ class NonsymmetricCone(Cone):
             w, U = np.linalg.eigh(H)
             w = np.maximum(w, w[:, -1:] * 1e-14)
             X[bad] = (U / w[:, None, :]) @ _t(U)
-        return _dense(X / _path_parameters(S, Z, 3)[:, None, None])
+        X /= _path_parameters(S, Z, 3)[:, None, None]
+        return _unlifted(X[:, None], self._gradient(spec, S, u, du))
 
     def unit_point(self, spec):
         e_s = self.unit_s(spec)
@@ -1427,21 +1434,19 @@ class ConeProduct:
             bound = min(bound, cone.step_bound(b.spec, V, D).min())
         return float(bound)
 
-    def corrector(self, s, z, ds, dz):
+    def corrector(self, stacks, z, ds, dz):
         """Mehrotra's second-order term for the rows of z in the combined step, or None.
 
-        Each barrier batch's kind gives its rows' term at the iterate
-        (s, z) from the affine direction (ds, dz) (Cone.corrector), and
-        Zero rows take 0.  One barrier kind without a term leaves the
-        whole product uncorrected.
+        Each barrier batch's kind gives its rows' term from its Scaling at
+        the iterate (stacks) and the affine direction (ds, dz)
+        (Cone.corrector), and Zero rows take 0.  One barrier kind without
+        a term leaves the whole product uncorrected.
         """
         if not self.corrected:
             return None
         out = np.zeros(self.dim)
-        for b in self.barrier_batches:
-            b.rows(out)[:] = b.cone.corrector(
-                b.spec, b.rows(s), b.rows(z), b.rows(ds), b.rows(dz)
-            )
+        for b, H in zip(self.barrier_batches, stacks):
+            b.rows(out)[:] = b.cone.corrector(b.spec, H, b.rows(z), b.rows(ds), b.rows(dz))
         return out
 
     @staticmethod

@@ -46,19 +46,20 @@ scaling (cones.Scaling).  Each solve with the factor is refined against K
 without its regularization until max|r| <= REFINEMENT_TOLERANCE*max|rhs|,
 rounding level, for at most REFINEMENT_STEPS steps.
 
-Each barrier block's scaling comes from the kind's kernel
-(cones.Scaling): the Nesterov-Todd W^2, with W^2 z = s, for nonneg
-coordinates (s_j/z_j) and second-order blocks (2ww' - rJ at the
-Nesterov-Todd point w), and H(s_i)^-1/mu_i, with the path parameter
-mu_i its kind picks from s_i and z_i, for exp, pow and PSD blocks.  The
-global mu scales the centering term, tau*kappa, the neighborhood and
-termination.  The right side's W^2 (z + sigma*mu*grad f(s)) is then
-s - sigma*mu*z^-1 on a Nesterov-Todd block, that scaling's own.  ds
-comes from the linearized primal equation, ds = eta*r_z - A dx +
-dtau*b, not from the scaling as -W(dz + r_s).  s_j/z_j grows without
-bound where z_j goes to 0, and that form multiplies the solve's error
-in dz by it: with it, three svm-l2 repro rows (.github/repro_rows.py)
-drifted in r_p and ended MaxIters.
+Each barrier block's scaling comes from the kind's kernel, the one
+evaluation of (s, z), which also gives the right side's grad f(s) and
+the state of Mehrotra's term (cones.Scaling): the Nesterov-Todd W^2,
+with W^2 z = s, for nonneg coordinates (s_j/z_j) and second-order blocks
+(2ww' - rJ at the Nesterov-Todd point w), and H(s_i)^-1/mu_i, with the
+path parameter mu_i its kind picks from s_i and z_i, for exp, pow and
+PSD blocks.  The global mu scales the centering term, tau*kappa, the
+neighborhood and termination.  The right side's
+W^2 (z + sigma*mu*grad f(s)) is then s - sigma*mu*z^-1 on a
+Nesterov-Todd block, that scaling's own.  ds comes from the linearized
+primal equation, ds = eta*r_z - A dx + dtau*b, not from the scaling as
+-W(dz + r_s).  s_j/z_j grows without bound where z_j goes to 0, and that
+form multiplies the solve's error in dz by it: with it, three svm-l2
+repro rows (.github/repro_rows.py) drifted in r_p and ended MaxIters.
 
 The combined direction carries Mehrotra's second-order term (Mehrotra,
 SIAM J. Optim. 1992; Vandenberghe, "The CVXOPT linear and quadratic
@@ -422,24 +423,20 @@ def conjugate_gradient(spec, Y, cone):
 
 
 def block_proximity(cones, s, z):
-    """Per-block proximity rho_i = nu_i / <grad f(s_i), grad f*(z_i)>.
+    """Per-block proximity rho_i = nu_i / <grad f(s_i), grad f*(z_i)>, NaN on Zero blocks.
 
     s and z must have passed cones.is_interior and is_interior_dual.  One
-    kernel call covers each batch of cones.barrier_batches.  Returns
-    (rho, gradients): rho is NaN on Zero blocks, and gradients[j] is
-    grad f(s) on the rows of barrier batch j, which the step rule reuses
-    at the trial it accepts.  Raises what conjugate_gradient raises.
-    rho_i equals the local path parameter mu_i exactly on the central
-    path and is strictly smaller off it.
+    kernel call covers each batch of cones.barrier_batches.  Raises what
+    conjugate_gradient raises.  rho_i equals the local path parameter
+    mu_i exactly on the central path and is strictly smaller off it.
+    solve's right side reads grad f(s) from the scaling kernel instead.
     """
     rho = np.full(len(cones.blocks), np.nan)
-    gradients = []
     for b in cones.barrier_batches:
         gz = conjugate_gradient(b.spec, b.rows(z), b.cone)
         gs = barrier_gradient(b.spec, b.rows(s), b.cone)
         rho[b.blocks.start : b.blocks.stop] = b.degree / np.vecdot(gs, gz)
-        gradients.append(gs)
-    return rho, gradients
+    return rho
 
 
 def _positions(M, rows, cols):
@@ -680,7 +677,6 @@ def solve(problem, start, settings=None):
     if not _interior_point(cones, s, z):
         raise RejectedWarmStart("start iterate is not strictly interior")
 
-    gradients = None  # grad f at s per barrier batch, from the proximity test that accepted s
     kkt = None
     barrier = np.array([k for k, _, _ in cones.barrier_blocks], dtype=np.intp)
     zero_rows = np.array(
@@ -713,11 +709,9 @@ def solve(problem, start, settings=None):
         grad = np.zeros(m)
         stacks = []
         try:
-            for j, b in enumerate(cones.barrier_batches):
-                S = b.rows(s)
-                G = barrier_gradient(b.spec, S, b.cone) if gradients is None else gradients[j]
-                grad[b.sl] = G.ravel()
-                stacks.append(barrier_hessian_inverse(b.spec, S, b.rows(z), mu, b.cone))
+            for b in cones.barrier_batches:
+                stacks.append(barrier_hessian_inverse(b.spec, b.rows(s), b.rows(z), mu, b.cone))
+                grad[b.sl] = stacks[-1].gradient.ravel()
         except (BoundaryOrExterior, np.linalg.LinAlgError) as exc:
             return report(SolveStatus.NUMERICAL_ERROR, f"{KERNEL_RAISED}: {exc}")
         if kkt is None:
@@ -777,7 +771,7 @@ def solve(problem, start, settings=None):
             return None if inside(a) is None else a
 
         def combined_trial(a):
-            """(alpha, s, z, tau, kappa, mu, gradients) at step a, if it passes every test."""
+            """(alpha, s, z, tau, kappa, mu) at step a, if it passes every test."""
             nonlocal guard_passed
             if (point := inside(a)) is None:
                 return None
@@ -787,13 +781,13 @@ def solve(problem, start, settings=None):
             if not (mu_new > 0.0 and tau_new * kappa_new >= BETA * mu_new):
                 return None
             try:
-                rho, trial_gradients = block_proximity(cones, s_new, z_new)
+                rho = block_proximity(cones, s_new, z_new)
             except (BoundaryOrExterior, NoConvergence):
                 return None
             # a NaN rho fails the comparison, so it rejects the trial
             if not (rho[barrier] >= BETA * mu_new).all():
                 return None
-            return a, s_new, z_new, tau_new, kappa_new, mu_new, trial_gradients
+            return a, s_new, z_new, tau_new, kappa_new, mu_new
 
         dx, dz, ds, dtau, dkappa = direction(1.0, 0.0, affine)
         alpha_aff = _search(AFFINE_GRID, affine_trial, boundary_step()) or 0.0
@@ -801,7 +795,7 @@ def solve(problem, start, settings=None):
 
         # Mehrotra's term, from the affine direction, where the product has
         # one; a combined direction that no trial passes is taken again without it
-        terms = [cones.corrector(s, z, ds, dz)]
+        terms = [cones.corrector(stacks, z, ds, dz)]
         if terms[0] is not None:
             terms.append(None)
         guard_passed = False  # set once a trial passes the interior test
@@ -816,5 +810,5 @@ def solve(problem, start, settings=None):
             return report(
                 SolveStatus.NUMERICAL_ERROR, PROXIMITY_REJECTED if guard_passed else NO_STEP_INSIDE
             )
-        alpha, s, z, tau, kappa, mu, gradients = step
+        alpha, s, z, tau, kappa, mu = step
         x = x + alpha * dx

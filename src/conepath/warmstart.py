@@ -452,7 +452,7 @@ def proximity(result, cones, beta=BETA):
         require_interior(b.spec, b.rows(result.z0), dual=True)
         require_interior(b.spec, b.rows(result.s0))
     mu = float(result.s0 @ result.z0) / cones.degree
-    rho, _ = block_proximity(cones, result.s0, result.z0)
+    rho = block_proximity(cones, result.s0, result.z0)
     ok = np.array(
         [
             np.isnan(r) or r >= beta * mu * (1.0 - 1e-9)

@@ -1,5 +1,6 @@
 """Barrier calculus: packing, interiority, identities, conjugates."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -135,6 +136,13 @@ class TestInteriority:
             spec = make_spec(kind, rng)
             s = random_interior(spec, rng)
             assert is_interior_dual(spec, s)
+
+
+def _scalings(product, s, z, mu=0.3):
+    """The barrier batches' Scalings at (s, z), which ipm passes to ConeProduct.corrector."""
+    return [
+        barrier_hessian_inverse(b.spec, b.rows(s), b.rows(z), mu) for b in product.barrier_batches
+    ]
 
 
 def _dense_scaling(form):
@@ -400,7 +408,7 @@ class TestStackedKernels:
             rows = [self.call(kernel, spec, s, y) for s, y in zip(S, Y)]
             if kernel is barrier_hessian_inverse:
                 # a Scaling, field by field: its arrays row by row, the rest whole
-                for field in ("blocks", "lifts", "pivots"):
+                for field in ("blocks", "lifts", "pivots", "gradient"):
                     got = [getattr(form, field) for form in rows]
                     self.assert_rows_equal(getattr(stacked, field), got, kind)
                 assert all(f.signs == stacked.signs for f in rows)
@@ -992,7 +1000,7 @@ class TestCorrector:
         s, z = np.exp(rng.uniform(-20.0, 20.0, (2, product.dim)))
         z[:2] = rng.standard_normal(2)
         ds, dz = rng.standard_normal((2, product.dim)) * np.exp(rng.uniform(-20.0, 20.0, (2, 1)))
-        out = product.corrector(s, z, ds, dz)
+        out = product.corrector(_scalings(product, s, z), z, ds, dz)
         # a Zero block has no barrier: its rows take 0 and leave the term on
         assert out[:2].tolist() == [0.0, 0.0]
         assert out[2:].tobytes() == (ds[2:] * dz[2:] / z[2:]).tobytes()
@@ -1005,13 +1013,14 @@ class TestCorrector:
         s, z = (np.r_[0.0, np.ones(2), random_interior(spec, rng), random_interior(spec, rng)]
                 for _ in range(2))
         ds, dz = rng.standard_normal((2, product.dim))
-        out = product.corrector(s, z, ds, dz)
+        stacks = _scalings(product, s, z)
+        out = product.corrector(stacks, z, ds, dz)
         assert out[0] == 0.0
         assert out[1:3].tobytes() == (ds[1:3] * dz[1:3] / z[1:3]).tobytes()
         soc = cones.CONES[ConeKind.SECOND_ORDER]
         rows = slice(3, product.dim)
-        stack = [v[rows].reshape(2, 4) for v in (s, z, ds, dz)]
-        assert out[rows].tobytes() == soc.corrector(spec, *stack).ravel().tobytes()
+        stack = [v[rows].reshape(2, 4) for v in (z, ds, dz)]
+        assert out[rows].tobytes() == soc.corrector(spec, stacks[1], *stack).ravel().tobytes()
 
     @pytest.mark.parametrize("kind", [k for k in ALL_KINDS if k not in ("nonneg", "soc")])
     def test_other_kinds_have_none(self, kind):
@@ -1024,9 +1033,8 @@ class TestCorrector:
         # one block without a term leaves the whole product uncorrected
         product = ConeProduct((ConeSpec.nonnegative(2), spec))
         ones = np.ones(2)
-        assert product.corrector(
-            np.r_[ones, s], np.r_[ones, z], np.r_[ones, ds], np.r_[ones, dz]
-        ) is None
+        stacks = _scalings(product, np.r_[ones, s], np.r_[ones, z])
+        assert product.corrector(stacks, np.r_[ones, z], np.r_[ones, ds], np.r_[ones, dz]) is None
 
 
 def _arrow(x):
@@ -1140,7 +1148,8 @@ class TestNesterovToddScaling:
             dz_aff = rng.standard_normal(spec.dim) * np.linalg.norm(z)
             dz *= np.linalg.norm(z) / np.linalg.norm(s)
             sigma_mu = 0.1 * float(s @ z)
-            term = soc.corrector(spec, s[None], z[None], ds_aff[None], dz_aff[None])[0]
+            H = barrier_hessian_inverse(spec, s[None], z[None], 0.3)
+            term = soc.corrector(spec, H, z[None], ds_aff[None], dz_aff[None])[0]
             ds = -W2 @ (dz + z + sigma_mu * barrier_gradient(spec, s)) - term
             ds_hat, dz_hat = W_inv @ ds, W @ dz
             linear = (_arrow(lam + ds_hat) @ (lam + dz_hat) - _arrow(lam) @ lam
@@ -1160,8 +1169,31 @@ class TestNesterovToddScaling:
         DS, DZ = rng.standard_normal((2, 3, 50))
         W = np.sqrt(S / Z)
         general = W * ((DS / W) * (W * DZ)) / np.sqrt(S * Z)
-        term = cones.CONES[ConeKind.NONNEGATIVE].corrector(spec, S, Z, DS, DZ)
+        H = barrier_hessian_inverse(spec, S, Z, 0.3)
+        term = cones.CONES[ConeKind.NONNEGATIVE].corrector(spec, H, Z, DS, DZ)
         np.testing.assert_allclose(term, general, rtol=8 * EPS)
+
+
+class TestOneEvaluation:
+    """ipm reads grad f(s) and the term's state from the Scaling of (s, z) alone: each is
+    bit for bit what the separate kernels give at the same rows."""
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_scaling_gradient_is_the_barrier_gradient_bitwise(self, kind):
+        for seed in range(3):
+            spec, S, Y = _stack_cases(kind, np.random.default_rng(50 + seed), 6)
+            H = barrier_hessian_inverse(spec, S, Y, 0.3)
+            assert H.gradient.tobytes() == barrier_gradient(spec, S).tobytes()
+
+    def test_soc_term_from_the_scaling_is_the_term_from_a_fresh_nt_point_bitwise(self):
+        spec, soc = ConeSpec.second_order(6), cones.CONES[ConeKind.SECOND_ORDER]
+        pairs = _soc_pairs(5, k=40)
+        S, Z = (np.array([pair[i] for pair in pairs]) for i in (0, 1))
+        DS, DZ = np.random.default_rng(6).standard_normal((2, *S.shape))
+        H = barrier_hessian_inverse(spec, S, Z, 0.3)
+        fresh = dataclasses.replace(H, point=soc._nt_point(S, Z))
+        term = soc.corrector(spec, H, Z, DS, DZ)
+        assert term.tobytes() == soc.corrector(spec, fresh, Z, DS, DZ).tobytes()
 
 
 def _one_block(spec):

@@ -16,6 +16,7 @@ from conepath.cones import (
     ConeProduct,
     ConeSpec,
     NonnegativeCone,
+    SecondOrderCone,
     barrier_gradient,
     barrier_hessian,
     barrier_hessian_inverse,
@@ -1399,6 +1400,21 @@ class TestCorrector:
         with pytest.raises(AssertionError, match="nonneg term"):
             solve(prob, cold_start(prob))
 
+    def test_one_nt_point_per_iteration(self, monkeypatch):
+        # the SOC term reads the NT point of the iterate's Scaling, so the
+        # scaling kernel is the one caller of _nt_point
+        calls = Counter()
+        for name in ("_nt_point", "hessian_inverse"):
+            def counted(self, *args, fn=getattr(SecondOrderCone, name), name=name):
+                calls[name] += 1
+                return fn(self, *args)
+
+            monkeypatch.setattr(SecondOrderCone, name, counted)
+        prob = gen_portfolio(synth_returns(6, 30, 0), 5e-4)
+        report = solve(prob, cold_start(prob))
+        assert report.status is SolveStatus.OPTIMAL
+        assert calls["_nt_point"] == calls["hessian_inverse"] == report.iterations
+
 
 def _count_interior_tests(monkeypatch):
     """A list that gains one entry per ConeProduct.is_interior call from now on."""
@@ -1681,8 +1697,7 @@ class TestNumericalErrorReason:
         # rho = 0 on every block: each trial passes the interior test and
         # fails the neighborhood
         def stalled(cones, s, z):
-            rho, gradients = block_proximity(cones, s, z)
-            return np.zeros_like(rho), gradients
+            return np.zeros_like(block_proximity(cones, s, z))
 
         block_proximity = ipm.block_proximity
         monkeypatch.setattr(ipm, "block_proximity", stalled)

@@ -492,14 +492,14 @@ class TestProximity:
         s = np.array([1.0, 2.0, 0.5])
         mu = 0.3
         z = -mu * barrier_gradient(cones.blocks[0], s)
-        rho, _ = block_proximity(cones, s, z)
+        rho = block_proximity(cones, s, z)
         assert np.allclose(rho, mu, rtol=1e-10)
 
     def test_off_path_point_has_smaller_rho(self):
         cones = ConeProduct((ConeSpec.nonnegative(2),))
         s = np.array([1.0, 1.0])
         z = np.array([2.0, 0.5])  # <s,z>/nu = 1.25 but rho < that
-        rho, _ = block_proximity(cones, s, z)
+        rho = block_proximity(cones, s, z)
         mu_agg = float(s @ z) / 2
         assert rho[0] < mu_agg
 
@@ -545,6 +545,6 @@ class TestProximity:
         cones = ConeProduct((ConeSpec.zero(2), ConeSpec.nonnegative(2)))
         s = np.array([0.0, 0.0, 1.0, 1.0])
         z = np.array([4.0, -2.0, 1.0, 1.0])
-        rho, _ = block_proximity(cones, s, z)
+        rho = block_proximity(cones, s, z)
         assert math.isnan(rho[0])
         assert rho[1] > 0
