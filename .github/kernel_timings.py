@@ -5,7 +5,8 @@
 For each workload, one cold solve of the first member of its reference
 chain (perfbench/workloads.py, seed 1) records every call ``ipm`` makes
 to its kernels ``barrier_gradient``, ``barrier_hessian_inverse`` and
-``conjugate_gradient``, to ``block_proximity``, and to the methods
+``conjugate_gradient``, to ``evaluate``, the one evaluation of each
+point (its Scalings and rho, through the last two kernels), and to the methods
 ``is_interior``, ``is_interior_dual``, ``step_bound`` and ``corrector``
 of its ``ConeProduct``, with copies of the arguments, for the calls
 that return.  Each timed loop runs once on every recorded call or stack of
@@ -17,8 +18,8 @@ One line per workload and kind times the cone class's kernels
 ``ipm`` passed to ``barrier_hessian_inverse`` and the z stacks that it
 passed to ``conjugate_gradient``:
 
-- on the s stacks: ``gradient``, ``hessian_inverse`` (with the z stack
-  and mu that ``ipm`` passed with each s stack), ``interior`` and
+- on the s stacks: ``gradient``, ``hessian_inverse`` (with the z stack,
+  mu and grad f*(z) that ``ipm`` passed with each s stack), ``interior`` and
   ``step_bound``, the last along the step to the next recorded stack.
   ``hessian_inverse`` includes grad f(s), which it gives with the
   scaling (``cones.Scaling``) for ``ipm``'s right side;
@@ -29,7 +30,8 @@ passed to ``conjugate_gradient``:
 
 One more line per workload, ``product``, replays the recorded calls as
 ``ipm`` made them: the three kernels per kind (``barrier_gradient.soc``
-and so on), ``block_proximity`` and the four ``ConeProduct`` methods.
+and so on; ``solve`` calls no ``barrier_gradient``), ``evaluate`` and
+the four ``ConeProduct`` methods.
 These include whatever the names add to the class formulas, such as an
 interior test.  The perfbench tracer inflates calls this short, so these
 numbers, not its self times, say what one call costs.  Nothing is
@@ -55,7 +57,7 @@ PRODUCT_METHODS = ("is_interior", "is_interior_dual", "step_bound", "corrector")
 def recorded_calls(api, cones, problem):
     """(report, {name: [(function, args)]}) from one cold solve of problem.
 
-    Each name of IPM_KERNELS, block_proximity and PRODUCT_METHODS maps
+    Each name of IPM_KERNELS, evaluate and PRODUCT_METHODS maps
     to the calls of it that returned, with copies of their array
     arguments; a kernel's name gains its kind, as barrier_gradient.soc.
     """
@@ -77,7 +79,7 @@ def recorded_calls(api, cones, problem):
         setattr(owner, name, recorded)
         return owner, name, fn
 
-    patched = [recording(ipm, name) for name in (*IPM_KERNELS, "block_proximity")]
+    patched = [recording(ipm, name) for name in (*IPM_KERNELS, "evaluate")]
     patched += [recording(cones.ConeProduct, name) for name in PRODUCT_METHODS]
     try:
         report = ipm.solve(problem, ipm.cold_start(problem))
@@ -89,7 +91,7 @@ def recorded_calls(api, cones, problem):
 
 def kind_stacks(calls):
     """{kind value: (spec, s arguments, z stacks, term arguments)}: the arguments
-    (S, Z, mu) ipm passed to the barrier Hessian inverse, the rows it passed
+    (S, Z, mu, GZ) ipm passed to the barrier Hessian inverse, the rows it passed
     to the conjugate gradient, and the kind's Scaling and rows (H, Z, DS, DZ)
     of each ConeProduct.corrector call whose product has the term."""
     stacks = {}
@@ -124,8 +126,8 @@ def per_call_us(calls, repeat):
 def kernel_lines(label, stacks, cones, repeat):
     for kind, (spec, s_args, Z_list, term_args) in stacks.items():
         cone = cones.CONES[spec.kind]
-        S_list = [S for S, _, _ in s_args]
-        # hessian_inverse takes the Z and mu passed with each S, the others S alone
+        S_list = [S for S, *_ in s_args]
+        # hessian_inverse takes the Z, mu and GZ passed with each S, the others S alone
         args = {name: s_args if name == "hessian_inverse" else [(S,) for S in S_list]
                 for name in S_KERNELS}
         calls = {

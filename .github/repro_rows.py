@@ -16,7 +16,13 @@ wall seconds of the solve.  The rows, with the status each must end in:
 - the SDP min <C, X> s.t. tr X = 1, X PSD at order 30, with C pinned as
   in ``tests/test_ipm.py::psd_trace_one``: Optimal;
 - the QP min 0.5 x2^2 - x1 s.t. x >= 0, which is unbounded below:
-  DualInfeasible.
+  DualInfeasible;
+- the log-sum-exp problem of ``tests/test_ipm.py::log_sum_exp`` (k
+  variables, p exponential blocks) at (k, p) = (3, 8), (5, 20), (2, 4)
+  and (8, 40): Optimal;
+- HMCR, ``gen_hmcr(synth_returns(20, 43, 0).window(0, 40), 5e-4, p,
+  alpha)``, the benchmark's hmcr-pow instance size, at p = 1.5, 3, 5
+  and alpha = 0.8, 0.95: Optimal.
 
 A row that ends in another status gets ``expected <status>`` at the end
 of its line, and the script exits 1 after the last row; otherwise it
@@ -61,6 +67,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PSD_SWEEP_ORDERS = range(26, 35)
 WARM_OVERRIDE_FACTORS = (1.0, 0.3, 0.1, 0.03, 0.01, 0.001)
+LOG_SUM_EXP_SIZES = ((3, 8), (5, 20), (2, 4), (8, 40))
+HMCR_ROWS = tuple((p, alpha) for p in (1.5, 3.0, 5.0) for alpha in (0.8, 0.95))
 
 
 def psd_trace_one(order):
@@ -80,6 +88,36 @@ def psd_trace_one(order):
         A=A,
         b=np.r_[1.0, np.zeros(dim)],
         cones=ConeProduct((ConeSpec.zero(1), ConeSpec.psd_triangle(order))),
+    )
+
+
+def log_sum_exp(k, p):
+    """min t s.t. sum u <= 1, u_i >= exp(a_i'w + c_i - t), |w| <= 1; tests/test_ipm.py's."""
+    import numpy as np
+    import scipy.sparse as sp
+    from conepath.cones import ConeProduct, ConeSpec
+    from conepath.ipm import ConicProblem
+
+    rng = np.random.default_rng(0)
+    a, c = rng.standard_normal((p, k)), rng.standard_normal(p)
+    n = k + 1 + p
+    rows = [np.r_[np.zeros(k + 1), np.ones(p)][None, :]]
+    rows += [np.c_[np.eye(k), np.zeros((k, 1 + p))], np.c_[-np.eye(k), np.zeros((k, 1 + p))]]
+    b = [1.0] * (1 + 2 * k)
+    for i in range(p):
+        # the block (u_i, 1, a_i'w + c_i - t), x >= y exp(z / y)
+        r = np.zeros((3, n))
+        r[0, k + 1 + i] = -1.0
+        r[2, :k] = -a[i]
+        r[2, k] = 1.0
+        rows.append(r)
+        b += [0.0, 1.0, c[i]]
+    return ConicProblem(
+        P=sp.csc_matrix((n, n)),
+        q=np.r_[np.zeros(k), 1.0, np.zeros(p)],
+        A=sp.csc_matrix(np.vstack(rows)),
+        b=np.array(b),
+        cones=ConeProduct((ConeSpec.nonnegative(1 + 2 * k),) + (ConeSpec.exponential(),) * p),
     )
 
 
@@ -116,6 +154,14 @@ def rows(api):
         yield f"svm-l1 lam={lam}", "Optimal", lambda lam=lam: gen.gen_svm_l1(samples(), lam)
     yield "sdp order=30", "Optimal", lambda: psd_trace_one(30)
     yield "qp unbounded", "DualInfeasible", unbounded_qp
+    for k, p in LOG_SUM_EXP_SIZES:
+        yield f"log-sum-exp k={k} p={p}", "Optimal", lambda k=k, p=p: log_sum_exp(k, p)
+    returns = lambda: gen.synth_returns(20, 43, 0).window(0, 40)
+    for p, alpha in HMCR_ROWS:
+        yield (
+            f"hmcr p={p:g} alpha={alpha}", "Optimal",
+            lambda p=p, alpha=alpha: gen.gen_hmcr(returns(), 5e-4, p, alpha),
+        )
 
 
 def cold_line(api, label, problem):

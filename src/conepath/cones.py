@@ -7,12 +7,15 @@ validation, degree, interior test, step bound, barrier derivatives, unit
 point, conjugate gradient, the smoothing and projection operators that
 smoothing.py exposes, and the block's scaling in K: hessian_inverse
 gives it, grad f(s) and the term's state from one evaluation of the
-rows of s and z (Scaling), and ipm builds K and its right side from
-it without knowing the kind.  The nonnegative and second-order kinds
-give their Nesterov-Todd scaling W^2, with W^2 z = s, and Mehrotra's
-term of the combined step (corrector), which ipm applies only where
-every barrier kind gives one.  The other kinds give H(s_i)^-1/mu_i,
-each taking its own path parameter mu_i, and no term.
+rows of s and z, with grad f*(z) given (Scaling), and ipm builds K and
+its right side from it without knowing the kind.  The nonnegative and
+second-order kinds give their Nesterov-Todd scaling W^2, with W^2 z = s,
+and Mehrotra's term of the combined step (corrector), which ipm applies
+only where every barrier kind gives one.  The power cone gives the
+primal-dual scaling W^2, with W^2 z = s and W^2 grad f(s) = grad f*(z),
+off the central path and H(s_i)^-1/mu_i on it (_primal_dual); the
+exponential and PSD kinds give H(s_i)^-1/mu_i, each taking its own path
+parameter mu_i.  None of these three has a term.
 
 The formulas work on stacks.  A stack is a (k, dim) array whose rows
 are k points of one cone; formulas give one result per row: (k,) values
@@ -28,7 +31,7 @@ conjugate gradients and the power cone's smoothing solve one increasing
 scalar equation per row, all rows in one bracketed Halley iteration
 whose equations give their first and second derivatives in closed form.
 The nonsymmetric kinds' inverse Hessians are closed forms too, from an
-LDL' factorization of each 3 x 3 row (NonsymmetricCone.hessian_inverse):
+LDL' factorization of each 3 x 3 row (NonsymmetricCone._inverse):
 no eigendecomposition runs unless a row's pivots fail.  A nonsymmetric
 kind projects by its own smoothing of the unit-scaled target, scaled
 back, and onto its dual cone by the Moreau identity.
@@ -286,8 +289,10 @@ class Scaling:
 
     The scaling is the Nesterov-Todd W^2, with W^2 z = s, for a
     nonnegative coordinate (s/z) and a second-order block (P(w) =
-    2ww' - rJ at the Nesterov-Todd point w), and H(s)^-1/mu_i for an
-    exponential, power or PSD block.  It is blockdiag(blocks) +
+    2ww' - rJ at the Nesterov-Todd point w), the primal-dual W^2, with
+    W^2 z = s and W^2 grad f(s) = grad f*(z), for a power block off the
+    central path (_primal_dual), and H(s)^-1/mu_i for an exponential or
+    PSD block and a power block on the path.  It is blockdiag(blocks) +
     sum_c U_c U_c'/pivots[c] per row.  blocks is (k, dim/w, w, w): dense
     w x w blocks along the row's coordinates, a diagonal at w = 1.  lifts
     is (k, c, dim), the c columns U_c, which ipm lifts into rows of K of
@@ -324,10 +329,15 @@ def _path_parameters(S, Z, degree):
 
 def barrier_hessian_inverse(spec, s, z, mu):
     """The block's Scaling (Scaling) once s has passed the interior test of K and z, of
-    s's shape, that of K*; mu is the global path parameter, which only PSD reads."""
+    s's shape, that of K*; mu is the global path parameter, which only PSD reads.
+
+    The kind's kernel also takes grad f*(z), which the power cone's scaling
+    reads; this entry point computes it, so it raises what conjugate_gradient
+    raises."""
     if np.shape(z) != np.shape(s):
         raise BoundaryOrExterior(f"z has shape {np.shape(z)}, s {np.shape(s)}")
-    return _checked("hessian_inverse", spec, s, require_interior(spec, z, dual=True), mu)
+    Z = require_interior(spec, z, dual=True)
+    return _checked("hessian_inverse", spec, s, Z, mu, CONES[spec.kind].conjugate_gradient(spec, Z))
 
 
 def unit_point(spec):
@@ -408,6 +418,9 @@ class Cone:
     with V + alpha*D strictly inside, inf when nothing binds; a row of
     V outside the cone gets a bound that is still valid, or inf.
     unit_s, unit_point and project* take and give single points.
+    hessian_inverse(spec, S, Z, mu, GZ) gives the rows' Scaling from the
+    rows of s and z, the global mu and GZ = grad f*(z) per row, which
+    only the power cone's scaling reads.
     """
 
     takes_alpha = takes_order = False
@@ -616,7 +629,7 @@ class NonnegativeCone(SelfDualCone):
         H[:, i, i] = 1.0 / S**2
         return H
 
-    def hessian_inverse(self, spec, S, Z, mu):
+    def hessian_inverse(self, spec, S, Z, mu, GZ):
         """The diagonal s^2/(s z), each coordinate's mu_j = s_j z_j: the Nesterov-Todd
         s_j/z_j (Nesterov & Todd, Math. OR 1997)."""
         return _unlifted((S**2 / (S * Z))[:, :, None, None], self.gradient(spec, S))
@@ -737,7 +750,7 @@ class SecondOrderCone(SelfDualCone):
         W /= np.sqrt(2.0 * (np.vecdot(S, Z) + ra * rc))[:, None]
         return W, r, ra * rc
 
-    def hessian_inverse(self, spec, S, Z, mu):
+    def hessian_inverse(self, spec, S, Z, mu, GZ):
         """The Nesterov-Todd W^2 = P(w) = 2ww' - rJ (_nt_point) split by its eigenvectors: the
         diagonal r I and the lifts u (pivot +mu_i) and v (pivot -mu_i) of sqrt(mu_i) w, with
         mu_i = <s, z> for the whole block.
@@ -897,7 +910,7 @@ class PsdTriangleCone(SelfDualCone):
     def hessian(self, spec, S):
         return _sym_kron(self._inverse(S))
 
-    def hessian_inverse(self, spec, S, Z, mu):
+    def hessian_inverse(self, spec, S, Z, mu, GZ):
         """Dense H^-1/mu with the global mu, the one kernel that reads it: with its own
         mu_i, the order-30 trace-one SDP (.github/repro_rows.py) ends NumericalError at
         25 iterations, every trial rejected by proximity; with mu it ends Optimal in 19."""
@@ -919,6 +932,64 @@ class PsdTriangleCone(SelfDualCone):
         return svec((U * np.maximum(d, 0.0)) @ U.T)
 
 
+_SQRT_EPS = math.sqrt(np.finfo(float).eps)
+_NEXT, _PREV = [1, 2, 0], [2, 0, 1]  # the cyclic neighbours of each coordinate in R^3
+
+
+def _outer(U):
+    """u u' per row of a (k, 3) stack."""
+    return U[:, :, None] * U[:, None, :]
+
+
+def _primal_dual(S, Z, G, GZ, mu_i, h):
+    """(W, kept): the primal-dual scaling W^2 per row, and the mask of rows that keep
+    H(s)^-1/mu_i instead, where W holds no meaningful value.
+
+    With s~ = -grad f*(z), z~ = -grad f(s), ds = s - mu_i s~, dz = z - mu_i z~
+    and a = z x z~ (GZ, G and h, H(s)'s upper triangle, are the row's),
+
+        W^2 = s s'/<s, z> + ds ds'/<ds, dz> + a a'/(mu_i a'H(s)a),
+
+    which is symmetric and satisfies W^2 z = s and W^2 grad f(s) = grad f*(z):
+    <s~, z> = <s, z~> = 3 by logarithmic homogeneity, so <ds, z> = 0 and
+    <ds, z~> = -<ds, dz>/mu_i, and a is orthogonal to z and z~.  It is the
+    two-sided BFGS update S (S'Z)^-1 S' + B - B Z (Z'B Z)^-1 Z'B of
+    B = H(s)^-1/mu_i, with S = (s, s~) and Z = (z, z~) (Tuncel, Found.
+    Comput. Math. 2001; Myklebust & Tuncel, arXiv 1411.2129; Dahl &
+    Andersen, Math. Program. 2022): in R^3, B's part is the rank-one
+    a a'/(a'B^-1 a).  <ds, dz> = 3 mu_i (mu_i mu~_i - 1) with
+    mu~_i = <s~, z~>/3, and mu_i mu~_i >= 1 with equality exactly on the
+    central path z = -mu_i grad f(s), where W^2 = H(s)^-1/mu_i.  So a
+    row keeps H(s)^-1/mu_i where mu_i mu~_i - 1 <= sqrt(eps) c, whose ds
+    and dz are rounding, and where <ds, dz> or a'H(s)a is not positive or
+    W^2 not finite.  c >= 1 is the mean of sum |s_j z_j|/<s, z> and the
+    same ratio for s~, z~, the factor by which the two sums' rounding
+    exceeds eps: near the boundary a central-path row's mu_i mu~_i - 1
+    rounds to 1e-6, while c is 1e10.  On hmcr-pow's solves at seeds 1-2,
+    5.7% of rows kept it, with c below 1e3.
+    """
+    h11, h12, h13, h22, h23, h33 = h
+    St, Zt = -GZ, -G
+    DS = S - mu_i[:, None] * St
+    DZ = Z - mu_i[:, None] * Zt
+    A = Z[:, _NEXT] * Zt[:, _PREV] - Z[:, _PREV] * Zt[:, _NEXT]  # z x z~
+    a1, a2, a3 = A.T
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        sz, stz = np.vecdot(S, Z), np.vecdot(St, Zt)
+        off_path = sz * stz / 9.0 - 1.0
+        # the rounding of off_path grows with the cancellation in its two sums
+        cancellation = 0.5 * (np.vecdot(np.abs(S), np.abs(Z)) / sz
+                              + np.vecdot(np.abs(St), np.abs(Zt)) / stz)
+        dd = np.vecdot(DS, DZ)
+        aha = (h11 * a1 * a1 + h22 * a2 * a2 + h33 * a3 * a3
+               + 2.0 * (h12 * a1 * a2 + h13 * a1 * a3 + h23 * a2 * a3))
+        W = (_outer(S) / sz[:, None, None] + _outer(DS) / dd[:, None, None]
+             + _outer(A) / (mu_i * aha)[:, None, None])
+        kept = ~((off_path > _SQRT_EPS * cancellation) & (dd > 0.0) & (aha > 0.0)
+                 & np.isfinite(W).all(axis=(1, 2)))
+    return W, kept
+
+
 class NonsymmetricCone(Cone):
     """Exponential and power cones in R^3.
 
@@ -930,7 +1001,10 @@ class NonsymmetricCone(Cone):
     and a scaled signed permutation for the exponential cone).  u is
     separable in x3, so its Hessian has four entries, and H and H^-1 are
     closed forms in u's derivatives (hessian_inverse says when it falls
-    back to an eigendecomposition).  smooth_newton and the exponential
+    back to an eigendecomposition).  The power cone's block of K updates
+    H^-1/mu_i to the primal-dual scaling (_primal_dual); the exponential
+    cone's keeps H^-1/mu_i: with the update, the log-sum-exp rows of
+    .github/repro_rows.py took 19/15/18/16 -> 20/22/20/21 iterations.  smooth_newton and the exponential
     cone's smoothing run damped Newton on those.  For the conjugate
     gradient each kind reduces grad f(s) = -y to one increasing scalar
     equation per row (conjugate_root), with its value, slope and second
@@ -940,6 +1014,10 @@ class NonsymmetricCone(Cone):
     cubic convergence predicts it from the last two); the power cone's
     smoothing reduces the same way, and project calls smooth.
     """
+
+    # whether the kind's block of K is the primal-dual scaling (_primal_dual) on the rows
+    # that have one, or H(s)^-1/mu_i on every row
+    primal_dual = False
 
     def validate(self, spec):
         super().validate(spec)
@@ -1007,8 +1085,22 @@ class NonsymmetricCone(Cone):
     def hessian(self, spec, S):
         return self._hessian(spec, S, *self.u(spec, S, order=2))
 
-    def hessian_inverse(self, spec, S, Z, mu):
-        """H^-1/mu_i per row, mu_i = <s, z>/3, from H = L diag(d) L', L unit lower triangular.
+    def hessian_inverse(self, spec, S, Z, mu, GZ):
+        """H^-1/mu_i per row, mu_i = <s, z>/3 (_inverse); on a power cone, the primal-dual
+        scaling (_primal_dual) on the rows that have one, and H^-1/mu_i, computed only if
+        needed, on the others."""
+        u, du, d2u = self.u(spec, S, order=2)
+        h = self._hessian_entries(spec, S, u, du, d2u)
+        mu_i = _path_parameters(S, Z, 3)
+        G = self._gradient(spec, S, u, du)
+        X, kept = _primal_dual(S, Z, G, GZ, mu_i, h) if self.primal_dual else (None, None)
+        if kept is None or kept.any():
+            closed = self._inverse(spec, S, h) / mu_i[:, None, None]
+            X = closed if kept is None else np.where(kept[:, None, None], closed, X)
+        return _unlifted(X[:, None], G)
+
+    def _inverse(self, spec, S, h):
+        """H^-1 per row from the upper triangle h of H = L diag(d) L', L unit lower triangular.
 
         Each entry of L^-T diag(1/d) L^-1 is a short sum of products, so
         a row costs a few dozen flops and its inverse is as accurate as a
@@ -1022,8 +1114,7 @@ class NonsymmetricCone(Cone):
         (an overflow near the float64 range) has no inverse to floor and
         raises LinAlgError, which ipm reports as a kernel failure.
         """
-        u, du, d2u = self.u(spec, S, order=2)
-        h11, h12, h13, h22, h23, h33 = self._hessian_entries(spec, S, u, du, d2u)
+        h11, h12, h13, h22, h23, h33 = h
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             l21, l31 = h12 / h11, h13 / h11
             d2 = h22 - l21 * h12
@@ -1046,8 +1137,7 @@ class NonsymmetricCone(Cone):
             w, U = np.linalg.eigh(H)
             w = np.maximum(w, w[:, -1:] * 1e-14)
             X[bad] = (U / w[:, None, :]) @ _t(U)
-        X /= _path_parameters(S, Z, 3)[:, None, None]
-        return _unlifted(X[:, None], self._gradient(spec, S, u, du))
+        return X
 
     def unit_point(self, spec):
         e_s = self.unit_s(spec)
@@ -1153,6 +1243,7 @@ class PowerCone(NonsymmetricCone):
     """{x : x1, x2 >= 0, x1^a x2^(1-a) >= |x3|}, with u = (x1^a x2^(1-a))^2 - x3^2."""
 
     takes_alpha = True
+    primal_dual = True
 
     def validate(self, spec):
         super().validate(spec)
@@ -1404,13 +1495,15 @@ class ConeProduct:
     def slices(self):
         return self._slices
 
-    def is_interior(self, s):
+    def is_interior(self, s, batches=None):
         """Blockwise strict interiority, one test per batch; Zero blocks require exact zeros.
 
-        A point with an entry that is not finite is not interior: one
-        finiteness pass covers every batch.
+        batches, if given, are the only ones tested (ipm's trials, whose
+        Zero rows are 0 by construction, pass barrier_batches).  A point
+        with an entry that is not finite is not interior: one finiteness
+        pass covers every batch.
         """
-        return self._all_rows(self.batches, "interior", s)
+        return self._all_rows(self.batches if batches is None else batches, "interior", s)
 
     def is_interior_dual(self, z):
         # a Zero block's dual is the whole space: its finite rows pass

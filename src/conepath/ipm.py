@@ -22,13 +22,15 @@ so an SOC point with gap/v0^2 below about 1e-10, or an ill-conditioned
 PSD block, can move the test's boundary past the slack; the search then
 takes a shorter step than the scan would, still strictly interior.
 Each point meets one membership test: ConeProduct.is_interior and
-is_interior_dual on the start and every trial.  The kernels below
-(barrier_gradient, barrier_hessian_inverse, conjugate_gradient) run the
-kind's formula on the rows those tests accepted, with no test of their
-own; the checked entry points of the same names in cones test first.
-No point changes after its test.  At seed 1 this cut the kinds'
-interior tests per iteration 22.2 -> 12.2 on rebalance-soc, 18.8 ->
-11.6 on hmcr-pow and 7.4 -> 4.4 on svm-l1-lp.
+is_interior_dual on the start and every trial, a trial's primal test
+on the barrier batches alone, since its Zero rows are the start's 0
+plus a multiple of ds = 0.  The kernels below (barrier_gradient,
+barrier_hessian_inverse, conjugate_gradient) run the kind's formula on
+the rows those tests accepted, with no test of their own; the checked
+entry points of the same names in cones test first.  No point changes
+after its test.  At seed 1 this cut the kinds' interior tests per
+iteration 22.2 -> 12.2 on rebalance-soc, 18.8 -> 11.6 on hmcr-pow and
+7.4 -> 4.4 on svm-l1-lp.
 Each iterate is evaluated once, at the raw point (residual_map): the
 termination test, both infeasibility certificates and the Newton right
 side share its products with P, A' and A.  The optimality test reads
@@ -46,16 +48,27 @@ scaling (cones.Scaling).  Each solve with the factor is refined against K
 without its regularization until max|r| <= REFINEMENT_TOLERANCE*max|rhs|,
 rounding level, for at most REFINEMENT_STEPS steps.
 
-Each barrier block's scaling comes from the kind's kernel, the one
-evaluation of (s, z), which also gives the right side's grad f(s) and
-the state of Mehrotra's term (cones.Scaling): the Nesterov-Todd W^2,
-with W^2 z = s, for nonneg coordinates (s_j/z_j) and second-order blocks
-(2ww' - rJ at the Nesterov-Todd point w), and H(s_i)^-1/mu_i, with the
-path parameter mu_i its kind picks from s_i and z_i, for exp, pow and
-PSD blocks.  The global mu scales the centering term, tau*kappa, the
-neighborhood and termination.  The right side's
-W^2 (z + sigma*mu*grad f(s)) is then s - sigma*mu*z^-1 on a
-Nesterov-Todd block, that scaling's own.  ds comes from the linearized
+Each point is evaluated once (evaluate): one conjugate_gradient and one
+barrier_hessian_inverse call per batch give every block's scaling, the
+right side's grad f(s), the state of Mehrotra's term (cones.Scaling)
+and the proximity rho_i = nu_i/<grad f(s_i), grad f*(z_i)>.  The start
+is evaluated before the first iteration, and each combined trial that
+passes the interior and tau*kappa tests before its proximity test; the
+accepted trial's Scalings are the next iteration's.  So a power block
+pays one conjugate root per point, which its scaling and rho share (on
+hmcr-pow at seed 1, 1.08 per iteration), and solve evaluates grad f(s)
+nowhere else (1.10 times per iteration before).  The scaling is the
+Nesterov-Todd W^2, with W^2 z = s, for nonneg coordinates (s_j/z_j) and
+second-order blocks (2ww' - rJ at the Nesterov-Todd point w); the
+primal-dual W^2, with W^2 z = s and W^2 grad f(s) = grad f*(z), for
+power blocks off the central path, which cut hmcr-pow's iterations at
+seeds 1-7 from 1218 / 839 (cold / warm) to 947 / 642; and
+H(s_i)^-1/mu_i, with the path parameter mu_i its kind picks from s_i
+and z_i, for exp and PSD blocks and power blocks on the path.  The
+global mu scales the centering term, tau*kappa, the neighborhood and
+termination.  The right side's W^2 (z + sigma*mu*grad f(s)) is then
+s - sigma*mu*z^-1 on a Nesterov-Todd block, that scaling's own, and
+s + sigma*mu*grad f*(z) on a primal-dual one.  ds comes from the linearized
 primal equation, ds = eta*r_z - A dx + dtau*b, not from the scaling as
 -W(dz + r_s).  s_j/z_j grows without bound where z_j goes to 0, and that
 form multiplies the solve's error in dz by it: with it, three svm-l2
@@ -86,8 +99,8 @@ dtau_aff*dkappa_aff added, the unbounded QP of .github/repro_rows.py
 ended NumericalError at 12 iterations (proximity) instead of
 DualInfeasible.  Nor does it cover products with an exp, pow or PSD
 block, which are not Nesterov-Todd scaled: the term on the nonneg rows
-beside hmcr-pow's pow blocks ended a warm solve NumericalError at
-seed 2.
+beside hmcr-pow's pow blocks, then H(s)^-1/mu_i scaled, ended a warm
+solve NumericalError at seed 2.
 """
 
 import time
@@ -383,10 +396,6 @@ def check_termination(problem, res, eps=1e-8):
     return None, (rp, rd, gap)
 
 
-def _interior_point(cones, s, z):
-    return cones.is_interior(s) and cones.is_interior_dual(z)
-
-
 def _ratio(v, dv):
     """The largest alpha with v + alpha*dv > 0 for a scalar v > 0; inf when dv >= 0."""
     return v / -dv if dv < 0.0 else np.inf
@@ -414,8 +423,8 @@ def barrier_gradient(spec, S, cone):
     return cone.gradient(spec, S)
 
 
-def barrier_hessian_inverse(spec, S, Z, mu, cone):
-    return cone.hessian_inverse(spec, S, Z, mu)
+def barrier_hessian_inverse(spec, S, Z, mu, GZ, cone):
+    return cone.hessian_inverse(spec, S, Z, mu, GZ)
 
 
 def conjugate_gradient(spec, Y, cone):
@@ -429,7 +438,7 @@ def block_proximity(cones, s, z):
     kernel call covers each batch of cones.barrier_batches.  Raises what
     conjugate_gradient raises.  rho_i equals the local path parameter
     mu_i exactly on the central path and is strictly smaller off it.
-    solve's right side reads grad f(s) from the scaling kernel instead.
+    solve reads the same rho from its points' evaluation (evaluate).
     """
     rho = np.full(len(cones.blocks), np.nan)
     for b in cones.barrier_batches:
@@ -437,6 +446,24 @@ def block_proximity(cones, s, z):
         gs = barrier_gradient(b.spec, b.rows(s), b.cone)
         rho[b.blocks.start : b.blocks.stop] = b.degree / np.vecdot(gs, gz)
     return rho
+
+
+def evaluate(cones, s, z, mu):
+    """(stacks, rho) at a solver point: each barrier batch's Scaling and block_proximity's rho.
+
+    One conjugate_gradient and one barrier_hessian_inverse call per batch
+    give both: rho_i = nu_i/<grad f(s_i), grad f*(z_i)> reads the
+    Scaling's grad f(s) and the grad f*(z) that the power cone's scaling
+    reads too.  mu is the global path parameter.  Raises what the kernels
+    raise.
+    """
+    stacks, rho = [], np.full(len(cones.blocks), np.nan)
+    for b in cones.barrier_batches:
+        gz = conjugate_gradient(b.spec, b.rows(z), b.cone)
+        H = barrier_hessian_inverse(b.spec, b.rows(s), b.rows(z), mu, gz, b.cone)
+        rho[b.blocks.start : b.blocks.stop] = b.degree / np.vecdot(H.gradient, gz)
+        stacks.append(H)
+    return stacks, rho
 
 
 def _positions(M, rows, cols):
@@ -674,10 +701,10 @@ def solve(problem, start, settings=None):
     tau, kappa = float(start.tau), float(start.kappa)
     if tau <= 0.0 or kappa <= 0.0:
         raise Unsupported("embedding starts need tau > 0 and kappa > 0")
-    if not _interior_point(cones, s, z):
+    if not (cones.is_interior(s) and cones.is_interior_dual(z)):
         raise RejectedWarmStart("start iterate is not strictly interior")
 
-    kkt = None
+    kkt = stacks = None
     barrier = np.array([k for k, _, _ in cones.barrier_blocks], dtype=np.intp)
     zero_rows = np.array(
         [i for b in cones.batches if not b.degree for i in range(b.sl.start, b.sl.stop)],
@@ -706,14 +733,14 @@ def solve(problem, start, settings=None):
         if status is not None:
             return report(status)
 
+        if stacks is None:  # the start; every later point brings its trial's evaluation
+            try:
+                stacks = evaluate(cones, s, z, mu)[0]
+            except (BoundaryOrExterior, NoConvergence, np.linalg.LinAlgError) as exc:
+                return report(SolveStatus.NUMERICAL_ERROR, f"{KERNEL_RAISED}: {exc}")
         grad = np.zeros(m)
-        stacks = []
-        try:
-            for b in cones.barrier_batches:
-                stacks.append(barrier_hessian_inverse(b.spec, b.rows(s), b.rows(z), mu, b.cone))
-                grad[b.sl] = stacks[-1].gradient.ravel()
-        except (BoundaryOrExterior, np.linalg.LinAlgError) as exc:
-            return report(SolveStatus.NUMERICAL_ERROR, f"{KERNEL_RAISED}: {exc}")
+        for b, H in zip(cones.barrier_batches, stacks):
+            grad[b.sl] = H.gradient.ravel()
         if kkt is None:
             kkt = _KKT(problem, stacks)
         try:
@@ -758,12 +785,20 @@ def solve(problem, start, settings=None):
             return min(cones.step_bound(s, ds, z, dz), _ratio(tau, dtau), _ratio(kappa, dkappa))
 
         def inside(a):
-            """(s, z, tau, kappa) at step a if it is strictly interior, else None."""
+            """(s, z, tau, kappa) at step a if it is strictly interior, else None.
+
+            The Zero batches' rows are not tested: s is 0 there at the
+            start, which was, and ds is 0 there."""
             s_new = s + a * ds
             z_new = z + a * dz
             tau_new = tau + a * dtau
             kappa_new = kappa + a * dkappa
-            if tau_new > 0.0 and kappa_new > 0.0 and _interior_point(cones, s_new, z_new):
+            if (
+                tau_new > 0.0
+                and kappa_new > 0.0
+                and cones.is_interior(s_new, cones.barrier_batches)
+                and cones.is_interior_dual(z_new)
+            ):
                 return s_new, z_new, tau_new, kappa_new
             return None
 
@@ -771,7 +806,9 @@ def solve(problem, start, settings=None):
             return None if inside(a) is None else a
 
         def combined_trial(a):
-            """(alpha, s, z, tau, kappa, mu) at step a, if it passes every test."""
+            """(alpha, s, z, tau, kappa, mu, stacks) at step a, if it passes every test.
+
+            stacks, the point's Scalings, are the next iteration's."""
             nonlocal guard_passed
             if (point := inside(a)) is None:
                 return None
@@ -781,13 +818,13 @@ def solve(problem, start, settings=None):
             if not (mu_new > 0.0 and tau_new * kappa_new >= BETA * mu_new):
                 return None
             try:
-                rho = block_proximity(cones, s_new, z_new)
-            except (BoundaryOrExterior, NoConvergence):
+                stacks_new, rho = evaluate(cones, s_new, z_new, mu_new)
+            except (BoundaryOrExterior, NoConvergence, np.linalg.LinAlgError):
                 return None
             # a NaN rho fails the comparison, so it rejects the trial
             if not (rho[barrier] >= BETA * mu_new).all():
                 return None
-            return a, s_new, z_new, tau_new, kappa_new, mu_new
+            return a, s_new, z_new, tau_new, kappa_new, mu_new, stacks_new
 
         dx, dz, ds, dtau, dkappa = direction(1.0, 0.0, affine)
         alpha_aff = _search(AFFINE_GRID, affine_trial, boundary_step()) or 0.0
@@ -810,5 +847,5 @@ def solve(problem, start, settings=None):
             return report(
                 SolveStatus.NUMERICAL_ERROR, PROXIMITY_REJECTED if guard_passed else NO_STEP_INSIDE
             )
-        alpha, s, z, tau, kappa, mu = step
+        alpha, s, z, tau, kappa, mu, stacks = step
         x = x + alpha * dx

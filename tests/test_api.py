@@ -8,7 +8,7 @@ from pathlib import Path
 import conepath
 from conepath import Settings, ipm
 from conepath.problems import gen_hmcr, gen_portfolio, synth_returns
-from conepath.warmstart import PreviousSolution, warmstart
+from conepath.warmstart import PreviousSolution, proximity, warmstart
 
 
 def test_public_surface():
@@ -33,13 +33,16 @@ def test_benchmark_tracer_finds_every_target():
         tracer_mod.install_layers(tracer)
         assert tracer.absent == []
         # the per-kind span names are read from the ConeSpec a traced call
-        # receives, so they only show whether the kernels get one at run time
+        # receives, so they only show whether the kernels get one at run time.
+        # solve reads grad f(s) from the scaling kernel, so ipm.barrier_gradient
+        # is reached through the warmstart's proximity (ipm.block_proximity)
         for problem in (
             gen_hmcr(synth_returns(4, 8, 0), 5e-4, 3.0, 0.9),
             gen_portfolio(synth_returns(6, 30, 0), 5e-4),
         ):
             report = ipm.solve(problem, ipm.cold_start(problem))
             ws = warmstart(PreviousSolution(*report.solution, problem=problem), problem.cones)
+            proximity(ws, problem.cones)
             ipm.solve(problem, ipm.warm_start(problem, ws))
         names = set(tracer.calls)
     for kind in ("nonneg", "soc", "pow"):

@@ -241,11 +241,12 @@ class TestSolveCommand:
 
     def test_numerical_error_prints_its_reason(self, tmp_path, capsys, monkeypatch):
         # rho = 0 on every block: proximity rejects every trial of the first step
-        def stalled(cones, s, z):
-            return np.zeros_like(block_proximity(cones, s, z))
+        def stalled(cones, s, z, mu):
+            stacks, rho = evaluate(cones, s, z, mu)
+            return stacks, np.zeros_like(rho)
 
-        block_proximity = ipm.block_proximity
-        monkeypatch.setattr(ipm, "block_proximity", stalled)
+        evaluate = ipm.evaluate
+        monkeypatch.setattr(ipm, "evaluate", stalled)
         path = tmp_path / "p.prob"
         fileio.write_problem(lp_problem(), path)
         code = main(["solve", str(path)])

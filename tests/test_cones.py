@@ -239,9 +239,10 @@ class TestBarrierIdentities:
                 mu = float(np.exp(dual_rng.uniform(-3.0, 3.0)))
                 H = barrier_hessian(spec, s)
                 W2 = _dense_scaling(barrier_hessian_inverse(spec, s, z, mu))
-                if spec.kind is ConeKind.SECOND_ORDER:
-                    # the Nesterov-Todd scaling (TestNesterovToddScaling), which
-                    # is H(s)^-1/mu on the central path z = -mu grad f(s)
+                if spec.kind in (ConeKind.SECOND_ORDER, ConeKind.POWER):
+                    # the Nesterov-Todd and the power cone's primal-dual scaling
+                    # (TestNesterovToddScaling, TestPrimalDualScaling), each
+                    # H(s)^-1/mu on the central path z = -mu grad f(s)
                     np.testing.assert_allclose(W2 @ z, s, rtol=1e-12)
                     z = -mu * barrier_gradient(spec, s)
                     W2 = _dense_scaling(barrier_hessian_inverse(spec, s, z, mu))
@@ -733,8 +734,9 @@ def _unit_dual(spec, k):
 
 
 def _scaled_inverse(spec, S):
-    """The kernel's H^-1/mu_i per row of S at z = the unit dual point, and each row's mu_i."""
-    Z = _unit_dual(spec, len(S))
+    """The kernel's H^-1/mu_i per row of S, and each row's mu_i: at z = the unit dual point,
+    or for a power cone, whose kernel is H^-1/mu_i on the central path only, z = -grad f(s)."""
+    Z = -barrier_gradient(spec, S) if spec.kind is ConeKind.POWER else _unit_dual(spec, len(S))
     mu_i = row_mu(ConeProduct((spec,) * len(S)), S.ravel(), Z.ravel(), 1.0)[:: spec.dim]
     return barrier_hessian_inverse(spec, S, Z, 1.0).blocks[:, 0], mu_i
 
@@ -1172,6 +1174,108 @@ class TestNesterovToddScaling:
         H = barrier_hessian_inverse(spec, S, Z, 0.3)
         term = cones.CONES[ConeKind.NONNEGATIVE].corrector(spec, H, Z, DS, DZ)
         np.testing.assert_allclose(term, general, rtol=8 * EPS)
+
+
+POW_ALPHAS = (0.1, 0.3, 0.5, 0.7, 0.9)
+
+
+def _pow_pairs(spec, seed):
+    """Seeded (S, Z) stacks off the central path: the s rows of _hessian_rows (20 random,
+    20 at relative slack 1e-10 of the curved boundary, 20 on a flat face, scaled 1e-6 to
+    1e6), each with z = -t grad f(x), x a row of another such stack and t = 10^k, k in
+    [-6, 6]: z is as near the dual boundary as x is to the primal one."""
+    rng = np.random.default_rng(seed)
+    S = _hessian_rows(spec, seed)
+    X = _hessian_rows(spec, seed + 1)[rng.permutation(len(S))]
+    return S, -barrier_gradient(spec, X) * 10.0 ** rng.integers(-6, 7, (len(S), 1))
+
+
+def _cancellation(*pairs):
+    """Per row, the largest sum |x_j y_j| / |<x, y>| over the pairs (X, Y): the factor by which
+    rounding in <x, y> exceeds eps."""
+    return np.max([np.vecdot(np.abs(X), np.abs(Y)) / np.abs(np.vecdot(X, Y)) for X, Y in pairs],
+                  axis=0)
+
+
+def _closed_form(spec, S, Z, monkeypatch):
+    """The kernel's blocks with the primal-dual update switched off: H(s)^-1/mu_i per row."""
+    with monkeypatch.context() as patch:
+        patch.setattr(cones.PowerCone, "primal_dual", False)
+        return barrier_hessian_inverse(spec, S, Z, 0.3).blocks[:, 0]
+
+
+class TestPrimalDualScaling:
+    """The power cone's block of K is W^2 with W^2 z = s and W^2 grad f(s) = grad f*(z) off
+    the central path (cones._primal_dual), and H(s)^-1/mu_i, bit for bit, on it.
+
+    Each identity holds within a multiple of eps times the cancellation in
+    the pairings <s, z>, <s~, z>, <s, z~> and <s~, z~> that W^2 is built
+    from: a z near the dual boundary, paired with a random s, puts 1e10
+    in it.
+    """
+
+    @pytest.mark.parametrize("alpha", POW_ALPHAS)
+    def test_w2_maps_z_to_s_and_grad_f_to_grad_f_star(self, alpha):
+        spec = ConeSpec.power(alpha)
+        S, Z = _pow_pairs(spec, 70)
+        W2 = barrier_hessian_inverse(spec, S, Z, 0.3).blocks[:, 0]
+        G, GZ = barrier_gradient(spec, S), conjugate_gradient(spec, Z)
+        bound = 16.0 * EPS * _cancellation((S, Z), (GZ, Z), (S, G), (GZ, G))
+        for X, Y in ((Z, S), (G, GZ)):
+            err = np.linalg.norm(np.einsum("kij,kj->ki", W2, X) - Y, axis=1)
+            assert (err <= bound * np.linalg.norm(Y, axis=1)).all()
+        assert np.array_equal(W2, W2.transpose(0, 2, 1))
+        # positive definite once equilibrated: strictly on the random and
+        # curved-boundary rows; a flat-face row at relative 1e-10 can be
+        # singular to working precision (cond ~ 1e16), and is checked to rounding
+        d = 1.0 / np.sqrt(np.einsum("kii->ki", W2))
+        smallest = np.linalg.eigvalsh(W2 * d[:, :, None] * d[:, None, :])[:, 0]
+        assert (smallest[:40] > 0.0).all() and (smallest[40:] >= -4.0 * EPS).all()
+
+    @pytest.mark.parametrize("alpha", POW_ALPHAS)
+    def test_w2_is_the_two_sided_bfgs_update(self, alpha):
+        # S (S'Z)^-1 S' + B - B Z (Z'B Z)^-1 Z'B with B = H(s)^-1/mu_i, S = (s, s~) and
+        # Z = (z, z~), in dense linear algebra, on the random rows
+        spec = ConeSpec.power(alpha)
+        S, Z = (M[:20] for M in _pow_pairs(spec, 71))
+        W2 = barrier_hessian_inverse(spec, S, Z, 0.3).blocks[:, 0]
+        mu_i = np.vecdot(S, Z) / 3.0
+        B = np.linalg.inv(barrier_hessian(spec, S)) / mu_i[:, None, None]
+        Sm = np.stack([S, -conjugate_gradient(spec, Z)], axis=2)
+        Zm = np.stack([Z, -barrier_gradient(spec, S)], axis=2)
+        BZ = B @ Zm
+        reference = (Sm @ np.linalg.solve(cones._t(Sm) @ Zm, cones._t(Sm)) + B
+                     - BZ @ np.linalg.solve(cones._t(Zm) @ BZ, cones._t(BZ)))
+        scale = np.abs(reference).max(axis=(1, 2))[:, None, None]
+        assert (np.abs(W2 - reference) <= 1e-9 * scale).all()
+
+    @pytest.mark.parametrize("alpha", POW_ALPHAS)
+    def test_central_path_rows_keep_the_closed_form_bitwise(self, alpha, monkeypatch):
+        # z = -mu grad f(s), mu = 10^k, at every row of _hessian_rows, and the unit
+        # pair; mixed into one stack with off-path rows, they keep H^-1/mu_i alone
+        spec = ConeSpec.power(alpha)
+        rng = np.random.default_rng(72)
+        S = np.vstack([_hessian_rows(spec, 72), unit_point(spec)[0]])
+        Z = -barrier_gradient(spec, S) * 10.0 ** rng.integers(-6, 7, (len(S), 1))
+        Z[-1] = unit_point(spec)[1]
+        off_S, off_Z = _pow_pairs(spec, 73)
+        S, Z = np.vstack([S, off_S]), np.vstack([Z, off_Z])
+        W2 = barrier_hessian_inverse(spec, S, Z, 0.3).blocks[:, 0]
+        closed = _closed_form(spec, S, Z, monkeypatch)
+        on = len(S) - len(off_S)
+        assert W2[:on].tobytes() == closed[:on].tobytes()
+        assert not any(W2[i].tobytes() == closed[i].tobytes() for i in range(on, len(S)))
+
+    def test_exp_rows_keep_the_closed_form(self, monkeypatch):
+        # the same update on log-sum-exp took more iterations (ROADMAP): exp stays H^-1/mu_i
+        spec = ConeSpec.exponential()
+        rng = np.random.default_rng(74)
+        S = np.array([random_interior(spec, rng) for _ in range(20)])
+        Z = np.array([-barrier_gradient(spec, random_interior(spec, rng)) for _ in range(20)])
+        H = barrier_hessian(spec, S)
+        X = barrier_hessian_inverse(spec, S, Z, 0.3).blocks[:, 0]
+        mu_i = np.vecdot(S, Z) / 3.0
+        assert np.allclose(H @ X * mu_i[:, None, None], np.eye(3), rtol=1e-8, atol=1e-8)
 
 
 class TestOneEvaluation:

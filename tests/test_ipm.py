@@ -1105,13 +1105,15 @@ class TestKKTAccuracy:
 
     # eps is the solve's tolerance.  The rebalance solve ends at the default
     # 1e-8 after its last factor at mu = 1.6e-7, so it runs to 1e-10 to reach
-    # last_mu: its last factors are then at mu = 2.8e-9
+    # last_mu: its last factors are then at mu = 2.8e-9.  The hmcr solve, with
+    # the power blocks' primal-dual scaling, ends at 1e-8 after 4 factors
+    # below LATE_MU; at 1e-10 it takes 5, the last at mu = 7.6e-10
     @pytest.mark.parametrize(
         "build, last_mu, eps",
         [
             (lambda: gen_svm_l1(synth_samples(480, 10, seed=0), 0.05), 1e-9, 1e-8),
             (lambda: gen_portfolio(synth_returns(50, 194, 0).window(0, 191), 5e-4), 1e-7, 1e-10),
-            (lambda: gen_hmcr(synth_returns(20, 43, 0).window(0, 40), 5e-4, 3.0, 0.9), 1e-7, 1e-8),
+            (lambda: gen_hmcr(synth_returns(20, 43, 0).window(0, 40), 5e-4, 3.0, 0.9), 1e-7, 1e-10),
             (psd_trace_one, 1e-7, 1e-8),
             (log_sum_exp, 1e-7, 1e-8),
         ],
@@ -1128,10 +1130,10 @@ class TestKKTAccuracy:
         def residual(sol, Kx, rhs):
             return np.abs(Kx @ sol - rhs).max() / np.abs(rhs).max()
 
-        def recording(spec, S, Z, mu, cone):
-            """The kernel, which ipm.solve passes the iterate's mu before each factor."""
+        def recording(spec, S, Z, mu, GZ, cone):
+            """The kernel, which ipm.solve passes the mu of the iterate each factor is at."""
             passed.append(mu)
-            return hessian_inverse(spec, S, Z, mu, cone)
+            return hessian_inverse(spec, S, Z, mu, GZ, cone)
 
         def checked(kkt, stacks):
             factor(kkt, stacks)
@@ -1413,7 +1415,45 @@ class TestCorrector:
         prob = gen_portfolio(synth_returns(6, 30, 0), 5e-4)
         report = solve(prob, cold_start(prob))
         assert report.status is SolveStatus.OPTIMAL
-        assert calls["_nt_point"] == calls["hessian_inverse"] == report.iterations
+        # one evaluation per point: the start and each accepted trial
+        assert calls["_nt_point"] == calls["hessian_inverse"] == report.iterations + 1
+
+
+class TestOneEvaluationPerPoint:
+    """Each point's Scalings and rho come from one conjugate_gradient and one
+    barrier_hessian_inverse call per batch (ipm.evaluate); the accepted trial's
+    Scalings are the next iteration's."""
+
+    def test_pow_rows_pay_one_conjugate_root_per_point(self, monkeypatch):
+        calls = Counter()
+        for name in ("conjugate_gradient", "hessian_inverse"):
+            def counted(self, *args, fn=getattr(cones_module.PowerCone, name), name=name):
+                calls[name] += 1
+                return fn(self, *args)
+
+            monkeypatch.setattr(cones_module.PowerCone, name, counted)
+
+        def refused(*args):
+            raise AssertionError("grad f(s) evaluated apart from the scaling")
+
+        monkeypatch.setattr(ipm, "barrier_gradient", refused)
+        prob = gen_hmcr(synth_returns(4, 8, 0), 5e-4, 3.0, 0.9)
+        report = solve(prob, cold_start(prob))
+        assert report.status is SolveStatus.OPTIMAL
+        # the start and each accepted trial: no trial here was rejected after its evaluation
+        assert calls["conjugate_gradient"] == calls["hessian_inverse"] == report.iterations + 1
+
+    def test_hmcr_p2_power_and_soc_formulations_agree(self):
+        # the benchmark's instance size: the power blocks' primal-dual scaling
+        # reaches the objective of the second-order formulation of the same model
+        returns = synth_returns(20, 43, 0).window(0, 40)
+        objective = {}
+        for formulation in ("power", "soc"):
+            prob = gen_hmcr(returns, 5e-4, 2.0, 0.9, formulation=formulation)
+            report = solve(prob, cold_start(prob))
+            assert report.status is SolveStatus.OPTIMAL
+            objective[formulation] = optimal_objective(prob, report)
+        assert abs(objective["power"] - objective["soc"]) <= 1e-7 * abs(objective["soc"])
 
 
 def _count_interior_tests(monkeypatch):
@@ -1635,16 +1675,18 @@ class TestStepSearch:
             del accepted_s[:], trial_z[:]
             report = solve(problem, start)
             assert report.status is SolveStatus.OPTIMAL
-            # the start was tested on entry; every later s was a trial's
-            first = {
-                (b.spec.kind, row.tobytes())
-                for b in problem.cones.barrier_batches
-                for row in b.rows(start.s)
-            }
-            s_rows = [key for key in accepted_s if key not in first]
-            assert len(s_rows) >= report.iterations - 1 and trial_z
+            # the start was tested on entry, and a cold start repeats its rows
+            # across blocks; every later s and z was a trial's
+            first_s, first_z = (
+                {(b.spec.kind, row.tobytes()) for b in problem.cones.barrier_batches
+                 for row in b.rows(v)}
+                for v in (start.s, start.z)
+            )
+            s_rows = [key for key in accepted_s if key not in first_s]
+            z_rows = [key for key in trial_z if key not in first_z]
+            assert len(s_rows) >= report.iterations - 1 and z_rows
             assert {tested[key] for key in s_rows} == {1}, "accepted s rows tested again"
-            assert {tested[key] for key in trial_z} == {1}, "trial z rows tested again"
+            assert {tested[key] for key in z_rows} == {1}, "trial z rows tested again"
         assert report.tau < 0.1  # qp_shifted's, the last case
 
     def test_each_warmstart_row_is_tested_once(self, monkeypatch):
@@ -1696,11 +1738,12 @@ class TestNumericalErrorReason:
     def test_proximity_rejected_every_trial(self, monkeypatch):
         # rho = 0 on every block: each trial passes the interior test and
         # fails the neighborhood
-        def stalled(cones, s, z):
-            return np.zeros_like(block_proximity(cones, s, z))
+        def stalled(cones, s, z, mu):
+            stacks, rho = evaluate(cones, s, z, mu)
+            return stacks, np.zeros_like(rho)
 
-        block_proximity = ipm.block_proximity
-        monkeypatch.setattr(ipm, "block_proximity", stalled)
+        evaluate = ipm.evaluate
+        monkeypatch.setattr(ipm, "evaluate", stalled)
         prob, _ = lp_box()
         report = solve(prob, cold_start(prob))
         assert report.status is SolveStatus.NUMERICAL_ERROR
