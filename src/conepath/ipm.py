@@ -311,7 +311,7 @@ AFFINE_GRID = _grid(1.0)
 COMBINED_GRID = _grid(MAX_ALPHA)
 
 # Why a solve ended NumericalError, in SolveReport.reason.
-KERNEL_RAISED = "barrier kernel raised at the iterate"
+KERNEL_RAISED = "barrier kernel raised at the start"  # a trial whose kernel raises is rejected
 FACTORIZATION_FAILED = "KKT factorization failed"
 ZERO_DENOMINATOR = "zero denominator in the tau direction"
 NO_STEP_INSIDE = "step stalled: no grid step inside the cones"

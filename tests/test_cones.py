@@ -1266,17 +1266,6 @@ class TestPrimalDualScaling:
         assert W2[:on].tobytes() == closed[:on].tobytes()
         assert not any(W2[i].tobytes() == closed[i].tobytes() for i in range(on, len(S)))
 
-    def test_exp_rows_keep_the_closed_form(self, monkeypatch):
-        # the same update on log-sum-exp took more iterations (ROADMAP): exp stays H^-1/mu_i
-        spec = ConeSpec.exponential()
-        rng = np.random.default_rng(74)
-        S = np.array([random_interior(spec, rng) for _ in range(20)])
-        Z = np.array([-barrier_gradient(spec, random_interior(spec, rng)) for _ in range(20)])
-        H = barrier_hessian(spec, S)
-        X = barrier_hessian_inverse(spec, S, Z, 0.3).blocks[:, 0]
-        mu_i = np.vecdot(S, Z) / 3.0
-        assert np.allclose(H @ X * mu_i[:, None, None], np.eye(3), rtol=1e-8, atol=1e-8)
-
 
 class TestOneEvaluation:
     """ipm reads grad f(s) and the term's state from the Scaling of (s, z) alone: each is

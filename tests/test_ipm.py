@@ -1443,18 +1443,6 @@ class TestOneEvaluationPerPoint:
         # the start and each accepted trial: no trial here was rejected after its evaluation
         assert calls["conjugate_gradient"] == calls["hessian_inverse"] == report.iterations + 1
 
-    def test_hmcr_p2_power_and_soc_formulations_agree(self):
-        # the benchmark's instance size: the power blocks' primal-dual scaling
-        # reaches the objective of the second-order formulation of the same model
-        returns = synth_returns(20, 43, 0).window(0, 40)
-        objective = {}
-        for formulation in ("power", "soc"):
-            prob = gen_hmcr(returns, 5e-4, 2.0, 0.9, formulation=formulation)
-            report = solve(prob, cold_start(prob))
-            assert report.status is SolveStatus.OPTIMAL
-            objective[formulation] = optimal_objective(prob, report)
-        assert abs(objective["power"] - objective["soc"]) <= 1e-7 * abs(objective["soc"])
-
 
 def _count_interior_tests(monkeypatch):
     """A list that gains one entry per ConeProduct.is_interior call from now on."""

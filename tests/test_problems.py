@@ -253,6 +253,14 @@ class TestHmcr:
         obj_soc, _ = optimum(gen_hmcr(rd, 1e-4, p=2.0, alpha=0.9, formulation="soc"))
         assert abs(obj_pow - obj_soc) <= 1e-6 * max(1.0, abs(obj_soc))
 
+    def test_p2_power_matches_soc_formulation_at_the_benchmark_size(self):
+        # hmcr-pow's instance size (perfbench/workloads.py): the power blocks'
+        # primal-dual scaling reaches the second-order formulation's objective
+        rd = synth_returns(20, 43, seed=0).window(0, 40)
+        obj_pow, _ = optimum(gen_hmcr(rd, 5e-4, p=2.0, alpha=0.9))
+        obj_soc, _ = optimum(gen_hmcr(rd, 5e-4, p=2.0, alpha=0.9, formulation="soc"))
+        assert abs(obj_pow - obj_soc) <= 1e-7 * abs(obj_soc)
+
 
 class TestMpc:
     def double_integrator(self):
