@@ -27,10 +27,10 @@ on the barrier batches alone, since its Zero rows are the start's 0
 plus a multiple of ds = 0.  The kernels below (barrier_gradient,
 barrier_hessian_inverse, conjugate_gradient) run the kind's formula on
 the rows those tests accepted, with no test of their own; the checked
-entry points of the same names in cones test first.  No point changes
-after its test.  At seed 1 this cut the kinds' interior tests per
-iteration 22.2 -> 12.2 on rebalance-soc, 18.8 -> 11.6 on hmcr-pow and
-7.4 -> 4.4 on svm-l1-lp.
+entry points of the same names in cones test first (warmstart calls
+them on rows it has tested).  No point changes after its test.  At seed
+1 this cut the kinds' interior tests per iteration 22.2 -> 12.2 on
+rebalance-soc, 18.8 -> 11.6 on hmcr-pow and 7.4 -> 4.4 on svm-l1-lp.
 Each iterate is evaluated once, at the raw point (residual_map): the
 termination test, both infeasibility certificates and the Newton right
 side share its products with P, A' and A.  The optimality test reads
@@ -48,27 +48,28 @@ scaling (cones.Scaling).  Each solve with the factor is refined against K
 without its regularization until max|r| <= REFINEMENT_TOLERANCE*max|rhs|,
 rounding level, for at most REFINEMENT_STEPS steps.
 
-Each point is evaluated once (evaluate): one conjugate_gradient and one
+Each point is evaluated once (evaluate), the one place the proximity
+rho_i = nu_i/<grad f(s_i), grad f*(z_i)> is computed, for solve and
+warmstart.proximity alike.  One conjugate_gradient and one
 barrier_hessian_inverse call per batch give every block's scaling, the
-right side's grad f(s), the state of Mehrotra's term (cones.Scaling)
-and the proximity rho_i = nu_i/<grad f(s_i), grad f*(z_i)>.  The start
-is evaluated before the first iteration, and each combined trial that
-passes the interior and tau*kappa tests before its proximity test; the
-accepted trial's Scalings are the next iteration's.  So a power block
-pays one conjugate root per point, which its scaling and rho share (on
-hmcr-pow at seed 1, 1.08 per iteration), and solve evaluates grad f(s)
-nowhere else (1.10 times per iteration before).  The scaling is the
-Nesterov-Todd W^2, with W^2 z = s, for nonneg coordinates (s_j/z_j) and
-second-order blocks (2ww' - rJ at the Nesterov-Todd point w); the
-primal-dual W^2, with W^2 z = s and W^2 grad f(s) = grad f*(z), for
-power blocks off the central path, which cut hmcr-pow's iterations at
-seeds 1-7 from 1218 / 839 (cold / warm) to 947 / 642; and
-H(s_i)^-1/mu_i, with the path parameter mu_i its kind picks from s_i
-and z_i, for exp and PSD blocks and power blocks on the path.  The
-global mu scales the centering term, tau*kappa, the neighborhood and
-termination.  The right side's W^2 (z + sigma*mu*grad f(s)) is then
-s - sigma*mu*z^-1 on a Nesterov-Todd block, that scaling's own, and
-s + sigma*mu*grad f*(z) on a primal-dual one.  ds comes from the linearized
+right side's grad f(s), the state of Mehrotra's term (cones.Scaling) and
+rho.  The start is evaluated before the first iteration, and each
+combined trial that passes the interior and tau*kappa tests before its
+proximity test; the accepted trial's Scalings are the next iteration's.
+So a power block pays one conjugate root per point, which its scaling
+and rho share (on hmcr-pow at seed 1, 1.08 per iteration), and solve
+evaluates grad f(s) nowhere else (1.10 times per iteration before).  The
+scaling is the Nesterov-Todd W^2, with W^2 z = s, for nonneg coordinates
+(s_j/z_j) and second-order blocks (2ww' - rJ at the Nesterov-Todd point
+w); the primal-dual W^2, with W^2 z = s and W^2 grad f(s) = grad f*(z),
+for power blocks off the central path, which cut hmcr-pow's iterations
+at seeds 1-7 from 1218 / 839 (cold / warm) to 947 / 642; and
+H(s_i)^-1/mu_i, with the path parameter mu_i its kind picks from s_i and
+z_i, for exp and PSD blocks and power blocks on the path.  The global mu
+scales the centering term, tau*kappa, the neighborhood and termination.
+The right side's W^2 (z + sigma*mu*grad f(s)) is then s - sigma*mu*z^-1
+on a Nesterov-Todd block, that scaling's own, and s +
+sigma*mu*grad f*(z) on a primal-dual one.  ds comes from the linearized
 primal equation, ds = eta*r_z - A dx + dtau*b, not from the scaling as
 -W(dz + r_s).  s_j/z_j grows without bound where z_j goes to 0, and that
 form multiplies the solve's error in dz by it: with it, three svm-l2
@@ -431,28 +432,13 @@ def conjugate_gradient(spec, Y, cone):
     return cone.conjugate_gradient(spec, Y)
 
 
-def block_proximity(cones, s, z):
-    """Per-block proximity rho_i = nu_i / <grad f(s_i), grad f*(z_i)>, NaN on Zero blocks.
-
-    s and z must have passed cones.is_interior and is_interior_dual.  One
-    kernel call covers each batch of cones.barrier_batches.  Raises what
-    conjugate_gradient raises.  rho_i equals the local path parameter
-    mu_i exactly on the central path and is strictly smaller off it.
-    solve reads the same rho from its points' evaluation (evaluate).
-    """
-    rho = np.full(len(cones.blocks), np.nan)
-    for b in cones.barrier_batches:
-        gz = conjugate_gradient(b.spec, b.rows(z), b.cone)
-        gs = barrier_gradient(b.spec, b.rows(s), b.cone)
-        rho[b.blocks.start : b.blocks.stop] = b.degree / np.vecdot(gs, gz)
-    return rho
-
-
 def evaluate(cones, s, z, mu):
-    """(stacks, rho) at a solver point: each barrier batch's Scaling and block_proximity's rho.
+    """(stacks, rho) at a tested point: each barrier batch's Scaling and each block's proximity.
 
-    One conjugate_gradient and one barrier_hessian_inverse call per batch
-    give both: rho_i = nu_i/<grad f(s_i), grad f*(z_i)> reads the
+    rho_i = nu_i/<grad f(s_i), grad f*(z_i)>, NaN on a Zero block, equals
+    the local path parameter mu_i exactly on the central path and is
+    strictly smaller off it.  One conjugate_gradient and one
+    barrier_hessian_inverse call per batch give both: rho reads the
     Scaling's grad f(s) and the grad f*(z) that the power cone's scaling
     reads too.  mu is the global path parameter.  Raises what the kernels
     raise.

@@ -6,7 +6,8 @@ the new problem's residual, which lands (s0, z0) exactly on the new
 central path at parameter mu0/lambda.  The module also certifies that
 membership, evaluates the worst-case residual-growth bounds for
 nonnegative / second-order / PSD compositions, and measures proximity
-to the path for arbitrary interior points.
+to the path for arbitrary interior points by ipm.evaluate's rho, its
+one home.  Gradients come from the solver's kernel on rows tested here.
 """
 
 import math
@@ -15,9 +16,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import ipm
 from .cones import (
+    CONES,
     ConeKind,
-    barrier_gradient,
     is_interior,
     is_interior_dual,
     require_interior,
@@ -25,7 +27,6 @@ from .cones import (
     unit_point,
 )
 from .errors import NotApplicable, Unsupported
-from .ipm import BETA, block_proximity, residual_map
 from .smoothing import smooth
 
 MU0_FLOOR = 1e-12
@@ -114,7 +115,7 @@ def select_parameters(spec, s_star_block, z_star_block, r_inf):
 
 def residual_infinity(problem, x, s, z):
     """||R(x,s,z)||_inf with R = (r_d, r_p) of ipm.residual_map."""
-    res = residual_map(problem, x, s, z)
+    res = ipm.residual_map(problem, x, s, z)
     return float(max(np.max(np.abs(res.r_d)), np.max(np.abs(res.r_p))))
 
 
@@ -183,7 +184,8 @@ def warmstart(prev, cones, overrides=None):
         failed = np.isnan(s_blk).any(axis=1)
         z_blk = np.full_like(s_blk, np.nan)
         if not failed.all():
-            z_blk[~failed] = -(mu0 / lam)[~failed, None] * b.cone.gradient(spec, s_blk[~failed])
+            G = ipm.barrier_gradient(spec, s_blk[~failed], b.cone)
+            z_blk[~failed] = -(mu0 / lam)[~failed, None] * G
         # so does a z0 that rounds out of K*, from an s0 next to the boundary
         failed |= ~is_interior_dual(spec, z_blk)
         e_s, e_z = unit_point(spec)
@@ -244,7 +246,8 @@ def certify_central_path(result, cones):
         sb, zb = result.s0[sl], result.z0[sl]
         interior_ok = bool(is_interior(spec, sb) and is_interior_dual(spec, zb))
         if interior_ok:
-            resid = float(np.linalg.norm(p.lam * zb + p.mu0 * barrier_gradient(spec, sb)))
+            gs = ipm.barrier_gradient(spec, sb[None], CONES[spec.kind])[0]
+            resid = float(np.linalg.norm(p.lam * zb + p.mu0 * gs))
         else:
             resid = float("inf")
         scale = max(1.0, float(np.linalg.norm(sb)), p.lam * float(np.linalg.norm(zb)))
@@ -397,7 +400,7 @@ def residual_bound_check(prev, result, problem):
         bound = (1.0 + (tr_max + 1.0) / dmin) * mu0
 
     # actual residual with PSD slack rows measured in matrix entries
-    res = residual_map(problem, result.x0, result.s0, result.z0)
+    res = ipm.residual_map(problem, result.x0, result.s0, result.z0)
     parts = [float(np.max(np.abs(res.r_d)))] if res.r_d.size else [0.0]
     for spec, sl in zip(problem.cones.blocks, problem.cones.slices()):
         block = res.r_p[sl]
@@ -421,8 +424,8 @@ def residual_bound_check(prev, result, problem):
 
 
 # ---------------------------------------------------------------------------
-# proximity to the central path: ipm.block_proximity, the measure the
-# solver's step rule also applies
+# proximity to the central path: rho from ipm.evaluate, its one home, the
+# measure the solver's step rule also applies
 
 
 @dataclass
@@ -437,12 +440,13 @@ class ProximityReport:
         return bool(np.all(self.ok))
 
 
-def proximity(result, cones, beta=BETA):
+def proximity(result, cones, beta=ipm.BETA):
     """Neighborhood test rho_i >= beta*mu for a warmstart output.
 
     mu is the aggregate <s0, z0>/nu; each non-Zero block must keep its
-    proximity value above beta*mu to count as well-centered.  Raises
-    BoundaryOrExterior unless each such block of s0 is in int K, of z0 in int K*.
+    proximity value (ipm.evaluate's rho) above beta*mu to count as
+    well-centered.  Raises BoundaryOrExterior unless each such block of s0
+    is in int K, of z0 in int K*, and otherwise what ipm.evaluate raises.
     """
     if not (0.0 < beta <= 1.0):
         raise Unsupported(f"beta must lie in (0, 1], got {beta}")
@@ -452,11 +456,6 @@ def proximity(result, cones, beta=BETA):
         require_interior(b.spec, b.rows(result.z0), dual=True)
         require_interior(b.spec, b.rows(result.s0))
     mu = float(result.s0 @ result.z0) / cones.degree
-    rho = block_proximity(cones, result.s0, result.z0)
-    ok = np.array(
-        [
-            np.isnan(r) or r >= beta * mu * (1.0 - 1e-9)
-            for r in rho
-        ]
-    )
+    rho = ipm.evaluate(cones, result.s0, result.z0, mu)[1]
+    ok = np.isnan(rho) | (rho >= beta * mu * (1.0 - 1e-9))
     return ProximityReport(rho, mu, beta, ok)

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from conepath import ipm
 from conepath.cones import (
     ConeProduct,
     ConeSpec,
     barrier_gradient,
+    conjugate_gradient,
     is_interior,
     is_interior_dual,
     svec,
@@ -22,7 +24,6 @@ from conepath.smoothing import smooth
 from conepath.warmstart import (
     PreviousSolution,
     SelectedParameters,
-    block_proximity,
     certify_central_path,
     proximity,
     residual_bound_check,
@@ -492,15 +493,15 @@ class TestProximity:
         s = np.array([1.0, 2.0, 0.5])
         mu = 0.3
         z = -mu * barrier_gradient(cones.blocks[0], s)
-        rho = block_proximity(cones, s, z)
+        rho = ipm.evaluate(cones, s, z, mu)[1]
         assert np.allclose(rho, mu, rtol=1e-10)
 
     def test_off_path_point_has_smaller_rho(self):
         cones = ConeProduct((ConeSpec.nonnegative(2),))
         s = np.array([1.0, 1.0])
         z = np.array([2.0, 0.5])  # <s,z>/nu = 1.25 but rho < that
-        rho = block_proximity(cones, s, z)
         mu_agg = float(s @ z) / 2
+        rho = ipm.evaluate(cones, s, z, mu_agg)[1]
         assert rho[0] < mu_agg
 
     def test_warmstart_passes_tight_proximity(self):
@@ -516,7 +517,7 @@ class TestProximity:
     @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
     @pytest.mark.parametrize("side", ["s0", "z0"])
     def test_exterior_or_non_finite_block_raises(self, side, bad):
-        # block_proximity tests nothing; proximity tests the warmstart's point first
+        # ipm.evaluate tests nothing; proximity tests the warmstart's point first
         cones = ConeProduct((ConeSpec.zero(1), ConeSpec.nonnegative(2), ConeSpec.second_order(3)))
         prev = PreviousSolution(np.array([1.0]), np.r_[0.0, np.ones(5)], np.ones(6))
         res = warmstart(prev, cones, overrides={1: {"mu0": 1e-4}, 2: {"mu0": 1e-4}})
@@ -545,6 +546,32 @@ class TestProximity:
         cones = ConeProduct((ConeSpec.zero(2), ConeSpec.nonnegative(2)))
         s = np.array([0.0, 0.0, 1.0, 1.0])
         z = np.array([4.0, -2.0, 1.0, 1.0])
-        rho = block_proximity(cones, s, z)
+        rho = ipm.evaluate(cones, s, z, 1.0)[1]
         assert math.isnan(rho[0])
         assert rho[1] > 0
+
+    def test_rho_is_the_gradient_pairing_bitwise(self):
+        # proximity's rho is ipm.evaluate's; it equals nu_i/<grad f(s_i), grad f*(z_i)>
+        # from the checked kernels bit for bit, on and off the central path
+        rng = np.random.default_rng(29)
+        specs = [ConeSpec.zero(2), ConeSpec.nonnegative(3), ConeSpec.nonnegative(3)]
+        specs += [make_spec(kind, rng) for kind in ("soc", "psd", "exp", "pow", "pow")]
+        cones = ConeProduct(specs)
+        s_star = np.concatenate([random_interior(spec, rng) for spec in specs[1:]])
+        z_star = np.concatenate([random_interior(spec, rng) for spec in specs[1:]])
+        prev = PreviousSolution(np.ones(1), np.r_[0.0, 0.0, s_star], np.r_[1.0, -1.0, z_star])
+        res = warmstart(prev, cones, overrides={k: {"mu0": 1e-3} for k in range(1, len(specs))})
+        assert res.fallback_blocks == []
+        # off the path: z0 = -grad f at other interior points, still in int K*
+        off = dataclasses.replace(res, z0=res.z0.copy())
+        for k, spec, sl in cones.barrier_blocks:
+            off.z0[sl] = -barrier_gradient(spec, random_interior(spec, rng))
+        for point in (res, off):
+            expected = np.full(len(specs), np.nan)
+            for b in cones.barrier_batches:
+                gs = barrier_gradient(b.spec, b.rows(point.s0))
+                gz = conjugate_gradient(b.spec, b.rows(point.z0))
+                expected[b.blocks.start : b.blocks.stop] = b.degree / np.vecdot(gs, gz)
+            rho = proximity(point, cones).rho
+            assert math.isnan(rho[0])
+            assert rho.tobytes() == expected.tobytes()
