@@ -4,9 +4,9 @@
 
 For each workload, one cold solve of the first member of its reference
 chain (perfbench/workloads.py, seed 1) records every call ``ipm`` makes
-to its kernels ``barrier_gradient``, ``barrier_hessian_inverse`` and
-``conjugate_gradient``, to ``evaluate``, the one evaluation of each
-point (its Scalings and rho, through the last two kernels), and to the methods
+to its kernels ``barrier_hessian_inverse`` and ``conjugate_gradient``,
+to ``evaluate``, the one evaluation of each point (its Scalings and
+rho, through those two kernels), and to the methods
 ``is_interior``, ``is_interior_dual``, ``step_bound`` and ``corrector``
 of its ``ConeProduct``, with copies of the arguments, for the calls
 that return.  Each timed loop runs once on every recorded call or stack of
@@ -29,9 +29,9 @@ passed to ``conjugate_gradient``:
   ``ConeProduct.corrector``, where the product has the term.
 
 One more line per workload, ``product``, replays the recorded calls as
-``ipm`` made them: the three kernels per kind (``barrier_gradient.soc``
-and so on; ``solve`` calls no ``barrier_gradient``), ``evaluate`` and
-the four ``ConeProduct`` methods.
+``ipm`` made them: the two kernels per kind
+(``barrier_hessian_inverse.soc`` and so on), ``evaluate`` and the four
+``ConeProduct`` methods.
 These include whatever the names add to the class formulas, such as an
 interior test.  The perfbench tracer inflates calls this short, so these
 numbers, not its self times, say what one call costs.  Nothing is
@@ -50,7 +50,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 S_KERNELS = ("gradient", "hessian_inverse", "interior")  # and step_bound, which takes two stacks
 Z_KERNELS = ("conjugate_gradient", "interior_dual")
-IPM_KERNELS = ("barrier_gradient", "barrier_hessian_inverse", "conjugate_gradient")
+IPM_KERNELS = ("barrier_hessian_inverse", "conjugate_gradient")
 PRODUCT_METHODS = ("is_interior", "is_interior_dual", "step_bound", "corrector")
 
 
@@ -59,7 +59,7 @@ def recorded_calls(api, cones, problem):
 
     Each name of IPM_KERNELS, evaluate and PRODUCT_METHODS maps
     to the calls of it that returned, with copies of their array
-    arguments; a kernel's name gains its kind, as barrier_gradient.soc.
+    arguments; a kernel's name gains its kind, as conjugate_gradient.soc.
     """
     import numpy as np
 
