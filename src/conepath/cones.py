@@ -665,15 +665,6 @@ class SecondOrderCone(SelfDualCone):
     def degree(self, spec):
         return 1
 
-    def _gap(self, S):
-        """s0^2 - ||s1||^2 per row.
-
-        np.float_power squares through pow, as the per-point formula
-        s[0] ** 2 does on a float64 scalar; numpy's array square (s0 * s0)
-        can round the last bit differently.
-        """
-        return np.float_power(S[:, 0], 2) - np.vecdot(S[:, 1:], S[:, 1:])
-
     def _signs(self, spec):
         """The diagonal of J = diag(1, -1, ..., -1)."""
         j = -np.ones(spec.dim)
@@ -709,16 +700,16 @@ class SecondOrderCone(SelfDualCone):
         return np.where((alpha > 0.0) & (inside > 0.0), alpha, np.inf)
 
     def value(self, spec, S):
-        return -0.5 * np.log(self._gap(S))
+        return -0.5 * np.log(self._det(S))
 
     def gradient(self, spec, S):
-        G = S / self._gap(S)[:, None]
+        G = S / self._det(S)[:, None]
         G[:, 0] = -G[:, 0]
         return G
 
     def hessian(self, spec, S):
         """-J/t + 2 (Js)(Js)'/t^2, with J's diagonal added in place."""
-        t = self._gap(S)[:, None]
+        t = self._det(S)[:, None]
         j = self._signs(spec)
         JS = S * j
         H = 2.0 * (JS[:, :, None] * JS[:, None, :]) / (t**2)[:, :, None]
