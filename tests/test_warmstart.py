@@ -555,7 +555,7 @@ class TestProximity:
         # from the checked kernels bit for bit, on and off the central path
         rng = np.random.default_rng(29)
         specs = [ConeSpec.zero(2), ConeSpec.nonnegative(3), ConeSpec.nonnegative(3)]
-        specs += [make_spec(kind, rng) for kind in ("soc", "psd", "exp", "pow", "pow")]
+        specs += [make_spec(kind, rng) for kind in ("soc", "psd", "exp")] + [ConeSpec.power(0.4)] * 2
         cones = ConeProduct(specs)
         s_star = np.concatenate([random_interior(spec, rng) for spec in specs[1:]])
         z_star = np.concatenate([random_interior(spec, rng) for spec in specs[1:]])
@@ -564,7 +564,7 @@ class TestProximity:
         assert res.fallback_blocks == []
         # off the path: z0 = -grad f at other interior points, still in int K*
         off = dataclasses.replace(res, z0=res.z0.copy())
-        for k, spec, sl in cones.barrier_blocks:
+        for _, spec, sl in cones.barrier_blocks:
             off.z0[sl] = -barrier_gradient(spec, random_interior(spec, rng))
         for point in (res, off):
             expected = np.full(len(specs), np.nan)
