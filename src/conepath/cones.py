@@ -40,11 +40,15 @@ One interior test per point.  The module functions (is_interior,
 barrier_gradient, conjugate_gradient, ...) are the checked entry points,
 for warmstart, smoothing and users.  They take one point (dim,) or a
 stack (k, dim) -- one point is the k = 1 case of the same code -- test
-interiority once (require_interior) and look the class up.  Class
+interiority once (require_interior) and look the class up.  A row that
+passes but that float64 cannot carry raises NoConvergence in the
+barrier's value, gradient and Hessian and the conjugate gradient.  Class
 methods assume tested rows, so whatever has tested a point calls them
 directly: the Newton loops, and ipm, whose only membership tests are
 ConeProduct.is_interior and is_interior_dual on its start and trial
-points.  A ConeProduct binds each batch's class once (_Batch.cone).
+points; the nonsymmetric conjugate_gradient alone tests K* again, on the
+slack of M y its equation shares (test_cones.py pins one slack call).
+A ConeProduct binds each batch's class once (_Batch.cone).
 Symmetric matrix blocks travel in packed triangle form with sqrt(2)
 scaling so that packed inner products equal trace inner products.
 """
@@ -225,7 +229,9 @@ def _membership(test, spec, s):
     s = np.asarray(s, dtype=float)
     if s.ndim not in (1, 2) or s.shape[-1] != spec.dim:
         return False
-    ok = _interior_rows(test, spec, s.reshape(-1, spec.dim))
+    # a slack past the float64 range (an exp row's x1/x2 > 1e308) reads inf, with no warning
+    with np.errstate(all="ignore"):
+        ok = _interior_rows(test, spec, s.reshape(-1, spec.dim))
     return bool(ok[0]) if s.ndim == 1 else ok
 
 
@@ -262,10 +268,14 @@ def require_interior(spec, s, dual=False):
     return s.reshape(-1, spec.dim)
 
 
-def _checked(formula, spec, s, *args):
+def _checked(formula, spec, s):
     """The kind's formula on every row of a point or stack once each row has
-    passed the interior test of K; one point gets its row."""
-    out = getattr(CONES[spec.kind], formula)(spec, require_interior(spec, s), *args)
+    passed the interior test of K; one point gets its row.  A result that is not
+    finite (an exp row's u overflows, a power row's underflows) raises NoConvergence."""
+    with np.errstate(all="ignore"):
+        out = getattr(CONES[spec.kind], formula)(spec, require_interior(spec, s))
+    if not np.isfinite(out).all():
+        raise NoConvergence(f"the barrier's {formula} leaves the float64 range")
     return out[0] if np.ndim(s) == 1 else out
 
 
@@ -337,7 +347,10 @@ def barrier_hessian_inverse(spec, s, z, mu):
     if np.shape(z) != np.shape(s):
         raise BoundaryOrExterior(f"z has shape {np.shape(z)}, s {np.shape(s)}")
     Z = require_interior(spec, z, dual=True)
-    return _checked("hessian_inverse", spec, s, Z, mu, CONES[spec.kind].conjugate_gradient(spec, Z))
+    cone = CONES[spec.kind]
+    GZ = cone.conjugate_gradient(spec, Z)
+    out = cone.hessian_inverse(spec, require_interior(spec, s), Z, mu, GZ)
+    return out[0] if np.ndim(s) == 1 else out
 
 
 def unit_point(spec):
@@ -353,7 +366,8 @@ def conjugate_gradient(spec, y):
     scalar equation per row.  Raises BoundaryOrExterior if a row is not
     strictly inside K*, and NoConvergence if a row's point -grad f*(y)
     leaves the float64 range (its u overflows or underflows, as for
-    |y| ~ 1e300 on a power cone).
+    |y| ~ 1e300 on a power cone) or its dual slack does (an exp row's
+    log(x1/x2) of M y past x1/x2 = 1e308).
     """
     out = CONES[spec.kind].conjugate_gradient(spec, require_interior(spec, y, dual=True))
     return out[0] if np.ndim(y) == 1 else out
@@ -1139,13 +1153,15 @@ class NonsymmetricCone(Cone):
         # a step or a point that overflows, underflows or is not a number.
         # ok is the interior test of M y, and its slack v is kept for the
         # equation; a row outside x1, x2 > 0 gets a meaningless v and fails.
-        # With x1, x2 > 0, an entry of M y that is not finite leaves v
-        # infinite or not a number, so 0 < v < inf also tests finiteness
+        # v is also inf or NaN where an entry of M y is not finite (outside
+        # K*) and where a finite exp row's log(x1/x2) overflows (NoConvergence)
         MY = self.dual_coords(spec, Y)
         with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
             v = self.slack(spec, MY)
-            ok = (MY[:, 0] > 0.0) & (MY[:, 1] > 0.0) & (v > 0.0) & (v < np.inf)
-            if not ok.all():
+            ok = (MY[:, 0] > 0.0) & (MY[:, 1] > 0.0) & (v > 0.0)
+            if not (ok & (v < np.inf)).all():
+                if ok.all() and np.isfinite(MY).all():
+                    raise NoConvergence("a dual slack exceeds the float64 range")
                 raise BoundaryOrExterior(
                     f"point is not strictly interior to the dual of {spec.kind.value}"
                 )

@@ -26,11 +26,13 @@ is_interior_dual on the start and every trial, a trial's primal test
 on the barrier batches alone, since its Zero rows are the start's 0
 plus a multiple of ds = 0.  The kernels below (barrier_gradient,
 barrier_hessian_inverse, conjugate_gradient) run the kind's formula on
-the rows those tests accepted, with no test of their own; the checked
-entry points of the same names in cones test first (warmstart calls
-them on rows it has tested).  No point changes after its test.  At seed
-1 this cut the kinds' interior tests per iteration 22.2 -> 12.2 on
-rebalance-soc, 18.8 -> 11.6 on hmcr-pow and 7.4 -> 4.4 on svm-l1-lp.
+the rows those tests accepted; the nonsymmetric conjugate_gradient
+alone tests K* again, on the slack of M y its equation shares
+(test_cones.py pins one slack call).  The checked entry points of the
+same names in cones test first (warmstart calls the kernels on rows it
+has tested).  No point changes after its test.  At seed 1 this cut the
+kinds' interior tests per iteration 22.2 -> 12.2 on rebalance-soc,
+18.8 -> 11.6 on hmcr-pow and 7.4 -> 4.4 on svm-l1-lp.
 Each iterate is evaluated once, at the raw point (residual_map): the
 termination test, both infeasibility certificates and the Newton right
 side share its products with P, A' and A.  The optimality test reads

@@ -18,7 +18,6 @@ import numpy as np
 
 from . import ipm
 from .cones import (
-    CONES,
     ConeKind,
     is_interior,
     is_interior_dual,
@@ -138,45 +137,35 @@ def warmstart(prev, cones, overrides=None):
     out of the dual cone, falls back alone to the cold unit point and is
     listed in fallback_blocks.
     """
-    x_star = np.asarray(prev.x_star, dtype=float)
-    s_star = np.asarray(prev.s_star, dtype=float)
-    z_star = np.asarray(prev.z_star, dtype=float)
+    x_star, s_star, z_star = (np.asarray(v, float) for v in (prev.x_star, prev.s_star, prev.z_star))
     if s_star.shape != (cones.dim,) or z_star.shape != (cones.dim,):
         raise Unsupported("previous solution does not match the cone product size")
     overrides = overrides or {}
 
-    need_r = any("mu0" not in overrides.get(k, {}) for k, _, _ in cones.barrier_blocks)
     r_inf = 0.0
-    if need_r:
+    if any("mu0" not in overrides.get(k, {}) for k, _, _ in cones.barrier_blocks):
         if prev.problem is None:
-            raise Unsupported(
-                "problem data is required to size mu0; pass overrides instead"
-            )
+            raise Unsupported("problem data is required to size mu0; pass overrides instead")
         r_inf = residual_infinity(prev.problem, x_star, s_star, z_star)
 
-    params = [
-        select_parameters(spec, s_star[sl], z_star[sl], r_inf)
-        for spec, sl in zip(cones.blocks, cones.slices())
-    ]
-    for k, _, _ in cones.barrier_blocks:
-        lam, mu0, rule = params[k]
-        ov = overrides.get(k, {})
+    # one record per block; Zero blocks keep theirs and pass z* through
+    per_block = []
+    for k, (spec, sl) in enumerate(zip(cones.blocks, cones.slices())):
+        lam, mu0, rule = select_parameters(spec, s_star[sl], z_star[sl], r_inf)
+        ov = overrides.get(k, {}) if spec.degree else {}
         if "lambda" in ov:
             lam, mu0, rule = float(ov["lambda"]), _clamp_mu0(r_inf), "override"
         if "mu0" in ov:
             mu0, rule = float(ov["mu0"]), "override"
-        if not (lam > 0.0 and mu0 > 0.0):
+        if spec.degree and not (lam > 0.0 and mu0 > 0.0):
             raise Unsupported(f"block {k}: lambda and mu0 must be positive")
-        params[k] = SelectedParameters(lam, mu0, rule)
-    # Zero blocks keep these entries and pass z* through; the rest are replaced
-    per_block = [BlockParameters(lam, mu0, 0, 0.0, rule) for lam, mu0, rule in params]
+        per_block.append(BlockParameters(lam, mu0, spec.degree, 0.0, rule))
     s0 = np.zeros(cones.dim)
     z0 = z_star.copy()
-    fallback = []
     for b in cones.barrier_batches:
         spec = b.spec
-        lam = np.array([params[k].lam for k in b.blocks])
-        mu0 = np.array([params[k].mu0 for k in b.blocks])
+        records = [per_block[k] for k in b.blocks]
+        lam, mu0 = np.array([(p.lam, p.mu0) for p in records]).T
         sb = b.rows(s_star)
         # a row whose smoothing fails, its interior test included, comes
         # back NaN and falls back alone; the kept rows need no second test
@@ -188,19 +177,13 @@ def warmstart(prev, cones, overrides=None):
             z_blk[~failed] = -(mu0 / lam)[~failed, None] * G
         # so does a z0 that rounds out of K*, from an s0 next to the boundary
         failed |= ~is_interior_dual(spec, z_blk)
-        e_s, e_z = unit_point(spec)
-        s_blk[failed] = e_s
-        z_blk[failed] = e_z
-        b.rows(s0)[:] = s_blk
-        b.rows(z0)[:] = z_blk
-        comp = np.vecdot(s_blk, z_blk)
-        lam[failed] = mu0[failed] = 1.0
-        for row, k in enumerate(b.blocks):
-            rule = "fallback" if failed[row] else params[k].rule
-            per_block[k] = BlockParameters(
-                float(lam[row]), float(mu0[row]), spec.degree, float(comp[row]), rule
-            )
-        fallback += [k for k, f in zip(b.blocks, failed) if f]
+        s_blk[failed], z_blk[failed] = unit_point(spec)
+        b.rows(s0)[:], b.rows(z0)[:] = s_blk, z_blk
+        for p, comp, f in zip(records, np.vecdot(s_blk, z_blk), failed):
+            p.complementarity = float(comp)
+            if f:
+                p.lam, p.mu0, p.rule = 1.0, 1.0, "fallback"
+    fallback = [k for k, p in enumerate(per_block) if p.rule == "fallback"]
     return WarmStartResult(x_star.copy(), s0, z0, per_block, fallback)
 
 
@@ -233,7 +216,7 @@ class CertReport:
 
 
 def certify_central_path(result, cones):
-    """Check the path-membership identities block by block.
+    """Check the path-membership identities of each block, one batch at a time.
 
     (a) lambda*z0 + mu0*grad f(s0) = 0 within _GRAD_TOL (scaled),
     (b) <s0, z0> = nu*mu0/lambda within _COMP_TOL relative,
@@ -241,30 +224,30 @@ def certify_central_path(result, cones):
     Zero blocks are reported as not applicable.
     """
     blocks = [BlockCertificate(k, applicable=False) for k in range(len(cones))]
-    for k, spec, sl in cones.barrier_blocks:
-        p = result.per_block[k]
-        sb, zb = result.s0[sl], result.z0[sl]
-        interior_ok = bool(is_interior(spec, sb) and is_interior_dual(spec, zb))
-        if interior_ok:
-            gs = ipm.barrier_gradient(spec, sb[None], CONES[spec.kind])[0]
-            resid = float(np.linalg.norm(p.lam * zb + p.mu0 * gs))
-        else:
-            resid = float("inf")
-        scale = max(1.0, float(np.linalg.norm(sb)), p.lam * float(np.linalg.norm(zb)))
-        target = spec.degree * p.mu0 / p.lam
-        comp_abs = abs(float(sb @ zb) - target)
+    for b in cones.barrier_batches:
+        records = [result.per_block[k] for k in b.blocks]
+        lam, mu0 = np.array([(p.lam, p.mu0) for p in records]).T
+        S, Z = b.rows(result.s0), b.rows(result.z0)
+        interior = is_interior(b.spec, S) & is_interior_dual(b.spec, Z)
+        resid = np.full(len(b.blocks), np.inf)
+        if interior.any():
+            G = ipm.barrier_gradient(b.spec, S[interior], b.cone)
+            R = lam[interior, None] * Z[interior] + mu0[interior, None] * G
+            resid[interior] = np.sqrt(np.vecdot(R, R))
+        norm_s, norm_z = np.sqrt(np.vecdot(S, S)), np.sqrt(np.vecdot(Z, Z))
+        scale = np.maximum(np.maximum(1.0, norm_s), lam * norm_z)
+        target = b.degree * mu0 / lam
+        comp_abs = np.abs(np.vecdot(S, Z) - target)
         # a dot product cannot resolve below eps times its cancellation
         # mass, so near-boundary blocks at tiny mu0 get that much slack
-        float_floor = 16.0 * np.finfo(float).eps * float(np.abs(sb) @ np.abs(zb))
-        blocks[k] = BlockCertificate(
-            k,
-            applicable=True,
-            gradient_ok=resid <= _GRAD_TOL * scale,
-            complementarity_ok=comp_abs <= _COMP_TOL * target + float_floor,
-            interior_ok=interior_ok,
-            gradient_residual=resid,
-            complementarity_error=comp_abs / target,
-        )
+        float_floor = 16.0 * np.finfo(float).eps * np.vecdot(np.abs(S), np.abs(Z))
+        gradient_ok = resid <= _GRAD_TOL * scale
+        complementarity_ok = comp_abs <= _COMP_TOL * target + float_floor
+        for row, k in enumerate(b.blocks):
+            blocks[k] = BlockCertificate(
+                k, True, bool(gradient_ok[row]), bool(complementarity_ok[row]),
+                bool(interior[row]), float(resid[row]), float(comp_abs[row] / target[row]),
+            )
     return CertReport(blocks)
 
 
@@ -322,9 +305,7 @@ def residual_bound_check(prev, result, problem):
     if result.fallback_blocks:
         return _not_applicable(family, "cold-start fallback occurred")
 
-    x_star = np.asarray(prev.x_star, dtype=float)
-    s_star = np.asarray(prev.s_star, dtype=float)
-    z_star = np.asarray(prev.z_star, dtype=float)
+    x_star, s_star, z_star = (np.asarray(v, float) for v in (prev.x_star, prev.s_star, prev.z_star))
     r_star = residual_infinity(problem, x_star, s_star, z_star)
     lam0 = result.per_block[live[0][0]].lam
     mu0 = result.per_block[live[0][0]].mu0

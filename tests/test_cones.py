@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -690,6 +691,24 @@ class TestConjugateRoots:
                 conjugate_gradient(spec, Z)
             with pytest.raises(NoConvergence):
                 conjugate_gradient(spec, Z[2])
+        # rows whose slack or u leaves the range on finite entries: an exp
+        # row's log(x1/x2) overflows past x1/x2 = 1e308, and so does its dual
+        # slack (this row's is -0.5 in exact arithmetic, inf in float64); a
+        # power row's u = v^2 underflows at v = 1e-170.  Each raises alone
+        # and in a stack, with no RuntimeWarning on the way
+        edge = {
+            ConeKind.EXPONENTIAL: (
+                (conjugate_gradient, [1e300, -0.5, -1e-10]), (barrier_gradient, [1e300, 1e-10, -0.5]),
+            ),
+            ConeKind.POWER: ((barrier_gradient, [1e-170, 1e-170, 0.0]),),
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for kernel, row in edge[spec.kind]:
+                unit = unit_point(spec)[kernel is conjugate_gradient]
+                for point in (np.array(row), np.array([unit, row])):
+                    with pytest.raises(NoConvergence):
+                        kernel(spec, point)
 
 
 EPS = np.finfo(float).eps

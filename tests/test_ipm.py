@@ -1,5 +1,6 @@
 """Homogeneous-embedding solver: fixtures, statuses, invariants."""
 
+import dataclasses
 import math
 from collections import Counter
 
@@ -358,6 +359,22 @@ class TestStarts:
         ws.z0[prob.cones.slices()[1]][0] = -1.0
         with pytest.raises(RejectedWarmStart, match="block 1 "):
             warm_start(prob, ws)
+
+    @pytest.mark.parametrize("tau,kappa", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0), (1.0, -1e-300)])
+    def test_solve_rejects_tau_or_kappa_not_positive(self, tau, kappa):
+        prob, _ = mixed_simplex_qp()
+        v = dataclasses.replace(cold_start(prob), tau=tau, kappa=kappa)
+        with pytest.raises(Unsupported, match="tau > 0 and kappa > 0"):
+            solve(prob, v)
+
+    # a nonnegative coordinate of s below 0 or of z at 0, and a Zero row of s off 0
+    @pytest.mark.parametrize("vector,row,value", [("s", 2, -1.0), ("z", 1, 0.0), ("s", 0, 1e-3)])
+    def test_solve_rejects_a_start_outside_the_cones(self, vector, row, value):
+        prob, _ = mixed_simplex_qp()
+        v = cold_start(prob)
+        getattr(v, vector)[row] = value
+        with pytest.raises(RejectedWarmStart, match="not strictly interior"):
+            solve(prob, v)
 
 
 class TestFixtureLibrary:
